@@ -39,7 +39,6 @@ from .powerctl import (
     PowerControlResult,
     associate,
     effective_sinr,
-    power_control_step,
     power_update,
     receive_branches,
     solve_power_control,

@@ -103,14 +103,13 @@ def cmd_run(spec: RunSpec) -> int:
     return 0
 
 
-def cmd_compare(spec: RunSpec, green_scenario_path: str | None = None) -> int:
-    green_path = green_scenario_path or spec.green_scenario
-    if green_path is None:
+def cmd_compare(spec: RunSpec) -> int:
+    if spec.green_scenario is None:
         raise ScenarioError("compare needs --green-scenario")
     baseline = load_scenario_file(spec.scenario)
-    green = load_scenario_file(green_path)
+    green = load_scenario_file(spec.green_scenario)
     _progress(f"compare: {spec.snapshots} paired snapshots, "
-              f"{spec.scenario} vs {green_path} (seed {spec.seed})")
+              f"{spec.scenario} vs {spec.green_scenario} (seed {spec.seed})")
     pairs = run_paired_campaign(baseline, green, spec.seed, spec.snapshots,
                                 combining=spec.combining, jobs=spec.jobs)
     default_center = green.greens[0].position if green.greens else None
@@ -186,15 +185,14 @@ def cmd_sweep(spec: RunSpec, axis: str, values: str | None = None) -> int:
         if not powers:
             _progress("error: population filter excluded every mobile")
             return 2
-        arr = np.asarray(powers, dtype=float)
-        rows.append((value, len(powers), float(arr.mean()), float(np.median(arr)),
-                     float((arr <= spec.target_dbm).mean())))
+        rows.append((value, dict(_stats_rows(powers, spec.target_dbm))))
 
     path = f"{spec.out}_sweep.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("axis,value,samples,mean_dbm,median_dbm,frac_below_target\n")
-        for value, n, mean, median, frac in rows:
-            fh.write(f"{axis},{value},{n},{mean:.6f},{median:.6f},{frac:.6f}\n")
+        for value, st in rows:
+            fh.write(f"{axis},{value},{st['samples']:.0f},{st['mean_dbm']:.6f},"
+                     f"{st['median_dbm']:.6f},{st['frac_below_target']:.6f}\n")
     _progress(f"sweep: wrote {path}")
     return 0
 
@@ -262,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="paired baseline-vs-green comparison")
     p_cmp.add_argument("--green-scenario", required=True,
                        help="scenario differing from --scenario only in greens")
-    p_cmp.set_defaults(func=lambda spec, args: cmd_compare(spec, args.green_scenario))
+    p_cmp.set_defaults(func=lambda spec, args: cmd_compare(spec))
 
     p_swp = sub.add_parser("sweep", parents=[common],
                            help="repeat a run across one axis")

@@ -18,6 +18,11 @@ update p' = clamp(p * target / sinr(p)), iterated Jacobi-style from
 all-p_min; the unclamped map satisfies the standard interference-function
 axioms (positivity, monotonicity, scalability) for all three rules, so
 the iteration increases monotonically toward the fixed point.
+
+One kernel serves every rule and every caller (the solver, the single
+update `power_update` and `effective_sinr`). It evaluates mobiles in
+groups that share a branch-set width, so its Python loop runs once per
+distinct width in the snapshot, not once per serving sector.
 """
 
 from __future__ import annotations
@@ -96,33 +101,47 @@ def receive_branches(s: Scenario) -> BranchSet:
 
 @dataclass(frozen=True)
 class _Problem:
-    """Solver view of one snapshot: linear gains and per-MS branch columns."""
+    """Solver view of one snapshot: linear gains and per-MS branch columns.
+
+    Mobiles are grouped by the width of their serving sector's branch
+    set, not by sector: each group holds its MS rows and a
+    (len(rows), width) table whose row k lists the receive-point columns
+    that mobile rows[k] is combined over. A snapshot has only a few
+    distinct widths, so the kernel loops over those. Groups are not
+    padded to one common width: numpy sums 8 or more terms pairwise, so
+    padding a wide set next to narrower ones would regroup its sums and
+    change the last bits of the MRC and EGC results.
+    """
 
     gains_mw: np.ndarray            # (n_ms, n_rp)
     noise_mw: np.ndarray            # (n_rp,)
     targets_lin: np.ndarray         # (n_ms,)
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...]   # (branch cols, ms rows)
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]   # (ms rows, branch cols)
     p_min_mw: float
     p_max_mw: float
 
 
-def _build_problem(s: Scenario, mobiles: list[MobileStation], gm: LinkGainMatrix,
-                   assoc: Association, branches: BranchSet) -> _Problem:
-    by_serving: dict[str, list[int]] = {}
+def _problem(gm: LinkGainMatrix, assoc: Association, branches: BranchSet,
+             targets_db: np.ndarray, p_min_dbm: float, p_max_dbm: float) -> _Problem:
+    cols = {sid: [gm.rp_index[rid] for rid in branches.by_sector[sid]]
+            for sid in set(assoc.serving_sector)}
+    by_width: dict[int, list[int]] = {}
     for i, sid in enumerate(assoc.serving_sector):
-        by_serving.setdefault(sid, []).append(i)
+        by_width.setdefault(len(cols[sid]), []).append(i)
     groups = tuple(
-        (np.array([gm.rp_index[rid] for rid in branches.by_sector[sid]], dtype=int),
-         np.array(rows, dtype=int))
-        for sid, rows in by_serving.items()
+        (np.array(rows, dtype=int),
+         np.array([cols[assoc.serving_sector[i]] for i in rows], dtype=int))
+        for rows in by_width.values()
     )
     return _Problem(
         gains_mw=10.0 ** (gm.ul_gain_db / 10.0),
         noise_mw=10.0 ** (gm.noise_dbm / 10.0),
-        targets_lin=np.array([10.0 ** (m.sinr_target_db / 10.0) for m in mobiles]),
+        # scalar pow per element: numpy's vectorised power differs from it
+        # in the last bit for some inputs, which shifts every iterate
+        targets_lin=np.array([10.0 ** (float(t) / 10.0) for t in targets_db]),
         groups=groups,
-        p_min_mw=10.0 ** (s.radio.p_min_dbm / 10.0),
-        p_max_mw=10.0 ** (s.radio.p_max_dbm / 10.0),
+        p_min_mw=10.0 ** (p_min_dbm / 10.0),
+        p_max_mw=10.0 ** (p_max_dbm / 10.0),
     )
 
 
@@ -131,11 +150,10 @@ def _combined_sinr(powers_mw: np.ndarray, problem: _Problem, combining: str) -> 
     gains = problem.gains_mw
     total_rx = powers_mw @ gains                    # per receive point
     out = np.empty(len(powers_mw))
-    for cols, rows in problem.groups:
-        sub = gains[np.ix_(rows, cols)]
-        signal = powers_mw[rows, None] * sub
-        interference = total_rx[cols][None, :] - signal
-        den = interference + problem.noise_mw[cols][None, :]
+    for rows, cols in problem.groups:
+        signal = powers_mw[rows, None] * gains[rows[:, None], cols]
+        interference = total_rx[cols] - signal
+        den = interference + problem.noise_mw[cols]
         if combining == "mrc":
             lin = (signal / den).sum(axis=1)
         elif combining == "selection":
@@ -154,34 +172,18 @@ def _combined_sinr(powers_mw: np.ndarray, problem: _Problem, combining: str) -> 
     return out
 
 
+def _update(powers_mw: np.ndarray, problem: _Problem, combining: str) -> np.ndarray:
+    """p * target / sinr(p), clamped into [p_min, p_max]."""
+    return np.clip(powers_mw * problem.targets_lin / _combined_sinr(powers_mw, problem, combining),
+                   problem.p_min_mw, problem.p_max_mw)
+
+
 def effective_sinr(ms: int, powers_mw: np.ndarray, gm: LinkGainMatrix,
                    assoc: Association, branches: BranchSet, combining: str) -> float:
     """Post-combining SINR (dB) of one MS for the given transmit powers."""
-    problem = _problem_from_tables(gm, assoc, branches,
-                                   targets_db=np.zeros(len(powers_mw)),
-                                   p_min_dbm=-np.inf, p_max_dbm=np.inf)
-    lin = _combined_sinr(np.asarray(powers_mw, dtype=float), problem, combining)
-    return float(10.0 * np.log10(lin[ms]))
-
-
-def _problem_from_tables(gm: LinkGainMatrix, assoc: Association, branches: BranchSet,
-                         targets_db: np.ndarray, p_min_dbm: float, p_max_dbm: float) -> _Problem:
-    by_serving: dict[str, list[int]] = {}
-    for i, sid in enumerate(assoc.serving_sector):
-        by_serving.setdefault(sid, []).append(i)
-    groups = tuple(
-        (np.array([gm.rp_index[rid] for rid in branches.by_sector[sid]], dtype=int),
-         np.array(rows, dtype=int))
-        for sid, rows in by_serving.items()
-    )
-    return _Problem(
-        gains_mw=10.0 ** (gm.ul_gain_db / 10.0),
-        noise_mw=10.0 ** (gm.noise_dbm / 10.0),
-        targets_lin=10.0 ** (np.asarray(targets_db, dtype=float) / 10.0),
-        groups=groups,
-        p_min_mw=10.0 ** (p_min_dbm / 10.0),
-        p_max_mw=10.0 ** (p_max_dbm / 10.0),
-    )
+    powers_mw = np.asarray(powers_mw, dtype=float)
+    problem = _problem(gm, assoc, branches, np.zeros(len(powers_mw)), -np.inf, np.inf)
+    return float(10.0 * np.log10(_combined_sinr(powers_mw, problem, combining)[ms]))
 
 
 def power_update(powers_mw: np.ndarray, targets_db: np.ndarray, gm: LinkGainMatrix,
@@ -190,23 +192,12 @@ def power_update(powers_mw: np.ndarray, targets_db: np.ndarray, gm: LinkGainMatr
     """One multiplicative power-control update, p * target / sinr(p).
 
     With limits_dbm the result is clamped into [p_min, p_max]; without,
-    this is the raw interference-function map used by the axiom checks.
+    this is the raw interference-function map used by the axiom checks
+    (the clamp into [0, inf] leaves positive powers unchanged).
     """
-    powers_mw = np.asarray(powers_mw, dtype=float)
     lo, hi = limits_dbm if limits_dbm is not None else (-np.inf, np.inf)
-    problem = _problem_from_tables(gm, assoc, branches, np.asarray(targets_db, float), lo, hi)
-    sinr = _combined_sinr(powers_mw, problem, combining)
-    updated = powers_mw * problem.targets_lin / sinr
-    if limits_dbm is None:
-        return updated
-    return np.clip(updated, problem.p_min_mw, problem.p_max_mw)
-
-
-def power_control_step(powers_mw: np.ndarray, targets_db: np.ndarray, gm: LinkGainMatrix,
-                       assoc: Association, branches: BranchSet, combining: str,
-                       limits_dbm: tuple[float, float]) -> np.ndarray:
-    """Clamped multiplicative update: a 3 dB SINR shortfall raises power 3 dB."""
-    return power_update(powers_mw, targets_db, gm, assoc, branches, combining, limits_dbm)
+    problem = _problem(gm, assoc, branches, targets_db, lo, hi)
+    return _update(np.asarray(powers_mw, dtype=float), problem, combining)
 
 
 def solve_power_control(s: Scenario, mobiles: list[MobileStation], gm: LinkGainMatrix,
@@ -227,8 +218,9 @@ def solve_power_control(s: Scenario, mobiles: list[MobileStation], gm: LinkGainM
         combining = s.radio.combining
     if combining not in COMBINING_MODES:
         raise ValueError(f"unknown combining mode '{combining}'")
-    branches = receive_branches(s)
-    problem = _build_problem(s, mobiles, gm, assoc, branches)
+    targets_db = np.array([m.sinr_target_db for m in mobiles])
+    problem = _problem(gm, assoc, receive_branches(s), targets_db,
+                       s.radio.p_min_dbm, s.radio.p_max_dbm)
 
     n = len(mobiles)
     powers = np.full(n, problem.p_min_mw)
@@ -236,9 +228,7 @@ def solve_power_control(s: Scenario, mobiles: list[MobileStation], gm: LinkGainM
     last_step = 0.0
     total = n_iters if n_iters is not None else max_iter
     for _ in range(total):
-        sinr = _combined_sinr(powers, problem, combining)
-        updated = np.clip(powers * problem.targets_lin / sinr,
-                          problem.p_min_mw, problem.p_max_mw)
+        updated = _update(powers, problem, combining)
         last_step = float(np.max(np.abs(10.0 * np.log10(updated / powers)))) if n else 0.0
         powers = updated
         iterations += 1
@@ -250,7 +240,6 @@ def solve_power_control(s: Scenario, mobiles: list[MobileStation], gm: LinkGainM
 
     sinr_db = 10.0 * np.log10(_combined_sinr(powers, problem, combining)) if n else np.empty(0)
     tx_dbm = 10.0 * np.log10(powers) if n else np.empty(0)
-    targets_db = np.array([m.sinr_target_db for m in mobiles])
     pinned = powers >= problem.p_max_mw * (1.0 - 1e-12)
     outage = pinned & (sinr_db < targets_db - OUTAGE_MARGIN_DB)
     for arr in (tx_dbm, sinr_db, outage):

@@ -210,12 +210,6 @@ class Scenario:
     def sector_ids(self) -> list[str]:
         return [sec.id for _, sec in self.sectors()]
 
-    def sector_position(self, sector_id: str) -> tuple[float, float]:
-        for site, sec in self.sectors():
-            if sec.id == sector_id:
-                return site.position
-        raise KeyError(sector_id)
-
     def n_sectors(self) -> int:
         return sum(len(site.sectors) for site in self.sites)
 
@@ -258,6 +252,8 @@ class _Cfg:
 def _num(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}: expected a number")
+    if not math.isfinite(value):
+        raise ValidationError(f"{path}: expected a finite number, got {value}")
     return float(value)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .powerctl import (Association, PowerControlResult, associate,
                        solve_power_control)
 from .propagation import build_gain_matrix
-from .scenario import MobileStation, Scenario, strip_greens
+from .scenario import MobileStation, Scenario, drop_mobiles, strip_greens
 from .seeds import derive_seed
 
 
@@ -52,8 +52,6 @@ class PairedSnapshot:
 
 def run_snapshot(s: Scenario, snap_seed: int, index: int = 0,
                  combining: str | None = None) -> SnapshotResult:
-    from .scenario import drop_mobiles
-
     mobiles = drop_mobiles(s, snap_seed)
     gm = build_gain_matrix(s, mobiles, snap_seed)
     assoc = associate(gm)
@@ -69,8 +67,6 @@ def run_paired_snapshot(baseline: Scenario, green: Scenario, snap_seed: int,
     antennas cannot touch: mobile placement, sector-column gains, DL
     receive powers, or the serving-sector map.
     """
-    from .scenario import drop_mobiles
-
     mobiles_b = drop_mobiles(baseline, snap_seed)
     mobiles_g = drop_mobiles(green, snap_seed)
     if mobiles_b != mobiles_g:
@@ -91,8 +87,9 @@ def run_paired_snapshot(baseline: Scenario, green: Scenario, snap_seed: int,
 
     ctl_b = solve_power_control(baseline, mobiles_b, gm_b, assoc_b, combining=combining)
     ctl_g = solve_power_control(green, mobiles_g, gm_g, assoc_g, combining=combining)
-    # bring both to the same iteration count (monotone iterates, so the
-    # shorter run just continues its climb)
+    # bring both to the same iteration count k: the run that stopped first
+    # is solved again from all-p_min with exactly k iterations, since the
+    # solver does not return its last iterate to resume from
     if ctl_b.iterations != ctl_g.iterations:
         k = max(ctl_b.iterations, ctl_g.iterations)
         if ctl_b.iterations < k:

@@ -60,6 +60,20 @@ def test_invalid_scenario_is_exit_2(tmp_path, capsys):
     assert main(["run", "--scenario", str(bad), "--snapshots", "1"]) == 2
 
 
+@pytest.mark.parametrize("section, table, key, value", [
+    ("radio", "shadowing_sigma_db", "urban", float("nan")),
+    ("traffic", "sinr_target_db", "voice", float("inf")),
+])
+def test_non_finite_scenario_number_is_exit_2(tmp_path, capsys, section, table, key, value):
+    doc = two_cell_doc()
+    doc[section][table][key] = value
+    bad = tmp_path / "nonfinite.json"
+    bad.write_text(json.dumps(doc))     # json writes NaN / Infinity literals
+    assert main(run_args(str(bad), tmp_path)) == 2
+    assert f"{section}.{table}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out_cdf.csv").exists()
+
+
 def test_unpairable_compare_is_exit_3(base_json, tmp_path, capsys):
     other = tmp_path / "other.json"
     other.write_text(json.dumps(two_cell_doc(targets=(-6.0, -6.0), with_green=True)))

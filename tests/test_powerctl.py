@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from greenant.powerctl import (
+    _combined_sinr,
+    _problem,
     associate,
     effective_sinr,
-    power_control_step,
     power_update,
     receive_branches,
     solve_power_control,
@@ -122,6 +123,65 @@ def test_egc_cross_terms_match_closed_form():
     assert effective_sinr(0, p, gm, assoc, branches, "egc") == pytest.approx(expected, rel=1e-12)
 
 
+def per_sector_sinr(powers_mw, gm, assoc, branches, combining):
+    """Reference for the kernel: the combining rules evaluated with one
+    np.ix_ block per serving sector, in the same arithmetic order."""
+    gains = 10.0 ** (gm.ul_gain_db / 10.0)
+    noise = 10.0 ** (gm.noise_dbm / 10.0)
+    total_rx = powers_mw @ gains
+    out = np.empty(len(powers_mw))
+    by_serving = {}
+    for i, sid in enumerate(assoc.serving_sector):
+        by_serving.setdefault(sid, []).append(i)
+    for sid, rows in by_serving.items():
+        cols = np.array([gm.rp_index[rid] for rid in branches.by_sector[sid]], dtype=int)
+        rows = np.array(rows, dtype=int)
+        signal = powers_mw[rows, None] * gains[np.ix_(rows, cols)]
+        den = (total_rx[cols][None, :] - signal) + noise[cols][None, :]
+        if combining == "mrc":
+            lin = (signal / den).sum(axis=1)
+        elif combining == "selection":
+            lin = (signal / den).max(axis=1)
+        else:
+            num = signal.sum(axis=1)
+            for a in range(len(cols)):
+                for b in range(a + 1, len(cols)):
+                    num = num + 2.0 * np.sqrt(signal[:, a] * signal[:, b])
+            lin = num / den.sum(axis=1)
+        out[rows] = lin
+    return out
+
+
+def wide_instance(rng):
+    """One sector with 8-11 branches beside narrower ones, several sectors
+    sharing a width, and a green attached to two sectors."""
+    n_sec = int(rng.integers(3, 7))
+    widths = [int(rng.integers(7, 11))] + [int(rng.integers(0, 4)) for _ in range(n_sec - 1)]
+    attach, n_green = {}, 0
+    for k, width in enumerate(widths):
+        for _ in range(width):
+            attach.setdefault(f"s{k}", []).append(f"g{n_green}")
+            n_green += 1
+    attach.setdefault("s1", []).append("g0")
+    n_ms = int(rng.integers(n_sec, 40))
+    ul = rng.uniform(-130.0, -70.0, size=(n_ms, n_sec + n_green))
+    serving = np.concatenate([np.arange(n_sec), rng.integers(0, n_sec, size=n_ms - n_sec)])
+    return make_tables(ul, n_sec, serving, attach=attach)
+
+
+def test_kernel_is_bitwise_equal_to_per_sector_evaluation():
+    rng = np.random.default_rng(97)
+    instances = [random_instance(rng)[:3] for _ in range(40)]
+    instances += [wide_instance(rng) for _ in range(40)]
+    for gm, assoc, branches in instances:
+        n = len(gm.ms_ids)
+        p = 10.0 ** rng.uniform(-5.0, 2.4, size=n)
+        problem = _problem(gm, assoc, branches, np.zeros(n), -np.inf, np.inf)
+        for mode in ("mrc", "selection", "egc"):
+            expected = per_sector_sinr(p, gm, assoc, branches, mode)
+            assert np.array_equal(_combined_sinr(p, problem, mode), expected)
+
+
 # ---------------------------------------------------------------------------
 # the update map
 
@@ -143,8 +203,8 @@ def test_update_raises_by_exactly_the_shortfall():
 def test_step_clamps_to_limits():
     gm, assoc, branches = make_tables([[-140.0]], 1, serving=[0])
     p = np.array([10.0 ** 2.4])  # p_max
-    nxt = power_control_step(p, np.array([20.0]), gm, assoc, branches, "mrc",
-                             limits_dbm=(-50.0, 24.0))
+    nxt = power_update(p, np.array([20.0]), gm, assoc, branches, "mrc",
+                       limits_dbm=(-50.0, 24.0))
     assert 10 * np.log10(nxt[0]) == pytest.approx(24.0)
 
 
@@ -239,8 +299,8 @@ def test_iterates_increase_monotonically_from_pmin():
     gm, assoc, branches, targets = random_instance(rng, max_ms=10, max_sectors=3)
     p = np.full(len(gm.ms_ids), 10.0 ** (-5.0))
     for _ in range(40):
-        nxt = power_control_step(p, targets, gm, assoc, branches, "mrc",
-                                 limits_dbm=(-50.0, 24.0))
+        nxt = power_update(p, targets, gm, assoc, branches, "mrc",
+                           limits_dbm=(-50.0, 24.0))
         assert np.all(nxt >= p * (1.0 - 1e-12))
         p = nxt
 
