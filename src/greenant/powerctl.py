@@ -76,17 +76,18 @@ def associate(gm: LinkGainMatrix) -> Association:
     Only the DL pilot table enters, so green antennas can never influence
     the serving sector.
     """
-    serving = []
-    for row in gm.dl_rx_dbm:
-        best = row.max()
-        candidates = np.flatnonzero(row == best)
-        serving.append(min(gm.sector_ids[i] for i in candidates))
-    index = np.array([gm.sector_index[sid] for sid in serving], dtype=int)
-    ms_rows = np.arange(len(serving))
+    dl = gm.dl_rx_dbm
+    ids = gm.sector_ids
+    # lexicographic rank of each id: declaration order can differ ("s10"
+    # after "s2"), so the first tied column is not always the lowest id
+    rank = np.empty(len(ids), dtype=int)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    tied = dl == dl.max(axis=1, keepdims=True)
+    index = np.argmin(np.where(tied, rank, len(ids)), axis=1)
     return Association(
-        serving_sector=tuple(serving),
+        serving_sector=tuple(ids[i] for i in index),
         serving_index=index,
-        dl_rx_dbm=gm.dl_rx_dbm[ms_rows, index].copy() if len(serving) else np.empty(0),
+        dl_rx_dbm=dl[np.arange(len(index)), index],
     )
 
 
@@ -200,6 +201,52 @@ def power_update(powers_mw: np.ndarray, targets_db: np.ndarray, gm: LinkGainMatr
     return _update(np.asarray(powers_mw, dtype=float), problem, combining)
 
 
+def _solve(runs: tuple[tuple[Scenario, LinkGainMatrix], ...], mobiles: list[MobileStation],
+           assoc: Association, combining: str | None, tol_db: float = DEFAULT_TOL_DB,
+           max_iter: int = DEFAULT_MAX_ITER, n_iters: int | None = None
+           ) -> tuple[PowerControlResult, ...]:
+    """Solve (scenario, table) runs of one drop in lockstep from all-p_min.
+
+    Stops once every run's largest per-MS step has dropped below tol_db at
+    least once, or after max_iter (exactly n_iters if given). Runs do not
+    interact, so each ends at the iterate it alone would reach in as many steps.
+    """
+    if combining is None:
+        combining = runs[0][0].radio.combining
+    if combining not in COMBINING_MODES:
+        raise ValueError(f"unknown combining mode '{combining}'")
+    targets_db = np.array([m.sinr_target_db for m in mobiles])
+    problems = [_problem(gm, assoc, receive_branches(s), targets_db,
+                         s.radio.p_min_dbm, s.radio.p_max_dbm) for s, gm in runs]
+    n = len(mobiles)
+    powers = [np.full(n, p.p_min_mw) for p in problems]
+    steps = [0.0] * len(runs)
+    met = [False] * len(runs)
+    iterations = 0
+    for _ in range(max_iter if n_iters is None else n_iters):
+        for i, problem in enumerate(problems):
+            updated = _update(powers[i], problem, combining)
+            steps[i] = (float(np.max(np.abs(10.0 * np.log10(updated / powers[i]))))
+                        if n else 0.0)
+            powers[i] = updated
+            met[i] = met[i] or steps[i] < tol_db
+        iterations += 1
+        if n_iters is None and all(met):
+            break
+    if n_iters is None and not all(met):
+        log.warning("power control did not converge in %d iterations", max_iter)
+    results = []
+    for problem, p, step in zip(problems, powers, steps):
+        sinr_db = 10.0 * np.log10(_combined_sinr(p, problem, combining)) if n else np.empty(0)
+        tx_dbm = 10.0 * np.log10(p) if n else np.empty(0)
+        pinned = p >= problem.p_max_mw * (1.0 - 1e-12)
+        outage = pinned & (sinr_db < targets_db - OUTAGE_MARGIN_DB)
+        for arr in (tx_dbm, sinr_db, outage):
+            arr.flags.writeable = False
+        results.append(PowerControlResult(tx_dbm, sinr_db, outage, iterations, step < tol_db))
+    return tuple(results)
+
+
 def solve_power_control(s: Scenario, mobiles: list[MobileStation], gm: LinkGainMatrix,
                         assoc: Association, combining: str | None = None,
                         tol_db: float = DEFAULT_TOL_DB, max_iter: int = DEFAULT_MAX_ITER,
@@ -208,46 +255,20 @@ def solve_power_control(s: Scenario, mobiles: list[MobileStation], gm: LinkGainM
 
     Iterates the clamped update from all-p_min until the largest per-MS
     change drops below tol_db (or max_iter is hit; converged=False then).
-    n_iters forces an exact iteration count, used by paired comparisons to
-    evaluate both runs of a pair at a common index.
+    n_iters forces an exact iteration count instead.
 
     MSs pinned at p_max that still miss their target by more than
     OUTAGE_MARGIN_DB are flagged as outage.
     """
-    if combining is None:
-        combining = s.radio.combining
-    if combining not in COMBINING_MODES:
-        raise ValueError(f"unknown combining mode '{combining}'")
-    targets_db = np.array([m.sinr_target_db for m in mobiles])
-    problem = _problem(gm, assoc, receive_branches(s), targets_db,
-                       s.radio.p_min_dbm, s.radio.p_max_dbm)
+    return _solve(((s, gm),), mobiles, assoc, combining, tol_db, max_iter, n_iters)[0]
 
-    n = len(mobiles)
-    powers = np.full(n, problem.p_min_mw)
-    iterations = 0
-    last_step = 0.0
-    total = n_iters if n_iters is not None else max_iter
-    for _ in range(total):
-        updated = _update(powers, problem, combining)
-        last_step = float(np.max(np.abs(10.0 * np.log10(updated / powers)))) if n else 0.0
-        powers = updated
-        iterations += 1
-        if n_iters is None and last_step < tol_db:
-            break
-    converged = last_step < tol_db
-    if not converged and n_iters is None:
-        log.warning("power control did not converge in %d iterations", max_iter)
 
-    sinr_db = 10.0 * np.log10(_combined_sinr(powers, problem, combining)) if n else np.empty(0)
-    tx_dbm = 10.0 * np.log10(powers) if n else np.empty(0)
-    pinned = powers >= problem.p_max_mw * (1.0 - 1e-12)
-    outage = pinned & (sinr_db < targets_db - OUTAGE_MARGIN_DB)
-    for arr in (tx_dbm, sinr_db, outage):
-        arr.flags.writeable = False
-    return PowerControlResult(
-        tx_power_dbm=tx_dbm,
-        sinr_db=sinr_db,
-        outage=outage,
-        iterations=iterations,
-        converged=converged,
-    )
+def solve_paired_power_control(baseline: Scenario, green: Scenario,
+                               mobiles: list[MobileStation], gm: LinkGainMatrix,
+                               assoc: Association, combining: str | None = None
+                               ) -> tuple[PowerControlResult, PowerControlResult]:
+    """Baseline and green solves of one drop, both at k = max(k_baseline, k_green).
+
+    gm is the green scenario's table; the baseline reads its sector columns.
+    """
+    return _solve(((baseline, gm.without_greens()), (green, gm)), mobiles, assoc, combining)

@@ -13,7 +13,7 @@ every other link's draw bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -92,6 +92,12 @@ class LinkGainMatrix:
     def sector_index(self) -> dict[str, int]:
         return {sid: i for i, sid in enumerate(self.sector_ids)}
 
+    def without_greens(self) -> LinkGainMatrix:
+        """This drop's tables without green columns (sectors come first)."""
+        n = len(self.sector_ids)
+        return replace(self, receive_points=self.receive_points[:n],
+                       ul_gain_db=self.ul_gain_db[:, :n], noise_dbm=self.noise_dbm[:n])
+
 
 def path_loss(model, distance_m):
     """Log-distance path loss in dB; distances clamp at 10 m near-field.
@@ -153,10 +159,11 @@ def _channel_gain(ms, position, antenna, azimuth_deg, s, seed, label):
 def build_gain_matrix(s: Scenario, mobiles: list[MobileStation], seed: int) -> LinkGainMatrix:
     """Channel tables for one drop; deterministic in (scenario, mobiles, seed).
 
-    Entries equal element-wise link_gain calls; the vectorized fill only
-    batches the arithmetic. DL shadowing follows radio.dl_shadowing_mode:
-    an independent labeled draw by default, or a copy of the UL draw in
-    reciprocal mode.
+    UL entries equal link_gain calls, DL entries tx_power_dbm + _channel_gain;
+    the vectorized fill only batches the arithmetic. DL shadowing follows
+    radio.dl_shadowing_mode: an independent labeled draw by default, or a
+    copy of the UL draw in reciprocal mode. Each column depends only on
+    its receive point, so without the greens the tables are `without_greens()`.
     """
     rps = receive_points(s)
     sector_ids = s.sector_ids()
@@ -172,33 +179,29 @@ def build_gain_matrix(s: Scenario, mobiles: list[MobileStation], seed: int) -> L
     sigma = np.array([s.radio.shadowing_sigma_db[c] for c in classes])
     pen = np.array([_penetration_db(m, s) for m in mobiles])
 
-    def column(position, antenna, azimuth_deg, labels, chi_labels=None):
-        dx = xs - position[0]
-        dy = ys - position[1]
+    def base(rp):
+        dx = xs - rp.position[0]
+        dy = ys - rp.position[1]
         d = np.maximum(np.hypot(dx, dy), D_MIN_M)
         pl = pl0 + 10.0 * expo * np.log10(d / d0)
-        bearing = np.degrees(np.arctan2(dy, dx)) - azimuth_deg
-        g_rx = antenna_gain(antenna, bearing)
-        src = chi_labels if chi_labels is not None else labels
-        chi = np.array([
-            shadowing_sample(seed, lab, sig) for lab, sig in zip(src, sigma)
-        ])
-        return -pl + g_rx - pen + chi
+        bearing = np.degrees(np.arctan2(dy, dx)) - rp.azimuth_deg
+        return -pl + antenna_gain(rp.antenna, bearing) - pen
 
-    ul = np.empty((n_ms, len(rps)))
-    for j, rp in enumerate(rps):
-        labels = [f"ul:{m.id}:{rp.id}" for m in mobiles]
-        ul[:, j] = column(rp.position, rp.antenna, rp.azimuth_deg, labels)
+    def chi(direction, rp_id):
+        return np.array([shadowing_sample(seed, f"{direction}:{m.id}:{rp_id}", sig)
+                         for m, sig in zip(mobiles, sigma)])
 
+    # a sector's DL column shares its UL column's geometry; in reciprocal
+    # mode it also shares the UL draw, so each sector link is hashed once
     reciprocal = s.radio.dl_shadowing_mode == "reciprocal"
+    tx_dbm = [sec.tx_power_dbm for _, sec in s.sectors()]
+    ul = np.empty((n_ms, len(rps)))
     dl = np.empty((n_ms, len(sector_ids)))
-    for j, (site, sec) in enumerate(s.sectors()):
-        if reciprocal:
-            chi_labels = [f"ul:{m.id}:{sec.id}" for m in mobiles]
-        else:
-            chi_labels = [f"dl:{m.id}:{sec.id}" for m in mobiles]
-        dl[:, j] = sec.tx_power_dbm + column(site.position, sec.antenna, sec.azimuth_deg,
-                                             None, chi_labels=chi_labels)
+    for j, rp in enumerate(rps):
+        b = base(rp)
+        ul[:, j] = b + chi("ul", rp.id)
+        if rp.kind == "sector":
+            dl[:, j] = tx_dbm[j] + (ul[:, j] if reciprocal else b + chi("dl", rp.id))
 
     noise = np.array([s.radio.thermal_noise_dbm + rp.noise_figure_db for rp in rps])
     for arr in (ul, dl, noise):

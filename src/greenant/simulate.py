@@ -1,12 +1,13 @@
 """Monte Carlo snapshot loop, single-run and paired baseline-vs-green.
 
 A snapshot is one random placement of mobiles plus one converged power
-control solve. Paired runs share every random draw between the two
-scenarios: identical drops, identical shadowing, identical sector gain
-columns, and the same number of power control iterations on both sides.
-That last point matters because both iterate monotonically upward from
-p_min; comparing at a common iteration count is what makes the per-MS
-power ordering exact instead of blurred by the stopping rule.
+control solve. A paired snapshot computes what the two scenarios share
+once: one drop, one channel table (the baseline solve reads its sector
+columns) and one association. The two solves then run in lockstep to
+the same number of power control iterations. That last point matters
+because both iterate monotonically upward from p_min; comparing at a
+common iteration count is what makes the per-MS power ordering exact
+instead of blurred by the stopping rule.
 """
 
 from __future__ import annotations
@@ -14,17 +15,15 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from .powerctl import (Association, PowerControlResult, associate,
-                       solve_power_control)
+                       solve_paired_power_control, solve_power_control)
 from .propagation import build_gain_matrix
 from .scenario import MobileStation, Scenario, drop_mobiles, strip_greens
 from .seeds import derive_seed
 
 
 class PairingError(Exception):
-    """Paired runs diverged where they must agree (drops, gains, serving cells)."""
+    """The two scenarios of a pair differ outside their green antenna lists."""
 
 
 def snapshot_seed(seed: int, index: int) -> int:
@@ -63,42 +62,18 @@ def run_paired_snapshot(baseline: Scenario, green: Scenario, snap_seed: int,
                         index: int = 0, combining: str | None = None) -> PairedSnapshot:
     """Solve one snapshot under both scenarios with shared randomness.
 
-    Raises PairingError if the runs disagree on anything the green
-    antennas cannot touch: mobile placement, sector-column gains, DL
-    receive powers, or the serving-sector map.
+    Raises PairingError if the scenarios fail check_pairable. Once they
+    pass, neither the drop, the sector columns of the channel table nor
+    the association can depend on the greens, so each is computed once,
+    from the green scenario.
     """
-    mobiles_b = drop_mobiles(baseline, snap_seed)
-    mobiles_g = drop_mobiles(green, snap_seed)
-    if mobiles_b != mobiles_g:
-        raise PairingError(f"snapshot {index}: mobile drops differ between runs")
-    gm_b = build_gain_matrix(baseline, mobiles_b, snap_seed)
-    gm_g = build_gain_matrix(green, mobiles_g, snap_seed)
-    n_sec = len(gm_b.sector_ids)
-    if gm_b.sector_ids != gm_g.sector_ids:
-        raise PairingError(f"snapshot {index}: sector sets differ between runs")
-    if not np.array_equal(gm_b.ul_gain_db, gm_g.ul_gain_db[:, :n_sec]):
-        raise PairingError(f"snapshot {index}: sector uplink gains differ between runs")
-    if not np.array_equal(gm_b.dl_rx_dbm, gm_g.dl_rx_dbm):
-        raise PairingError(f"snapshot {index}: downlink powers differ between runs")
-    assoc_b = associate(gm_b)
-    assoc_g = associate(gm_g)
-    if assoc_b.serving_sector != assoc_g.serving_sector:
-        raise PairingError(f"snapshot {index}: serving sectors differ between runs")
-
-    ctl_b = solve_power_control(baseline, mobiles_b, gm_b, assoc_b, combining=combining)
-    ctl_g = solve_power_control(green, mobiles_g, gm_g, assoc_g, combining=combining)
-    # bring both to the same iteration count k: the run that stopped first
-    # is solved again from all-p_min with exactly k iterations, since the
-    # solver does not return its last iterate to resume from
-    if ctl_b.iterations != ctl_g.iterations:
-        k = max(ctl_b.iterations, ctl_g.iterations)
-        if ctl_b.iterations < k:
-            ctl_b = solve_power_control(baseline, mobiles_b, gm_b, assoc_b,
-                                        combining=combining, n_iters=k)
-        else:
-            ctl_g = solve_power_control(green, mobiles_g, gm_g, assoc_g,
-                                        combining=combining, n_iters=k)
-    return PairedSnapshot(index, snap_seed, tuple(mobiles_b), assoc_b, ctl_b, ctl_g)
+    check_pairable(baseline, green)
+    mobiles = drop_mobiles(green, snap_seed)
+    gm = build_gain_matrix(green, mobiles, snap_seed)
+    assoc = associate(gm)
+    ctl_b, ctl_g = solve_paired_power_control(baseline, green, mobiles, gm, assoc,
+                                              combining=combining)
+    return PairedSnapshot(index, snap_seed, tuple(mobiles), assoc, ctl_b, ctl_g)
 
 
 def _snapshot_task(args) -> SnapshotResult:

@@ -64,6 +64,16 @@ def test_associate_breaks_ties_to_lowest_sector_id():
     gm.dl_rx_dbm.flags.writeable = True
     gm.dl_rx_dbm[0, :] = -70.0
     assert associate(gm).serving_sector == ("s0",)
+    # "s10" is declared after "s2" but is the lower id; a first-index
+    # argmax over the tied columns would pick "s2"
+    gm, _, _ = make_tables([[-100.0] * 11] * 2, 11, serving=[0, 0])
+    gm.dl_rx_dbm.flags.writeable = True
+    gm.dl_rx_dbm[0, [2, 10]] = -50.0
+    gm.dl_rx_dbm[1, [3, 7]] = -50.0
+    assoc = associate(gm)
+    assert assoc.serving_sector == ("s10", "s3")
+    assert assoc.serving_index.tolist() == [10, 3]
+    assert assoc.dl_rx_dbm.tolist() == [-50.0, -50.0]
 
 
 def test_receive_branches_reflect_attachment(two_cell_green):

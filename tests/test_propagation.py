@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from greenant.propagation import (
+    _channel_gain,
     antenna_gain,
     build_gain_matrix,
     link_gain,
@@ -92,7 +93,8 @@ def test_penetration_applies_to_indoor_mobiles_only():
 
 
 def test_gain_matrix_matches_scalar_link_gain_bitwise():
-    """The vectorized fill must be the same arithmetic as link_gain."""
+    """The vectorized fill must be the same arithmetic as link_gain (UL)
+    and as tx power plus _channel_gain with the mode's label (DL)."""
     doc = {
         "sites": [
             {"id": "A", "position": [0, 0],
@@ -105,12 +107,18 @@ def test_gain_matrix_matches_scalar_link_gain_bitwise():
                     "buildings": [{"id": "bd", "rect": [600, 200, 900, 500]}]},
         "traffic": {"mobiles_per_sector": 6, "indoor_fraction": 0.4},
     }
-    s = load_doc(doc)
-    mobiles = drop_mobiles(s, 99)
-    gm = build_gain_matrix(s, mobiles, 99)
-    for i, m in enumerate(mobiles):
-        for j, rp in enumerate(receive_points(s)):
-            assert gm.ul_gain_db[i, j] == link_gain(m, rp, s, 99)
+    for dl_mode, direction in (("independent", "dl"), ("reciprocal", "ul")):
+        doc["radio"] = {"dl_shadowing_mode": dl_mode}
+        s = load_doc(doc)
+        mobiles = drop_mobiles(s, 99)
+        gm = build_gain_matrix(s, mobiles, 99)
+        for i, m in enumerate(mobiles):
+            for j, rp in enumerate(receive_points(s)):
+                assert gm.ul_gain_db[i, j] == link_gain(m, rp, s, 99)
+            for j, (site, sec) in enumerate(s.sectors()):
+                assert gm.dl_rx_dbm[i, j] == sec.tx_power_dbm + _channel_gain(
+                    m, site.position, sec.antenna, sec.azimuth_deg, s, 99,
+                    label=f"{direction}:{m.id}:{sec.id}")
 
 
 def test_receive_point_order_is_sectors_then_greens(two_cell_green):
@@ -129,6 +137,11 @@ def test_greens_are_invisible_to_downlink_and_sector_columns(two_cell_green):
     assert gm_g.dl_rx_dbm.shape[1] == 2        # sectors only
     assert np.array_equal(gm_g.dl_rx_dbm, gm_b.dl_rx_dbm)
     assert np.array_equal(gm_g.ul_gain_db[:, :2], gm_b.ul_gain_db)
+    sectors = gm_g.without_greens()
+    assert sectors.receive_points == gm_b.receive_points
+    assert np.array_equal(sectors.ul_gain_db, gm_b.ul_gain_db)
+    assert np.array_equal(sectors.noise_dbm, gm_b.noise_dbm)
+    assert np.array_equal(sectors.dl_rx_dbm, gm_b.dl_rx_dbm)
 
 
 def test_downlink_uses_tx_power_and_independent_shadowing():
@@ -147,7 +160,7 @@ def test_reciprocal_mode_copies_uplink_shadowing():
     mobiles = [place(0, 431.0, 77.0), place(1, 1210.0, -340.0)]
     gm = build_gain_matrix(s, mobiles, 21)
     tx = np.array([sec.tx_power_dbm for _, sec in s.sectors()])
-    assert np.allclose(gm.dl_rx_dbm, tx[None, :] + gm.ul_gain_db[:, :2])
+    assert np.array_equal(gm.dl_rx_dbm, tx[None, :] + gm.ul_gain_db[:, :2])
 
 
 def test_independent_mode_draws_fresh_downlink_shadowing():

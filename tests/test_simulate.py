@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from greenant.metrics import NO_FILTER, PopulationFilter
+from greenant.powerctl import associate, solve_power_control
+from greenant.propagation import build_gain_matrix
+from greenant.scenario import drop_mobiles
 from greenant.simulate import (
+    PairedSnapshot,
     PairingError,
     check_pairable,
     gather_tx_powers,
@@ -71,6 +75,71 @@ def test_paired_snapshot_shares_drops_and_association():
     solo = run_snapshot(base, snapshot_seed(1, 0))
     assert [m.position for m in pair.mobiles] == [m.position for m in solo.mobiles]
     assert pair.association.serving_sector == solo.association.serving_sector
+
+
+def _reference_paired_snapshot(baseline, green, snap_seed, index=0, combining=None):
+    """Two drops, two tables, two associations, and a re-solve from p_min
+    of the run that stopped first; also says whether it re-solved."""
+    mobiles_b = drop_mobiles(baseline, snap_seed)
+    mobiles_g = drop_mobiles(green, snap_seed)
+    if mobiles_b != mobiles_g:
+        raise PairingError(f"snapshot {index}: mobile drops differ between runs")
+    gm_b = build_gain_matrix(baseline, mobiles_b, snap_seed)
+    gm_g = build_gain_matrix(green, mobiles_g, snap_seed)
+    n_sec = len(gm_b.sector_ids)
+    if gm_b.sector_ids != gm_g.sector_ids:
+        raise PairingError(f"snapshot {index}: sector sets differ between runs")
+    if not np.array_equal(gm_b.ul_gain_db, gm_g.ul_gain_db[:, :n_sec]):
+        raise PairingError(f"snapshot {index}: sector uplink gains differ between runs")
+    if not np.array_equal(gm_b.dl_rx_dbm, gm_g.dl_rx_dbm):
+        raise PairingError(f"snapshot {index}: downlink powers differ between runs")
+    assoc_b = associate(gm_b)
+    assoc_g = associate(gm_g)
+    if assoc_b.serving_sector != assoc_g.serving_sector:
+        raise PairingError(f"snapshot {index}: serving sectors differ between runs")
+
+    ctl_b = solve_power_control(baseline, mobiles_b, gm_b, assoc_b, combining=combining)
+    ctl_g = solve_power_control(green, mobiles_g, gm_g, assoc_g, combining=combining)
+    resolved = ctl_b.iterations != ctl_g.iterations
+    if resolved:
+        k = max(ctl_b.iterations, ctl_g.iterations)
+        if ctl_b.iterations < k:
+            ctl_b = solve_power_control(baseline, mobiles_b, gm_b, assoc_b,
+                                        combining=combining, n_iters=k)
+        else:
+            ctl_g = solve_power_control(green, mobiles_g, gm_g, assoc_g,
+                                        combining=combining, n_iters=k)
+    pair = PairedSnapshot(index, snap_seed, tuple(mobiles_b), assoc_b, ctl_b, ctl_g)
+    return pair, resolved
+
+
+@pytest.mark.parametrize("dl_mode", ["independent", "reciprocal"])
+@pytest.mark.parametrize("combining", ["mrc", "selection", "egc"])
+def test_paired_snapshot_matches_two_drop_resolve_reference(combining, dl_mode):
+    """One drop, one table, one association and a lockstep solve give the
+    bits of the two-drop, two-table run with its re-solve."""
+    resolved = 0
+    for attached in (["A1"], ["A1", "B1"]):
+        docs = [two_cell_doc(with_green=g, sigma=8.0, targets=(-15.0, -6.0),
+                             mobiles_per_sector=6) for g in (False, True)]
+        docs[1]["greens"][0]["attached_sectors"] = attached
+        for doc in docs:
+            doc["radio"]["dl_shadowing_mode"] = dl_mode
+        base, green = load_doc(docs[0]), load_doc(docs[1])
+        for k in range(5):
+            seed = snapshot_seed(23, k)
+            pair = run_paired_snapshot(base, green, seed, k, combining)
+            ref, did_resolve = _reference_paired_snapshot(base, green, seed, k, combining)
+            resolved += did_resolve
+            assert pair.mobiles == ref.mobiles
+            assert pair.association.serving_sector == ref.association.serving_sector
+            for got, want in ((pair.baseline, ref.baseline), (pair.green, ref.green)):
+                assert np.array_equal(got.tx_power_dbm, want.tx_power_dbm)
+                assert np.array_equal(got.sinr_db, want.sinr_db)
+                assert np.array_equal(got.outage, want.outage)
+                assert got.iterations == want.iterations
+                assert got.converged == want.converged
+    assert resolved > 0     # the reference's re-solve path was exercised
 
 
 def test_green_run_never_transmits_more(two_cell, two_cell_green):
