@@ -28,10 +28,8 @@ from .propagation import (
     ReceivePoint,
     antenna_gain,
     build_gain_matrix,
-    link_gain,
     path_loss,
     receive_points,
-    shadowing_sample,
 )
 from .powerctl import (
     Association,
@@ -41,6 +39,7 @@ from .powerctl import (
     effective_sinr,
     power_update,
     receive_branches,
+    solve_lockstep,
     solve_power_control,
 )
 from .metrics import (
@@ -54,14 +53,11 @@ from .metrics import (
     tx_power_cdf,
 )
 from .simulate import (
-    PairedSnapshot,
     PairingError,
-    SnapshotResult,
+    Snapshot,
     check_pairable,
     gather_tx_powers,
     run_campaign,
-    run_paired_campaign,
-    run_paired_snapshot,
     run_snapshot,
     snapshot_seed,
 )

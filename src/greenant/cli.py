@@ -7,12 +7,14 @@ progress goes to stderr. Exit codes are the machine contract:
     0  success
     1  runtime failure
     2  bad input (flags, scenario files, schema violations)
-    3  pairing violation (compare scenarios differ outside `greens`)
+    3  pairing violation (compare scenarios differ outside `greens`, or a
+       --scenario green is not in --green-scenario as it is)
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -22,8 +24,7 @@ from .metrics import (PopulationFilter, compare_runs, emit_report, tx_power_cdf,
                       write_cdf_csv, write_summary_csv)
 from .propagation import build_gain_matrix, write_gain_dump
 from .scenario import (Scenario, ScenarioError, drop_mobiles, load_scenario_file)
-from .simulate import (PairingError, run_campaign, run_paired_campaign,
-                       gather_tx_powers, snapshot_seed)
+from .simulate import PairingError, gather_tx_powers, run_campaign, snapshot_seed
 
 #: Flag spellings accepted for --combining, mapped to the internal mode name.
 COMBINING_FLAGS = {"mrc": "mrc", "sel": "selection", "selection": "selection",
@@ -88,10 +89,10 @@ def _dump_first_snapshot_gains(s: Scenario, seed: int, path: str) -> None:
 def cmd_run(spec: RunSpec) -> int:
     s = load_scenario_file(spec.scenario)
     _progress(f"run: {spec.snapshots} snapshots of {spec.scenario} (seed {spec.seed})")
-    snaps = run_campaign(s, spec.seed, spec.snapshots,
+    snaps = run_campaign((s,), spec.seed, spec.snapshots,
                          combining=spec.combining, jobs=spec.jobs)
     f = _spec_filter(spec)
-    powers = gather_tx_powers(snaps, "control", f)
+    powers = gather_tx_powers(snaps, 0, f)
     if not powers:
         _progress("error: population filter excluded every mobile")
         return 2
@@ -110,18 +111,18 @@ def cmd_compare(spec: RunSpec) -> int:
     green = load_scenario_file(spec.green_scenario)
     _progress(f"compare: {spec.snapshots} paired snapshots, "
               f"{spec.scenario} vs {spec.green_scenario} (seed {spec.seed})")
-    pairs = run_paired_campaign(baseline, green, spec.seed, spec.snapshots,
-                                combining=spec.combining, jobs=spec.jobs)
+    pairs = run_campaign((baseline, green), spec.seed, spec.snapshots,
+                         combining=spec.combining, jobs=spec.jobs)
     default_center = green.greens[0].position if green.greens else None
     f = _spec_filter(spec, default_center)
-    b_powers = gather_tx_powers(pairs, "baseline", f)
-    g_powers = gather_tx_powers(pairs, "green", f)
+    b_powers = gather_tx_powers(pairs, 0, f)
+    g_powers = gather_tx_powers(pairs, 1, f)
     if not b_powers or not g_powers:
         _progress("error: population filter excluded every mobile")
         return 2
     report = compare_runs(b_powers, g_powers, spec.target_dbm,
                           snapshots=spec.snapshots, f=f)
-    paths = emit_report(report, report.cdfs, spec.out)
+    paths = emit_report(report, spec.out)
     if spec.dump_gains:
         _dump_first_snapshot_gains(baseline, spec.seed, f"{spec.out}_gains_baseline.csv")
         _dump_first_snapshot_gains(green, spec.seed, f"{spec.out}_gains_green.csv")
@@ -141,9 +142,12 @@ def _sweep_values(axis: str, raw: str | None, spec: RunSpec, s: Scenario) -> lis
             raise ScenarioError("--values is empty")
         if axis in ("seed", "green_count"):
             try:
-                return [int(v) for v in items]
+                ints = [int(v) for v in items]
             except ValueError as exc:
                 raise ScenarioError(f"--values for {axis} must be integers: {exc}") from exc
+            if axis == "green_count" and min(ints) < 0:
+                raise ScenarioError(f"--values for green_count must be >= 0, got {min(ints)}")
+            return ints
         modes = []
         for v in items:
             if v not in COMBINING_FLAGS:
@@ -179,9 +183,9 @@ def cmd_sweep(spec: RunSpec, axis: str, values: str | None = None) -> int:
         else:
             mode = value
         _progress(f"sweep: {axis}={value}")
-        snaps = run_campaign(variant, seed, spec.snapshots, combining=mode,
+        snaps = run_campaign((variant,), seed, spec.snapshots, combining=mode,
                              jobs=spec.jobs)
-        powers = gather_tx_powers(snaps, "control", f)
+        powers = gather_tx_powers(snaps, 0, f)
         if not powers:
             _progress("error: population filter excluded every mobile")
             return 2
@@ -200,12 +204,19 @@ def cmd_sweep(spec: RunSpec, axis: str, values: str | None = None) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be a finite number")
+    return value
+
+
 def _center_flag(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected x,y")
     try:
-        return (float(parts[0]), float(parts[1]))
+        return (_finite_float(parts[0]), _finite_float(parts[1]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected numbers: {exc}") from exc
 
@@ -218,7 +229,7 @@ def _positive_int(text: str) -> int:
 
 
 def _nonneg_float(text: str) -> float:
-    value = float(text)
+    value = _finite_float(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return value
@@ -244,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default {DEFAULT_FILTER_RADIUS_M:g} when a center applies)")
     common.add_argument("--indoor-only", action="store_true",
                         help="report only indoor mobiles")
-    common.add_argument("--target-dbm", type=float, default=4.0,
+    common.add_argument("--target-dbm", type=_finite_float, default=4.0,
                         help="reference Tx power for the below-target fraction (default 4)")
     common.add_argument("--out", default="out", help="output path prefix (default 'out')")
     common.add_argument("--jobs", type=_positive_int, default=1,
@@ -259,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", parents=[common],
                            help="paired baseline-vs-green comparison")
     p_cmp.add_argument("--green-scenario", required=True,
-                       help="scenario differing from --scenario only in greens")
+                       help="the --scenario world with the same or more green antennas")
     p_cmp.set_defaults(func=lambda spec, args: cmd_compare(spec))
 
     p_swp = sub.add_parser("sweep", parents=[common],

@@ -130,9 +130,8 @@ def write_summary_csv(rows: list[tuple[str, float]], path: str) -> None:
             fh.write(f"{metric},{value:.6f}\n")
 
 
-def emit_report(report: ComparisonReport, cdfs: dict[str, list[tuple[float, float]]],
-                path_prefix: str) -> list[str]:
-    """Write the comparison CSVs and CDF plot; returns the file paths.
+def emit_report(report: ComparisonReport, path_prefix: str) -> list[str]:
+    """Write the comparison CSVs and the plot of report.cdfs; returns the file paths.
 
     Output is byte-deterministic for fixed inputs.
     """
@@ -142,7 +141,7 @@ def emit_report(report: ComparisonReport, cdfs: dict[str, list[tuple[float, floa
     cdf_path = f"{path_prefix}_cdf.csv"
     summary_path = f"{path_prefix}_summary.csv"
     svg_path = f"{path_prefix}_cdf.svg"
-    write_cdf_csv(cdfs, cdf_path)
+    write_cdf_csv(report.cdfs, cdf_path)
     write_summary_csv([
         ("snapshots", float(report.snapshots)),
         ("samples_baseline", float(report.samples["baseline"])),
@@ -157,7 +156,7 @@ def emit_report(report: ComparisonReport, cdfs: dict[str, list[tuple[float, floa
         ("frac_below_target_green", report.frac_below_target["green"]),
         ("target_dbm", report.target_dbm),
     ], summary_path)
-    write_cdf_svg(cdfs, svg_path)
+    write_cdf_svg(report.cdfs, svg_path)
     return [cdf_path, summary_path, svg_path]
 
 

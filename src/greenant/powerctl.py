@@ -23,6 +23,11 @@ One kernel serves every rule and every caller (the solver, the single
 update `power_update` and `effective_sinr`). It evaluates mobiles in
 groups that share a branch-set width, so its Python loop runs once per
 distinct width in the snapshot, not once per serving sector.
+
+One solve loop, `solve_lockstep`, steps the runs of one drop (one
+(scenario, table) pair each) together until every run has met tol_db,
+so all of them stop at a common iteration count; `solve_power_control`
+is its one-run form.
 """
 
 from __future__ import annotations
@@ -201,15 +206,18 @@ def power_update(powers_mw: np.ndarray, targets_db: np.ndarray, gm: LinkGainMatr
     return _update(np.asarray(powers_mw, dtype=float), problem, combining)
 
 
-def _solve(runs: tuple[tuple[Scenario, LinkGainMatrix], ...], mobiles: list[MobileStation],
-           assoc: Association, combining: str | None, tol_db: float = DEFAULT_TOL_DB,
-           max_iter: int = DEFAULT_MAX_ITER, n_iters: int | None = None
-           ) -> tuple[PowerControlResult, ...]:
+def solve_lockstep(runs: tuple[tuple[Scenario, LinkGainMatrix], ...],
+                   mobiles: list[MobileStation], assoc: Association,
+                   combining: str | None = None, tol_db: float = DEFAULT_TOL_DB,
+                   max_iter: int = DEFAULT_MAX_ITER, n_iters: int | None = None
+                   ) -> tuple[PowerControlResult, ...]:
     """Solve (scenario, table) runs of one drop in lockstep from all-p_min.
 
     Stops once every run's largest per-MS step has dropped below tol_db at
     least once, or after max_iter (exactly n_iters if given). Runs do not
-    interact, so each ends at the iterate it alone would reach in as many steps.
+    interact, so each ends at the iterate it alone would reach in as many
+    steps. Every table must hold its own scenario's receive points only:
+    the width of the gain array changes the last bits of `powers @ gains`.
     """
     if combining is None:
         combining = runs[0][0].radio.combining
@@ -260,15 +268,6 @@ def solve_power_control(s: Scenario, mobiles: list[MobileStation], gm: LinkGainM
     MSs pinned at p_max that still miss their target by more than
     OUTAGE_MARGIN_DB are flagged as outage.
     """
-    return _solve(((s, gm),), mobiles, assoc, combining, tol_db, max_iter, n_iters)[0]
+    return solve_lockstep(((s, gm),), mobiles, assoc, combining, tol_db, max_iter,
+                          n_iters)[0]
 
-
-def solve_paired_power_control(baseline: Scenario, green: Scenario,
-                               mobiles: list[MobileStation], gm: LinkGainMatrix,
-                               assoc: Association, combining: str | None = None
-                               ) -> tuple[PowerControlResult, PowerControlResult]:
-    """Baseline and green solves of one drop, both at k = max(k_baseline, k_green).
-
-    gm is the green scenario's table; the baseline reads its sector columns.
-    """
-    return _solve(((baseline, gm.without_greens()), (green, gm)), mobiles, assoc, combining)

@@ -92,11 +92,21 @@ class LinkGainMatrix:
     def sector_index(self) -> dict[str, int]:
         return {sid: i for i, sid in enumerate(self.sector_ids)}
 
-    def without_greens(self) -> LinkGainMatrix:
-        """This drop's tables without green columns (sectors come first)."""
-        n = len(self.sector_ids)
-        return replace(self, receive_points=self.receive_points[:n],
-                       ul_gain_db=self.ul_gain_db[:, :n], noise_dbm=self.noise_dbm[:n])
+    def restricted_to(self, s: Scenario) -> LinkGainMatrix:
+        """The columns of s's receive points, by id and in s's order.
+
+        Each column depends only on its receive point, so for a scenario
+        whose points are all in this table the result equals s's own table
+        of the same drop. The copy is C-ordered, as a built table is: the
+        layout of the gain array changes the last bits of `powers @ gains`.
+        """
+        cols = [self.rp_index[rid] for rid in (*s.sector_ids(), *(g.id for g in s.greens))]
+        ul = np.ascontiguousarray(self.ul_gain_db[:, cols])
+        noise = self.noise_dbm[cols]
+        for arr in (ul, noise):
+            arr.flags.writeable = False
+        return replace(self, receive_points=tuple(self.receive_points[c] for c in cols),
+                       ul_gain_db=ul, noise_dbm=noise)
 
 
 def path_loss(model, distance_m):
@@ -121,13 +131,6 @@ def antenna_gain(pattern: AntennaPattern, bearing_deg):
     return pattern.gain_dbi - attenuation
 
 
-def shadowing_sample(seed: int, link_label: str, sigma_db: float) -> float:
-    """Zero-mean Gaussian shadowing in dB, determined by (seed, link_label)."""
-    if sigma_db == 0.0:
-        return 0.0
-    return sigma_db * label_normal(seed, link_label)
-
-
 def _penetration_db(ms: MobileStation, s: Scenario) -> float:
     if not ms.indoor:
         return 0.0
@@ -137,33 +140,16 @@ def _penetration_db(ms: MobileStation, s: Scenario) -> float:
     raise KeyError(f"mobile {ms.id} references unknown building '{ms.building_id}'")
 
 
-def link_gain(ms: MobileStation, rp: ReceivePoint, s: Scenario, seed: int) -> float:
-    """Uplink channel gain (dB) between one mobile and one receive point."""
-    return _channel_gain(ms, rp.position, rp.antenna, rp.azimuth_deg, s, seed,
-                         label=f"ul:{ms.id}:{rp.id}")
-
-
-def _channel_gain(ms, position, antenna, azimuth_deg, s, seed, label):
-    cls = s.clutter.clutter_class_at(*ms.position)
-    model = s.radio.pathloss[cls]
-    dx = ms.position[0] - position[0]
-    dy = ms.position[1] - position[1]
-    pl = path_loss(model, np.hypot(dx, dy))
-    bearing = np.degrees(np.arctan2(dy, dx)) - azimuth_deg
-    g_rx = antenna_gain(antenna, bearing)
-    pen = _penetration_db(ms, s)
-    chi = shadowing_sample(seed, label, s.radio.shadowing_sigma_db[cls])
-    return float(-pl + g_rx - pen + chi)
-
-
 def build_gain_matrix(s: Scenario, mobiles: list[MobileStation], seed: int) -> LinkGainMatrix:
     """Channel tables for one drop; deterministic in (scenario, mobiles, seed).
 
-    UL entries equal link_gain calls, DL entries tx_power_dbm + _channel_gain;
-    the vectorized fill only batches the arithmetic. DL shadowing follows
-    radio.dl_shadowing_mode: an independent labeled draw by default, or a
-    copy of the UL draw in reciprocal mode. Each column depends only on
-    its receive point, so without the greens the tables are `without_greens()`.
+    Each UL entry is -path_loss + rx_antenna_gain - penetration + shadowing,
+    the draw labeled "ul:<mobile>:<receive point>" (no draw at sigma 0).
+    A DL entry is the sector's tx_power_dbm plus the same composition.
+    DL shadowing follows radio.dl_shadowing_mode: an independent
+    "dl:"-labeled draw by default, or a copy of the UL draw in reciprocal
+    mode. Each column depends only on its receive point, so another
+    scenario's points read from this table are `restricted_to` it.
     """
     rps = receive_points(s)
     sector_ids = s.sector_ids()
@@ -188,8 +174,8 @@ def build_gain_matrix(s: Scenario, mobiles: list[MobileStation], seed: int) -> L
         return -pl + antenna_gain(rp.antenna, bearing) - pen
 
     def chi(direction, rp_id):
-        return np.array([shadowing_sample(seed, f"{direction}:{m.id}:{rp_id}", sig)
-                         for m, sig in zip(mobiles, sigma)])
+        return np.array([sig * label_normal(seed, f"{direction}:{m.id}:{rp_id}")
+                         if sig != 0.0 else 0.0 for m, sig in zip(mobiles, sigma)])
 
     # a sector's DL column shares its UL column's geometry; in reciprocal
     # mode it also shares the UL draw, so each sector link is hashed once

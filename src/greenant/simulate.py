@@ -1,12 +1,16 @@
-"""Monte Carlo snapshot loop, single-run and paired baseline-vs-green.
+"""Monte Carlo snapshot loop over one or more scenarios of the same world.
 
 A snapshot is one random placement of mobiles plus one converged power
-control solve. A paired snapshot computes what the two scenarios share
-once: one drop, one channel table (the baseline solve reads its sector
-columns) and one association. The two solves then run in lockstep to
+control solve per scenario. A single run is a campaign of one scenario;
+a paired baseline-vs-green comparison is a campaign of two. The
+scenarios of a campaign differ only in their greens, and every earlier
+scenario's greens are also in the last one (check_pairable), so what
+they share is computed once, from the last scenario: one drop, one
+channel table and one association. Each earlier scenario reads its own
+receive-point columns of that table. The solves then run in lockstep to
 the same number of power control iterations. That last point matters
-because both iterate monotonically upward from p_min; comparing at a
-common iteration count is what makes the per-MS power ordering exact
+because every run iterates monotonically upward from p_min; comparing at
+a common iteration count is what makes the per-MS power ordering exact
 instead of blurred by the stopping rule.
 """
 
@@ -15,15 +19,14 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .powerctl import (Association, PowerControlResult, associate,
-                       solve_paired_power_control, solve_power_control)
+from .powerctl import Association, PowerControlResult, associate, solve_lockstep
 from .propagation import build_gain_matrix
 from .scenario import MobileStation, Scenario, drop_mobiles, strip_greens
 from .seeds import derive_seed
 
 
 class PairingError(Exception):
-    """The two scenarios of a pair differ outside their green antenna lists."""
+    """The scenarios of a campaign are not one world with more or fewer greens."""
 
 
 def snapshot_seed(seed: int, index: int) -> int:
@@ -31,105 +34,83 @@ def snapshot_seed(seed: int, index: int) -> int:
 
 
 @dataclass(frozen=True)
-class SnapshotResult:
+class Snapshot:
+    """One drop, solved under every scenario of the campaign, in order."""
+
     index: int
     seed: int
     mobiles: tuple[MobileStation, ...]
     association: Association
-    control: PowerControlResult
+    runs: tuple[PowerControlResult, ...]
 
 
-@dataclass(frozen=True)
-class PairedSnapshot:
-    index: int
-    seed: int
-    mobiles: tuple[MobileStation, ...]
-    association: Association
-    baseline: PowerControlResult
-    green: PowerControlResult
+def _check_campaign(scenarios: tuple[Scenario, ...]) -> None:
+    for s in scenarios[:-1]:
+        check_pairable(s, scenarios[-1])
 
 
-def run_snapshot(s: Scenario, snap_seed: int, index: int = 0,
-                 combining: str | None = None) -> SnapshotResult:
-    mobiles = drop_mobiles(s, snap_seed)
-    gm = build_gain_matrix(s, mobiles, snap_seed)
-    assoc = associate(gm)
-    control = solve_power_control(s, mobiles, gm, assoc, combining=combining)
-    return SnapshotResult(index, snap_seed, tuple(mobiles), assoc, control)
+def run_snapshot(scenarios: tuple[Scenario, ...], snap_seed: int, index: int = 0,
+                 combining: str | None = None) -> Snapshot:
+    """Solve one drop under every scenario, with shared randomness.
 
-
-def run_paired_snapshot(baseline: Scenario, green: Scenario, snap_seed: int,
-                        index: int = 0, combining: str | None = None) -> PairedSnapshot:
-    """Solve one snapshot under both scenarios with shared randomness.
-
-    Raises PairingError if the scenarios fail check_pairable. Once they
-    pass, neither the drop, the sector columns of the channel table nor
-    the association can depend on the greens, so each is computed once,
-    from the green scenario.
+    Raises PairingError if an earlier scenario fails check_pairable
+    against the last. The drop, the table and the association are the
+    last scenario's; a scenario that is not the last reads its own
+    columns of that table.
     """
-    check_pairable(baseline, green)
-    mobiles = drop_mobiles(green, snap_seed)
-    gm = build_gain_matrix(green, mobiles, snap_seed)
+    _check_campaign(scenarios)
+    table_scenario = scenarios[-1]
+    mobiles = drop_mobiles(table_scenario, snap_seed)
+    gm = build_gain_matrix(table_scenario, mobiles, snap_seed)
     assoc = associate(gm)
-    ctl_b, ctl_g = solve_paired_power_control(baseline, green, mobiles, gm, assoc,
-                                              combining=combining)
-    return PairedSnapshot(index, snap_seed, tuple(mobiles), assoc, ctl_b, ctl_g)
+    runs = tuple((s, gm if s is table_scenario else gm.restricted_to(s)) for s in scenarios)
+    return Snapshot(index, snap_seed, tuple(mobiles), assoc,
+                    solve_lockstep(runs, mobiles, assoc, combining))
 
 
-def _snapshot_task(args) -> SnapshotResult:
-    s, seed, index, combining = args
-    return run_snapshot(s, snapshot_seed(seed, index), index, combining)
+def _task(args) -> Snapshot:
+    scenarios, seed, index, combining = args
+    return run_snapshot(scenarios, snapshot_seed(seed, index), index, combining)
 
 
-def _paired_task(args) -> PairedSnapshot:
-    baseline, green, seed, index, combining = args
-    return run_paired_snapshot(baseline, green, snapshot_seed(seed, index),
-                               index, combining)
-
-
-def run_campaign(s: Scenario, seed: int, n_snapshots: int,
-                 combining: str | None = None, jobs: int = 1) -> list[SnapshotResult]:
+def run_campaign(scenarios: tuple[Scenario, ...], seed: int, n_snapshots: int,
+                 combining: str | None = None, jobs: int = 1) -> list[Snapshot]:
     if n_snapshots < 1:
         raise ValueError("need at least one snapshot")
-    tasks = [(s, seed, k, combining) for k in range(n_snapshots)]
+    _check_campaign(scenarios)      # before any worker starts
+    tasks = [(scenarios, seed, k, combining) for k in range(n_snapshots)]
     if jobs <= 1 or n_snapshots == 1:
-        return [_snapshot_task(t) for t in tasks]
+        return [_task(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_snapshot_task, tasks))
-
-
-def run_paired_campaign(baseline: Scenario, green: Scenario, seed: int,
-                        n_snapshots: int, combining: str | None = None,
-                        jobs: int = 1) -> list[PairedSnapshot]:
-    if n_snapshots < 1:
-        raise ValueError("need at least one snapshot")
-    check_pairable(baseline, green)
-    tasks = [(baseline, green, seed, k, combining) for k in range(n_snapshots)]
-    if jobs <= 1 or n_snapshots == 1:
-        return [_paired_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_paired_task, tasks))
+        return list(pool.map(_task, tasks))
 
 
 def check_pairable(baseline: Scenario, green: Scenario) -> None:
-    """The two scenarios may differ only in their green antenna lists."""
+    """The two scenarios may differ only in their green antenna lists, and
+    every baseline green must also be in the green scenario, unchanged."""
     if strip_greens(baseline) != strip_greens(green):
         raise PairingError(
             "scenarios differ outside the green antenna section; paired "
             "comparison would not share randomness")
+    greens = {g.id: g for g in green.greens}
+    for g in baseline.greens:
+        if greens.get(g.id) != g:
+            raise PairingError(
+                f"baseline green antenna '{g.id}' is not in the green scenario "
+                f"as it is in the baseline; the green scenario must hold every "
+                f"baseline green")
 
 
-def gather_tx_powers(snapshots, which: str = "control",
-                     pop_filter=None) -> list[float]:
-    """Concatenate filtered Tx powers (dBm) across snapshots.
+def gather_tx_powers(snapshots, run: int = 0, pop_filter=None) -> list[float]:
+    """Concatenate filtered Tx powers (dBm) of one run across snapshots.
 
-    `which` picks the attribute holding the PowerControlResult: "control"
-    for single runs, "baseline" or "green" for paired ones.
+    `run` indexes the campaign's scenarios: 0 for a single run, 0
+    (baseline) or 1 (green) for a pair.
     """
     from .metrics import NO_FILTER, filter_population
 
     f = NO_FILTER if pop_filter is None else pop_filter
     powers: list[float] = []
     for snap in snapshots:
-        powers.extend(filter_population(list(snap.mobiles), getattr(snap, which), f))
+        powers.extend(filter_population(list(snap.mobiles), snap.runs[run], f))
     return powers

@@ -15,7 +15,7 @@ from greenant.metrics import PopulationFilter, compare_runs
 from greenant.powerctl import associate, power_update, solve_power_control
 from greenant.propagation import build_gain_matrix
 from greenant.scenario import drop_mobiles, load_scenario_file, strip_greens
-from greenant.simulate import gather_tx_powers, run_paired_campaign
+from greenant.simulate import gather_tx_powers, run_campaign
 
 import conftest
 from conftest import load_doc, make_tables, place, random_instance, two_cell_doc
@@ -135,12 +135,12 @@ def test_green_never_raises_any_mobile():
     baseline = load_scenario_file(str(conftest.BASELINE_JSON))
     green = load_scenario_file(str(conftest.GREEN_JSON))
     t0 = time.monotonic()
-    pairs = run_paired_campaign(baseline, green, seed=1, n_snapshots=50,
-                                combining="mrc")
+    pairs = run_campaign((baseline, green), seed=1, n_snapshots=50,
+                         combining="mrc")
     elapsed = time.monotonic() - t0
-    worst = max(float(np.max(p.green.tx_power_dbm - p.baseline.tx_power_dbm))
+    worst = max(float(np.max(p.runs[1].tx_power_dbm - p.runs[0].tx_power_dbm))
                 for p in pairs)
-    deltas = np.concatenate([p.baseline.tx_power_dbm - p.green.tx_power_dbm
+    deltas = np.concatenate([p.runs[0].tx_power_dbm - p.runs[1].tx_power_dbm
                              for p in pairs])
     ok = worst <= 1e-9 and deltas.mean() >= 0.0 and np.median(deltas) >= 0.0
     report("green monotonicity",
@@ -155,12 +155,12 @@ def test_coverage_hole_study_reproduces_bands():
     baseline = load_scenario_file(str(conftest.BASELINE_JSON))
     green = load_scenario_file(str(conftest.GREEN_JSON))
     t0 = time.monotonic()
-    pairs = run_paired_campaign(baseline, green, seed=1, n_snapshots=200,
-                                combining="mrc")
+    pairs = run_campaign((baseline, green), seed=1, n_snapshots=200,
+                         combining="mrc")
     f = PopulationFilter(center=green.greens[0].position, radius_m=300.0,
                          indoor_only=True)
-    b = gather_tx_powers(pairs, "baseline", f)
-    g = gather_tx_powers(pairs, "green", f)
+    b = gather_tx_powers(pairs, 0, f)
+    g = gather_tx_powers(pairs, 1, f)
     rep = compare_runs(b, g, target_dbm=4.0, snapshots=200, f=f)
     elapsed = time.monotonic() - t0
     rise = rep.frac_below_target["green"] - rep.frac_below_target["baseline"]

@@ -84,6 +84,40 @@ def test_unpairable_compare_is_exit_3(base_json, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_compare_with_baseline_greens_missing_from_green_scenario_is_exit_3(
+        base_json, green_json, tmp_path, capsys):
+    code = main(["compare", "--scenario", green_json, "--green-scenario", base_json,
+                 "--snapshots", "1", "--out", str(tmp_path / "c")])
+    assert code == 3
+    assert "'G'" in capsys.readouterr().err
+    assert not (tmp_path / "c_summary.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--target-dbm", "nan"),
+    ("--target-dbm", "inf"),
+    ("--filter-center", "nan,0"),
+    ("--filter-center", "0,-inf"),
+    ("--filter-radius", "nan"),
+    ("--filter-radius", "inf"),
+])
+def test_non_finite_flag_is_exit_2(base_json, tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(run_args(base_json, tmp_path, flag, value))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be a finite number" in err
+    assert not (tmp_path / "out_cdf.csv").exists()
+
+
+def test_negative_green_count_is_exit_2(green_json, tmp_path, capsys):
+    code = main(["sweep", "--scenario", green_json, "--axis", "green_count",
+                 "--values=-1,1", "--snapshots", "1", "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "--values" in capsys.readouterr().err
+    assert not (tmp_path / "s_sweep.csv").exists()
+
+
 def test_bad_flag_values_exit_via_argparse(base_json):
     for argv in (
         ["run", "--scenario", base_json, "--snapshots", "0"],

@@ -139,13 +139,12 @@ def test_summary_csv_format(tmp_path):
 def test_emit_report_writes_three_files_deterministically(tmp_path):
     rep = compare_runs([10.0, 20.0, 30.0], [5.0, 6.0, 7.0], target_dbm=4.0,
                        snapshots=3)
-    cdfs = {"baseline": rep.cdfs["baseline"], "green": rep.cdfs["green"]}
 
-    first = emit_report(rep, cdfs, str(tmp_path / "a"))
+    first = emit_report(rep, str(tmp_path / "a"))
     assert [p.split("/")[-1] for p in first] == ["a_cdf.csv", "a_summary.csv", "a_cdf.svg"]
     blobs = [open(p, "rb").read() for p in first]
 
-    second = emit_report(rep, cdfs, str(tmp_path / "b"))
+    second = emit_report(rep, str(tmp_path / "b"))
     assert blobs == [open(p, "rb").read() for p in second]
 
     summary = (tmp_path / "a_summary.csv").read_text().splitlines()

@@ -5,21 +5,44 @@ import json
 import numpy as np
 import pytest
 
+import greenant.propagation
 from greenant.propagation import (
-    _channel_gain,
     antenna_gain,
     build_gain_matrix,
-    link_gain,
     path_loss,
     receive_points,
-    shadowing_sample,
     write_gain_dump,
 )
 from greenant.scenario import AntennaPattern, PathLossModel, drop_mobiles, strip_greens
+from greenant.seeds import label_normal
 
 from conftest import load_doc, place, two_cell_doc
 
 URBAN = PathLossModel(pl0_db=128.1, d0_m=1000.0, exponent=3.76)
+
+
+def _shadowing(seed, label, sigma_db):
+    """1x1 reference: the labeled draw, none at sigma 0."""
+    return 0.0 if sigma_db == 0.0 else sigma_db * label_normal(seed, label)
+
+
+def _scalar_gain(ms, position, antenna, azimuth_deg, s, seed, label):
+    """1x1 reference of a table entry, in dB, composed one link at a time:
+    -path_loss + rx_antenna_gain - penetration + shadowing."""
+    cls = s.clutter.clutter_class_at(*ms.position)
+    dx = ms.position[0] - position[0]
+    dy = ms.position[1] - position[1]
+    pl = path_loss(s.radio.pathloss[cls], np.hypot(dx, dy))
+    g_rx = antenna_gain(antenna, np.degrees(np.arctan2(dy, dx)) - azimuth_deg)
+    pen = next((b.penetration_loss_db for b in s.clutter.buildings
+                if ms.indoor and b.id == ms.building_id), 0.0)
+    chi = _shadowing(seed, label, s.radio.shadowing_sigma_db[cls])
+    return float(-pl + g_rx - pen + chi)
+
+
+def _ul_gain(ms, rp, s, seed):
+    return _scalar_gain(ms, rp.position, rp.antenna, rp.azimuth_deg, s, seed,
+                        label=f"ul:{ms.id}:{rp.id}")
 
 
 def test_path_loss_reference_distance():
@@ -65,12 +88,21 @@ def test_sector_gain_folds_bearings():
     assert antenna_gain(sec, 370.0) == pytest.approx(antenna_gain(sec, 10.0))
 
 
-def test_shadowing_sample_properties():
-    assert shadowing_sample(5, "ul:0:s0", 0.0) == 0.0
-    a = shadowing_sample(5, "ul:0:s0", 8.0)
-    assert shadowing_sample(5, "ul:0:s0", 8.0) == a
-    assert shadowing_sample(5, "ul:0:s0", 4.0) == pytest.approx(a / 2.0)
-    assert shadowing_sample(5, "ul:1:s0", 8.0) != a
+def test_shadowing_sample_properties(monkeypatch):
+    assert _shadowing(5, "ul:0:s0", 0.0) == 0.0
+    a = _shadowing(5, "ul:0:s0", 8.0)
+    assert _shadowing(5, "ul:0:s0", 8.0) == a
+    assert _shadowing(5, "ul:0:s0", 4.0) == pytest.approx(a / 2.0)
+    assert _shadowing(5, "ul:1:s0", 8.0) != a
+    # the table draws through the module's label_normal, and not at sigma 0
+    calls = []
+    monkeypatch.setattr(greenant.propagation, "label_normal",
+                        lambda seed, label: calls.append(label) or label_normal(seed, label))
+    mobiles = [place(0, 431.0, 77.0)]
+    build_gain_matrix(load_doc(two_cell_doc(sigma=0.0)), mobiles, 21)
+    assert calls == []
+    build_gain_matrix(load_doc(two_cell_doc(sigma=8.0)), mobiles, 21)
+    assert sorted(calls) == ["dl:0:A1", "dl:0:B1", "ul:0:A1", "ul:0:B1"]
 
 
 def test_link_gain_composition_without_shadowing():
@@ -78,7 +110,8 @@ def test_link_gain_composition_without_shadowing():
     rp = receive_points(s)[0]       # site A's omni, 10 dBi
     m = place(0, 500.0, 0.0)
     expected = -(128.1 + 37.6 * np.log10(0.5)) + 10.0
-    assert link_gain(m, rp, s, 1) == pytest.approx(expected)
+    assert _ul_gain(m, rp, s, 1) == pytest.approx(expected)
+    assert build_gain_matrix(s, [m], 1).ul_gain_db[0, 0] == _ul_gain(m, rp, s, 1)
 
 
 def test_penetration_applies_to_indoor_mobiles_only():
@@ -89,12 +122,14 @@ def test_penetration_applies_to_indoor_mobiles_only():
     rp = receive_points(s)[0]
     outdoor = place(0, 500.0, 0.0)
     indoor = place(1, 500.0, 0.0, indoor=True, building_id="bld")
-    assert link_gain(indoor, rp, s, 1) == pytest.approx(link_gain(outdoor, rp, s, 1) - 20.0)
+    assert _ul_gain(indoor, rp, s, 1) == pytest.approx(_ul_gain(outdoor, rp, s, 1) - 20.0)
+    gm = build_gain_matrix(s, [outdoor, indoor], 1)
+    assert gm.ul_gain_db[1, 0] == pytest.approx(gm.ul_gain_db[0, 0] - 20.0)
 
 
 def test_gain_matrix_matches_scalar_link_gain_bitwise():
-    """The vectorized fill must be the same arithmetic as link_gain (UL)
-    and as tx power plus _channel_gain with the mode's label (DL)."""
+    """The vectorized fill must be the same arithmetic as the 1x1
+    reference (UL) and as tx power plus it with the mode's label (DL)."""
     doc = {
         "sites": [
             {"id": "A", "position": [0, 0],
@@ -114,9 +149,9 @@ def test_gain_matrix_matches_scalar_link_gain_bitwise():
         gm = build_gain_matrix(s, mobiles, 99)
         for i, m in enumerate(mobiles):
             for j, rp in enumerate(receive_points(s)):
-                assert gm.ul_gain_db[i, j] == link_gain(m, rp, s, 99)
+                assert gm.ul_gain_db[i, j] == _ul_gain(m, rp, s, 99)
             for j, (site, sec) in enumerate(s.sectors()):
-                assert gm.dl_rx_dbm[i, j] == sec.tx_power_dbm + _channel_gain(
+                assert gm.dl_rx_dbm[i, j] == sec.tx_power_dbm + _scalar_gain(
                     m, site.position, sec.antenna, sec.azimuth_deg, s, 99,
                     label=f"{direction}:{m.id}:{sec.id}")
 
@@ -137,8 +172,9 @@ def test_greens_are_invisible_to_downlink_and_sector_columns(two_cell_green):
     assert gm_g.dl_rx_dbm.shape[1] == 2        # sectors only
     assert np.array_equal(gm_g.dl_rx_dbm, gm_b.dl_rx_dbm)
     assert np.array_equal(gm_g.ul_gain_db[:, :2], gm_b.ul_gain_db)
-    sectors = gm_g.without_greens()
+    sectors = gm_g.restricted_to(bare)
     assert sectors.receive_points == gm_b.receive_points
+    assert sectors.ul_gain_db.flags.c_contiguous
     assert np.array_equal(sectors.ul_gain_db, gm_b.ul_gain_db)
     assert np.array_equal(sectors.noise_dbm, gm_b.noise_dbm)
     assert np.array_equal(sectors.dl_rx_dbm, gm_b.dl_rx_dbm)

@@ -10,13 +10,11 @@ from greenant.powerctl import associate, solve_power_control
 from greenant.propagation import build_gain_matrix
 from greenant.scenario import drop_mobiles
 from greenant.simulate import (
-    PairedSnapshot,
     PairingError,
+    Snapshot,
     check_pairable,
     gather_tx_powers,
     run_campaign,
-    run_paired_campaign,
-    run_paired_snapshot,
     run_snapshot,
     snapshot_seed,
 )
@@ -32,47 +30,47 @@ def test_snapshot_seeds_are_distinct_and_stable():
 
 
 def test_run_snapshot_is_deterministic(two_cell):
-    a = run_snapshot(two_cell, snapshot_seed(9, 0))
-    b = run_snapshot(two_cell, snapshot_seed(9, 0))
+    a = run_snapshot((two_cell,), snapshot_seed(9, 0))
+    b = run_snapshot((two_cell,), snapshot_seed(9, 0))
     assert [m.position for m in a.mobiles] == [m.position for m in b.mobiles]
-    assert np.array_equal(a.control.tx_power_dbm, b.control.tx_power_dbm)
+    assert np.array_equal(a.runs[0].tx_power_dbm, b.runs[0].tx_power_dbm)
     assert a.association.serving_sector == b.association.serving_sector
 
 
 def test_snapshots_differ_across_indices(two_cell):
-    a = run_snapshot(two_cell, snapshot_seed(9, 0))
-    b = run_snapshot(two_cell, snapshot_seed(9, 1))
+    a = run_snapshot((two_cell,), snapshot_seed(9, 0))
+    b = run_snapshot((two_cell,), snapshot_seed(9, 1))
     assert [m.position for m in a.mobiles] != [m.position for m in b.mobiles]
 
 
 def test_campaign_is_order_preserving_and_seeded(two_cell):
-    snaps = run_campaign(two_cell, seed=3, n_snapshots=4)
+    snaps = run_campaign((two_cell,), seed=3, n_snapshots=4)
     assert [sn.index for sn in snaps] == [0, 1, 2, 3]
-    again = run_campaign(two_cell, seed=3, n_snapshots=4)
+    again = run_campaign((two_cell,), seed=3, n_snapshots=4)
     for x, y in zip(snaps, again):
-        assert np.array_equal(x.control.tx_power_dbm, y.control.tx_power_dbm)
+        assert np.array_equal(x.runs[0].tx_power_dbm, y.runs[0].tx_power_dbm)
 
 
 def test_parallel_campaign_matches_serial(two_cell):
-    serial = run_campaign(two_cell, seed=5, n_snapshots=4, jobs=1)
-    parallel = run_campaign(two_cell, seed=5, n_snapshots=4, jobs=2)
+    serial = run_campaign((two_cell,), seed=5, n_snapshots=4, jobs=1)
+    parallel = run_campaign((two_cell,), seed=5, n_snapshots=4, jobs=2)
     for x, y in zip(serial, parallel):
         assert x.index == y.index
-        assert np.array_equal(x.control.tx_power_dbm, y.control.tx_power_dbm)
-        assert np.array_equal(x.control.sinr_db, y.control.sinr_db)
+        assert np.array_equal(x.runs[0].tx_power_dbm, y.runs[0].tx_power_dbm)
+        assert np.array_equal(x.runs[0].sinr_db, y.runs[0].sinr_db)
 
 
 def test_campaign_rejects_zero_snapshots(two_cell):
     with pytest.raises(ValueError):
-        run_campaign(two_cell, seed=1, n_snapshots=0)
+        run_campaign((two_cell,), seed=1, n_snapshots=0)
 
 
 def test_paired_snapshot_shares_drops_and_association():
     base = load_doc(two_cell_doc())
     green = load_doc(two_cell_doc(with_green=True))
-    pair = run_paired_snapshot(base, green, snapshot_seed(1, 0))
-    assert pair.baseline.iterations == pair.green.iterations
-    solo = run_snapshot(base, snapshot_seed(1, 0))
+    pair = run_snapshot((base, green), snapshot_seed(1, 0))
+    assert pair.runs[0].iterations == pair.runs[1].iterations
+    solo = run_snapshot((base,), snapshot_seed(1, 0))
     assert [m.position for m in pair.mobiles] == [m.position for m in solo.mobiles]
     assert pair.association.serving_sector == solo.association.serving_sector
 
@@ -109,7 +107,7 @@ def _reference_paired_snapshot(baseline, green, snap_seed, index=0, combining=No
         else:
             ctl_g = solve_power_control(green, mobiles_g, gm_g, assoc_g,
                                         combining=combining, n_iters=k)
-    pair = PairedSnapshot(index, snap_seed, tuple(mobiles_b), assoc_b, ctl_b, ctl_g)
+    pair = Snapshot(index, snap_seed, tuple(mobiles_b), assoc_b, (ctl_b, ctl_g))
     return pair, resolved
 
 
@@ -128,12 +126,12 @@ def test_paired_snapshot_matches_two_drop_resolve_reference(combining, dl_mode):
         base, green = load_doc(docs[0]), load_doc(docs[1])
         for k in range(5):
             seed = snapshot_seed(23, k)
-            pair = run_paired_snapshot(base, green, seed, k, combining)
+            pair = run_snapshot((base, green), seed, k, combining)
             ref, did_resolve = _reference_paired_snapshot(base, green, seed, k, combining)
             resolved += did_resolve
             assert pair.mobiles == ref.mobiles
             assert pair.association.serving_sector == ref.association.serving_sector
-            for got, want in ((pair.baseline, ref.baseline), (pair.green, ref.green)):
+            for got, want in zip(pair.runs, ref.runs, strict=True):
                 assert np.array_equal(got.tx_power_dbm, want.tx_power_dbm)
                 assert np.array_equal(got.sinr_db, want.sinr_db)
                 assert np.array_equal(got.outage, want.outage)
@@ -142,10 +140,44 @@ def test_paired_snapshot_matches_two_drop_resolve_reference(combining, dl_mode):
     assert resolved > 0     # the reference's re-solve path was exercised
 
 
+@pytest.mark.parametrize("combining", ["mrc", "selection", "egc"])
+def test_baseline_greens_read_from_a_wider_table_match_own_table_solve(combining):
+    """A baseline with its own green, paired with a scenario that declares
+    22 more greens before it: the baseline run reads its three columns of a
+    25-column table by id and gets the bits of a solve on its own table. At
+    this width a solve on the full table differs in the last bits."""
+    docs = [two_cell_doc(with_green=True, sigma=8.0, targets=(-15.0, -6.0),
+                         mobiles_per_sector=6) for _ in range(2)]
+    # positions inside the sites' span keep the derived clutter bounds equal
+    docs[1]["greens"][:0] = [{"id": f"X{k}", "position": [100.0 + 80.0 * k, 0.0],
+                              "attached_sectors": [["A1"], ["B1"], ["A1", "B1"]][k % 3]}
+                             for k in range(22)]
+    base, wide = load_doc(docs[0]), load_doc(docs[1])
+    for k in range(5):
+        seed = snapshot_seed(31, k)
+        snap = run_snapshot((base, wide), seed, k, combining)
+        mobiles = drop_mobiles(base, seed)
+        gm = build_gain_matrix(base, mobiles, seed)
+        assert snap.mobiles == tuple(mobiles)
+        own = solve_power_control(base, mobiles, gm, associate(gm), combining=combining,
+                                  n_iters=snap.runs[0].iterations)
+        for f in ("tx_power_dbm", "sinr_db", "outage"):
+            assert np.array_equal(getattr(snap.runs[0], f), getattr(own, f)), (k, f)
+
+
+def test_baseline_greens_must_be_in_the_green_scenario(two_cell, two_cell_green):
+    with pytest.raises(PairingError, match="'G'"):
+        check_pairable(two_cell_green, two_cell)
+    moved = dataclasses.replace(two_cell_green.greens[0], position=(1500.0, 0.0))
+    other = dataclasses.replace(two_cell_green, greens=(moved,))
+    with pytest.raises(PairingError, match="'G'"):
+        run_campaign((other, two_cell_green), seed=1, n_snapshots=1)
+
+
 def test_green_run_never_transmits_more(two_cell, two_cell_green):
     for k in range(6):
-        pair = run_paired_snapshot(two_cell, two_cell_green, snapshot_seed(17, k))
-        assert np.all(pair.green.tx_power_dbm <= pair.baseline.tx_power_dbm + 1e-9)
+        base, green = run_snapshot((two_cell, two_cell_green), snapshot_seed(17, k)).runs
+        assert np.all(green.tx_power_dbm <= base.tx_power_dbm + 1e-9)
 
 
 def test_paired_campaign_requires_matching_scenarios(two_cell, two_cell_green):
@@ -153,10 +185,13 @@ def test_paired_campaign_requires_matching_scenarios(two_cell, two_cell_green):
     with pytest.raises(PairingError):
         check_pairable(other, two_cell_green)
     with pytest.raises(PairingError):
-        run_paired_campaign(other, two_cell_green, seed=1, n_snapshots=1)
-    # identical non-green sections pair fine, greens themselves may differ
+        run_campaign((other, two_cell_green), seed=1, n_snapshots=1)
+    # identical non-green sections pair fine, the green scenario may add greens
     check_pairable(two_cell, two_cell_green)
     check_pairable(two_cell_green, two_cell_green)
+    same = run_snapshot((two_cell_green, two_cell_green), snapshot_seed(1, 0))
+    for f in ("tx_power_dbm", "sinr_db", "outage"):
+        assert np.array_equal(getattr(same.runs[0], f), getattr(same.runs[1], f))
 
 
 def test_pairing_errors_mention_the_divergence(two_cell, two_cell_green):
@@ -167,32 +202,31 @@ def test_pairing_errors_mention_the_divergence(two_cell, two_cell_green):
 
 
 def test_paired_campaign_runs_parallel(two_cell, two_cell_green):
-    serial = run_paired_campaign(two_cell, two_cell_green, seed=2, n_snapshots=3)
-    parallel = run_paired_campaign(two_cell, two_cell_green, seed=2, n_snapshots=3,
-                                   jobs=2)
+    serial = run_campaign((two_cell, two_cell_green), seed=2, n_snapshots=3)
+    parallel = run_campaign((two_cell, two_cell_green), seed=2, n_snapshots=3, jobs=2)
     for x, y in zip(serial, parallel):
-        assert np.array_equal(x.green.tx_power_dbm, y.green.tx_power_dbm)
-        assert np.array_equal(x.baseline.tx_power_dbm, y.baseline.tx_power_dbm)
+        assert np.array_equal(x.runs[1].tx_power_dbm, y.runs[1].tx_power_dbm)
+        assert np.array_equal(x.runs[0].tx_power_dbm, y.runs[0].tx_power_dbm)
 
 
 def test_gather_tx_powers_concatenates_in_snapshot_order(two_cell):
-    snaps = run_campaign(two_cell, seed=4, n_snapshots=3)
+    snaps = run_campaign((two_cell,), seed=4, n_snapshots=3)
     flat = gather_tx_powers(snaps)
-    expected = [p for sn in snaps for p in sn.control.tx_power_dbm]
+    expected = [p for sn in snaps for p in sn.runs[0].tx_power_dbm]
     assert flat == expected
 
 
 def test_gather_tx_powers_selects_run_and_filters(two_cell, two_cell_green):
-    pairs = run_paired_campaign(two_cell, two_cell_green, seed=6, n_snapshots=3)
-    base = gather_tx_powers(pairs, which="baseline")
-    grn = gather_tx_powers(pairs, which="green")
+    pairs = run_campaign((two_cell, two_cell_green), seed=6, n_snapshots=3)
+    base = gather_tx_powers(pairs, run=0)
+    grn = gather_tx_powers(pairs, run=1)
     assert len(base) == len(grn) == sum(len(p.mobiles) for p in pairs)
     assert np.mean(base) >= np.mean(grn)
 
     disk = PopulationFilter(center=(1600.0, 0.0), radius_m=600.0)
-    sub = gather_tx_powers(pairs, which="green", pop_filter=disk)
+    sub = gather_tx_powers(pairs, run=1, pop_filter=disk)
     assert len(sub) < len(grn)
     assert set(sub) <= set(grn)
 
-    everyone = gather_tx_powers(pairs, which="green", pop_filter=NO_FILTER)
+    everyone = gather_tx_powers(pairs, run=1, pop_filter=NO_FILTER)
     assert everyone == grn
