@@ -46,7 +46,6 @@ from .metrics import (
     NO_FILTER,
     ComparisonReport,
     PopulationFilter,
-    cdf_median,
     compare_runs,
     emit_report,
     filter_population,

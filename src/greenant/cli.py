@@ -1,6 +1,11 @@
 """Command line front end: single-scenario runs, paired baseline-vs-green
 comparisons, and one-axis parameter sweeps.
 
+The scenario names the combining rule; --combining rewrites it in each
+loaded scenario, after `compare` has checked that the files pair as
+written. Each sweep value is a scenario variant; green counts share one
+campaign of nested green lists, so one drop and table per snapshot.
+
 All products are files under the --out prefix; stdout stays empty and
 progress goes to stderr. Exit codes are the machine contract:
 
@@ -24,7 +29,8 @@ from .metrics import (PopulationFilter, compare_runs, emit_report, tx_power_cdf,
                       write_cdf_csv, write_summary_csv)
 from .propagation import build_gain_matrix, write_gain_dump
 from .scenario import (Scenario, ScenarioError, drop_mobiles, load_scenario_file)
-from .simulate import PairingError, gather_tx_powers, run_campaign, snapshot_seed
+from .simulate import (PairingError, check_pairable, gather_tx_powers, run_campaign,
+                       snapshot_seed)
 
 #: Flag spellings accepted for --combining, mapped to the internal mode name.
 COMBINING_FLAGS = {"mrc": "mrc", "sel": "selection", "selection": "selection",
@@ -80,17 +86,25 @@ def _stats_rows(powers: list[float], target_dbm: float) -> list[tuple[str, float
     ]
 
 
-def _dump_first_snapshot_gains(s: Scenario, seed: int, path: str) -> None:
+def _with_rule(s: Scenario, combining: str | None) -> Scenario:
+    """s under the --combining rule, or as loaded when the flag is absent."""
+    return s if combining is None else replace(s, radio=replace(s.radio, combining=combining))
+
+
+def _dump_first_snapshot_gains(scenarios: tuple[Scenario, ...], seed: int,
+                               paths: list[str]) -> None:
+    """Snapshot 0's table, built once from the last scenario; earlier ones get their columns."""
     snap_seed = snapshot_seed(seed, 0)
-    mobiles = drop_mobiles(s, snap_seed)
-    write_gain_dump(build_gain_matrix(s, mobiles, snap_seed), path)
+    table = scenarios[-1]
+    gm = build_gain_matrix(table, drop_mobiles(table, snap_seed), snap_seed)
+    for s, path in zip(scenarios, paths):
+        write_gain_dump(gm if s is table else gm.restricted_to(s), path)
 
 
 def cmd_run(spec: RunSpec) -> int:
-    s = load_scenario_file(spec.scenario)
+    s = _with_rule(load_scenario_file(spec.scenario), spec.combining)
     _progress(f"run: {spec.snapshots} snapshots of {spec.scenario} (seed {spec.seed})")
-    snaps = run_campaign((s,), spec.seed, spec.snapshots,
-                         combining=spec.combining, jobs=spec.jobs)
+    snaps = run_campaign((s,), spec.seed, spec.snapshots, jobs=spec.jobs)
     f = _spec_filter(spec)
     powers = gather_tx_powers(snaps, 0, f)
     if not powers:
@@ -99,7 +113,7 @@ def cmd_run(spec: RunSpec) -> int:
     write_cdf_csv({"run": tx_power_cdf(powers)}, f"{spec.out}_cdf.csv")
     write_summary_csv(_stats_rows(powers, spec.target_dbm), f"{spec.out}_summary.csv")
     if spec.dump_gains:
-        _dump_first_snapshot_gains(s, spec.seed, f"{spec.out}_gains.csv")
+        _dump_first_snapshot_gains((s,), spec.seed, [f"{spec.out}_gains.csv"])
     _progress(f"run: wrote {spec.out}_cdf.csv and {spec.out}_summary.csv")
     return 0
 
@@ -109,10 +123,12 @@ def cmd_compare(spec: RunSpec) -> int:
         raise ScenarioError("compare needs --green-scenario")
     baseline = load_scenario_file(spec.scenario)
     green = load_scenario_file(spec.green_scenario)
+    # the files must pair as written: the override would hide a rule that differs
+    check_pairable(baseline, green)
+    baseline, green = _with_rule(baseline, spec.combining), _with_rule(green, spec.combining)
     _progress(f"compare: {spec.snapshots} paired snapshots, "
               f"{spec.scenario} vs {spec.green_scenario} (seed {spec.seed})")
-    pairs = run_campaign((baseline, green), spec.seed, spec.snapshots,
-                         combining=spec.combining, jobs=spec.jobs)
+    pairs = run_campaign((baseline, green), spec.seed, spec.snapshots, jobs=spec.jobs)
     default_center = green.greens[0].position if green.greens else None
     f = _spec_filter(spec, default_center)
     b_powers = gather_tx_powers(pairs, 0, f)
@@ -120,12 +136,11 @@ def cmd_compare(spec: RunSpec) -> int:
     if not b_powers or not g_powers:
         _progress("error: population filter excluded every mobile")
         return 2
-    report = compare_runs(b_powers, g_powers, spec.target_dbm,
-                          snapshots=spec.snapshots, f=f)
+    report = compare_runs(b_powers, g_powers, spec.target_dbm, snapshots=spec.snapshots)
     paths = emit_report(report, spec.out)
     if spec.dump_gains:
-        _dump_first_snapshot_gains(baseline, spec.seed, f"{spec.out}_gains_baseline.csv")
-        _dump_first_snapshot_gains(green, spec.seed, f"{spec.out}_gains_green.csv")
+        _dump_first_snapshot_gains((baseline, green), spec.seed, [
+            f"{spec.out}_gains_baseline.csv", f"{spec.out}_gains_green.csv"])
     _progress(f"compare: mean delta {report.mean_delta_db:+.2f} dB, "
               f"median delta {report.median_delta_db:+.2f} dB, "
               f"below {report.target_dbm:g} dBm "
@@ -164,7 +179,9 @@ def _sweep_values(axis: str, raw: str | None, spec: RunSpec, s: Scenario) -> lis
 def cmd_sweep(spec: RunSpec, axis: str, values: str | None = None) -> int:
     if axis not in SWEEP_AXES:
         raise ScenarioError(f"unknown sweep axis '{axis}'")
-    s = load_scenario_file(spec.scenario)
+    if axis == "combining" and spec.combining is not None:
+        raise ScenarioError("--combining conflicts with --axis combining; use --values")
+    s = _with_rule(load_scenario_file(spec.scenario), spec.combining)
     axis_values = _sweep_values(axis, values, spec, s)
     if axis == "green_count" and axis_values and max(axis_values) > len(s.greens):
         raise ScenarioError(
@@ -173,19 +190,21 @@ def cmd_sweep(spec: RunSpec, axis: str, values: str | None = None) -> int:
 
     default_center = s.greens[0].position if s.greens else None
     f = _spec_filter(spec, default_center)
+    if axis == "green_count":
+        # nested green lists, fullest last: one drop and one table per snapshot
+        counts = sorted(set(axis_values))
+        _progress(f"sweep: green_count={','.join(map(str, counts))} as one campaign")
+        nested = run_campaign(tuple(replace(s, greens=s.greens[:k]) for k in counts),
+                              spec.seed, spec.snapshots, jobs=spec.jobs)
     rows = []
     for value in axis_values:
-        variant, seed, mode = s, spec.seed, spec.combining
-        if axis == "seed":
-            seed = value
-        elif axis == "green_count":
-            variant = replace(s, greens=s.greens[:value])
+        if axis == "green_count":
+            snaps, run = nested, counts.index(value)
         else:
-            mode = value
-        _progress(f"sweep: {axis}={value}")
-        snaps = run_campaign((variant,), seed, spec.snapshots, combining=mode,
-                             jobs=spec.jobs)
-        powers = gather_tx_powers(snaps, 0, f)
+            _progress(f"sweep: {axis}={value}")
+            variant, seed = (s, value) if axis == "seed" else (_with_rule(s, value), spec.seed)
+            snaps, run = run_campaign((variant,), seed, spec.snapshots, jobs=spec.jobs), 0
+        powers = gather_tx_powers(snaps, run, f)
         if not powers:
             _progress("error: population filter excluded every mobile")
             return 2
@@ -260,14 +279,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="out", help="output path prefix (default 'out')")
     common.add_argument("--jobs", type=_positive_int, default=1,
                         help="parallel snapshot workers (default 1)")
-    common.add_argument("--dump-gains", action="store_true",
-                        help="also write snapshot 0's channel tables as CSV")
+    dump = argparse.ArgumentParser(add_help=False)
+    dump.add_argument("--dump-gains", action="store_true",
+                      help="also write snapshot 0's channel tables as CSV")
 
-    p_run = sub.add_parser("run", parents=[common],
+    p_run = sub.add_parser("run", parents=[common, dump],
                            help="simulate one scenario and write its Tx power CDF")
     p_run.set_defaults(func=lambda spec, args: cmd_run(spec))
 
-    p_cmp = sub.add_parser("compare", parents=[common],
+    p_cmp = sub.add_parser("compare", parents=[common, dump],
                            help="paired baseline-vs-green comparison")
     p_cmp.add_argument("--green-scenario", required=True,
                        help="the --scenario world with the same or more green antennas")
@@ -296,7 +316,7 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
         target_dbm=args.target_dbm,
         out=args.out,
         jobs=args.jobs,
-        dump_gains=args.dump_gains,
+        dump_gains=getattr(args, "dump_gains", False),
     )
 
 

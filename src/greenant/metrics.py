@@ -57,14 +57,6 @@ def tx_power_cdf(samples: list[float]) -> list[tuple[float, float]]:
     return [(float(v), float(c)) for v, c in zip(values, fractions)]
 
 
-def cdf_median(cdf: list[tuple[float, float]]) -> float:
-    """Smallest sample point whose cumulative fraction reaches 0.5."""
-    for value, frac in cdf:
-        if frac >= 0.5:
-            return value
-    return cdf[-1][0]
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     """Baseline-vs-green deltas over paired Monte Carlo samples."""
@@ -78,11 +70,10 @@ class ComparisonReport:
     cdfs: dict[str, list[tuple[float, float]]]
     samples: dict[str, int]
     snapshots: int
-    filter: PopulationFilter
 
 
 def compare_runs(baseline: list[float], green: list[float], target_dbm: float,
-                 snapshots: int = 0, f: PopulationFilter = NO_FILTER) -> ComparisonReport:
+                 snapshots: int = 0) -> ComparisonReport:
     """Summary deltas between two paired sample populations.
 
     Positive deltas mean the green run transmits less. Fractions count
@@ -105,7 +96,6 @@ def compare_runs(baseline: list[float], green: list[float], target_dbm: float,
         cdfs={"baseline": tx_power_cdf(baseline), "green": tx_power_cdf(green)},
         samples={"baseline": len(baseline), "green": len(green)},
         snapshots=snapshots,
-        filter=f,
     )
 
 

@@ -27,7 +27,8 @@ distinct width in the snapshot, not once per serving sector.
 One solve loop, `solve_lockstep`, steps the runs of one drop (one
 (scenario, table) pair each) together until every run has met tol_db,
 so all of them stop at a common iteration count; `solve_power_control`
-is its one-run form.
+is its one-run form. Each run combines by its scenario's
+radio.combining; only the kernel takes the rule as an argument.
 """
 
 from __future__ import annotations
@@ -208,21 +209,21 @@ def power_update(powers_mw: np.ndarray, targets_db: np.ndarray, gm: LinkGainMatr
 
 def solve_lockstep(runs: tuple[tuple[Scenario, LinkGainMatrix], ...],
                    mobiles: list[MobileStation], assoc: Association,
-                   combining: str | None = None, tol_db: float = DEFAULT_TOL_DB,
-                   max_iter: int = DEFAULT_MAX_ITER, n_iters: int | None = None
-                   ) -> tuple[PowerControlResult, ...]:
+                   tol_db: float = DEFAULT_TOL_DB, max_iter: int = DEFAULT_MAX_ITER,
+                   n_iters: int | None = None) -> tuple[PowerControlResult, ...]:
     """Solve (scenario, table) runs of one drop in lockstep from all-p_min.
 
-    Stops once every run's largest per-MS step has dropped below tol_db at
-    least once, or after max_iter (exactly n_iters if given). Runs do not
+    Each run combines by its own scenario's radio.combining. Stops once
+    every run's largest per-MS step has dropped below tol_db at least
+    once, or after max_iter (exactly n_iters if given). Runs do not
     interact, so each ends at the iterate it alone would reach in as many
     steps. Every table must hold its own scenario's receive points only:
     the width of the gain array changes the last bits of `powers @ gains`.
     """
-    if combining is None:
-        combining = runs[0][0].radio.combining
-    if combining not in COMBINING_MODES:
-        raise ValueError(f"unknown combining mode '{combining}'")
+    rules = [s.radio.combining for s, _ in runs]
+    for rule in rules:
+        if rule not in COMBINING_MODES:
+            raise ValueError(f"unknown combining mode '{rule}'")
     targets_db = np.array([m.sinr_target_db for m in mobiles])
     problems = [_problem(gm, assoc, receive_branches(s), targets_db,
                          s.radio.p_min_dbm, s.radio.p_max_dbm) for s, gm in runs]
@@ -233,7 +234,7 @@ def solve_lockstep(runs: tuple[tuple[Scenario, LinkGainMatrix], ...],
     iterations = 0
     for _ in range(max_iter if n_iters is None else n_iters):
         for i, problem in enumerate(problems):
-            updated = _update(powers[i], problem, combining)
+            updated = _update(powers[i], problem, rules[i])
             steps[i] = (float(np.max(np.abs(10.0 * np.log10(updated / powers[i]))))
                         if n else 0.0)
             powers[i] = updated
@@ -244,8 +245,8 @@ def solve_lockstep(runs: tuple[tuple[Scenario, LinkGainMatrix], ...],
     if n_iters is None and not all(met):
         log.warning("power control did not converge in %d iterations", max_iter)
     results = []
-    for problem, p, step in zip(problems, powers, steps):
-        sinr_db = 10.0 * np.log10(_combined_sinr(p, problem, combining)) if n else np.empty(0)
+    for problem, rule, p, step in zip(problems, rules, powers, steps):
+        sinr_db = 10.0 * np.log10(_combined_sinr(p, problem, rule)) if n else np.empty(0)
         tx_dbm = 10.0 * np.log10(p) if n else np.empty(0)
         pinned = p >= problem.p_max_mw * (1.0 - 1e-12)
         outage = pinned & (sinr_db < targets_db - OUTAGE_MARGIN_DB)
@@ -256,10 +257,10 @@ def solve_lockstep(runs: tuple[tuple[Scenario, LinkGainMatrix], ...],
 
 
 def solve_power_control(s: Scenario, mobiles: list[MobileStation], gm: LinkGainMatrix,
-                        assoc: Association, combining: str | None = None,
-                        tol_db: float = DEFAULT_TOL_DB, max_iter: int = DEFAULT_MAX_ITER,
-                        n_iters: int | None = None) -> PowerControlResult:
-    """Solve the interference-coupled power-control fixed point.
+                        assoc: Association, tol_db: float = DEFAULT_TOL_DB,
+                        max_iter: int = DEFAULT_MAX_ITER, n_iters: int | None = None
+                        ) -> PowerControlResult:
+    """Solve the interference-coupled power-control fixed point (s's rule).
 
     Iterates the clamped update from all-p_min until the largest per-MS
     change drops below tol_db (or max_iter is hit; converged=False then).
@@ -268,6 +269,5 @@ def solve_power_control(s: Scenario, mobiles: list[MobileStation], gm: LinkGainM
     MSs pinned at p_max that still miss their target by more than
     OUTAGE_MARGIN_DB are flagged as outage.
     """
-    return solve_lockstep(((s, gm),), mobiles, assoc, combining, tol_db, max_iter,
-                          n_iters)[0]
+    return solve_lockstep(((s, gm),), mobiles, assoc, tol_db, max_iter, n_iters)[0]
 

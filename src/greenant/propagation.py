@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .scenario import AntennaPattern, MobileStation, Scenario
+from .scenario import AntennaPattern, MobileStation, PathLossModel, Scenario
 from .seeds import label_normal
 
 #: Near-field clamp: distances below this evaluate the model at 10 m.
@@ -34,7 +34,6 @@ class ReceivePoint:
     position: tuple[float, float]
     antenna: AntennaPattern
     azimuth_deg: float
-    sector_ids: tuple[str, ...]     # owning sector, or all attached sectors
     noise_figure_db: float = 0.0
 
 
@@ -47,7 +46,6 @@ def receive_points(s: Scenario) -> list[ReceivePoint]:
             position=site.position,
             antenna=sec.antenna,
             azimuth_deg=sec.azimuth_deg,
-            sector_ids=(sec.id,),
             noise_figure_db=sec.noise_figure_db,
         )
         for site, sec in s.sectors()
@@ -59,7 +57,6 @@ def receive_points(s: Scenario) -> list[ReceivePoint]:
             position=g.position,
             antenna=g.antenna,
             azimuth_deg=0.0,
-            sector_ids=g.attached_sectors,
             noise_figure_db=g.noise_figure_db,
         )
         for g in s.greens
@@ -82,15 +79,10 @@ class LinkGainMatrix:
     ul_gain_db: np.ndarray
     dl_rx_dbm: np.ndarray
     noise_dbm: np.ndarray
-    seed: int
 
     @cached_property
     def rp_index(self) -> dict[str, int]:
         return {rp.id: i for i, rp in enumerate(self.receive_points)}
-
-    @cached_property
-    def sector_index(self) -> dict[str, int]:
-        return {sid: i for i, sid in enumerate(self.sector_ids)}
 
     def restricted_to(self, s: Scenario) -> LinkGainMatrix:
         """The columns of s's receive points, by id and in s's order.
@@ -109,10 +101,10 @@ class LinkGainMatrix:
                        ul_gain_db=ul, noise_dbm=noise)
 
 
-def path_loss(model, distance_m):
+def path_loss(model: PathLossModel, distance_m):
     """Log-distance path loss in dB; distances clamp at 10 m near-field.
 
-    Accepts scalars or arrays.
+    Accepts scalars or arrays; the gain table passes per-mobile model fields.
     """
     d = np.maximum(distance_m, D_MIN_M)
     return model.pl0_db + 10.0 * model.exponent * np.log10(d / model.d0_m)
@@ -159,19 +151,18 @@ def build_gain_matrix(s: Scenario, mobiles: list[MobileStation], seed: int) -> L
     ys = np.array([m.position[1] for m in mobiles], dtype=float)
     # per-mobile clutter parameters
     classes = [s.clutter.clutter_class_at(m.position[0], m.position[1]) for m in mobiles]
-    pl0 = np.array([s.radio.pathloss[c].pl0_db for c in classes])
-    d0 = np.array([s.radio.pathloss[c].d0_m for c in classes])
-    expo = np.array([s.radio.pathloss[c].exponent for c in classes])
+    per_ms = [s.radio.pathloss[c] for c in classes]
+    model = PathLossModel(pl0_db=np.array([pm.pl0_db for pm in per_ms]),
+                          d0_m=np.array([pm.d0_m for pm in per_ms]),
+                          exponent=np.array([pm.exponent for pm in per_ms]))
     sigma = np.array([s.radio.shadowing_sigma_db[c] for c in classes])
     pen = np.array([_penetration_db(m, s) for m in mobiles])
 
     def base(rp):
         dx = xs - rp.position[0]
         dy = ys - rp.position[1]
-        d = np.maximum(np.hypot(dx, dy), D_MIN_M)
-        pl = pl0 + 10.0 * expo * np.log10(d / d0)
         bearing = np.degrees(np.arctan2(dy, dx)) - rp.azimuth_deg
-        return -pl + antenna_gain(rp.antenna, bearing) - pen
+        return -path_loss(model, np.hypot(dx, dy)) + antenna_gain(rp.antenna, bearing) - pen
 
     def chi(direction, rp_id):
         return np.array([sig * label_normal(seed, f"{direction}:{m.id}:{rp_id}")
@@ -199,7 +190,6 @@ def build_gain_matrix(s: Scenario, mobiles: list[MobileStation], seed: int) -> L
         ul_gain_db=ul,
         dl_rx_dbm=dl,
         noise_dbm=noise,
-        seed=seed,
     )
 
 

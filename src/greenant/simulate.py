@@ -1,17 +1,18 @@
 """Monte Carlo snapshot loop over one or more scenarios of the same world.
 
 A snapshot is one random placement of mobiles plus one converged power
-control solve per scenario. A single run is a campaign of one scenario;
-a paired baseline-vs-green comparison is a campaign of two. The
-scenarios of a campaign differ only in their greens, and every earlier
-scenario's greens are also in the last one (check_pairable), so what
-they share is computed once, from the last scenario: one drop, one
-channel table and one association. Each earlier scenario reads its own
-receive-point columns of that table. The solves then run in lockstep to
-the same number of power control iterations. That last point matters
-because every run iterates monotonically upward from p_min; comparing at
-a common iteration count is what makes the per-MS power ordering exact
-instead of blurred by the stopping rule.
+control solve per scenario. A single run is a campaign of one scenario,
+a paired comparison one of two, a green-count sweep one of nested green
+lists, fullest last. The scenarios of a campaign differ only in their
+greens, and every earlier scenario's greens are also in the last one
+(check_pairable), so what they share is computed once, from the last
+scenario: one drop, one channel table and one association. Each earlier
+scenario reads its own receive-point columns of that table. Each run is
+solved under its own radio.combining, in lockstep to the same number of
+power control iterations. That last point matters because every run
+iterates monotonically upward from p_min; comparing at a common
+iteration count is what makes the per-MS power ordering exact instead
+of blurred by the stopping rule.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ def _check_campaign(scenarios: tuple[Scenario, ...]) -> None:
         check_pairable(s, scenarios[-1])
 
 
-def run_snapshot(scenarios: tuple[Scenario, ...], snap_seed: int, index: int = 0,
-                 combining: str | None = None) -> Snapshot:
+def run_snapshot(scenarios: tuple[Scenario, ...], snap_seed: int, index: int = 0) -> Snapshot:
     """Solve one drop under every scenario, with shared randomness.
 
     Raises PairingError if an earlier scenario fails check_pairable
@@ -65,20 +65,20 @@ def run_snapshot(scenarios: tuple[Scenario, ...], snap_seed: int, index: int = 0
     assoc = associate(gm)
     runs = tuple((s, gm if s is table_scenario else gm.restricted_to(s)) for s in scenarios)
     return Snapshot(index, snap_seed, tuple(mobiles), assoc,
-                    solve_lockstep(runs, mobiles, assoc, combining))
+                    solve_lockstep(runs, mobiles, assoc))
 
 
 def _task(args) -> Snapshot:
-    scenarios, seed, index, combining = args
-    return run_snapshot(scenarios, snapshot_seed(seed, index), index, combining)
+    scenarios, seed, index = args
+    return run_snapshot(scenarios, snapshot_seed(seed, index), index)
 
 
 def run_campaign(scenarios: tuple[Scenario, ...], seed: int, n_snapshots: int,
-                 combining: str | None = None, jobs: int = 1) -> list[Snapshot]:
+                 jobs: int = 1) -> list[Snapshot]:
     if n_snapshots < 1:
         raise ValueError("need at least one snapshot")
     _check_campaign(scenarios)      # before any worker starts
-    tasks = [(scenarios, seed, k, combining) for k in range(n_snapshots)]
+    tasks = [(scenarios, seed, k) for k in range(n_snapshots)]
     if jobs <= 1 or n_snapshots == 1:
         return [_task(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

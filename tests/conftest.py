@@ -68,9 +68,9 @@ def make_tables(ul_gain_db, n_sectors, serving, noise_dbm=-104.0, attach=None):
     green_ids = tuple(f"g{k}" for k in range(n_rp - n_sectors))
     pattern = AntennaPattern()
     rps = [ReceivePoint(kind="sector", id=sid, position=(0.0, 0.0), antenna=pattern,
-                        azimuth_deg=0.0, sector_ids=(sid,)) for sid in sector_ids]
+                        azimuth_deg=0.0) for sid in sector_ids]
     rps += [ReceivePoint(kind="green", id=gid, position=(0.0, 0.0), antenna=pattern,
-                         azimuth_deg=0.0, sector_ids=()) for gid in green_ids]
+                         azimuth_deg=0.0) for gid in green_ids]
 
     dl = np.full((n_ms, n_sectors), -90.0)
     rows = np.arange(n_ms)
@@ -83,7 +83,6 @@ def make_tables(ul_gain_db, n_sectors, serving, noise_dbm=-104.0, attach=None):
         ul_gain_db=ul,
         dl_rx_dbm=dl,
         noise_dbm=np.full(n_rp, float(noise_dbm)),
-        seed=0,
     )
     assoc = Association(
         serving_sector=tuple(sector_ids[i] for i in serving),

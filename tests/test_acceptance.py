@@ -6,6 +6,7 @@ must meet.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,8 +136,7 @@ def test_green_never_raises_any_mobile():
     baseline = load_scenario_file(str(conftest.BASELINE_JSON))
     green = load_scenario_file(str(conftest.GREEN_JSON))
     t0 = time.monotonic()
-    pairs = run_campaign((baseline, green), seed=1, n_snapshots=50,
-                         combining="mrc")
+    pairs = run_campaign((baseline, green), seed=1, n_snapshots=50)
     elapsed = time.monotonic() - t0
     worst = max(float(np.max(p.runs[1].tx_power_dbm - p.runs[0].tx_power_dbm))
                 for p in pairs)
@@ -155,13 +155,12 @@ def test_coverage_hole_study_reproduces_bands():
     baseline = load_scenario_file(str(conftest.BASELINE_JSON))
     green = load_scenario_file(str(conftest.GREEN_JSON))
     t0 = time.monotonic()
-    pairs = run_campaign((baseline, green), seed=1, n_snapshots=200,
-                         combining="mrc")
+    pairs = run_campaign((baseline, green), seed=1, n_snapshots=200)
     f = PopulationFilter(center=green.greens[0].position, radius_m=300.0,
                          indoor_only=True)
     b = gather_tx_powers(pairs, 0, f)
     g = gather_tx_powers(pairs, 1, f)
-    rep = compare_runs(b, g, target_dbm=4.0, snapshots=200, f=f)
+    rep = compare_runs(b, g, target_dbm=4.0, snapshots=200)
     elapsed = time.monotonic() - t0
     rise = rep.frac_below_target["green"] - rep.frac_below_target["baseline"]
     ok = (5.0 <= rep.mean_delta_db <= 12.0
@@ -186,13 +185,13 @@ def test_egc_can_raise_power_where_mrc_cannot():
     def solve_pair(combining):
         runs = {}
         for tag, s in (("base", base_s), ("green", green_s)):
+            s = replace(s, radio=replace(s.radio, combining=combining))
             gm = build_gain_matrix(s, mobiles, seed=5)
             runs[tag] = (s, gm, associate(gm))
-        results = {tag: solve_power_control(s, mobiles, gm, assoc, combining)
+        results = {tag: solve_power_control(s, mobiles, gm, assoc)
                    for tag, (s, gm, assoc) in runs.items()}
         k = max(r.iterations for r in results.values())
-        results = {tag: solve_power_control(s, mobiles, gm, assoc, combining,
-                                            n_iters=k)
+        results = {tag: solve_power_control(s, mobiles, gm, assoc, n_iters=k)
                    for tag, (s, gm, assoc) in runs.items()}
         return results["green"].tx_power_dbm - results["base"].tx_power_dbm
 

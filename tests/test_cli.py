@@ -4,7 +4,12 @@ import json
 
 import pytest
 
+import greenant.cli
+import greenant.simulate
 from greenant.cli import COMBINING_FLAGS, build_parser, main
+from greenant.propagation import build_gain_matrix, write_gain_dump
+from greenant.scenario import drop_mobiles, load_scenario_file
+from greenant.simulate import snapshot_seed
 
 from conftest import two_cell_doc
 
@@ -21,6 +26,29 @@ def green_json(tmp_path):
     path = tmp_path / "green.json"
     path.write_text(json.dumps(two_cell_doc(with_green=True)))
     return str(path)
+
+
+@pytest.fixture
+def greens_json(tmp_path):
+    """The green two-cell world with three more greens after G."""
+    doc = two_cell_doc(with_green=True, sigma=8.0)
+    doc["greens"] += [{"id": f"X{k}", "position": [400.0 + 400.0 * k, 0.0],
+                       "attached_sectors": [["A1"], ["B1"], ["A1", "B1"]][k]}
+                      for k in range(3)]
+    path = tmp_path / "greens.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def count_tables(monkeypatch):
+    """Count gain tables built by the campaign and by the CLI itself."""
+    calls = []
+    for module in (greenant.simulate, greenant.cli):
+        def counted(*args, _real=module.build_gain_matrix, **kwargs):
+            calls.append(args[0])
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, "build_gain_matrix", counted)
+    return calls
 
 
 def run_args(base_json, tmp_path, *extra):
@@ -212,6 +240,84 @@ def test_dump_gains_writes_tables(base_json, green_json, tmp_path):
     assert code == 0
     assert (tmp_path / "c_gains_baseline.csv").exists()
     assert (tmp_path / "c_gains_green.csv").exists()
+
+
+def test_compare_dump_gains_builds_one_extra_table(greens_json, tmp_path, monkeypatch):
+    """Snapshot 0's table is built once, from the green scenario; the
+    baseline dump is its columns and equals a dump of the baseline's own table."""
+    one_green = tmp_path / "one_green.json"
+    one_green.write_text(json.dumps(two_cell_doc(with_green=True, sigma=8.0)))
+    calls = count_tables(monkeypatch)
+    code = main(["compare", "--scenario", str(one_green), "--green-scenario", greens_json,
+                 "--snapshots", "2", "--seed", "5", "--filter-radius", "5000",
+                 "--out", str(tmp_path / "c"), "--dump-gains"])
+    assert code == 0
+    assert len(calls) == 2 + 1
+    snap_seed = snapshot_seed(5, 0)
+    for tag, path in (("baseline", str(one_green)), ("green", greens_json)):
+        s = load_scenario_file(path)
+        write_gain_dump(build_gain_matrix(s, drop_mobiles(s, snap_seed), snap_seed),
+                        str(tmp_path / f"own_{tag}.csv"))
+        assert ((tmp_path / f"c_gains_{tag}.csv").read_bytes()
+                == (tmp_path / f"own_{tag}.csv").read_bytes())
+
+
+def test_sweep_has_no_dump_gains_flag(green_json, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--scenario", green_json, "--axis", "seed", "--snapshots", "1",
+              "--out", str(tmp_path / "s"), "--dump-gains"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "s_sweep.csv").exists()
+
+
+def test_combining_sweep_rejects_combining_flag(base_json, tmp_path, capsys):
+    code = main(["sweep", "--scenario", base_json, "--axis", "combining",
+                 "--combining", "egc", "--snapshots", "1", "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "--combining" in capsys.readouterr().err
+    assert not (tmp_path / "s_sweep.csv").exists()
+
+
+def test_green_count_sweep_builds_one_table_per_snapshot(greens_json, tmp_path,
+                                                         monkeypatch):
+    calls = count_tables(monkeypatch)
+    code = main(["sweep", "--scenario", greens_json, "--axis", "green_count",
+                 "--snapshots", "3", "--filter-radius", "5000",
+                 "--out", str(tmp_path / "s")])
+    assert code == 0
+    assert len(calls) == 3
+    assert all(len(s.greens) == 4 for s in calls)      # the fullest variant's table
+    lines = (tmp_path / "s_sweep.csv").read_text().splitlines()
+    assert [ln.split(",")[1] for ln in lines[1:]] == ["0", "1", "2", "3", "4"]
+
+
+def test_green_count_sweep_rows_follow_the_given_order(greens_json, tmp_path):
+    def sweep_rows(values, prefix):
+        code = main(["sweep", "--scenario", greens_json, "--axis", "green_count",
+                     "--values", values, "--snapshots", "2", "--filter-radius", "5000",
+                     "--out", str(tmp_path / prefix)])
+        assert code == 0
+        return (tmp_path / f"{prefix}_sweep.csv").read_text().splitlines()[1:]
+
+    ascending = sweep_rows("0,1", "a")
+    descending = sweep_rows("1,0", "d")
+    assert [ln.split(",")[1] for ln in descending] == ["1", "0"]
+    assert descending == ascending[::-1]
+
+
+@pytest.mark.parametrize("override", [[], ["--combining", "mrc"]])
+def test_compare_of_files_with_different_rules_is_exit_3(base_json, tmp_path, capsys,
+                                                         override):
+    """The override must not make two files that differ in their rule pair."""
+    doc = two_cell_doc(with_green=True)
+    doc["radio"]["combining"] = "egc"
+    egc = tmp_path / "egc.json"
+    egc.write_text(json.dumps(doc))
+    code = main(["compare", "--scenario", base_json, "--green-scenario", str(egc),
+                 "--snapshots", "1", "--out", str(tmp_path / "c"), *override])
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "c_summary.csv").exists()
 
 
 def test_parser_covers_all_subcommands():

@@ -7,7 +7,6 @@ from greenant.metrics import (
     CDF_HEADER,
     NO_FILTER,
     PopulationFilter,
-    cdf_median,
     compare_runs,
     emit_report,
     filter_population,
@@ -83,12 +82,6 @@ def test_cdf_merges_duplicates_and_ends_at_one():
 def test_cdf_rejects_empty_input():
     with pytest.raises(ValueError):
         tx_power_cdf([])
-
-
-def test_cdf_median_is_first_point_at_half_mass():
-    assert cdf_median(tx_power_cdf([-10.0, 0.0, 10.0])) == 0.0
-    assert cdf_median(tx_power_cdf([1.0, 2.0])) == 1.0
-    assert cdf_median(tx_power_cdf([7.0])) == 7.0
 
 
 def test_compare_identical_runs_is_all_zeros():

@@ -247,7 +247,7 @@ def test_update_is_jacobi_order_independent():
 
     ul_p = gm.ul_gain_db[perm]
     n_sec = len(gm.sector_ids)
-    serving_p = [gm.sector_index[assoc.serving_sector[i]] for i in perm]
+    serving_p = [gm.sector_ids.index(assoc.serving_sector[i]) for i in perm]
     attach = {sid: list(rids[1:]) for sid, rids in branches.by_sector.items() if len(rids) > 1}
     gm2, assoc2, branches2 = make_tables(ul_p, n_sec, serving_p, attach=attach)
     up2 = power_update(p[perm], targets[perm], gm2, assoc2, branches2, "mrc")

@@ -75,7 +75,7 @@ def test_paired_snapshot_shares_drops_and_association():
     assert pair.association.serving_sector == solo.association.serving_sector
 
 
-def _reference_paired_snapshot(baseline, green, snap_seed, index=0, combining=None):
+def _reference_paired_snapshot(baseline, green, snap_seed, index=0):
     """Two drops, two tables, two associations, and a re-solve from p_min
     of the run that stopped first; also says whether it re-solved."""
     mobiles_b = drop_mobiles(baseline, snap_seed)
@@ -96,17 +96,15 @@ def _reference_paired_snapshot(baseline, green, snap_seed, index=0, combining=No
     if assoc_b.serving_sector != assoc_g.serving_sector:
         raise PairingError(f"snapshot {index}: serving sectors differ between runs")
 
-    ctl_b = solve_power_control(baseline, mobiles_b, gm_b, assoc_b, combining=combining)
-    ctl_g = solve_power_control(green, mobiles_g, gm_g, assoc_g, combining=combining)
+    ctl_b = solve_power_control(baseline, mobiles_b, gm_b, assoc_b)
+    ctl_g = solve_power_control(green, mobiles_g, gm_g, assoc_g)
     resolved = ctl_b.iterations != ctl_g.iterations
     if resolved:
         k = max(ctl_b.iterations, ctl_g.iterations)
         if ctl_b.iterations < k:
-            ctl_b = solve_power_control(baseline, mobiles_b, gm_b, assoc_b,
-                                        combining=combining, n_iters=k)
+            ctl_b = solve_power_control(baseline, mobiles_b, gm_b, assoc_b, n_iters=k)
         else:
-            ctl_g = solve_power_control(green, mobiles_g, gm_g, assoc_g,
-                                        combining=combining, n_iters=k)
+            ctl_g = solve_power_control(green, mobiles_g, gm_g, assoc_g, n_iters=k)
     pair = Snapshot(index, snap_seed, tuple(mobiles_b), assoc_b, (ctl_b, ctl_g))
     return pair, resolved
 
@@ -123,11 +121,12 @@ def test_paired_snapshot_matches_two_drop_resolve_reference(combining, dl_mode):
         docs[1]["greens"][0]["attached_sectors"] = attached
         for doc in docs:
             doc["radio"]["dl_shadowing_mode"] = dl_mode
+            doc["radio"]["combining"] = combining
         base, green = load_doc(docs[0]), load_doc(docs[1])
         for k in range(5):
             seed = snapshot_seed(23, k)
-            pair = run_snapshot((base, green), seed, k, combining)
-            ref, did_resolve = _reference_paired_snapshot(base, green, seed, k, combining)
+            pair = run_snapshot((base, green), seed, k)
+            ref, did_resolve = _reference_paired_snapshot(base, green, seed, k)
             resolved += did_resolve
             assert pair.mobiles == ref.mobiles
             assert pair.association.serving_sector == ref.association.serving_sector
@@ -148,6 +147,8 @@ def test_baseline_greens_read_from_a_wider_table_match_own_table_solve(combining
     this width a solve on the full table differs in the last bits."""
     docs = [two_cell_doc(with_green=True, sigma=8.0, targets=(-15.0, -6.0),
                          mobiles_per_sector=6) for _ in range(2)]
+    for doc in docs:
+        doc["radio"]["combining"] = combining
     # positions inside the sites' span keep the derived clutter bounds equal
     docs[1]["greens"][:0] = [{"id": f"X{k}", "position": [100.0 + 80.0 * k, 0.0],
                               "attached_sectors": [["A1"], ["B1"], ["A1", "B1"]][k % 3]}
@@ -155,14 +156,43 @@ def test_baseline_greens_read_from_a_wider_table_match_own_table_solve(combining
     base, wide = load_doc(docs[0]), load_doc(docs[1])
     for k in range(5):
         seed = snapshot_seed(31, k)
-        snap = run_snapshot((base, wide), seed, k, combining)
+        snap = run_snapshot((base, wide), seed, k)
         mobiles = drop_mobiles(base, seed)
         gm = build_gain_matrix(base, mobiles, seed)
         assert snap.mobiles == tuple(mobiles)
-        own = solve_power_control(base, mobiles, gm, associate(gm), combining=combining,
+        own = solve_power_control(base, mobiles, gm, associate(gm),
                                   n_iters=snap.runs[0].iterations)
         for f in ("tx_power_dbm", "sinr_db", "outage"):
             assert np.array_equal(getattr(snap.runs[0], f), getattr(own, f)), (k, f)
+
+
+@pytest.mark.parametrize("combining", ["mrc", "selection", "egc"])
+def test_nested_green_campaign_matches_own_table_solves(combining):
+    """A campaign of 0..4 nested greens, fullest last, as a green-count
+    sweep runs it: every run stops at the common iteration count and is
+    the bits of a solve on its own scenario's table at that count."""
+    doc = two_cell_doc(with_green=True, sigma=8.0, targets=(-15.0, -6.0),
+                       mobiles_per_sector=6)
+    doc["greens"] += [{"id": f"X{k}", "position": [400.0 + 400.0 * k, 0.0],
+                       "attached_sectors": [["A1"], ["B1"], ["A1", "B1"]][k]}
+                      for k in range(3)]
+    doc["radio"]["combining"] = combining
+    full = load_doc(doc)
+    variants = tuple(dataclasses.replace(full, greens=full.greens[:k])
+                     for k in range(len(full.greens) + 1))
+    stopped_alone_elsewhere = 0
+    for snap in run_campaign(variants, seed=37, n_snapshots=4):
+        assert len({r.iterations for r in snap.runs}) == 1
+        for s, got in zip(variants, snap.runs, strict=True):
+            mobiles = drop_mobiles(s, snap.seed)
+            gm = build_gain_matrix(s, mobiles, snap.seed)
+            assert snap.mobiles == tuple(mobiles)
+            own = solve_power_control(s, mobiles, gm, associate(gm), n_iters=got.iterations)
+            for f in ("tx_power_dbm", "sinr_db", "outage"):
+                assert np.array_equal(getattr(got, f), getattr(own, f)), (snap.index, f)
+            alone = solve_power_control(s, mobiles, gm, associate(gm))
+            stopped_alone_elsewhere += alone.iterations != got.iterations
+    assert stopped_alone_elsewhere > 0     # the lockstep moved some run's stop
 
 
 def test_baseline_greens_must_be_in_the_green_scenario(two_cell, two_cell_green):
