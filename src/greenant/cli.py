@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import (PopulationFilter, compare_runs, emit_report, tx_power_cdf,
-                      write_cdf_csv, write_summary_csv)
+from .metrics import (PopulationFilter, compare_runs, emit_report, solver_rows,
+                      tx_power_cdf, write_cdf_csv, write_summary_csv)
 from .propagation import build_gain_matrix, write_gain_dump
 from .scenario import (Scenario, ScenarioError, drop_mobiles, load_scenario_file)
 from .simulate import (PairingError, check_pairable, gather_tx_powers, run_campaign,
@@ -111,7 +111,8 @@ def cmd_run(spec: RunSpec) -> int:
         _progress("error: population filter excluded every mobile")
         return 2
     write_cdf_csv({"run": tx_power_cdf(powers)}, f"{spec.out}_cdf.csv")
-    write_summary_csv(_stats_rows(powers, spec.target_dbm), f"{spec.out}_summary.csv")
+    write_summary_csv(_stats_rows(powers, spec.target_dbm) + solver_rows(snaps, f),
+                      f"{spec.out}_summary.csv")
     if spec.dump_gains:
         _dump_first_snapshot_gains((s,), spec.seed, [f"{spec.out}_gains.csv"])
     _progress(f"run: wrote {spec.out}_cdf.csv and {spec.out}_summary.csv")
@@ -137,7 +138,7 @@ def cmd_compare(spec: RunSpec) -> int:
         _progress("error: population filter excluded every mobile")
         return 2
     report = compare_runs(b_powers, g_powers, spec.target_dbm, snapshots=spec.snapshots)
-    paths = emit_report(report, spec.out)
+    paths = emit_report(report, spec.out, solver_rows(pairs, f, ("baseline", "green")))
     if spec.dump_gains:
         _dump_first_snapshot_gains((baseline, green), spec.seed, [
             f"{spec.out}_gains_baseline.csv", f"{spec.out}_gains_green.csv"])

@@ -30,9 +30,8 @@ class PopulationFilter:
 NO_FILTER = PopulationFilter()
 
 
-def filter_population(mobiles: list[MobileStation], results: PowerControlResult,
-                      f: PopulationFilter = NO_FILTER) -> list[float]:
-    """Tx powers (dBm) of the mobiles passing the filter, in MS order."""
+def population_indices(mobiles, f: PopulationFilter = NO_FILTER) -> list[int]:
+    """Indices of the mobiles passing the filter, in MS order."""
     if f.radius_m < 0:
         raise ValueError("filter radius must be >= 0")
     out = []
@@ -44,8 +43,38 @@ def filter_population(mobiles: list[MobileStation], results: PowerControlResult,
             dy = m.position[1] - f.center[1]
             if math.hypot(dx, dy) > f.radius_m:
                 continue
-        out.append(float(results.tx_power_dbm[i]))
+        out.append(i)
     return out
+
+
+def filter_population(mobiles: list[MobileStation], results: PowerControlResult,
+                      f: PopulationFilter = NO_FILTER) -> list[float]:
+    """Tx powers (dBm) of the mobiles passing the filter, in MS order."""
+    return [float(results.tx_power_dbm[i]) for i in population_indices(mobiles, f)]
+
+
+def solver_rows(snapshots, f: PopulationFilter = NO_FILTER,
+                runs: tuple[str, ...] = ("",)) -> list[tuple[str, float]]:
+    """Summary rows of the solver's state over a campaign.
+
+    One `outage_frac[_<run>]` row per named run: the share of the mobiles
+    passing the filter that end in outage. Then the mean and maximum
+    power control iterations per snapshot (the runs of a snapshot share
+    one count) and the number of snapshots in which some run did not
+    converge.
+    """
+    kept = [population_indices(snap.mobiles, f) for snap in snapshots]
+    n = sum(map(len, kept))
+    rows = []
+    for r, name in enumerate(runs):
+        hits = sum(int(np.count_nonzero(snap.runs[r].outage[idx]))
+                   for snap, idx in zip(snapshots, kept))
+        rows.append((f"outage_frac_{name}" if name else "outage_frac", hits / n))
+    iters = [snap.runs[0].iterations for snap in snapshots]
+    unconverged = sum(not all(run.converged for run in snap.runs) for snap in snapshots)
+    return rows + [("iterations_mean", float(np.mean(iters))),
+                   ("iterations_max", float(max(iters))),
+                   ("nonconverged_snapshots", float(unconverged))]
 
 
 def tx_power_cdf(samples: list[float]) -> list[tuple[float, float]]:
@@ -120,10 +149,12 @@ def write_summary_csv(rows: list[tuple[str, float]], path: str) -> None:
             fh.write(f"{metric},{value:.6f}\n")
 
 
-def emit_report(report: ComparisonReport, path_prefix: str) -> list[str]:
+def emit_report(report: ComparisonReport, path_prefix: str,
+                extra_rows: list[tuple[str, float]] = ()) -> list[str]:
     """Write the comparison CSVs and the plot of report.cdfs; returns the file paths.
 
-    Output is byte-deterministic for fixed inputs.
+    `extra_rows` (such as solver_rows) follow the report's own summary
+    rows. Output is byte-deterministic for fixed inputs.
     """
     parent = os.path.dirname(path_prefix)
     if parent:
@@ -145,6 +176,7 @@ def emit_report(report: ComparisonReport, path_prefix: str) -> list[str]:
         ("frac_below_target_baseline", report.frac_below_target["baseline"]),
         ("frac_below_target_green", report.frac_below_target["green"]),
         ("target_dbm", report.target_dbm),
+        *extra_rows,
     ], summary_path)
     write_cdf_svg(report.cdfs, svg_path)
     return [cdf_path, summary_path, svg_path]

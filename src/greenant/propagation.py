@@ -6,9 +6,10 @@ All gains are composed in dB as
     gain = -path_loss + rx_antenna_gain - penetration + shadowing
 
 with a 0 dBi omni mobile antenna. Shadowing is an i.i.d. zero-mean
-Gaussian per (mobile, receive point, direction), drawn from a labeled
-hash of the snapshot seed, so adding or removing a green antenna leaves
-every other link's draw bit-identical.
+Gaussian per (mobile, receive point, direction). Each column is one
+counter stream keyed by a hash of the snapshot seed and "<direction>:<receive
+point>", and each mobile id is a counter in it, so adding or removing a green
+antenna leaves every other link's draw bit-identical.
 """
 
 from __future__ import annotations
@@ -123,40 +124,40 @@ def antenna_gain(pattern: AntennaPattern, bearing_deg):
     return pattern.gain_dbi - attenuation
 
 
-def _penetration_db(ms: MobileStation, s: Scenario) -> float:
-    if not ms.indoor:
-        return 0.0
-    for b in s.clutter.buildings:
-        if b.id == ms.building_id:
-            return b.penetration_loss_db
-    raise KeyError(f"mobile {ms.id} references unknown building '{ms.building_id}'")
-
-
 def build_gain_matrix(s: Scenario, mobiles: list[MobileStation], seed: int) -> LinkGainMatrix:
     """Channel tables for one drop; deterministic in (scenario, mobiles, seed).
 
-    Each UL entry is -path_loss + rx_antenna_gain - penetration + shadowing,
-    the draw labeled "ul:<mobile>:<receive point>" (no draw at sigma 0).
+    Each UL entry is -path_loss + rx_antenna_gain - penetration + shadowing.
+    Shadowing is drawn per column: label_normal keyed by "ul:<receive
+    point>" with the mobile ids as counters (no draw where sigma is 0).
     A DL entry is the sector's tx_power_dbm plus the same composition.
     DL shadowing follows radio.dl_shadowing_mode: an independent
-    "dl:"-labeled draw by default, or a copy of the UL draw in reciprocal
+    "dl:<sector>" column by default, or a copy of the UL draw in reciprocal
     mode. Each column depends only on its receive point, so another
     scenario's points read from this table are `restricted_to` it.
     """
     rps = receive_points(s)
     sector_ids = s.sector_ids()
     n_ms = len(mobiles)
+    clutter, radio = s.clutter, s.radio
 
     xs = np.array([m.position[0] for m in mobiles], dtype=float)
     ys = np.array([m.position[1] for m in mobiles], dtype=float)
-    # per-mobile clutter parameters
-    classes = [s.clutter.clutter_class_at(m.position[0], m.position[1]) for m in mobiles]
-    per_ms = [s.radio.pathloss[c] for c in classes]
-    model = PathLossModel(pl0_db=np.array([pm.pl0_db for pm in per_ms]),
-                          d0_m=np.array([pm.d0_m for pm in per_ms]),
-                          exponent=np.array([pm.exponent for pm in per_ms]))
-    sigma = np.array([s.radio.shadowing_sigma_db[c] for c in classes])
-    pen = np.array([_penetration_db(m, s) for m in mobiles])
+    ids = np.asarray([m.id for m in mobiles]).astype(np.uint64)
+    # building index per mobile; outdoor mobiles read the trailing 0 dB entry
+    building = {b.id: k for k, b in enumerate(clutter.buildings)}
+    b_idx = np.array([building[m.building_id] if m.indoor else -1 for m in mobiles],
+                     dtype=np.intp)
+    pen = np.array([*(b.penetration_loss_db for b in clutter.buildings), 0.0])[b_idx]
+
+    # per-mobile clutter parameters, looked up by class code
+    codes = clutter.class_codes(xs, ys)
+    per_class = [radio.pathloss[c] for c in clutter.classes]
+    model = PathLossModel(pl0_db=np.array([pm.pl0_db for pm in per_class])[codes],
+                          d0_m=np.array([pm.d0_m for pm in per_class])[codes],
+                          exponent=np.array([pm.exponent for pm in per_class])[codes])
+    sigma = np.array([radio.shadowing_sigma_db[c] for c in clutter.classes])[codes]
+    shadowed = sigma != 0.0
 
     def base(rp):
         dx = xs - rp.position[0]
@@ -165,12 +166,13 @@ def build_gain_matrix(s: Scenario, mobiles: list[MobileStation], seed: int) -> L
         return -path_loss(model, np.hypot(dx, dy)) + antenna_gain(rp.antenna, bearing) - pen
 
     def chi(direction, rp_id):
-        return np.array([sig * label_normal(seed, f"{direction}:{m.id}:{rp_id}")
-                         if sig != 0.0 else 0.0 for m, sig in zip(mobiles, sigma)])
+        if not shadowed.any():
+            return 0.0
+        return np.where(shadowed, sigma * label_normal(seed, f"{direction}:{rp_id}", ids), 0.0)
 
     # a sector's DL column shares its UL column's geometry; in reciprocal
-    # mode it also shares the UL draw, so each sector link is hashed once
-    reciprocal = s.radio.dl_shadowing_mode == "reciprocal"
+    # mode it also shares the UL draw, so each sector column is drawn once
+    reciprocal = radio.dl_shadowing_mode == "reciprocal"
     tx_dbm = [sec.tx_power_dbm for _, sec in s.sectors()]
     ul = np.empty((n_ms, len(rps)))
     dl = np.empty((n_ms, len(sector_ids)))
@@ -180,7 +182,7 @@ def build_gain_matrix(s: Scenario, mobiles: list[MobileStation], seed: int) -> L
         if rp.kind == "sector":
             dl[:, j] = tx_dbm[j] + (ul[:, j] if reciprocal else b + chi("dl", rp.id))
 
-    noise = np.array([s.radio.thermal_noise_dbm + rp.noise_figure_db for rp in rps])
+    noise = np.array([radio.thermal_noise_dbm + rp.noise_figure_db for rp in rps])
     for arr in (ul, dl, noise):
         arr.flags.writeable = False
     return LinkGainMatrix(

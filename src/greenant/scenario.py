@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+import numpy as np
+
 from .seeds import substream
 
 CLUTTER_CLASSES = ("open", "suburban", "urban")
@@ -116,19 +118,26 @@ class ClutterMap:
     class_regions: tuple[tuple[tuple[float, float, float, float], str], ...] = ()
     buildings: tuple[Building, ...] = ()
 
-    def clutter_class_at(self, x: float, y: float) -> str:
+    @property
+    def classes(self) -> tuple[str, ...]:
+        """Class names by code: the default, then each region's, in order."""
+        return (self.default_class, *(cls for _, cls in self.class_regions))
+
+    def class_codes(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Index into `classes` for each point (arrays of x and y)."""
         x0, y0, x1, y1 = self.bounds
         cs = self.cell_size
         # snap to the center of the containing cell so the class map is
         # genuinely per-cell rather than per-point
-        cx = x0 + (math.floor((min(max(x, x0), x1) - x0) / cs) + 0.5) * cs
-        cy = y0 + (math.floor((min(max(y, y0), y1) - y0) / cs) + 0.5) * cs
-        cls = self.default_class
-        for rect, region_cls in self.class_regions:
-            rx0, ry0, rx1, ry1 = rect
-            if rx0 <= cx <= rx1 and ry0 <= cy <= ry1:
-                cls = region_cls
-        return cls
+        cx = x0 + (np.floor((np.clip(xs, x0, x1) - x0) / cs) + 0.5) * cs
+        cy = y0 + (np.floor((np.clip(ys, y0, y1) - y0) / cs) + 0.5) * cs
+        codes = np.zeros(np.shape(cx), dtype=np.intp)
+        for k, ((rx0, ry0, rx1, ry1), _) in enumerate(self.class_regions, start=1):
+            codes[(rx0 <= cx) & (cx <= rx1) & (ry0 <= cy) & (cy <= ry1)] = k
+        return codes
+
+    def clutter_class_at(self, x: float, y: float) -> str:
+        return self.classes[int(self.class_codes(np.array([x], float), np.array([y], float))[0])]
 
     def building_at(self, x: float, y: float) -> Building | None:
         for b in self.buildings:

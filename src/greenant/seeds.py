@@ -14,6 +14,9 @@ import numpy as np
 
 _U64 = (1 << 64) - 1
 
+#: SplitMix64's Weyl increment, the 64-bit golden ratio.
+_PHI = np.uint64(0x9E3779B97F4A7C15)
+
 
 def derive_seed(seed: int, label: str) -> int:
     """64-bit sub-seed for (seed, label), stable across runs and platforms."""
@@ -25,16 +28,27 @@ def substream(seed: int, label: str) -> np.random.Generator:
     """Independent generator for a named purpose (e.g. "drops")."""
     return np.random.Generator(np.random.PCG64(derive_seed(seed, label)))
 
-def label_normal(seed: int, label: str) -> float:
-    """Standard-normal draw fully determined by (seed, label).
 
-    Box-Muller over two 64-bit lanes of the label hash; carries no
-    generator state, so every labeled draw is independent of all others.
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer (Steele, Lea and Flood, OOPSLA 2014), wrapping in uint64."""
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+def label_normal(seed: int, label: str, counters) -> np.ndarray:
+    """Standard-normal draws, one per counter, keyed by (seed, label).
+
+    The label is hashed once (blake2b) into a key; counter c then gives
+    lanes a = mix(key + (c+1)*phi) and b = mix(a ^ key) and one Box-Muller
+    draw from their top 53 bits. A draw depends only on (seed, label, c),
+    so it does not move when other counters are added or removed.
+    Counters are integers, taken modulo 2**64.
     """
-    payload = f"{seed & _U64}:{label}".encode()
-    digest = hashlib.blake2b(payload, digest_size=16).digest()
-    a = int.from_bytes(digest[:8], "little")
-    b = int.from_bytes(digest[8:], "little")
-    u1 = (a + 1) / (_U64 + 2)    # in (0, 1), log-safe
-    u2 = (b + 0.5) / (_U64 + 1)
-    return float(np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
+    key = np.uint64(derive_seed(seed, label))
+    c = np.asarray(counters).astype(np.uint64, copy=False)
+    a = _mix(key + (c + 1) * _PHI)
+    b = _mix(a ^ key)
+    u1 = ((a >> 11) + 1) * 2.0**-53      # in (0, 1], log-safe
+    u2 = ((b >> 11) + 0.5) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)

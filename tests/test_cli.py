@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import greenant.cli
@@ -9,7 +10,7 @@ import greenant.simulate
 from greenant.cli import COMBINING_FLAGS, build_parser, main
 from greenant.propagation import build_gain_matrix, write_gain_dump
 from greenant.scenario import drop_mobiles, load_scenario_file
-from greenant.simulate import snapshot_seed
+from greenant.simulate import run_campaign, snapshot_seed
 
 from conftest import two_cell_doc
 
@@ -327,3 +328,46 @@ def test_parser_covers_all_subcommands():
                  ["sweep", "--scenario", "x", "--axis", "seed"]):
         args = parser.parse_args(argv)
         assert callable(args.func)
+
+
+def read_summary(path):
+    lines = path.read_text().splitlines()
+    assert lines[0] == "metric,value"
+    return [(metric, float(value)) for metric, value in (line.split(",") for line in lines[1:])]
+
+
+def test_summaries_report_outage_iterations_and_convergence(tmp_path):
+    """The solver rows follow the statistics and match the campaign itself."""
+    docs = {name: two_cell_doc(with_green=name == "green", sigma=8.0, mobiles_per_sector=5)
+            for name in ("base", "green")}
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    flags = ["--snapshots", "4", "--seed", "3", "--filter-radius", "1e9"]
+    assert main(["compare", "--scenario", str(paths["base"]), "--green-scenario",
+                 str(paths["green"]), *flags, "--out", str(tmp_path / "c")]) == 0
+    assert main(["run", "--scenario", str(paths["green"]), *flags,
+                 "--out", str(tmp_path / "r")]) == 0
+
+    pairs = run_campaign(tuple(load_scenario_file(str(p)) for p in paths.values()), 3, 4)
+    outage = [np.concatenate([p.runs[r].outage for p in pairs]).mean() for r in (0, 1)]
+    iters = [p.runs[0].iterations for p in pairs]
+    assert 0.0 < outage[1] < outage[0]
+    solver = [("iterations_mean", np.mean(iters)), ("iterations_max", max(iters)),
+              ("nonconverged_snapshots", 0.0)]
+
+    compare_rows = read_summary(tmp_path / "c_summary.csv")
+    assert [m for m, _ in compare_rows[:12]][-1] == "target_dbm"
+    assert [m for m, _ in compare_rows[12:]] == [
+        "outage_frac_baseline", "outage_frac_green", *(m for m, _ in solver)]
+    assert [v for _, v in compare_rows[12:]] == pytest.approx(
+        [*outage, *(v for _, v in solver)], abs=1e-6)
+
+    # a run's draws are those of the campaign's last (green) scenario
+    run_rows = read_summary(tmp_path / "r_summary.csv")
+    alone = run_campaign((load_scenario_file(str(paths["green"])),), 3, 4)
+    assert [m for m, _ in run_rows[5:]] == ["outage_frac", *(m for m, _ in solver)]
+    assert dict(run_rows)["outage_frac"] == pytest.approx(
+        np.concatenate([s.runs[0].outage for s in alone]).mean(), abs=1e-6)
+    assert dict(run_rows)["iterations_max"] == max(s.runs[0].iterations for s in alone)

@@ -21,9 +21,9 @@ from conftest import load_doc, place, two_cell_doc
 URBAN = PathLossModel(pl0_db=128.1, d0_m=1000.0, exponent=3.76)
 
 
-def _shadowing(seed, label, sigma_db):
-    """1x1 reference: the labeled draw, none at sigma 0."""
-    return 0.0 if sigma_db == 0.0 else sigma_db * label_normal(seed, label)
+def _shadowing(seed, label, ms_id, sigma_db):
+    """1x1 reference: the column's draw for one mobile id, none at sigma 0."""
+    return 0.0 if sigma_db == 0.0 else sigma_db * label_normal(seed, label, np.array([ms_id]))[0]
 
 
 def _scalar_gain(ms, position, antenna, azimuth_deg, s, seed, label):
@@ -36,13 +36,13 @@ def _scalar_gain(ms, position, antenna, azimuth_deg, s, seed, label):
     g_rx = antenna_gain(antenna, np.degrees(np.arctan2(dy, dx)) - azimuth_deg)
     pen = next((b.penetration_loss_db for b in s.clutter.buildings
                 if ms.indoor and b.id == ms.building_id), 0.0)
-    chi = _shadowing(seed, label, s.radio.shadowing_sigma_db[cls])
+    chi = _shadowing(seed, label, ms.id, s.radio.shadowing_sigma_db[cls])
     return float(-pl + g_rx - pen + chi)
 
 
 def _ul_gain(ms, rp, s, seed):
     return _scalar_gain(ms, rp.position, rp.antenna, rp.azimuth_deg, s, seed,
-                        label=f"ul:{ms.id}:{rp.id}")
+                        label=f"ul:{rp.id}")
 
 
 def test_path_loss_reference_distance():
@@ -89,20 +89,26 @@ def test_sector_gain_folds_bearings():
 
 
 def test_shadowing_sample_properties(monkeypatch):
-    assert _shadowing(5, "ul:0:s0", 0.0) == 0.0
-    a = _shadowing(5, "ul:0:s0", 8.0)
-    assert _shadowing(5, "ul:0:s0", 8.0) == a
-    assert _shadowing(5, "ul:0:s0", 4.0) == pytest.approx(a / 2.0)
-    assert _shadowing(5, "ul:1:s0", 8.0) != a
-    # the table draws through the module's label_normal, and not at sigma 0
+    assert _shadowing(5, "ul:s0", 0, 0.0) == 0.0
+    a = _shadowing(5, "ul:s0", 0, 8.0)
+    assert _shadowing(5, "ul:s0", 0, 8.0) == a
+    assert _shadowing(5, "ul:s0", 0, 4.0) == pytest.approx(a / 2.0)
+    assert _shadowing(5, "ul:s0", 1, 8.0) != a
+    # the table draws each column with one call through the module's
+    # label_normal, with the mobile ids as counters, and not at sigma 0
     calls = []
-    monkeypatch.setattr(greenant.propagation, "label_normal",
-                        lambda seed, label: calls.append(label) or label_normal(seed, label))
-    mobiles = [place(0, 431.0, 77.0)]
+
+    def counted(seed, label, counters):
+        calls.append((label, list(counters)))
+        return label_normal(seed, label, counters)
+
+    monkeypatch.setattr(greenant.propagation, "label_normal", counted)
+    mobiles = [place(0, 431.0, 77.0), place(3, 1210.0, -340.0)]
     build_gain_matrix(load_doc(two_cell_doc(sigma=0.0)), mobiles, 21)
     assert calls == []
     build_gain_matrix(load_doc(two_cell_doc(sigma=8.0)), mobiles, 21)
-    assert sorted(calls) == ["dl:0:A1", "dl:0:B1", "ul:0:A1", "ul:0:B1"]
+    assert sorted(label for label, _ in calls) == ["dl:A1", "dl:B1", "ul:A1", "ul:B1"]
+    assert all(counters == [0, 3] for _, counters in calls)
 
 
 def test_link_gain_composition_without_shadowing():
@@ -153,7 +159,7 @@ def test_gain_matrix_matches_scalar_link_gain_bitwise():
             for j, (site, sec) in enumerate(s.sectors()):
                 assert gm.dl_rx_dbm[i, j] == sec.tx_power_dbm + _scalar_gain(
                     m, site.position, sec.antenna, sec.azimuth_deg, s, 99,
-                    label=f"{direction}:{m.id}:{sec.id}")
+                    label=f"{direction}:{sec.id}")
 
 
 def test_receive_point_order_is_sectors_then_greens(two_cell_green):

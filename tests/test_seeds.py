@@ -1,6 +1,9 @@
-"""Labeled seed derivation and the per-label Gaussian draw."""
+"""Labeled seed derivation and the per-column Gaussian stream."""
+
+import math
 
 import numpy as np
+import pytest
 
 from greenant.seeds import derive_seed, label_normal, substream
 
@@ -30,13 +33,39 @@ def test_substream_reproducible_and_independent():
 
 
 def test_label_normal_deterministic():
-    assert label_normal(9, "ul:0:s0") == label_normal(9, "ul:0:s0")
-    assert label_normal(9, "ul:0:s0") != label_normal(9, "ul:0:s1")
+    ids = np.arange(5)
+    assert np.array_equal(label_normal(9, "ul:s0", ids), label_normal(9, "ul:s0", ids))
+    assert not np.array_equal(label_normal(9, "ul:s0", ids), label_normal(9, "ul:s1", ids))
+
+
+def _splitmix64_normal(seed, label, counter):
+    """Scalar reference in Python integers: key = derive_seed(seed, label),
+    a = mix(key + (c+1)*phi), b = mix(a ^ key), Box-Muller on the top 53 bits."""
+    m64 = (1 << 64) - 1
+
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & m64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & m64
+        return z ^ (z >> 31)
+
+    key = derive_seed(seed, label)
+    a = mix((key + (counter + 1) * 0x9E3779B97F4A7C15) & m64)
+    b = mix(a ^ key)
+    u1 = ((a >> 11) + 1) / 2**53
+    u2 = ((b >> 11) + 0.5) / 2**53
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def test_label_normal_matches_splitmix64_reference():
+    counters = [0, 1, 2, 209, 2**32 + 5, 2**63 - 1, 2**63, 2**64 - 1]
+    got = label_normal(11, "dl:s3", np.array(counters, dtype=np.uint64))
+    want = [_splitmix64_normal(11, "dl:s3", c) for c in counters]
+    assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_label_normal_is_standard_normal():
-    """Moment check over many labels; loose bounds, no distribution fit."""
-    zs = np.array([label_normal(3, f"lbl:{k}") for k in range(20000)])
+    """Moment check over many counters; loose bounds, no distribution fit."""
+    zs = label_normal(3, "lbl", np.arange(20000))
     assert np.all(np.isfinite(zs))
     assert abs(zs.mean()) < 0.03
     assert abs(zs.std() - 1.0) < 0.03
@@ -46,6 +75,33 @@ def test_label_normal_is_standard_normal():
 
 
 def test_label_normal_decorrelated_between_seeds():
-    za = np.array([label_normal(1, f"l:{k}") for k in range(2000)])
-    zb = np.array([label_normal(2, f"l:{k}") for k in range(2000)])
+    za = label_normal(1, "l", np.arange(2000))
+    zb = label_normal(2, "l", np.arange(2000))
     assert abs(np.corrcoef(za, zb)[0, 1]) < 0.08
+
+
+def test_label_normal_draw_depends_only_on_its_counter():
+    """A column's first ten mobiles draw the same with 10 or 210 mobiles,
+    and one counter drawn alone equals its entry in a longer call."""
+    short = label_normal(7, "ul:s0", np.arange(10))
+    long = label_normal(7, "ul:s0", np.arange(210))
+    assert np.array_equal(short, long[:10])
+    assert label_normal(7, "ul:s0", np.array([137]))[0] == long[137]
+
+
+def test_label_normal_adjacent_counters_decorrelated():
+    zs = label_normal(4, "ul:s0", np.arange(4000))
+    assert abs(np.corrcoef(zs[:-1], zs[1:])[0, 1]) < 0.08
+
+
+def test_label_normal_ul_and_dl_of_a_point_decorrelated():
+    ids = np.arange(2000)
+    assert abs(np.corrcoef(label_normal(5, "ul:s0", ids),
+                           label_normal(5, "dl:s0", ids))[0, 1]) < 0.08
+
+
+def test_label_normal_finite_for_counters_near_2_63():
+    ids = np.array([2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1], dtype=np.uint64)
+    zs = label_normal(6, "ul:s0", ids)
+    assert zs.shape == (5,)
+    assert np.all(np.isfinite(zs))
