@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import (PopulationFilter, compare_runs, emit_report, solver_rows,
-                      tx_power_cdf, write_cdf_csv, write_summary_csv)
+from .metrics import (PopulationFilter, compare_runs, emit_report, kept_indices,
+                      solver_rows, tx_power_cdf, write_cdf_csv, write_summary_csv)
 from .propagation import build_gain_matrix, write_gain_dump
 from .scenario import (Scenario, ScenarioError, drop_mobiles, load_scenario_file)
 from .simulate import (PairingError, check_pairable, gather_tx_powers, run_campaign,
@@ -105,13 +105,13 @@ def cmd_run(spec: RunSpec) -> int:
     s = _with_rule(load_scenario_file(spec.scenario), spec.combining)
     _progress(f"run: {spec.snapshots} snapshots of {spec.scenario} (seed {spec.seed})")
     snaps = run_campaign((s,), spec.seed, spec.snapshots, jobs=spec.jobs)
-    f = _spec_filter(spec)
-    powers = gather_tx_powers(snaps, 0, f)
+    kept = kept_indices(snaps, _spec_filter(spec))
+    powers = gather_tx_powers(snaps, 0, kept=kept)
     if not powers:
         _progress("error: population filter excluded every mobile")
         return 2
     write_cdf_csv({"run": tx_power_cdf(powers)}, f"{spec.out}_cdf.csv")
-    write_summary_csv(_stats_rows(powers, spec.target_dbm) + solver_rows(snaps, f),
+    write_summary_csv(_stats_rows(powers, spec.target_dbm) + solver_rows(snaps, kept),
                       f"{spec.out}_summary.csv")
     if spec.dump_gains:
         _dump_first_snapshot_gains((s,), spec.seed, [f"{spec.out}_gains.csv"])
@@ -131,14 +131,14 @@ def cmd_compare(spec: RunSpec) -> int:
               f"{spec.scenario} vs {spec.green_scenario} (seed {spec.seed})")
     pairs = run_campaign((baseline, green), spec.seed, spec.snapshots, jobs=spec.jobs)
     default_center = green.greens[0].position if green.greens else None
-    f = _spec_filter(spec, default_center)
-    b_powers = gather_tx_powers(pairs, 0, f)
-    g_powers = gather_tx_powers(pairs, 1, f)
+    kept = kept_indices(pairs, _spec_filter(spec, default_center))
+    b_powers = gather_tx_powers(pairs, 0, kept=kept)
+    g_powers = gather_tx_powers(pairs, 1, kept=kept)
     if not b_powers or not g_powers:
         _progress("error: population filter excluded every mobile")
         return 2
     report = compare_runs(b_powers, g_powers, spec.target_dbm, snapshots=spec.snapshots)
-    paths = emit_report(report, spec.out, solver_rows(pairs, f, ("baseline", "green")))
+    paths = emit_report(report, spec.out, solver_rows(pairs, kept, ("baseline", "green")))
     if spec.dump_gains:
         _dump_first_snapshot_gains((baseline, green), spec.seed, [
             f"{spec.out}_gains_baseline.csv", f"{spec.out}_gains_green.csv"])
@@ -197,15 +197,17 @@ def cmd_sweep(spec: RunSpec, axis: str, values: str | None = None) -> int:
         _progress(f"sweep: green_count={','.join(map(str, counts))} as one campaign")
         nested = run_campaign(tuple(replace(s, greens=s.greens[:k]) for k in counts),
                               spec.seed, spec.snapshots, jobs=spec.jobs)
+        nested_kept = kept_indices(nested, f)
     rows = []
     for value in axis_values:
         if axis == "green_count":
-            snaps, run = nested, counts.index(value)
+            snaps, run, kept = nested, counts.index(value), nested_kept
         else:
             _progress(f"sweep: {axis}={value}")
             variant, seed = (s, value) if axis == "seed" else (_with_rule(s, value), spec.seed)
             snaps, run = run_campaign((variant,), seed, spec.snapshots, jobs=spec.jobs), 0
-        powers = gather_tx_powers(snaps, run, f)
+            kept = kept_indices(snaps, f)
+        powers = gather_tx_powers(snaps, run, kept=kept)
         if not powers:
             _progress("error: population filter excluded every mobile")
             return 2

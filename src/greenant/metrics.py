@@ -47,23 +47,31 @@ def population_indices(mobiles, f: PopulationFilter = NO_FILTER) -> list[int]:
     return out
 
 
+def kept_indices(snapshots, f: PopulationFilter = NO_FILTER) -> list[np.ndarray]:
+    """Per snapshot, the indices of its mobiles passing the filter.
+
+    The runs of a snapshot share its mobiles, so one filter pass per
+    snapshot serves every run's powers and the solver rows.
+    """
+    return [np.array(population_indices(snap.mobiles, f), dtype=np.intp) for snap in snapshots]
+
+
 def filter_population(mobiles: list[MobileStation], results: PowerControlResult,
                       f: PopulationFilter = NO_FILTER) -> list[float]:
     """Tx powers (dBm) of the mobiles passing the filter, in MS order."""
     return [float(results.tx_power_dbm[i]) for i in population_indices(mobiles, f)]
 
 
-def solver_rows(snapshots, f: PopulationFilter = NO_FILTER,
+def solver_rows(snapshots, kept: list[np.ndarray],
                 runs: tuple[str, ...] = ("",)) -> list[tuple[str, float]]:
     """Summary rows of the solver's state over a campaign.
 
     One `outage_frac[_<run>]` row per named run: the share of the mobiles
-    passing the filter that end in outage. Then the mean and maximum
-    power control iterations per snapshot (the runs of a snapshot share
-    one count) and the number of snapshots in which some run did not
-    converge.
+    kept by the population filter (`kept_indices`) that end in outage.
+    Then the mean and maximum power control iterations per snapshot (the
+    runs of a snapshot share one count) and the number of snapshots in
+    which some run did not converge.
     """
-    kept = [population_indices(snap.mobiles, f) for snap in snapshots]
     n = sum(map(len, kept))
     rows = []
     for r, name in enumerate(runs):

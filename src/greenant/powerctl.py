@@ -22,7 +22,11 @@ the iteration increases monotonically toward the fixed point.
 One kernel serves every rule and every caller (the solver, the single
 update `power_update` and `effective_sinr`). It evaluates mobiles in
 groups that share a branch-set width, so its Python loop runs once per
-distinct width in the snapshot, not once per serving sector.
+distinct width in the snapshot, not once per serving sector. Each group's
+gains and noise are gathered once per solve. EGC's numerator is the
+closed form (sum_r sqrt(S_r))^2 over the group's branch axis, except that
+a single branch uses S itself, so width-1 EGC equals MRC and selection
+exactly.
 
 One solve loop, `solve_lockstep`, steps the runs of one drop (one
 (scenario, table) pair each) together until every run has met tol_db,
@@ -107,23 +111,35 @@ def receive_branches(s: Scenario) -> BranchSet:
 
 
 @dataclass(frozen=True)
+class _Group:
+    """Mobiles whose serving branch sets share one width, with their gathers.
+
+    Row k of cols lists the receive-point columns that mobile rows[k] is
+    combined over; gains_mw and noise_mw are those columns' linear gains
+    (of mobile rows[k]) and noise floors, gathered once per solve.
+    """
+
+    rows: np.ndarray                # (m,)
+    cols: np.ndarray                # (m, width)
+    gains_mw: np.ndarray            # (m, width)
+    noise_mw: np.ndarray            # (m, width)
+
+
+@dataclass(frozen=True)
 class _Problem:
     """Solver view of one snapshot: linear gains and per-MS branch columns.
 
     Mobiles are grouped by the width of their serving sector's branch
-    set, not by sector: each group holds its MS rows and a
-    (len(rows), width) table whose row k lists the receive-point columns
-    that mobile rows[k] is combined over. A snapshot has only a few
-    distinct widths, so the kernel loops over those. Groups are not
-    padded to one common width: numpy sums 8 or more terms pairwise, so
-    padding a wide set next to narrower ones would regroup its sums and
-    change the last bits of the MRC and EGC results.
+    set, not by sector. A snapshot has only a few distinct widths, so the
+    kernel loops over those. Groups are not padded to one common width:
+    numpy sums 8 or more terms pairwise, so padding a wide set next to
+    narrower ones would regroup its sums and change the last bits of the
+    MRC and EGC results.
     """
 
     gains_mw: np.ndarray            # (n_ms, n_rp)
-    noise_mw: np.ndarray            # (n_rp,)
     targets_lin: np.ndarray         # (n_ms,)
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...]   # (ms rows, branch cols)
+    groups: tuple[_Group, ...]
     p_min_mw: float
     p_max_mw: float
 
@@ -135,18 +151,20 @@ def _problem(gm: LinkGainMatrix, assoc: Association, branches: BranchSet,
     by_width: dict[int, list[int]] = {}
     for i, sid in enumerate(assoc.serving_sector):
         by_width.setdefault(len(cols[sid]), []).append(i)
-    groups = tuple(
-        (np.array(rows, dtype=int),
-         np.array([cols[assoc.serving_sector[i]] for i in rows], dtype=int))
-        for rows in by_width.values()
-    )
+    gains_mw = 10.0 ** (gm.ul_gain_db / 10.0)
+    noise_mw = 10.0 ** (gm.noise_dbm / 10.0)
+    groups = []
+    for ms_rows in by_width.values():
+        rows = np.array(ms_rows, dtype=int)
+        branch_cols = np.array([cols[assoc.serving_sector[i]] for i in ms_rows], dtype=int)
+        groups.append(_Group(rows, branch_cols, gains_mw[rows[:, None], branch_cols],
+                             noise_mw[branch_cols]))
     return _Problem(
-        gains_mw=10.0 ** (gm.ul_gain_db / 10.0),
-        noise_mw=10.0 ** (gm.noise_dbm / 10.0),
+        gains_mw=gains_mw,
         # scalar pow per element: numpy's vectorised power differs from it
         # in the last bit for some inputs, which shifts every iterate
         targets_lin=np.array([10.0 ** (float(t) / 10.0) for t in targets_db]),
-        groups=groups,
+        groups=tuple(groups),
         p_min_mw=10.0 ** (p_min_dbm / 10.0),
         p_max_mw=10.0 ** (p_max_dbm / 10.0),
     )
@@ -154,28 +172,23 @@ def _problem(gm: LinkGainMatrix, assoc: Association, branches: BranchSet,
 
 def _combined_sinr(powers_mw: np.ndarray, problem: _Problem, combining: str) -> np.ndarray:
     """Linear post-combining SINR per MS at its serving sector's branches."""
-    gains = problem.gains_mw
-    total_rx = powers_mw @ gains                    # per receive point
+    total_rx = powers_mw @ problem.gains_mw         # per receive point
     out = np.empty(len(powers_mw))
-    for rows, cols in problem.groups:
-        signal = powers_mw[rows, None] * gains[rows[:, None], cols]
-        interference = total_rx[cols] - signal
-        den = interference + problem.noise_mw[cols]
+    for g in problem.groups:
+        signal = powers_mw[g.rows, None] * g.gains_mw
+        interference = total_rx[g.cols] - signal
+        den = interference + g.noise_mw
         if combining == "mrc":
             lin = (signal / den).sum(axis=1)
         elif combining == "selection":
             lin = (signal / den).max(axis=1)
         elif combining == "egc":
-            # (sum_r sqrt(S_r))^2 expanded so a single branch is exact
-            num = signal.sum(axis=1)
-            n_br = signal.shape[1]
-            for a in range(n_br):
-                for b in range(a + 1, n_br):
-                    num = num + 2.0 * np.sqrt(signal[:, a] * signal[:, b])
+            # a single branch is S itself, exactly as under MRC and selection
+            num = signal[:, 0] if signal.shape[1] == 1 else np.sqrt(signal).sum(axis=1) ** 2
             lin = num / den.sum(axis=1)
         else:
             raise ValueError(f"unknown combining mode '{combining}'")
-        out[rows] = lin
+        out[g.rows] = lin
     return out
 
 

@@ -9,7 +9,8 @@ with a 0 dBi omni mobile antenna. Shadowing is an i.i.d. zero-mean
 Gaussian per (mobile, receive point, direction). Each column is one
 counter stream keyed by a hash of the snapshot seed and "<direction>:<receive
 point>", and each mobile id is a counter in it, so adding or removing a green
-antenna leaves every other link's draw bit-identical.
+antenna leaves every other link's draw bit-identical. A table is built in one
+array pass over all links, with one draw call per direction.
 """
 
 from __future__ import annotations
@@ -127,18 +128,21 @@ def antenna_gain(pattern: AntennaPattern, bearing_deg):
 def build_gain_matrix(s: Scenario, mobiles: list[MobileStation], seed: int) -> LinkGainMatrix:
     """Channel tables for one drop; deterministic in (scenario, mobiles, seed).
 
-    Each UL entry is -path_loss + rx_antenna_gain - penetration + shadowing.
-    Shadowing is drawn per column: label_normal keyed by "ul:<receive
-    point>" with the mobile ids as counters (no draw where sigma is 0).
-    A DL entry is the sector's tx_power_dbm plus the same composition.
-    DL shadowing follows radio.dl_shadowing_mode: an independent
-    "dl:<sector>" column by default, or a copy of the UL draw in reciprocal
-    mode. Each column depends only on its receive point, so another
-    scenario's points read from this table are `restricted_to` it.
+    Each UL entry is -path_loss + rx_antenna_gain - penetration + shadowing,
+    evaluated for every (mobile, receive point) link in one array pass:
+    per-mobile quantities are columns, per-point ones rows. Shadowing is
+    one label_normal call per direction, with one "ul:<receive point>"
+    label per column and the mobile ids as counters, so each column keeps
+    its own key (no draw where sigma is 0). A DL entry is the sector's
+    tx_power_dbm plus the same composition. DL shadowing follows
+    radio.dl_shadowing_mode: independent "dl:<sector>" columns by default,
+    or a copy of the UL draw in reciprocal mode. Each column depends only
+    on its receive point, so another scenario's points read from this
+    table are `restricted_to` it.
     """
     rps = receive_points(s)
     sector_ids = s.sector_ids()
-    n_ms = len(mobiles)
+    n_sec = len(sector_ids)
     clutter, radio = s.clutter, s.radio
 
     xs = np.array([m.position[0] for m in mobiles], dtype=float)
@@ -148,39 +152,41 @@ def build_gain_matrix(s: Scenario, mobiles: list[MobileStation], seed: int) -> L
     building = {b.id: k for k, b in enumerate(clutter.buildings)}
     b_idx = np.array([building[m.building_id] if m.indoor else -1 for m in mobiles],
                      dtype=np.intp)
-    pen = np.array([*(b.penetration_loss_db for b in clutter.buildings), 0.0])[b_idx]
+    pen = np.array([*(b.penetration_loss_db for b in clutter.buildings), 0.0])[b_idx, None]
 
-    # per-mobile clutter parameters, looked up by class code
+    # per-mobile clutter parameters, looked up by class code, as columns
     codes = clutter.class_codes(xs, ys)
     per_class = [radio.pathloss[c] for c in clutter.classes]
-    model = PathLossModel(pl0_db=np.array([pm.pl0_db for pm in per_class])[codes],
-                          d0_m=np.array([pm.d0_m for pm in per_class])[codes],
-                          exponent=np.array([pm.exponent for pm in per_class])[codes])
-    sigma = np.array([radio.shadowing_sigma_db[c] for c in clutter.classes])[codes]
+    model = PathLossModel(pl0_db=np.array([pm.pl0_db for pm in per_class])[codes, None],
+                          d0_m=np.array([pm.d0_m for pm in per_class])[codes, None],
+                          exponent=np.array([pm.exponent for pm in per_class])[codes, None])
+    sigma = np.array([radio.shadowing_sigma_db[c] for c in clutter.classes])[codes, None]
     shadowed = sigma != 0.0
 
-    def base(rp):
-        dx = xs - rp.position[0]
-        dy = ys - rp.position[1]
-        bearing = np.degrees(np.arctan2(dy, dx)) - rp.azimuth_deg
-        return -path_loss(model, np.hypot(dx, dy)) + antenna_gain(rp.antenna, bearing) - pen
+    dx = xs[:, None] - np.array([rp.position[0] for rp in rps])
+    dy = ys[:, None] - np.array([rp.position[1] for rp in rps])
+    bearing = np.degrees(np.arctan2(dy, dx)) - np.array([rp.azimuth_deg for rp in rps])
+    rx_gain = np.empty_like(bearing)
+    by_pattern: dict[AntennaPattern, list[int]] = {}
+    for j, rp in enumerate(rps):
+        by_pattern.setdefault(rp.antenna, []).append(j)
+    for pattern, cols in by_pattern.items():
+        rx_gain[:, cols] = antenna_gain(pattern, bearing[:, cols])
+    base = -path_loss(model, np.hypot(dx, dy)) + rx_gain - pen
 
-    def chi(direction, rp_id):
+    def chi(labels):
         if not shadowed.any():
             return 0.0
-        return np.where(shadowed, sigma * label_normal(seed, f"{direction}:{rp_id}", ids), 0.0)
+        return np.where(shadowed, sigma * label_normal(seed, labels, ids), 0.0)
 
     # a sector's DL column shares its UL column's geometry; in reciprocal
     # mode it also shares the UL draw, so each sector column is drawn once
-    reciprocal = radio.dl_shadowing_mode == "reciprocal"
-    tx_dbm = [sec.tx_power_dbm for _, sec in s.sectors()]
-    ul = np.empty((n_ms, len(rps)))
-    dl = np.empty((n_ms, len(sector_ids)))
-    for j, rp in enumerate(rps):
-        b = base(rp)
-        ul[:, j] = b + chi("ul", rp.id)
-        if rp.kind == "sector":
-            dl[:, j] = tx_dbm[j] + (ul[:, j] if reciprocal else b + chi("dl", rp.id))
+    tx_dbm = np.array([sec.tx_power_dbm for _, sec in s.sectors()])
+    ul = base + chi([f"ul:{rp.id}" for rp in rps])
+    if radio.dl_shadowing_mode == "reciprocal":
+        dl = tx_dbm + ul[:, :n_sec]
+    else:
+        dl = tx_dbm + (base[:, :n_sec] + chi([f"dl:{sid}" for sid in sector_ids]))
 
     noise = np.array([radio.thermal_noise_dbm + rp.noise_figure_db for rp in rps])
     for arr in (ul, dl, noise):

@@ -36,19 +36,22 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> 31)
 
 
-def label_normal(seed: int, label: str, counters) -> np.ndarray:
-    """Standard-normal draws, one per counter, keyed by (seed, label).
+def label_normal(seed: int, labels, counters) -> np.ndarray:
+    """Standard-normal draws, (len(counters), len(labels)), keyed by (seed, label).
 
-    The label is hashed once (blake2b) into a key; counter c then gives
-    lanes a = mix(key + (c+1)*phi) and b = mix(a ^ key) and one Box-Muller
-    draw from their top 53 bits. A draw depends only on (seed, label, c),
-    so it does not move when other counters are added or removed.
-    Counters are integers, taken modulo 2**64.
+    Column j is one stream: labels[j] is hashed once (blake2b) into a key,
+    and counter c then gives lanes a = mix(key + (c+1)*phi) and
+    b = mix(a ^ key) and one Box-Muller draw from their top 53 bits. A draw
+    depends only on (seed, label, c), so it does not move when other
+    counters or labels are added or removed. Counters are integers, taken
+    modulo 2**64. `labels` is a sequence of str; a bare str raises TypeError.
     """
-    key = np.uint64(derive_seed(seed, label))
-    c = np.asarray(counters).astype(np.uint64, copy=False)
-    a = _mix(key + (c + 1) * _PHI)
-    b = _mix(a ^ key)
+    if isinstance(labels, str):
+        raise TypeError("labels must be a sequence of str, not a str")
+    keys = np.array([derive_seed(seed, label) for label in labels], dtype=np.uint64)
+    c = np.asarray(counters).astype(np.uint64, copy=False)[:, None]
+    a = _mix(keys + (c + 1) * _PHI)
+    b = _mix(a ^ keys)
     u1 = ((a >> 11) + 1) * 2.0**-53      # in (0, 1], log-safe
     u2 = ((b >> 11) + 0.5) * 2.0**-53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)

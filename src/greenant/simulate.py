@@ -101,16 +101,19 @@ def check_pairable(baseline: Scenario, green: Scenario) -> None:
                 f"baseline green")
 
 
-def gather_tx_powers(snapshots, run: int = 0, pop_filter=None) -> list[float]:
+def gather_tx_powers(snapshots, run: int = 0, pop_filter=None, kept=None) -> list[float]:
     """Concatenate filtered Tx powers (dBm) of one run across snapshots.
 
     `run` indexes the campaign's scenarios: 0 for a single run, 0
-    (baseline) or 1 (green) for a pair.
+    (baseline) or 1 (green) for a pair. `kept` is the campaign's
+    `metrics.kept_indices`, when the caller has already filtered it;
+    otherwise pop_filter (default: everyone) is applied here.
     """
-    from .metrics import NO_FILTER, filter_population
+    from .metrics import NO_FILTER, kept_indices
 
-    f = NO_FILTER if pop_filter is None else pop_filter
+    if kept is None:
+        kept = kept_indices(snapshots, NO_FILTER if pop_filter is None else pop_filter)
     powers: list[float] = []
-    for snap in snapshots:
-        powers.extend(filter_population(list(snap.mobiles), snap.runs[run], f))
+    for snap, idx in zip(snapshots, kept):
+        powers.extend(snap.runs[run].tx_power_dbm[idx].tolist())
     return powers

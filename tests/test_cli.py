@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import greenant.cli
+import greenant.metrics
 import greenant.simulate
 from greenant.cli import COMBINING_FLAGS, build_parser, main
 from greenant.propagation import build_gain_matrix, write_gain_dump
@@ -319,6 +320,25 @@ def test_compare_of_files_with_different_rules_is_exit_3(base_json, tmp_path, ca
     assert code == 3
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "c_summary.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_population_filter_runs_once_per_snapshot(command, base_json, green_json,
+                                                  greens_json, tmp_path, monkeypatch):
+    """The runs of a snapshot and the solver rows share one filter pass."""
+    calls = []
+
+    def counted(mobiles, f, _real=greenant.metrics.population_indices):
+        calls.append(len(mobiles))
+        return _real(mobiles, f)
+
+    monkeypatch.setattr(greenant.metrics, "population_indices", counted)
+    argv = {"run": ["run", "--scenario", green_json],
+            "compare": ["compare", "--scenario", base_json, "--green-scenario", green_json],
+            "sweep": ["sweep", "--scenario", greens_json, "--axis", "green_count"]}[command]
+    assert main([*argv, "--snapshots", "3", "--filter-radius", "5000",
+                 "--out", str(tmp_path / "p")]) == 0
+    assert len(calls) == 3
 
 
 def test_parser_covers_all_subcommands():

@@ -16,14 +16,14 @@ from greenant.propagation import (
 from greenant.scenario import AntennaPattern, PathLossModel, drop_mobiles, strip_greens
 from greenant.seeds import label_normal
 
-from conftest import load_doc, place, two_cell_doc
+from conftest import GREEN_JSON, load_doc, place, two_cell_doc
 
 URBAN = PathLossModel(pl0_db=128.1, d0_m=1000.0, exponent=3.76)
 
 
 def _shadowing(seed, label, ms_id, sigma_db):
     """1x1 reference: the column's draw for one mobile id, none at sigma 0."""
-    return 0.0 if sigma_db == 0.0 else sigma_db * label_normal(seed, label, np.array([ms_id]))[0]
+    return 0.0 if sigma_db == 0.0 else sigma_db * label_normal(seed, [label], np.array([ms_id]))[0, 0]
 
 
 def _scalar_gain(ms, position, antenna, azimuth_deg, s, seed, label):
@@ -94,20 +94,21 @@ def test_shadowing_sample_properties(monkeypatch):
     assert _shadowing(5, "ul:s0", 0, 8.0) == a
     assert _shadowing(5, "ul:s0", 0, 4.0) == pytest.approx(a / 2.0)
     assert _shadowing(5, "ul:s0", 1, 8.0) != a
-    # the table draws each column with one call through the module's
-    # label_normal, with the mobile ids as counters, and not at sigma 0
+    # the table draws each direction with one call through the module's
+    # label_normal, one label per column and the mobile ids as counters,
+    # and makes no call at sigma 0
     calls = []
 
-    def counted(seed, label, counters):
-        calls.append((label, list(counters)))
-        return label_normal(seed, label, counters)
+    def counted(seed, labels, counters):
+        calls.append((list(labels), list(counters)))
+        return label_normal(seed, labels, counters)
 
     monkeypatch.setattr(greenant.propagation, "label_normal", counted)
     mobiles = [place(0, 431.0, 77.0), place(3, 1210.0, -340.0)]
     build_gain_matrix(load_doc(two_cell_doc(sigma=0.0)), mobiles, 21)
     assert calls == []
     build_gain_matrix(load_doc(two_cell_doc(sigma=8.0)), mobiles, 21)
-    assert sorted(label for label, _ in calls) == ["dl:A1", "dl:B1", "ul:A1", "ul:B1"]
+    assert sorted(labels for labels, _ in calls) == [["dl:A1", "dl:B1"], ["ul:A1", "ul:B1"]]
     assert all(counters == [0, 3] for _, counters in calls)
 
 
@@ -160,6 +161,106 @@ def test_gain_matrix_matches_scalar_link_gain_bitwise():
                 assert gm.dl_rx_dbm[i, j] == sec.tx_power_dbm + _scalar_gain(
                     m, site.position, sec.antenna, sec.azimuth_deg, s, 99,
                     label=f"{direction}:{sec.id}")
+
+
+def _column_loop_tables(s, mobiles, seed):
+    """Reference of a whole table, built one receive-point column at a
+    time: each column is its own array expression with its own one-label
+    draw, and a reciprocal DL column adds tx power to its UL column."""
+    clutter, radio = s.clutter, s.radio
+    xs = np.array([m.position[0] for m in mobiles], dtype=float)
+    ys = np.array([m.position[1] for m in mobiles], dtype=float)
+    ids = np.asarray([m.id for m in mobiles]).astype(np.uint64)
+    building = {b.id: k for k, b in enumerate(clutter.buildings)}
+    b_idx = np.array([building[m.building_id] if m.indoor else -1 for m in mobiles],
+                     dtype=np.intp)
+    pen = np.array([*(b.penetration_loss_db for b in clutter.buildings), 0.0])[b_idx]
+    codes = clutter.class_codes(xs, ys)
+    per_class = [radio.pathloss[c] for c in clutter.classes]
+    model = PathLossModel(pl0_db=np.array([pm.pl0_db for pm in per_class])[codes],
+                          d0_m=np.array([pm.d0_m for pm in per_class])[codes],
+                          exponent=np.array([pm.exponent for pm in per_class])[codes])
+    sigma = np.array([radio.shadowing_sigma_db[c] for c in clutter.classes])[codes]
+    shadowed = sigma != 0.0
+
+    def base(rp):
+        dx = xs - rp.position[0]
+        dy = ys - rp.position[1]
+        bearing = np.degrees(np.arctan2(dy, dx)) - rp.azimuth_deg
+        return -path_loss(model, np.hypot(dx, dy)) + antenna_gain(rp.antenna, bearing) - pen
+
+    def chi(label):
+        if not shadowed.any():
+            return 0.0
+        return np.where(shadowed, sigma * label_normal(seed, [label], ids)[:, 0], 0.0)
+
+    rps = receive_points(s)
+    reciprocal = radio.dl_shadowing_mode == "reciprocal"
+    tx_dbm = [sec.tx_power_dbm for _, sec in s.sectors()]
+    ul = np.empty((len(mobiles), len(rps)))
+    dl = np.empty((len(mobiles), len(tx_dbm)))
+    for j, rp in enumerate(rps):
+        b = base(rp)
+        ul[:, j] = b + chi(f"ul:{rp.id}")
+        if rp.kind == "sector":
+            dl[:, j] = tx_dbm[j] + (ul[:, j] if reciprocal else b + chi(f"dl:{rp.id}"))
+    noise = np.array([radio.thermal_noise_dbm + rp.noise_figure_db for rp in rps])
+    return ul, dl, noise
+
+
+def _multi_green_doc():
+    """green.json with a green in every building: omni greens attached to
+    the three nearest sites' sectors and one sector-pattern green, plus an
+    open (sigma 0) and a suburban clutter region."""
+    doc = json.loads(GREEN_JSON.read_text())
+    sites = doc["sites"]
+    for k, b in enumerate(doc["clutter"]["buildings"][1:]):
+        x0, y0, x1, y1 = b["rect"]
+        cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+        near = sorted(sites, key=lambda st: np.hypot(cx - st["position"][0],
+                                                      cy - st["position"][1]))[:3]
+        antenna = ({"kind": "sector", "gain_dbi": 12.0} if k == 0
+                   else {"kind": "omni", "gain_dbi": 2.0})
+        doc["greens"].append({"id": f"g-{b['id']}", "position": [cx, cy], "antenna": antenna,
+                              "attached_sectors": [sec["id"] for st in near
+                                                   for sec in st["sectors"]]})
+    doc["clutter"]["class_regions"] = [
+        {"rect": [-1900, -1900, 0, 0], "clutter_class": "open"},
+        {"rect": [300, 100, 1900, 1900], "clutter_class": "suburban"},
+    ]
+    doc["radio"]["shadowing_sigma_db"] = {"open": 0.0, "suburban": 6.0, "urban": 8.0}
+    return doc
+
+
+@pytest.mark.parametrize("doc", [json.loads(GREEN_JSON.read_text()), _multi_green_doc()],
+                         ids=["green", "multi-green"])
+def test_gain_matrix_is_bitwise_the_column_loop(doc):
+    """The one-pass table equals the column-at-a-time reference entry for
+    entry, in both DL shadowing modes, and every array is C-ordered (the
+    layout changes the last bits of `powers @ gains`)."""
+    s_by_mode = {}
+    for mode in ("reciprocal", "independent"):
+        doc["radio"]["dl_shadowing_mode"] = mode
+        s_by_mode[mode] = load_doc(doc)
+    s = s_by_mode["reciprocal"]
+    patterns = {rp.antenna.kind for rp in receive_points(s)}
+    assert patterns == {"sector", "omni"}
+    sigma = np.array([s.radio.shadowing_sigma_db[c] for c in s.clutter.classes])
+    unshadowed = 0
+    for k in range(200):
+        seed = 1000 + k
+        mobiles = drop_mobiles(s, seed)
+        for sm in s_by_mode.values():
+            gm = build_gain_matrix(sm, mobiles, seed)
+            ul, dl, noise = _column_loop_tables(sm, mobiles, seed)
+            for got, want in ((gm.ul_gain_db, ul), (gm.dl_rx_dbm, dl), (gm.noise_dbm, noise)):
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, want)
+        codes = s.clutter.class_codes(np.array([m.position[0] for m in mobiles]),
+                                      np.array([m.position[1] for m in mobiles]))
+        unshadowed += int(np.count_nonzero(sigma[codes] == 0.0))
+    # the multi-green map's open region has sigma 0, and mobiles land in it
+    assert (unshadowed > 0) == (0.0 in sigma)
 
 
 def test_receive_point_order_is_sectors_then_greens(two_cell_green):

@@ -32,10 +32,15 @@ def test_substream_reproducible_and_independent():
     assert not np.array_equal(a1, b)
 
 
+def _one(seed, label, counters):
+    """One label's column of a draw."""
+    return label_normal(seed, [label], counters)[:, 0]
+
+
 def test_label_normal_deterministic():
     ids = np.arange(5)
-    assert np.array_equal(label_normal(9, "ul:s0", ids), label_normal(9, "ul:s0", ids))
-    assert not np.array_equal(label_normal(9, "ul:s0", ids), label_normal(9, "ul:s1", ids))
+    assert np.array_equal(_one(9, "ul:s0", ids), _one(9, "ul:s0", ids))
+    assert not np.array_equal(_one(9, "ul:s0", ids), _one(9, "ul:s1", ids))
 
 
 def _splitmix64_normal(seed, label, counter):
@@ -58,14 +63,14 @@ def _splitmix64_normal(seed, label, counter):
 
 def test_label_normal_matches_splitmix64_reference():
     counters = [0, 1, 2, 209, 2**32 + 5, 2**63 - 1, 2**63, 2**64 - 1]
-    got = label_normal(11, "dl:s3", np.array(counters, dtype=np.uint64))
+    got = _one(11, "dl:s3", np.array(counters, dtype=np.uint64))
     want = [_splitmix64_normal(11, "dl:s3", c) for c in counters]
     assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_label_normal_is_standard_normal():
     """Moment check over many counters; loose bounds, no distribution fit."""
-    zs = label_normal(3, "lbl", np.arange(20000))
+    zs = _one(3, "lbl", np.arange(20000))
     assert np.all(np.isfinite(zs))
     assert abs(zs.mean()) < 0.03
     assert abs(zs.std() - 1.0) < 0.03
@@ -75,33 +80,50 @@ def test_label_normal_is_standard_normal():
 
 
 def test_label_normal_decorrelated_between_seeds():
-    za = label_normal(1, "l", np.arange(2000))
-    zb = label_normal(2, "l", np.arange(2000))
+    za = _one(1, "l", np.arange(2000))
+    zb = _one(2, "l", np.arange(2000))
     assert abs(np.corrcoef(za, zb)[0, 1]) < 0.08
 
 
 def test_label_normal_draw_depends_only_on_its_counter():
     """A column's first ten mobiles draw the same with 10 or 210 mobiles,
     and one counter drawn alone equals its entry in a longer call."""
-    short = label_normal(7, "ul:s0", np.arange(10))
-    long = label_normal(7, "ul:s0", np.arange(210))
+    short = _one(7, "ul:s0", np.arange(10))
+    long = _one(7, "ul:s0", np.arange(210))
     assert np.array_equal(short, long[:10])
-    assert label_normal(7, "ul:s0", np.array([137]))[0] == long[137]
+    assert _one(7, "ul:s0", np.array([137]))[0] == long[137]
 
 
 def test_label_normal_adjacent_counters_decorrelated():
-    zs = label_normal(4, "ul:s0", np.arange(4000))
+    zs = _one(4, "ul:s0", np.arange(4000))
     assert abs(np.corrcoef(zs[:-1], zs[1:])[0, 1]) < 0.08
 
 
 def test_label_normal_ul_and_dl_of_a_point_decorrelated():
     ids = np.arange(2000)
-    assert abs(np.corrcoef(label_normal(5, "ul:s0", ids),
-                           label_normal(5, "dl:s0", ids))[0, 1]) < 0.08
+    assert abs(np.corrcoef(_one(5, "ul:s0", ids), _one(5, "dl:s0", ids))[0, 1]) < 0.08
 
 
 def test_label_normal_finite_for_counters_near_2_63():
     ids = np.array([2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1], dtype=np.uint64)
-    zs = label_normal(6, "ul:s0", ids)
+    zs = _one(6, "ul:s0", ids)
     assert zs.shape == (5,)
     assert np.all(np.isfinite(zs))
+
+
+def test_label_normal_columns_equal_one_label_draws():
+    """Column j of a many-label call is labels[j]'s one-label draw, bitwise,
+    whatever the other labels and their order."""
+    labels = [f"ul:s{k}" for k in range(21)] + ["ul:G", "dl:s3"]
+    ids = np.arange(0, 2100, 10)
+    table = label_normal(13, labels, ids)
+    assert table.shape == (len(ids), len(labels))
+    for j, label in enumerate(labels):
+        assert np.array_equal(table[:, j], _one(13, label, ids))
+    assert np.array_equal(label_normal(13, labels[::-1], ids), table[:, ::-1])
+    assert label_normal(13, [], ids).shape == (len(ids), 0)
+
+
+def test_label_normal_rejects_a_bare_label():
+    with pytest.raises(TypeError):
+        label_normal(1, "ul:s0", np.arange(3))

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from greenant.metrics import NO_FILTER, PopulationFilter
+from greenant.metrics import NO_FILTER, PopulationFilter, kept_indices
 from greenant.powerctl import associate, solve_power_control
 from greenant.propagation import build_gain_matrix
 from greenant.scenario import drop_mobiles
@@ -260,3 +260,14 @@ def test_gather_tx_powers_selects_run_and_filters(two_cell, two_cell_green):
 
     everyone = gather_tx_powers(pairs, run=1, pop_filter=NO_FILTER)
     assert everyone == grn
+
+
+def test_gather_tx_powers_reads_precomputed_kept_indices(two_cell, two_cell_green):
+    """One filter pass per snapshot serves every run: powers gathered from
+    kept_indices equal those filtered run by run."""
+    pairs = run_campaign((two_cell, two_cell_green), seed=6, n_snapshots=3)
+    disk = PopulationFilter(center=(1600.0, 0.0), radius_m=600.0)
+    kept = kept_indices(pairs, disk)
+    assert [len(k) for k in kept] != [len(p.mobiles) for p in pairs]
+    for run in (0, 1):
+        assert gather_tx_powers(pairs, run, kept=kept) == gather_tx_powers(pairs, run, disk)
