@@ -22,23 +22,31 @@ the iteration increases monotonically toward the fixed point.
 One kernel serves every rule and every caller (the solver, the single
 update `power_update` and `effective_sinr`). It evaluates mobiles in
 groups that share a branch-set width, so its Python loop runs once per
-distinct width in the snapshot, not once per serving sector. Each group's
-gains and noise are gathered once per solve. EGC's numerator is the
-closed form (sum_r sqrt(S_r))^2 over the group's branch axis, except that
-a single branch uses S itself, so width-1 EGC equals MRC and selection
-exactly.
+distinct width, not once per serving sector. Each group's gains and
+noise are gathered once per solve. EGC's numerator is the closed form
+(sum_r sqrt(S_r))^2 over the group's branch axis, except that a single
+branch uses S itself, so width-1 EGC equals MRC and selection exactly.
 
-One solve loop, `solve_lockstep`, steps the runs of one drop (one
-(scenario, table) pair each) together until every run has met tol_db,
-so all of them stop at a common iteration count; `solve_power_control`
-is its one-run form. Each run combines by its scenario's
-radio.combining; only the kernel takes the rule as an argument.
+One solve loop, `solve_snapshots`, solves S snapshots of R runs (one
+(scenario, table) pair each) as R stacked problems: the per-receive-point
+totals are one batched matmul over an (S, n, n_rp) gain stack, and the
+width groups span all S snapshots. The runs of a snapshot step together
+until every one has met tol_db, so they stop at a common iteration
+count; from then on the snapshot's rows are frozen while the rest of the
+stack iterates. The stack changes no bits: every elementwise operation
+and every per-row reduction sees the operands of the snapshot's own
+solve, in the same order, and each slice of the batched matmul is that
+snapshot's `powers @ gains`. `solve_lockstep` (one drop) and
+`solve_power_control` (one run) are its S = 1 forms. Each run combines
+by its scenario's radio.combining; only the kernel takes the rule as an
+argument.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,82 +118,124 @@ def receive_branches(s: Scenario) -> BranchSet:
     return BranchSet(by_sector=by_sector)
 
 
-@dataclass(frozen=True)
-class _Group:
+class _Group(NamedTuple):
     """Mobiles whose serving branch sets share one width, with their gathers.
 
-    Row k of cols lists the receive-point columns that mobile rows[k] is
-    combined over; gains_mw and noise_mw are those columns' linear gains
-    (of mobile rows[k]) and noise floors, gathered once per solve.
+    Row k of cols lists the entries of the stacked per-receive-point
+    totals that mobile rows[k] is combined over; gains_mw and noise_mw
+    are those receive points' linear gains (of mobile rows[k]) and noise
+    floors, gathered once per solve.
     """
 
-    rows: np.ndarray                # (m,)
-    cols: np.ndarray                # (m, width)
+    rows: np.ndarray                # (m,) into the stacked mobiles
+    cols: np.ndarray                # (m, width) into the stacked receive points
     gains_mw: np.ndarray            # (m, width)
     noise_mw: np.ndarray            # (m, width)
 
 
-@dataclass(frozen=True)
-class _Problem:
-    """Solver view of one snapshot: linear gains and per-MS branch columns.
+class _Problem(NamedTuple):
+    """Solver view of S snapshots of one run: linear gains and branch columns.
 
-    Mobiles are grouped by the width of their serving sector's branch
-    set, not by sector. A snapshot has only a few distinct widths, so the
-    kernel loops over those. Groups are not padded to one common width:
-    numpy sums 8 or more terms pairwise, so padding a wide set next to
-    narrower ones would regroup its sums and change the last bits of the
-    MRC and EGC results.
+    The snapshots share a scenario, so they have the same mobile count n
+    and receive points; mobile i of snapshot s is stacked row s*n + i and
+    receive point c is stacked column s*n_rp + c. Mobiles are grouped by
+    the width of their serving sector's branch set, across snapshots, so
+    the kernel loops over the few distinct widths. Groups are not padded
+    to one common width: numpy sums 8 or more terms pairwise, so padding
+    a wide set next to narrower ones would regroup its sums and change
+    the last bits of the MRC and EGC results.
     """
 
-    gains_mw: np.ndarray            # (n_ms, n_rp)
-    targets_lin: np.ndarray         # (n_ms,)
+    gains_mw: np.ndarray            # (S, n, n_rp)
+    targets_lin: np.ndarray         # (S * n,)
     groups: tuple[_Group, ...]
     p_min_mw: float
     p_max_mw: float
 
 
-def _problem(gm: LinkGainMatrix, assoc: Association, branches: BranchSet,
-             targets_db: np.ndarray, p_min_dbm: float, p_max_dbm: float) -> _Problem:
-    cols = {sid: [gm.rp_index[rid] for rid in branches.by_sector[sid]]
-            for sid in set(assoc.serving_sector)}
-    by_width: dict[int, list[int]] = {}
-    for i, sid in enumerate(assoc.serving_sector):
-        by_width.setdefault(len(cols[sid]), []).append(i)
-    gains_mw = 10.0 ** (gm.ul_gain_db / 10.0)
-    noise_mw = 10.0 ** (gm.noise_dbm / 10.0)
+def _linear_targets(targets_db: np.ndarray) -> np.ndarray:
+    """10^(t/10) per target, flattened, from a scalar pow of each distinct t.
+
+    numpy's vectorised power differs from the scalar one in the last bit
+    for some inputs, which would shift every iterate; a drop has only a
+    few distinct targets, so the scalar pow costs nothing.
+    """
+    targets = np.asarray(targets_db, dtype=float).reshape(-1).tolist()
+    lin = {t: 10.0 ** (t / 10.0) for t in dict.fromkeys(targets)}
+    return np.array(list(map(lin.__getitem__, targets)), dtype=float)
+
+
+def _stacked_problem(tables: list[LinkGainMatrix], assocs: list[Association],
+                     branches: BranchSet, targets_lin: np.ndarray,
+                     p_min_dbm: float, p_max_dbm: float) -> _Problem:
+    """One run's problem over snapshots whose tables share receive points.
+
+    The branch columns come from a per-sector table indexed by each
+    mobile's serving_index, and a stable sort by width lists each width
+    group's mobiles in stacked order, so nothing here is per mobile.
+    """
+    gm = tables[0]
+    n, n_rp = len(gm.ms_ids), len(gm.receive_points)
+    sector_cols = [[gm.rp_index[rid] for rid in branches.by_sector[sid]]
+                   for sid in gm.sector_ids]
+    widths = [len(c) for c in sector_cols]
+    pad = max(widths)
+    col_table = np.array([col for c in sector_cols for col in c + [0] * (pad - len(c))],
+                         dtype=int).reshape(len(widths), pad)
+    flat_gains = np.concatenate([t.ul_gain_mw for t in tables])
+    serving = np.concatenate([a.serving_index for a in assocs])
+    ms_width = np.array(widths)[serving]
+    order = np.argsort(ms_width, kind="stable")
+    order_serving = serving[order]
     groups = []
-    for ms_rows in by_width.values():
-        rows = np.array(ms_rows, dtype=int)
-        branch_cols = np.array([cols[assoc.serving_sector[i]] for i in ms_rows], dtype=int)
-        groups.append(_Group(rows, branch_cols, gains_mw[rows[:, None], branch_cols],
-                             noise_mw[branch_cols]))
+    lo = 0
+    for width, count in enumerate(np.bincount(ms_width).tolist()):
+        if count:
+            rows = order[lo:lo + count]
+            cols = col_table[order_serving[lo:lo + count], :width]
+            # receive point c of snapshot s is stacked column s * n_rp + c
+            stacked = cols if len(tables) == 1 else cols + (rows // n * n_rp)[:, None]
+            groups.append(_Group(rows, stacked, flat_gains[rows[:, None], cols],
+                                 gm.noise_mw[cols]))
+            lo += count
     return _Problem(
-        gains_mw=gains_mw,
-        # scalar pow per element: numpy's vectorised power differs from it
-        # in the last bit for some inputs, which shifts every iterate
-        targets_lin=np.array([10.0 ** (float(t) / 10.0) for t in targets_db]),
+        gains_mw=flat_gains.reshape(len(tables), n, n_rp),
+        targets_lin=targets_lin,
         groups=tuple(groups),
         p_min_mw=10.0 ** (p_min_dbm / 10.0),
         p_max_mw=10.0 ** (p_max_dbm / 10.0),
     )
 
 
+def _problem(gm: LinkGainMatrix, assoc: Association, branches: BranchSet,
+             targets_db: np.ndarray, p_min_dbm: float, p_max_dbm: float) -> _Problem:
+    """The problem of one snapshot (S = 1)."""
+    return _stacked_problem([gm], [assoc], branches, _linear_targets(targets_db),
+                            p_min_dbm, p_max_dbm)
+
+
 def _combined_sinr(powers_mw: np.ndarray, problem: _Problem, combining: str) -> np.ndarray:
-    """Linear post-combining SINR per MS at its serving sector's branches."""
-    total_rx = powers_mw @ problem.gains_mw         # per receive point
+    """Linear post-combining SINR per stacked MS at its serving sector's branches.
+
+    The per-receive-point totals are one batched matmul; each snapshot's
+    slice of it is bitwise the `powers @ gains` of that snapshot alone.
+    """
+    s, n, n_rp = problem.gains_mw.shape
+    total_rx = np.matmul(powers_mw.reshape(s, 1, n), problem.gains_mw).reshape(s * n_rp)
     out = np.empty(len(powers_mw))
     for g in problem.groups:
         signal = powers_mw[g.rows, None] * g.gains_mw
         interference = total_rx[g.cols] - signal
         den = interference + g.noise_mw
         if combining == "mrc":
-            lin = (signal / den).sum(axis=1)
+            lin = np.add.reduce(signal / den, axis=1)
         elif combining == "selection":
-            lin = (signal / den).max(axis=1)
+            lin = np.maximum.reduce(signal / den, axis=1)
         elif combining == "egc":
             # a single branch is S itself, exactly as under MRC and selection
-            num = signal[:, 0] if signal.shape[1] == 1 else np.sqrt(signal).sum(axis=1) ** 2
-            lin = num / den.sum(axis=1)
+            num = (signal[:, 0] if signal.shape[1] == 1
+                   else np.add.reduce(np.sqrt(signal), axis=1) ** 2)
+            lin = num / np.add.reduce(den, axis=1)
         else:
             raise ValueError(f"unknown combining mode '{combining}'")
         out[g.rows] = lin
@@ -193,9 +243,14 @@ def _combined_sinr(powers_mw: np.ndarray, problem: _Problem, combining: str) -> 
 
 
 def _update(powers_mw: np.ndarray, problem: _Problem, combining: str) -> np.ndarray:
-    """p * target / sinr(p), clamped into [p_min, p_max]."""
-    return np.clip(powers_mw * problem.targets_lin / _combined_sinr(powers_mw, problem, combining),
-                   problem.p_min_mw, problem.p_max_mw)
+    """p * target / sinr(p), clamped into [p_min, p_max].
+
+    The clamp is np.maximum then np.minimum rather than np.clip, which
+    costs more per call; the two differ only on signed zeros, and
+    p * target / sinr is never -0.0.
+    """
+    raw = powers_mw * problem.targets_lin / _combined_sinr(powers_mw, problem, combining)
+    return np.minimum(np.maximum(raw, problem.p_min_mw), problem.p_max_mw)
 
 
 def effective_sinr(ms: int, powers_mw: np.ndarray, gm: LinkGainMatrix,
@@ -220,53 +275,97 @@ def power_update(powers_mw: np.ndarray, targets_db: np.ndarray, gm: LinkGainMatr
     return _update(np.asarray(powers_mw, dtype=float), problem, combining)
 
 
+def solve_snapshots(scenarios: tuple[Scenario, ...],
+                    snapshots: list[tuple[list[MobileStation], Association,
+                                          tuple[LinkGainMatrix, ...]]],
+                    tol_db: float = DEFAULT_TOL_DB, max_iter: int = DEFAULT_MAX_ITER,
+                    n_iters: int | None = None) -> list[tuple[PowerControlResult, ...]]:
+    """Solve S snapshots of R runs as R stacked problems, from all-p_min.
+
+    Each snapshot is (mobiles, association, tables), where tables[r] is
+    scenarios[r]'s table of that drop; all snapshots hold the same number
+    of mobiles. Run r of every snapshot is one stacked problem under
+    scenarios[r].radio.combining, so an iteration costs R kernel calls
+    whatever S is. A snapshot stops once every run's largest per-MS step
+    has dropped below tol_db at least once, or after max_iter (exactly
+    n_iters if given), so its runs share an iteration count. From then on
+    np.where keeps its final iterate and last step while the rest of the
+    stack iterates. Snapshots do not interact, so each ends with the bits
+    of its solve alone, whichever snapshots share its stack. Every table
+    must hold its own scenario's receive points only: the width of the
+    gain array changes the last bits of `powers @ gains`.
+
+    Returns, per snapshot, one PowerControlResult per run.
+    """
+    rules = [s.radio.combining for s in scenarios]
+    for rule in rules:
+        if rule not in COMBINING_MODES:
+            raise ValueError(f"unknown combining mode '{rule}'")
+    n_snap = len(snapshots)
+    n = len(snapshots[0][0]) if snapshots else 0
+    if any(len(mobiles) != n for mobiles, _, _ in snapshots):
+        raise ValueError("stacked snapshots must hold the same number of mobiles")
+    targets_db = np.array([[m.sinr_target_db for m in mobiles]
+                           for mobiles, _, _ in snapshots], dtype=float).reshape(n_snap, n)
+    assocs = [assoc for _, assoc, _ in snapshots]
+    targets_lin = _linear_targets(targets_db)
+    problems = [_stacked_problem([tables[r] for _, _, tables in snapshots], assocs,
+                                 receive_branches(s), targets_lin,
+                                 s.radio.p_min_dbm, s.radio.p_max_dbm)
+                for r, s in enumerate(scenarios)]
+    powers = [np.full(n_snap * n, p.p_min_mw) for p in problems]
+    steps = np.zeros((len(scenarios), n_snap))
+    met = np.zeros((len(scenarios), n_snap), dtype=bool)
+    iterations = np.zeros(n_snap, dtype=int)
+    active = np.ones(n_snap, dtype=bool)
+    for _ in range(max_iter if n_iters is None else n_iters):
+        frozen = None if active.all() else np.repeat(~active, n)
+        for r, problem in enumerate(problems):
+            updated = _update(powers[r], problem, rules[r])
+            step = np.abs(10.0 * np.log10(updated / powers[r])).reshape(n_snap, n).max(
+                axis=1, initial=0.0)
+            if frozen is not None:
+                updated = np.where(frozen, powers[r], updated)
+                step = np.where(active, step, steps[r])
+            powers[r] = updated
+            steps[r] = step
+        met |= steps < tol_db
+        iterations += active
+        if n_iters is None:
+            active &= ~met.all(axis=0)
+            if not active.any():
+                break
+    if n_iters is None:
+        for _ in np.flatnonzero(~met.all(axis=0)):
+            log.warning("power control did not converge in %d iterations", max_iter)
+    by_run = []
+    for problem, rule, p, step in zip(problems, rules, powers, steps):
+        sinr_db = (10.0 * np.log10(_combined_sinr(p, problem, rule))).reshape(n_snap, n)
+        tx_dbm = (10.0 * np.log10(p)).reshape(n_snap, n)
+        pinned = p.reshape(n_snap, n) >= problem.p_max_mw * (1.0 - 1e-12)
+        outage = pinned & (sinr_db < targets_db - OUTAGE_MARGIN_DB)
+        for arr in (tx_dbm, sinr_db, outage):
+            arr.flags.writeable = False
+        by_run.append([PowerControlResult(tx_dbm[k], sinr_db[k], outage[k], int(iterations[k]),
+                                          bool(step[k] < tol_db)) for k in range(n_snap)])
+    return list(zip(*by_run))
+
+
 def solve_lockstep(runs: tuple[tuple[Scenario, LinkGainMatrix], ...],
                    mobiles: list[MobileStation], assoc: Association,
                    tol_db: float = DEFAULT_TOL_DB, max_iter: int = DEFAULT_MAX_ITER,
                    n_iters: int | None = None) -> tuple[PowerControlResult, ...]:
     """Solve (scenario, table) runs of one drop in lockstep from all-p_min.
 
-    Each run combines by its own scenario's radio.combining. Stops once
-    every run's largest per-MS step has dropped below tol_db at least
-    once, or after max_iter (exactly n_iters if given). Runs do not
-    interact, so each ends at the iterate it alone would reach in as many
-    steps. Every table must hold its own scenario's receive points only:
-    the width of the gain array changes the last bits of `powers @ gains`.
+    This is solve_snapshots at S = 1: each run combines by its own
+    scenario's radio.combining, and all stop together once every run's
+    largest per-MS step has dropped below tol_db at least once, or after
+    max_iter (exactly n_iters if given). Runs do not interact, so each
+    ends at the iterate it alone would reach in as many steps.
     """
-    rules = [s.radio.combining for s, _ in runs]
-    for rule in rules:
-        if rule not in COMBINING_MODES:
-            raise ValueError(f"unknown combining mode '{rule}'")
-    targets_db = np.array([m.sinr_target_db for m in mobiles])
-    problems = [_problem(gm, assoc, receive_branches(s), targets_db,
-                         s.radio.p_min_dbm, s.radio.p_max_dbm) for s, gm in runs]
-    n = len(mobiles)
-    powers = [np.full(n, p.p_min_mw) for p in problems]
-    steps = [0.0] * len(runs)
-    met = [False] * len(runs)
-    iterations = 0
-    for _ in range(max_iter if n_iters is None else n_iters):
-        for i, problem in enumerate(problems):
-            updated = _update(powers[i], problem, rules[i])
-            steps[i] = (float(np.max(np.abs(10.0 * np.log10(updated / powers[i]))))
-                        if n else 0.0)
-            powers[i] = updated
-            met[i] = met[i] or steps[i] < tol_db
-        iterations += 1
-        if n_iters is None and all(met):
-            break
-    if n_iters is None and not all(met):
-        log.warning("power control did not converge in %d iterations", max_iter)
-    results = []
-    for problem, rule, p, step in zip(problems, rules, powers, steps):
-        sinr_db = 10.0 * np.log10(_combined_sinr(p, problem, rule)) if n else np.empty(0)
-        tx_dbm = 10.0 * np.log10(p) if n else np.empty(0)
-        pinned = p >= problem.p_max_mw * (1.0 - 1e-12)
-        outage = pinned & (sinr_db < targets_db - OUTAGE_MARGIN_DB)
-        for arr in (tx_dbm, sinr_db, outage):
-            arr.flags.writeable = False
-        results.append(PowerControlResult(tx_dbm, sinr_db, outage, iterations, step < tol_db))
-    return tuple(results)
+    scenarios = tuple(s for s, _ in runs)
+    return solve_snapshots(scenarios, [(mobiles, assoc, tuple(gm for _, gm in runs))],
+                           tol_db, max_iter, n_iters)[0]
 
 
 def solve_power_control(s: Scenario, mobiles: list[MobileStation], gm: LinkGainMatrix,
@@ -277,10 +376,10 @@ def solve_power_control(s: Scenario, mobiles: list[MobileStation], gm: LinkGainM
 
     Iterates the clamped update from all-p_min until the largest per-MS
     change drops below tol_db (or max_iter is hit; converged=False then).
-    n_iters forces an exact iteration count instead.
+    n_iters forces an exact iteration count instead. This is
+    solve_snapshots at S = 1 with one run.
 
     MSs pinned at p_max that still miss their target by more than
     OUTAGE_MARGIN_DB are flagged as outage.
     """
-    return solve_lockstep(((s, gm),), mobiles, assoc, tol_db, max_iter, n_iters)[0]
-
+    return solve_snapshots((s,), [(mobiles, assoc, (gm,))], tol_db, max_iter, n_iters)[0][0]

@@ -86,6 +86,16 @@ class LinkGainMatrix:
     def rp_index(self) -> dict[str, int]:
         return {rp.id: i for i, rp in enumerate(self.receive_points)}
 
+    @cached_property
+    def ul_gain_mw(self) -> np.ndarray:
+        """ul_gain_db in linear units, computed once per table."""
+        return 10.0 ** (self.ul_gain_db / 10.0)
+
+    @cached_property
+    def noise_mw(self) -> np.ndarray:
+        """noise_dbm in milliwatts, computed once per table."""
+        return 10.0 ** (self.noise_dbm / 10.0)
+
     def restricted_to(self, s: Scenario) -> LinkGainMatrix:
         """The columns of s's receive points, by id and in s's order.
 

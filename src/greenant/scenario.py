@@ -8,6 +8,8 @@ pilot and take no part in any downlink computation.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -647,6 +649,16 @@ def drop_mobiles(s: Scenario, seed: int) -> list[MobileStation]:
     footprints (area-weighted); outdoor mobiles uniformly over the
     non-building map area. The result is a pure function of
     (scenario-without-greens, seed) with stable element order.
+
+    Each mobile consumes uniforms of the "drops" substream in a fixed
+    order: an indoor flag; then a building pick and an x and a y inside
+    it, or (x, y) candidate pairs over the map until one lies outside
+    every building (at most _MAX_PLACE_TRIES); then a service flag. The
+    uniforms are drawn in blocks, and every offset's outdoor candidate
+    and its building test are computed for a whole block at once, so
+    only the walk through the block is per mobile. A candidate is
+    low + (high - low) * u, as `Generator.uniform` computes it, so the
+    drop is the one that a scalar draw per value gives, bit for bit.
     """
     traffic = s.traffic
     clutter = s.clutter
@@ -658,34 +670,52 @@ def drop_mobiles(s: Scenario, seed: int) -> list[MobileStation]:
     rng = substream(seed, "drops")
     areas = [b.area for b in buildings]
     total_area = sum(areas)
-    cum = []
-    acc = 0.0
-    for a in areas:
-        acc += a
-        cum.append(acc)
-
+    cum = list(itertools.accumulate(areas))
     x0, y0, x1, y1 = clutter.bounds
+    rects = np.array([b.rect for b in buildings], dtype=float).reshape(-1, 4)
+    draws = np.empty(0)
+    u: list[float] = []             # the uniforms, in stream order
+    cx: list[float] = []            # outdoor candidate at offset j: u[j], u[j + 1]
+    cy: list[float] = []
+    free: list[bool] = []           # candidate j lies outside every building
+
+    def grow() -> None:
+        nonlocal draws, u, cx, cy, free
+        draws = np.concatenate([draws, rng.random(max(len(draws), 6 * n + 64))])
+        x = x0 + (x1 - x0) * draws[:-1, None]
+        y = y0 + (y1 - y0) * draws[1:, None]
+        inside = ((rects[:, 0] <= x) & (x <= rects[:, 2])
+                  & (rects[:, 1] <= y) & (y <= rects[:, 3])).any(axis=1)
+        u, cx, cy, free = draws.tolist(), x[:, 0].tolist(), y[:, 0].tolist(), (~inside).tolist()
+
     mobiles: list[MobileStation] = []
+    j = 0                           # offset of the next unused uniform
     for i in range(n):
-        indoor = bool(rng.random() < traffic.indoor_fraction)
+        if j + 4 > len(u):          # the flag and an indoor placement
+            grow()
+        indoor = u[j] < traffic.indoor_fraction
+        j += 1
         if indoor:
-            u = rng.random() * total_area
-            b_idx = 0
-            while b_idx < len(cum) - 1 and u > cum[b_idx]:
-                b_idx += 1
-            b = buildings[b_idx]
+            b = buildings[min(bisect.bisect_left(cum, u[j] * total_area), len(cum) - 1)]
             bx0, by0, bx1, by1 = b.rect
-            pos = (float(rng.uniform(bx0, bx1)), float(rng.uniform(by0, by1)))
+            pos = (bx0 + (bx1 - bx0) * u[j + 1], by0 + (by1 - by0) * u[j + 2])
+            j += 3
             building_id = b.id
         else:
             for _ in range(_MAX_PLACE_TRIES):
-                pos = (float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1)))
-                if clutter.building_at(*pos) is None:
+                if j >= len(free):
+                    grow()
+                pos, placed = (cx[j], cy[j]), free[j]
+                j += 2
+                if placed:
                     break
             else:
                 raise InfeasibleDropError("could not place an outdoor mobile; map covered by buildings")
             building_id = None
-        service = "voice" if rng.random() < traffic.voice_fraction else "data"
+        if j >= len(u):
+            grow()
+        service = "voice" if u[j] < traffic.voice_fraction else "data"
+        j += 1
         mobiles.append(MobileStation(
             id=i,
             position=pos,

@@ -5,14 +5,22 @@ control solve per scenario. A single run is a campaign of one scenario,
 a paired comparison one of two, a green-count sweep one of nested green
 lists, fullest last. The scenarios of a campaign differ only in their
 greens, and every earlier scenario's greens are also in the last one
-(check_pairable), so what they share is computed once, from the last
-scenario: one drop, one channel table and one association. Each earlier
-scenario reads its own receive-point columns of that table. Each run is
-solved under its own radio.combining, in lockstep to the same number of
-power control iterations. That last point matters because every run
-iterates monotonically upward from p_min; comparing at a common
-iteration count is what makes the per-MS power ordering exact instead
-of blurred by the stopping rule.
+(check_pairable, once per campaign), so what they share is computed
+once, from the last scenario: one drop, one channel table and one
+association. Each earlier scenario reads its own receive-point columns
+of that table. Each run is solved under its own radio.combining, in
+lockstep to the same number of power control iterations. That last
+point matters because every run iterates monotonically upward from
+p_min; comparing at a common iteration count is what makes the per-MS
+power ordering exact instead of blurred by the stopping rule.
+
+A campaign runs in tasks, each a contiguous range of snapshot indices:
+the whole campaign at jobs=1, one range per worker otherwise. A task
+draws and tabulates its snapshots one by one, and solves them in chunks
+of up to STACK_LINKS stacked links as one problem (powerctl's
+solve_snapshots). Each snapshot's results are the bits of its solve
+alone, so neither the chunking nor the number of workers changes any
+output.
 """
 
 from __future__ import annotations
@@ -20,10 +28,16 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .powerctl import Association, PowerControlResult, associate, solve_lockstep
+from .powerctl import Association, PowerControlResult, associate, solve_snapshots
 from .propagation import build_gain_matrix
 from .scenario import MobileStation, Scenario, drop_mobiles, strip_greens
 from .seeds import derive_seed
+
+#: Cap on the links (snapshots x mobiles x receive points, summed over the
+#: runs) of one stacked solve, 0.25 MB per float64 stack. On the bundled
+#: maps a cap twice as large saves under 5% of the campaign time and adds
+#: about 1 MB to its peak memory.
+STACK_LINKS = 1 << 15
 
 
 class PairingError(Exception):
@@ -50,39 +64,65 @@ def _check_campaign(scenarios: tuple[Scenario, ...]) -> None:
         check_pairable(s, scenarios[-1])
 
 
+def _run_chunk(scenarios: tuple[Scenario, ...],
+               seeds: list[tuple[int, int]]) -> list[Snapshot]:
+    """Snapshots of (index, snapshot seed) pairs, solved as one stack.
+
+    The drop, the table and the association are the last scenario's; a
+    scenario that is not the last reads its own columns of that table.
+    """
+    table_scenario = scenarios[-1]
+    drops = []
+    for _, snap_seed in seeds:
+        mobiles = drop_mobiles(table_scenario, snap_seed)
+        gm = build_gain_matrix(table_scenario, mobiles, snap_seed)
+        tables = tuple(gm if s is table_scenario else gm.restricted_to(s) for s in scenarios)
+        drops.append((mobiles, associate(gm), tables))
+    solved = solve_snapshots(scenarios, drops)
+    return [Snapshot(index, snap_seed, tuple(mobiles), assoc, runs)
+            for (index, snap_seed), (mobiles, assoc, _), runs in zip(seeds, drops, solved)]
+
+
 def run_snapshot(scenarios: tuple[Scenario, ...], snap_seed: int, index: int = 0) -> Snapshot:
     """Solve one drop under every scenario, with shared randomness.
 
     Raises PairingError if an earlier scenario fails check_pairable
-    against the last. The drop, the table and the association are the
-    last scenario's; a scenario that is not the last reads its own
-    columns of that table.
+    against the last.
     """
     _check_campaign(scenarios)
-    table_scenario = scenarios[-1]
-    mobiles = drop_mobiles(table_scenario, snap_seed)
-    gm = build_gain_matrix(table_scenario, mobiles, snap_seed)
-    assoc = associate(gm)
-    runs = tuple((s, gm if s is table_scenario else gm.restricted_to(s)) for s in scenarios)
-    return Snapshot(index, snap_seed, tuple(mobiles), assoc,
-                    solve_lockstep(runs, mobiles, assoc))
+    return _run_chunk(scenarios, [(index, snap_seed)])[0]
 
 
-def _task(args) -> Snapshot:
-    scenarios, seed, index = args
-    return run_snapshot(scenarios, snapshot_seed(seed, index), index)
+def _chunk_size(scenarios: tuple[Scenario, ...]) -> int:
+    """Snapshots per stacked solve, under STACK_LINKS."""
+    s = scenarios[-1]
+    n_ms = s.traffic.mobiles_per_sector * s.n_sectors()
+    links = n_ms * sum(v.n_sectors() + len(v.greens) for v in scenarios)
+    return max(1, STACK_LINKS // max(links, 1))
+
+
+def _task(args) -> list[Snapshot]:
+    scenarios, seed, start, stop = args
+    size = _chunk_size(scenarios)
+    snapshots: list[Snapshot] = []
+    for lo in range(start, stop, size):
+        snapshots += _run_chunk(scenarios, [(k, snapshot_seed(seed, k))
+                                            for k in range(lo, min(lo + size, stop))])
+    return snapshots
 
 
 def run_campaign(scenarios: tuple[Scenario, ...], seed: int, n_snapshots: int,
                  jobs: int = 1) -> list[Snapshot]:
     if n_snapshots < 1:
         raise ValueError("need at least one snapshot")
-    _check_campaign(scenarios)      # before any worker starts
-    tasks = [(scenarios, seed, k) for k in range(n_snapshots)]
-    if jobs <= 1 or n_snapshots == 1:
-        return [_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_task, tasks))
+    _check_campaign(scenarios)      # once, before any worker starts
+    workers = min(max(jobs, 1), n_snapshots)
+    if workers == 1:
+        return _task((scenarios, seed, 0, n_snapshots))
+    bounds = [n_snapshots * w // workers for w in range(workers + 1)]
+    tasks = [(scenarios, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [snap for part in pool.map(_task, tasks) for snap in part]
 
 
 def check_pairable(baseline: Scenario, green: Scenario) -> None:

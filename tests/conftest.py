@@ -2,6 +2,7 @@
 synthetic channel tables that bypass the propagation layer."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,28 @@ def two_cell_doc(with_green=False, sigma=0.0, targets=(-12.0, -12.0),
 
 def load_doc(doc):
     return load_scenario(json.dumps(doc))
+
+
+def bundled_doc(name):
+    """A bundled scenario file as a document, for tests that vary it."""
+    return json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8"))
+
+
+def multi_green_doc(mobiles_per_sector=2, combining="egc", attached=6):
+    """green.json with an omni green at the centre of every other building,
+    attached to its `attached` nearest sectors: 3-7 branches per sector."""
+    doc = bundled_doc("green.json")
+    sectors = [(sec["id"], site["position"]) for site in doc["sites"] for sec in site["sectors"]]
+    for b in doc["clutter"]["buildings"][1:]:
+        x0, y0, x1, y1 = b["rect"]
+        cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+        nearest = sorted(sectors, key=lambda s: (math.hypot(cx - s[1][0], cy - s[1][1]), s[0]))
+        doc["greens"].append({"id": f"green-{b['id']}", "position": [cx, cy],
+                              "attached_sectors": [sid for sid, _ in nearest[:attached]]})
+    doc["traffic"]["mobiles_per_sector"] = mobiles_per_sector
+    doc["traffic"]["sinr_target_db"] = {"voice": -10.0, "data": -6.0}
+    doc["radio"]["combining"] = combining
+    return doc
 
 
 def place(idx, x, y, indoor=False, building_id=None, target_db=-12.0):

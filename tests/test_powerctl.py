@@ -6,7 +6,9 @@ import pytest
 
 from greenant.powerctl import (
     _combined_sinr,
+    _linear_targets,
     _problem,
+    _stacked_problem,
     associate,
     effective_sinr,
     power_update,
@@ -23,7 +25,11 @@ from greenant.scenario import (
     Site,
 )
 
-from conftest import make_tables, random_instance
+from greenant.propagation import build_gain_matrix
+from greenant.scenario import drop_mobiles
+from greenant.simulate import snapshot_seed
+
+from conftest import load_doc, make_tables, multi_green_doc, random_instance
 
 NOISE_MW = 10.0 ** (-104.0 / 10.0)
 
@@ -187,6 +193,119 @@ def test_kernel_is_bitwise_equal_to_per_sector_evaluation():
         for mode in ("mrc", "selection", "egc"):
             expected = per_sector_sinr(p, gm, assoc, branches, mode)
             assert np.array_equal(_combined_sinr(p, problem, mode), expected)
+
+
+def reference_groups(gm, assoc, branches, targets_db):
+    """The per-mobile problem builder: {width: (rows, cols, gains, noise)}
+    and the per-element scalar pow of the targets."""
+    cols = {sid: [gm.rp_index[rid] for rid in branches.by_sector[sid]]
+            for sid in set(assoc.serving_sector)}
+    by_width = {}
+    for i, sid in enumerate(assoc.serving_sector):
+        by_width.setdefault(len(cols[sid]), []).append(i)
+    gains_mw = 10.0 ** (gm.ul_gain_db / 10.0)
+    noise_mw = 10.0 ** (gm.noise_dbm / 10.0)
+    groups = {}
+    for width, ms_rows in by_width.items():
+        rows = np.array(ms_rows, dtype=int)
+        branch_cols = np.array([cols[assoc.serving_sector[i]] for i in ms_rows], dtype=int)
+        groups[width] = (rows, branch_cols, gains_mw[rows[:, None], branch_cols],
+                         noise_mw[branch_cols])
+    targets_lin = np.array([10.0 ** (float(t) / 10.0) for t in targets_db])
+    return groups, targets_lin
+
+
+def multi_green_problems(n_snapshots=6):
+    """(table, association, branches, targets) of multi-green map drops."""
+    s = load_doc(multi_green_doc())
+    out = []
+    for k in range(n_snapshots):
+        seed = snapshot_seed(43, k)
+        mobiles = drop_mobiles(s, seed)
+        gm = build_gain_matrix(s, mobiles, seed)
+        out.append((gm, associate(gm), receive_branches(s),
+                    np.array([m.sinr_target_db for m in mobiles])))
+    return out
+
+
+def assert_same_groups(problem, want):
+    got = {g.cols.shape[1]: g for g in problem.groups}
+    assert sorted(got) == sorted(want)
+    for width, (rows, cols, gains, noise) in want.items():
+        g = got[width]
+        assert np.array_equal(g.rows, rows)
+        assert np.array_equal(g.cols, cols)
+        assert np.array_equal(g.gains_mw, gains)
+        assert np.array_equal(g.noise_mw, noise)
+
+
+def test_vectorised_problem_equals_per_mobile_builder():
+    rng = np.random.default_rng(89)
+    cases = [random_instance(rng) for _ in range(60)]
+    cases += [(*wide_instance(rng), rng.uniform(-15.0, 9.0, size=40)) for _ in range(20)]
+    cases = [(gm, assoc, branches, targets[:len(gm.ms_ids)])
+             for gm, assoc, branches, targets in cases]
+    cases += multi_green_problems()
+    for gm, assoc, branches, targets in cases:
+        want, want_targets = reference_groups(gm, assoc, branches, targets)
+        problem = _problem(gm, assoc, branches, targets, -50.0, 24.0)
+        assert_same_groups(problem, want)
+        assert problem.targets_lin.tobytes() == want_targets.tobytes()
+
+
+def test_stacked_problem_offsets_each_snapshots_groups():
+    """Snapshot s of a stack holds its own groups, with rows shifted by s*n
+    and columns by s*n_rp."""
+    cases = multi_green_problems()
+    tables, assocs, branches = [c[0] for c in cases], [c[1] for c in cases], cases[0][2]
+    targets = np.stack([c[3] for c in cases])
+    stacked = _stacked_problem(tables, assocs, branches, _linear_targets(targets), -50.0, 24.0)
+    n, n_rp = tables[0].ul_gain_db.shape
+    assert stacked.gains_mw.shape == (len(cases), n, n_rp)
+    for s, (gm, assoc, _, t) in enumerate(cases):
+        want, want_targets = reference_groups(gm, assoc, branches, t)
+        widths = set()
+        for g in stacked.groups:
+            mine = g.rows // n == s
+            if mine.any():
+                width = g.cols.shape[1]
+                widths.add(width)
+                rows, cols, gains, noise = want[width]
+                assert np.array_equal(g.rows[mine], rows + s * n)
+                assert np.array_equal(g.cols[mine], cols + s * n_rp)
+                assert np.array_equal(g.gains_mw[mine], gains)
+                assert np.array_equal(g.noise_mw[mine], noise)
+        assert widths == set(want)
+        assert stacked.targets_lin[s * n:(s + 1) * n].tobytes() == want_targets.tobytes()
+
+
+def stack_of(rng, n_snapshots, wide):
+    """Tables of one shape and branch set, with their own gains and serving."""
+    n_sec, n_ms = 4, 15
+    attach = ({"s0": [f"g{k}" for k in range(9)], "s1": ["g0", "g9"]} if wide
+              else {"s0": ["g0"], "s2": ["g1"]})
+    n_rp = n_sec + (10 if wide else 2)
+    tables = [make_tables(rng.uniform(-130.0, -70.0, size=(n_ms, n_rp)), n_sec,
+                          rng.integers(0, n_sec, size=n_ms), attach=attach)
+              for _ in range(n_snapshots)]
+    return tables, 10.0 ** rng.uniform(-5.0, 2.4, size=(n_snapshots, n_ms))
+
+
+def test_stacked_kernel_is_bitwise_per_snapshot():
+    """The batched matmul and the cross-snapshot width groups give each
+    snapshot the bits of its own kernel call, up to 11 branches wide."""
+    rng = np.random.default_rng(101)
+    for trial in range(30):
+        tables, powers = stack_of(rng, int(rng.integers(2, 9)), wide=trial % 2 == 1)
+        branches = tables[0][2]
+        n = powers.shape[1]
+        stacked = _stacked_problem([t[0] for t in tables], [t[1] for t in tables], branches,
+                                   np.ones(powers.size), -50.0, 24.0)
+        for mode in ("mrc", "selection", "egc"):
+            got = _combined_sinr(powers.reshape(-1), stacked, mode).reshape(powers.shape)
+            for s, (gm, assoc, _) in enumerate(tables):
+                alone = _problem(gm, assoc, branches, np.zeros(n), -50.0, 24.0)
+                assert np.array_equal(got[s], _combined_sinr(powers[s], alone, mode))
 
 
 def test_egc_closed_form_matches_pairwise_expansion():

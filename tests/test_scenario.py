@@ -6,12 +6,14 @@ import json
 import numpy as np
 import pytest
 
+from greenant import scenario
 from greenant.scenario import (
     Building,
     ClutterMap,
     InfeasibleDropError,
     ParseError,
     ValidationError,
+    MobileStation,
     drop_mobiles,
     load_scenario,
     load_scenario_file,
@@ -19,7 +21,10 @@ from greenant.scenario import (
     validate_scenario,
 )
 
-from conftest import load_doc, two_cell_doc
+from greenant.seeds import substream
+from greenant.simulate import snapshot_seed
+
+from conftest import bundled_doc, load_doc, multi_green_doc, two_cell_doc
 
 
 MINIMAL = {
@@ -218,3 +223,151 @@ def test_indoor_without_buildings_is_infeasible():
     s = load_doc(two_cell_doc(indoor_fraction=0.4))
     with pytest.raises(InfeasibleDropError):
         drop_mobiles(s, 1)
+
+
+# ---------------------------------------------------------------------------
+# the block-drawn drop against a scalar draw per value
+
+def _reference_drop(s, seed):
+    """The drop as one scalar draw per value: drop_mobiles must give its bits."""
+    traffic = s.traffic
+    clutter = s.clutter
+    n = traffic.mobiles_per_sector * s.n_sectors()
+    buildings = clutter.buildings
+    if traffic.indoor_fraction > 0 and not buildings:
+        raise InfeasibleDropError("indoor_fraction > 0 but the scenario has no buildings")
+
+    rng = substream(seed, "drops")
+    areas = [b.area for b in buildings]
+    total_area = sum(areas)
+    cum = []
+    acc = 0.0
+    for a in areas:
+        acc += a
+        cum.append(acc)
+
+    x0, y0, x1, y1 = clutter.bounds
+    mobiles = []
+    for i in range(n):
+        indoor = bool(rng.random() < traffic.indoor_fraction)
+        if indoor:
+            u = rng.random() * total_area
+            b_idx = 0
+            while b_idx < len(cum) - 1 and u > cum[b_idx]:
+                b_idx += 1
+            b = buildings[b_idx]
+            bx0, by0, bx1, by1 = b.rect
+            pos = (float(rng.uniform(bx0, bx1)), float(rng.uniform(by0, by1)))
+            building_id = b.id
+        else:
+            for _ in range(scenario._MAX_PLACE_TRIES):
+                pos = (float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1)))
+                if clutter.building_at(*pos) is None:
+                    break
+            else:
+                raise InfeasibleDropError("could not place an outdoor mobile; map covered by buildings")
+            building_id = None
+        service = "voice" if rng.random() < traffic.voice_fraction else "data"
+        mobiles.append(MobileStation(id=i, position=pos, indoor=indoor,
+                                     building_id=building_id, service=service,
+                                     sinr_target_db=traffic.sinr_target_db[service]))
+    return mobiles
+
+
+def _covered_doc(mobiles_per_sector=2):
+    """green.json's sites on a map 92% covered by four buildings, so an
+    outdoor mobile needs about 13 tries and the drop outgrows its block."""
+    doc = bundled_doc("green.json")
+    x0, y0, x1, y1 = doc["clutter"]["bounds"]
+    mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+    gx, gy = 0.01 * (x1 - x0), 0.01 * (y1 - y0)
+    doc["clutter"]["buildings"] = [
+        {"id": f"q{k}", "rect": [bx0, by0, bx1, by1], "penetration_loss_db": 15.0}
+        for k, (bx0, by0, bx1, by1) in enumerate([
+            (x0 + gx, y0 + gy, mx - gx, my - gy), (mx + gx, y0 + gy, x1 - gx, my - gy),
+            (x0 + gx, my + gy, mx - gx, y1 - gy), (mx + gx, my + gy, x1 - gx, y1 - gy)])]
+    doc["greens"] = []
+    doc["traffic"]["mobiles_per_sector"] = mobiles_per_sector
+    return doc
+
+
+def _with_traffic(doc, **traffic):
+    doc["traffic"].update(traffic)
+    return doc
+
+
+def _assert_same_drop(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+        # exact floats, not just ==: the same bits
+        assert [v.hex() for v in g.position] == [v.hex() for v in w.position]
+        assert type(g.position[0]) is float and type(g.indoor) is bool
+
+
+DROP_MAPS = {
+    "green": lambda: bundled_doc("green.json"),
+    "multi-green": multi_green_doc,
+    "covered": _covered_doc,
+    "all-outdoor": lambda: _with_traffic(bundled_doc("green.json"), indoor_fraction=0.0,
+                                         mobiles_per_sector=3),
+    "all-indoor": lambda: _with_traffic(bundled_doc("green.json"), indoor_fraction=1.0,
+                                        mobiles_per_sector=3),
+    "no-mobiles": lambda: _with_traffic(bundled_doc("green.json"), mobiles_per_sector=0),
+}
+
+
+@pytest.mark.parametrize("name", DROP_MAPS)
+def test_drop_is_bitwise_the_scalar_draw_reference(name):
+    s = load_doc(DROP_MAPS[name]())
+    for k in range(400):
+        seed = snapshot_seed(29, k)
+        _assert_same_drop(drop_mobiles(s, seed), _reference_drop(s, seed))
+
+
+def test_covered_map_draws_more_than_one_block(monkeypatch):
+    """The covered map exercises the block regrowth that the reference test
+    compares bit for bit."""
+    blocks = []
+    real = scenario.substream
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            blocks.append(size)
+            return self.rng.random(size)
+
+    monkeypatch.setattr(scenario, "substream", lambda seed, label: Counting(real(seed, label)))
+    drop_mobiles(load_doc(_covered_doc()), snapshot_seed(29, 0))
+    assert len(blocks) >= 2
+
+
+def test_place_try_budget_is_unchanged(monkeypatch):
+    """With the budget cut to 50 tries on a 92% covered map, about half the
+    drops run out: the block-drawn drop raises exactly where the reference
+    does."""
+    monkeypatch.setattr(scenario, "_MAX_PLACE_TRIES", 50)
+    s = load_doc(_with_traffic(_covered_doc(), indoor_fraction=0.0))
+    raised = 0
+    for k in range(60):
+        seed = snapshot_seed(31, k)
+        try:
+            want = _reference_drop(s, seed)
+        except InfeasibleDropError:
+            raised += 1
+            with pytest.raises(InfeasibleDropError):
+                drop_mobiles(s, seed)
+        else:
+            _assert_same_drop(drop_mobiles(s, seed), want)
+    assert 0 < raised < 60
+
+
+def test_fully_covered_map_is_infeasible():
+    doc = _covered_doc()
+    x0, y0, x1, y1 = doc["clutter"]["bounds"]
+    doc["clutter"]["buildings"] = [{"id": "all", "rect": [x0, y0, x1, y1]}]
+    doc["traffic"]["indoor_fraction"] = 0.0
+    with pytest.raises(InfeasibleDropError, match="covered by buildings"):
+        drop_mobiles(load_doc(doc), 1)

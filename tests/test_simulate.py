@@ -1,12 +1,14 @@
 """Snapshot orchestration: seeding, pairing guarantees, and campaigns."""
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
 
+from greenant import simulate
 from greenant.metrics import NO_FILTER, PopulationFilter, kept_indices
-from greenant.powerctl import associate, solve_power_control
+from greenant.powerctl import associate, solve_power_control, solve_snapshots
 from greenant.propagation import build_gain_matrix
 from greenant.scenario import drop_mobiles
 from greenant.simulate import (
@@ -19,7 +21,7 @@ from greenant.simulate import (
     snapshot_seed,
 )
 
-from conftest import load_doc, two_cell_doc
+from conftest import bundled_doc, load_doc, two_cell_doc
 
 
 def test_snapshot_seeds_are_distinct_and_stable():
@@ -271,3 +273,91 @@ def test_gather_tx_powers_reads_precomputed_kept_indices(two_cell, two_cell_gree
     assert [len(k) for k in kept] != [len(p.mobiles) for p in pairs]
     for run in (0, 1):
         assert gather_tx_powers(pairs, run, kept=kept) == gather_tx_powers(pairs, run, disk)
+
+
+# ---------------------------------------------------------------------------
+# chunked campaigns: every snapshot is the bits of its solve alone
+
+def _hole_pair(combining):
+    docs = [bundled_doc("baseline.json"), bundled_doc("green.json")]
+    for doc in docs:
+        doc["radio"]["combining"] = combining
+    return tuple(load_doc(doc) for doc in docs)
+
+
+def _assert_same_result(got, want):
+    for f in ("tx_power_dbm", "sinr_db", "outage"):
+        assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), f
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert type(got.iterations) is int and type(got.converged) is bool
+
+
+def _assert_same_snapshot(got, want):
+    assert (got.index, got.seed, got.mobiles) == (want.index, want.seed, want.mobiles)
+    assert got.association.serving_sector == want.association.serving_sector
+    assert got.association.serving_index.tobytes() == want.association.serving_index.tobytes()
+    assert got.association.dl_rx_dbm.tobytes() == want.association.dl_rx_dbm.tobytes()
+    for g, w in zip(got.runs, want.runs, strict=True):
+        _assert_same_result(g, w)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("combining", ["mrc", "selection", "egc"])
+def test_campaign_snapshots_are_bitwise_their_solves_alone(combining, jobs):
+    """Chunks of the bundled pair (3 snapshots each) over 7 snapshots: every
+    snapshot equals run_snapshot alone, and each run equals a solve on its
+    own scenario's table at the pair's iteration count."""
+    scenarios = _hole_pair(combining)
+    size = simulate._chunk_size(scenarios)
+    n_snapshots = 2 * size + 1
+    assert size > 1
+    snaps = run_campaign(scenarios, seed=53, n_snapshots=n_snapshots, jobs=jobs)
+    assert [sn.index for sn in snaps] == list(range(n_snapshots))
+    for snap in snaps:
+        _assert_same_snapshot(snap, run_snapshot(scenarios, snap.seed, snap.index))
+        for s, got in zip(scenarios, snap.runs):
+            mobiles = drop_mobiles(s, snap.seed)
+            gm = build_gain_matrix(s, mobiles, snap.seed)
+            own = solve_power_control(s, mobiles, gm, associate(gm), n_iters=got.iterations)
+            _assert_same_result(got, own)
+
+
+def test_nonconverged_snapshot_in_a_stack_keeps_its_own_state(caplog):
+    """Under a max_iter that half the snapshots of a stack need more than,
+    those end unconverged, with one warning each, and every snapshot,
+    converged or not, is the bits of its solve alone."""
+    scenarios = _hole_pair("mrc")
+    drops = []
+    for k in range(8):
+        seed = snapshot_seed(59, k)
+        mobiles = drop_mobiles(scenarios[1], seed)
+        gm = build_gain_matrix(scenarios[1], mobiles, seed)
+        drops.append((mobiles, associate(gm), (gm.restricted_to(scenarios[0]), gm)))
+    natural = sorted(solve_snapshots(scenarios, [d])[0][0].iterations for d in drops)
+    max_iter = natural[len(natural) // 2]
+    alone = [solve_snapshots(scenarios, [d], max_iter=max_iter)[0] for d in drops]
+    failed = sum(not all(r.converged for r in runs) for runs in alone)
+    assert 0 < failed < len(drops)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="greenant.powerctl"):
+        stacked = solve_snapshots(scenarios, drops, max_iter=max_iter)
+    warnings = [r for r in caplog.records if "did not converge" in r.getMessage()]
+    assert len(warnings) == failed
+    for got, want in zip(stacked, alone, strict=True):
+        for g, w in zip(got, want, strict=True):
+            _assert_same_result(g, w)
+        if not all(r.converged for r in got):
+            assert [r.iterations for r in got] == [max_iter] * len(got)
+
+
+def test_campaign_without_mobiles():
+    scenarios = (load_doc(two_cell_doc(mobiles_per_sector=0)),
+                 load_doc(two_cell_doc(with_green=True, mobiles_per_sector=0)))
+    for jobs in (1, 2):
+        snaps = run_campaign(scenarios, seed=3, n_snapshots=5, jobs=jobs)
+        for snap in snaps:
+            assert snap.mobiles == ()
+            _assert_same_snapshot(snap, run_snapshot(scenarios, snap.seed, snap.index))
+            for run in snap.runs:
+                assert run.tx_power_dbm.shape == (0,)
+                assert (run.iterations, run.converged) == (1, True)
