@@ -32,15 +32,13 @@ from .propagation import (
     receive_points,
 )
 from .powerctl import (
-    Association,
     BranchSet,
     PowerControlResult,
     associate,
     effective_sinr,
     power_update,
     receive_branches,
-    solve_lockstep,
-    solve_power_control,
+    solve_snapshots,
 )
 from .metrics import (
     NO_FILTER,
@@ -48,16 +46,15 @@ from .metrics import (
     PopulationFilter,
     compare_runs,
     emit_report,
-    filter_population,
+    gather_tx_powers,
+    kept_indices,
     tx_power_cdf,
 )
 from .simulate import (
     PairingError,
     Snapshot,
     check_pairable,
-    gather_tx_powers,
     run_campaign,
-    run_snapshot,
     snapshot_seed,
 )
 

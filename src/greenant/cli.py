@@ -25,11 +25,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import (PopulationFilter, compare_runs, emit_report, kept_indices,
-                      solver_rows, tx_power_cdf, write_cdf_csv, write_summary_csv)
-from .propagation import build_gain_matrix, write_gain_dump
-from .scenario import (Scenario, ScenarioError, drop_mobiles, load_scenario_file)
-from .simulate import (PairingError, check_pairable, gather_tx_powers, run_campaign,
+from .metrics import (PopulationFilter, compare_runs, emit_report, gather_tx_powers,
+                      kept_indices, solver_rows, tx_power_cdf, write_cdf_csv,
+                      write_summary_csv)
+from .propagation import write_gain_dump
+from .scenario import Scenario, ScenarioError, load_scenario_file
+from .simulate import (PairingError, check_pairable, draw_snapshot, run_campaign,
                        snapshot_seed)
 
 #: Flag spellings accepted for --combining, mapped to the internal mode name.
@@ -66,12 +67,12 @@ def _progress(msg: str) -> None:
 
 def _spec_filter(spec: RunSpec, default_center: tuple[float, float] | None = None) -> PopulationFilter:
     center = spec.filter_center if spec.filter_center is not None else default_center
-    if spec.filter_radius is not None:
-        radius = spec.filter_radius
-    elif center is not None:
-        radius = DEFAULT_FILTER_RADIUS_M
-    else:
-        radius = float("inf")
+    if center is None:
+        if spec.filter_radius is not None:
+            raise ScenarioError("--filter-radius needs a center: give --filter-center "
+                                "(compare and sweep default to the first green antenna)")
+        return PopulationFilter(indoor_only=spec.indoor_only)
+    radius = spec.filter_radius if spec.filter_radius is not None else DEFAULT_FILTER_RADIUS_M
     return PopulationFilter(center=center, radius_m=radius, indoor_only=spec.indoor_only)
 
 
@@ -93,20 +94,19 @@ def _with_rule(s: Scenario, combining: str | None) -> Scenario:
 
 def _dump_first_snapshot_gains(scenarios: tuple[Scenario, ...], seed: int,
                                paths: list[str]) -> None:
-    """Snapshot 0's table, built once from the last scenario; earlier ones get their columns."""
-    snap_seed = snapshot_seed(seed, 0)
-    table = scenarios[-1]
-    gm = build_gain_matrix(table, drop_mobiles(table, snap_seed), snap_seed)
-    for s, path in zip(scenarios, paths):
-        write_gain_dump(gm if s is table else gm.restricted_to(s), path)
+    """Snapshot 0's tables, drawn once more as the campaign draws them."""
+    _, tables = draw_snapshot(scenarios, snapshot_seed(seed, 0))
+    for gm, path in zip(tables, paths):
+        write_gain_dump(gm, path)
 
 
 def cmd_run(spec: RunSpec) -> int:
     s = _with_rule(load_scenario_file(spec.scenario), spec.combining)
+    f = _spec_filter(spec)
     _progress(f"run: {spec.snapshots} snapshots of {spec.scenario} (seed {spec.seed})")
     snaps = run_campaign((s,), spec.seed, spec.snapshots, jobs=spec.jobs)
-    kept = kept_indices(snaps, _spec_filter(spec))
-    powers = gather_tx_powers(snaps, 0, kept=kept)
+    kept = kept_indices(snaps, f)
+    powers = gather_tx_powers(snaps, 0, kept)
     if not powers:
         _progress("error: population filter excluded every mobile")
         return 2
@@ -127,13 +127,13 @@ def cmd_compare(spec: RunSpec) -> int:
     # the files must pair as written: the override would hide a rule that differs
     check_pairable(baseline, green)
     baseline, green = _with_rule(baseline, spec.combining), _with_rule(green, spec.combining)
+    f = _spec_filter(spec, green.greens[0].position if green.greens else None)
     _progress(f"compare: {spec.snapshots} paired snapshots, "
               f"{spec.scenario} vs {spec.green_scenario} (seed {spec.seed})")
     pairs = run_campaign((baseline, green), spec.seed, spec.snapshots, jobs=spec.jobs)
-    default_center = green.greens[0].position if green.greens else None
-    kept = kept_indices(pairs, _spec_filter(spec, default_center))
-    b_powers = gather_tx_powers(pairs, 0, kept=kept)
-    g_powers = gather_tx_powers(pairs, 1, kept=kept)
+    kept = kept_indices(pairs, f)
+    b_powers = gather_tx_powers(pairs, 0, kept)
+    g_powers = gather_tx_powers(pairs, 1, kept)
     if not b_powers or not g_powers:
         _progress("error: population filter excluded every mobile")
         return 2
@@ -189,8 +189,7 @@ def cmd_sweep(spec: RunSpec, axis: str, values: str | None = None) -> int:
             f"green_count sweep up to {max(axis_values)} but the scenario "
             f"defines only {len(s.greens)} green antennas")
 
-    default_center = s.greens[0].position if s.greens else None
-    f = _spec_filter(spec, default_center)
+    f = _spec_filter(spec, s.greens[0].position if s.greens else None)
     if axis == "green_count":
         # nested green lists, fullest last: one drop and one table per snapshot
         counts = sorted(set(axis_values))
@@ -207,7 +206,7 @@ def cmd_sweep(spec: RunSpec, axis: str, values: str | None = None) -> int:
             variant, seed = (s, value) if axis == "seed" else (_with_rule(s, value), spec.seed)
             snaps, run = run_campaign((variant,), seed, spec.snapshots, jobs=spec.jobs), 0
             kept = kept_indices(snaps, f)
-        powers = gather_tx_powers(snaps, run, kept=kept)
+        powers = gather_tx_powers(snaps, run, kept)
         if not powers:
             _progress("error: population filter excluded every mobile")
             return 2

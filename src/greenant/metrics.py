@@ -14,9 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .powerctl import PowerControlResult
-from .scenario import MobileStation
-
 
 @dataclass(frozen=True)
 class PopulationFilter:
@@ -56,10 +53,17 @@ def kept_indices(snapshots, f: PopulationFilter = NO_FILTER) -> list[np.ndarray]
     return [np.array(population_indices(snap.mobiles, f), dtype=np.intp) for snap in snapshots]
 
 
-def filter_population(mobiles: list[MobileStation], results: PowerControlResult,
-                      f: PopulationFilter = NO_FILTER) -> list[float]:
-    """Tx powers (dBm) of the mobiles passing the filter, in MS order."""
-    return [float(results.tx_power_dbm[i]) for i in population_indices(mobiles, f)]
+def gather_tx_powers(snapshots, run: int, kept: list[np.ndarray]) -> list[float]:
+    """Tx powers (dBm) of one run's kept mobiles, concatenated in snapshot order.
+
+    `run` indexes the campaign's scenarios: 0 for a single run, 0
+    (baseline) or 1 (green) for a pair. `kept` is the campaign's
+    `kept_indices`.
+    """
+    powers: list[float] = []
+    for snap, idx in zip(snapshots, kept):
+        powers.extend(snap.runs[run].tx_power_dbm[idx].tolist())
+    return powers
 
 
 def solver_rows(snapshots, kept: list[np.ndarray],

@@ -36,10 +36,12 @@ count; from then on the snapshot's rows are frozen while the rest of the
 stack iterates. The stack changes no bits: every elementwise operation
 and every per-row reduction sees the operands of the snapshot's own
 solve, in the same order, and each slice of the batched matmul is that
-snapshot's `powers @ gains`. `solve_lockstep` (one drop) and
-`solve_power_control` (one run) are its S = 1 forms. Each run combines
-by its scenario's radio.combining; only the kernel takes the rule as an
-argument.
+snapshot's `powers @ gains`. A single drop is a stack of S = 1. Each
+run combines by its scenario's radio.combining; only the kernel takes
+the rule as an argument.
+
+The association is an index array: entry i is the column of mobile i's
+serving sector in the table's sector_ids.
 """
 
 from __future__ import annotations
@@ -64,15 +66,6 @@ DEFAULT_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
-class Association:
-    """Serving sector per MS: argmax of downlink pilot rx power."""
-
-    serving_sector: tuple[str, ...]
-    serving_index: np.ndarray       # column into the DL table
-    dl_rx_dbm: np.ndarray           # pilot level at the serving sector
-
-
-@dataclass(frozen=True)
 class BranchSet:
     """Receive-point ids per sector: own antenna plus attached greens."""
 
@@ -88,8 +81,9 @@ class PowerControlResult:
     converged: bool
 
 
-def associate(gm: LinkGainMatrix) -> Association:
-    """DL-strongest association; ties break to the lowest sector id.
+def associate(gm: LinkGainMatrix) -> np.ndarray:
+    """Serving sector per MS, as a column of gm.sector_ids: the strongest
+    DL pilot, ties broken to the lowest sector id.
 
     Only the DL pilot table enters, so green antennas can never influence
     the serving sector.
@@ -101,12 +95,7 @@ def associate(gm: LinkGainMatrix) -> Association:
     rank = np.empty(len(ids), dtype=int)
     rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     tied = dl == dl.max(axis=1, keepdims=True)
-    index = np.argmin(np.where(tied, rank, len(ids)), axis=1)
-    return Association(
-        serving_sector=tuple(ids[i] for i in index),
-        serving_index=index,
-        dl_rx_dbm=dl[np.arange(len(index)), index],
-    )
+    return np.argmin(np.where(tied, rank, len(ids)), axis=1)
 
 
 def receive_branches(s: Scenario) -> BranchSet:
@@ -165,14 +154,15 @@ def _linear_targets(targets_db: np.ndarray) -> np.ndarray:
     return np.array(list(map(lin.__getitem__, targets)), dtype=float)
 
 
-def _stacked_problem(tables: list[LinkGainMatrix], assocs: list[Association],
+def _stacked_problem(tables: list[LinkGainMatrix], servings: list[np.ndarray],
                      branches: BranchSet, targets_lin: np.ndarray,
                      p_min_dbm: float, p_max_dbm: float) -> _Problem:
     """One run's problem over snapshots whose tables share receive points.
 
-    The branch columns come from a per-sector table indexed by each
-    mobile's serving_index, and a stable sort by width lists each width
-    group's mobiles in stacked order, so nothing here is per mobile.
+    servings[s] is the association of tables[s]. The branch columns come
+    from a per-sector table indexed by each mobile's serving sector, and a
+    stable sort by width lists each width group's mobiles in stacked
+    order, so nothing here is per mobile.
     """
     gm = tables[0]
     n, n_rp = len(gm.ms_ids), len(gm.receive_points)
@@ -183,7 +173,7 @@ def _stacked_problem(tables: list[LinkGainMatrix], assocs: list[Association],
     col_table = np.array([col for c in sector_cols for col in c + [0] * (pad - len(c))],
                          dtype=int).reshape(len(widths), pad)
     flat_gains = np.concatenate([t.ul_gain_mw for t in tables])
-    serving = np.concatenate([a.serving_index for a in assocs])
+    serving = np.concatenate(servings)
     ms_width = np.array(widths)[serving]
     order = np.argsort(ms_width, kind="stable")
     order_serving = serving[order]
@@ -205,13 +195,6 @@ def _stacked_problem(tables: list[LinkGainMatrix], assocs: list[Association],
         p_min_mw=10.0 ** (p_min_dbm / 10.0),
         p_max_mw=10.0 ** (p_max_dbm / 10.0),
     )
-
-
-def _problem(gm: LinkGainMatrix, assoc: Association, branches: BranchSet,
-             targets_db: np.ndarray, p_min_dbm: float, p_max_dbm: float) -> _Problem:
-    """The problem of one snapshot (S = 1)."""
-    return _stacked_problem([gm], [assoc], branches, _linear_targets(targets_db),
-                            p_min_dbm, p_max_dbm)
 
 
 def _combined_sinr(powers_mw: np.ndarray, problem: _Problem, combining: str) -> np.ndarray:
@@ -254,15 +237,16 @@ def _update(powers_mw: np.ndarray, problem: _Problem, combining: str) -> np.ndar
 
 
 def effective_sinr(ms: int, powers_mw: np.ndarray, gm: LinkGainMatrix,
-                   assoc: Association, branches: BranchSet, combining: str) -> float:
+                   serving: np.ndarray, branches: BranchSet, combining: str) -> float:
     """Post-combining SINR (dB) of one MS for the given transmit powers."""
     powers_mw = np.asarray(powers_mw, dtype=float)
-    problem = _problem(gm, assoc, branches, np.zeros(len(powers_mw)), -np.inf, np.inf)
+    problem = _stacked_problem([gm], [serving], branches, np.ones(len(powers_mw)),
+                               -np.inf, np.inf)
     return float(10.0 * np.log10(_combined_sinr(powers_mw, problem, combining)[ms]))
 
 
 def power_update(powers_mw: np.ndarray, targets_db: np.ndarray, gm: LinkGainMatrix,
-                 assoc: Association, branches: BranchSet, combining: str,
+                 serving: np.ndarray, branches: BranchSet, combining: str,
                  limits_dbm: tuple[float, float] | None = None) -> np.ndarray:
     """One multiplicative power-control update, p * target / sinr(p).
 
@@ -271,24 +255,25 @@ def power_update(powers_mw: np.ndarray, targets_db: np.ndarray, gm: LinkGainMatr
     (the clamp into [0, inf] leaves positive powers unchanged).
     """
     lo, hi = limits_dbm if limits_dbm is not None else (-np.inf, np.inf)
-    problem = _problem(gm, assoc, branches, targets_db, lo, hi)
+    problem = _stacked_problem([gm], [serving], branches, _linear_targets(targets_db), lo, hi)
     return _update(np.asarray(powers_mw, dtype=float), problem, combining)
 
 
 def solve_snapshots(scenarios: tuple[Scenario, ...],
-                    snapshots: list[tuple[list[MobileStation], Association,
+                    snapshots: list[tuple[list[MobileStation], np.ndarray,
                                           tuple[LinkGainMatrix, ...]]],
                     tol_db: float = DEFAULT_TOL_DB, max_iter: int = DEFAULT_MAX_ITER,
                     n_iters: int | None = None) -> list[tuple[PowerControlResult, ...]]:
     """Solve S snapshots of R runs as R stacked problems, from all-p_min.
 
-    Each snapshot is (mobiles, association, tables), where tables[r] is
-    scenarios[r]'s table of that drop; all snapshots hold the same number
-    of mobiles. Run r of every snapshot is one stacked problem under
-    scenarios[r].radio.combining, so an iteration costs R kernel calls
-    whatever S is. A snapshot stops once every run's largest per-MS step
-    has dropped below tol_db at least once, or after max_iter (exactly
-    n_iters if given), so its runs share an iteration count. From then on
+    Each snapshot is (mobiles, serving, tables), where tables[r] is
+    scenarios[r]'s table of that drop and serving is `associate` of it;
+    all snapshots hold the same number of mobiles. Run r of every
+    snapshot is one stacked problem under scenarios[r].radio.combining,
+    so an iteration costs R kernel calls whatever S is. A snapshot stops
+    once every run's largest per-MS step has dropped below tol_db at
+    least once, or after max_iter (exactly n_iters if given), so its runs
+    share an iteration count. From then on
     np.where keeps its final iterate and last step while the rest of the
     stack iterates. Snapshots do not interact, so each ends with the bits
     of its solve alone, whichever snapshots share its stack. Every table
@@ -307,9 +292,9 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
         raise ValueError("stacked snapshots must hold the same number of mobiles")
     targets_db = np.array([[m.sinr_target_db for m in mobiles]
                            for mobiles, _, _ in snapshots], dtype=float).reshape(n_snap, n)
-    assocs = [assoc for _, assoc, _ in snapshots]
+    servings = [serving for _, serving, _ in snapshots]
     targets_lin = _linear_targets(targets_db)
-    problems = [_stacked_problem([tables[r] for _, _, tables in snapshots], assocs,
+    problems = [_stacked_problem([tables[r] for _, _, tables in snapshots], servings,
                                  receive_branches(s), targets_lin,
                                  s.radio.p_min_dbm, s.radio.p_max_dbm)
                 for r, s in enumerate(scenarios)]
@@ -349,37 +334,3 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
         by_run.append([PowerControlResult(tx_dbm[k], sinr_db[k], outage[k], int(iterations[k]),
                                           bool(step[k] < tol_db)) for k in range(n_snap)])
     return list(zip(*by_run))
-
-
-def solve_lockstep(runs: tuple[tuple[Scenario, LinkGainMatrix], ...],
-                   mobiles: list[MobileStation], assoc: Association,
-                   tol_db: float = DEFAULT_TOL_DB, max_iter: int = DEFAULT_MAX_ITER,
-                   n_iters: int | None = None) -> tuple[PowerControlResult, ...]:
-    """Solve (scenario, table) runs of one drop in lockstep from all-p_min.
-
-    This is solve_snapshots at S = 1: each run combines by its own
-    scenario's radio.combining, and all stop together once every run's
-    largest per-MS step has dropped below tol_db at least once, or after
-    max_iter (exactly n_iters if given). Runs do not interact, so each
-    ends at the iterate it alone would reach in as many steps.
-    """
-    scenarios = tuple(s for s, _ in runs)
-    return solve_snapshots(scenarios, [(mobiles, assoc, tuple(gm for _, gm in runs))],
-                           tol_db, max_iter, n_iters)[0]
-
-
-def solve_power_control(s: Scenario, mobiles: list[MobileStation], gm: LinkGainMatrix,
-                        assoc: Association, tol_db: float = DEFAULT_TOL_DB,
-                        max_iter: int = DEFAULT_MAX_ITER, n_iters: int | None = None
-                        ) -> PowerControlResult:
-    """Solve the interference-coupled power-control fixed point (s's rule).
-
-    Iterates the clamped update from all-p_min until the largest per-MS
-    change drops below tol_db (or max_iter is hit; converged=False then).
-    n_iters forces an exact iteration count instead. This is
-    solve_snapshots at S = 1 with one run.
-
-    MSs pinned at p_max that still miss their target by more than
-    OUTAGE_MARGIN_DB are flagged as outage.
-    """
-    return solve_snapshots((s,), [(mobiles, assoc, (gm,))], tol_db, max_iter, n_iters)[0][0]

@@ -514,13 +514,23 @@ def load_scenario(config_text: str) -> Scenario:
 
 
 def load_scenario_file(path: str) -> Scenario:
-    """Load a scenario from a file path (errors name the path)."""
+    """Load a scenario from a file path; every error names the path.
+
+    A file that is not UTF-8 text is a ParseError. Errors of the document
+    keep their class, with the path in front of their message.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValidationError(f"scenario file not found or unreadable: {path} ({exc.strerror})") from exc
-    return load_scenario(text)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: scenario file is not UTF-8 text ({exc.reason} "
+                         f"at byte {exc.start})") from exc
+    try:
+        return load_scenario(text)
+    except ScenarioError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +583,11 @@ def validate_scenario(s: Scenario) -> list[str]:
         seen_greens.add(g.id)
         if not g.attached_sectors:
             out.append(f"{path}: attached_sectors must be non-empty")
-        for ref in g.attached_sectors:
+        for k, ref in enumerate(g.attached_sectors):
             if ref not in seen_sectors:
                 out.append(f"{path}: attached sector '{ref}' does not exist")
+            if ref in g.attached_sectors[:k]:
+                out.append(f"{path}: attached sector '{ref}' listed twice")
         if not clutter.in_bounds(*g.position):
             out.append(f"{path}: position outside clutter map bounds")
         out.extend(_pattern_violations(g.antenna, path))

@@ -7,14 +7,16 @@ lists, fullest last. The scenarios of a campaign differ only in their
 greens, and every earlier scenario's greens are also in the last one
 (check_pairable, once per campaign), so what they share is computed
 once, from the last scenario: one drop, one channel table and one
-association. Each earlier scenario reads its own receive-point columns
-of that table. Each run is solved under its own radio.combining, in
+association (`draw_snapshot`, which the CLI's gain dump calls too).
+Each earlier scenario reads its own receive-point columns of that
+table. Each run is solved under its own radio.combining, in
 lockstep to the same number of power control iterations. That last
 point matters because every run iterates monotonically upward from
 p_min; comparing at a common iteration count is what makes the per-MS
 power ordering exact instead of blurred by the stopping rule.
 
-A campaign runs in tasks, each a contiguous range of snapshot indices:
+`run_campaign` is the one way in, for a single snapshot too. It runs
+in tasks, each a contiguous range of snapshot indices:
 the whole campaign at jobs=1, one range per worker otherwise. A task
 draws and tabulates its snapshots one by one, and solves them in chunks
 of up to STACK_LINKS stacked links as one problem (powerctl's
@@ -28,8 +30,10 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .powerctl import Association, PowerControlResult, associate, solve_snapshots
-from .propagation import build_gain_matrix
+import numpy as np
+
+from .powerctl import PowerControlResult, associate, solve_snapshots
+from .propagation import LinkGainMatrix, build_gain_matrix
 from .scenario import MobileStation, Scenario, drop_mobiles, strip_greens
 from .seeds import derive_seed
 
@@ -55,42 +59,33 @@ class Snapshot:
     index: int
     seed: int
     mobiles: tuple[MobileStation, ...]
-    association: Association
+    association: np.ndarray         # serving sector per MS, see powerctl.associate
     runs: tuple[PowerControlResult, ...]
 
 
-def _check_campaign(scenarios: tuple[Scenario, ...]) -> None:
-    for s in scenarios[:-1]:
-        check_pairable(s, scenarios[-1])
+def draw_snapshot(scenarios: tuple[Scenario, ...], snap_seed: int
+                  ) -> tuple[list[MobileStation], tuple[LinkGainMatrix, ...]]:
+    """The drop of one snapshot and each scenario's table of it.
+
+    The drop and the table are the last scenario's; a scenario that is
+    not the last reads its own columns of that table.
+    """
+    table_scenario = scenarios[-1]
+    mobiles = drop_mobiles(table_scenario, snap_seed)
+    gm = build_gain_matrix(table_scenario, mobiles, snap_seed)
+    return mobiles, tuple(gm if s is table_scenario else gm.restricted_to(s) for s in scenarios)
 
 
 def _run_chunk(scenarios: tuple[Scenario, ...],
                seeds: list[tuple[int, int]]) -> list[Snapshot]:
-    """Snapshots of (index, snapshot seed) pairs, solved as one stack.
-
-    The drop, the table and the association are the last scenario's; a
-    scenario that is not the last reads its own columns of that table.
-    """
-    table_scenario = scenarios[-1]
+    """Snapshots of (index, snapshot seed) pairs, solved as one stack."""
     drops = []
     for _, snap_seed in seeds:
-        mobiles = drop_mobiles(table_scenario, snap_seed)
-        gm = build_gain_matrix(table_scenario, mobiles, snap_seed)
-        tables = tuple(gm if s is table_scenario else gm.restricted_to(s) for s in scenarios)
-        drops.append((mobiles, associate(gm), tables))
+        mobiles, tables = draw_snapshot(scenarios, snap_seed)
+        drops.append((mobiles, associate(tables[-1]), tables))
     solved = solve_snapshots(scenarios, drops)
-    return [Snapshot(index, snap_seed, tuple(mobiles), assoc, runs)
-            for (index, snap_seed), (mobiles, assoc, _), runs in zip(seeds, drops, solved)]
-
-
-def run_snapshot(scenarios: tuple[Scenario, ...], snap_seed: int, index: int = 0) -> Snapshot:
-    """Solve one drop under every scenario, with shared randomness.
-
-    Raises PairingError if an earlier scenario fails check_pairable
-    against the last.
-    """
-    _check_campaign(scenarios)
-    return _run_chunk(scenarios, [(index, snap_seed)])[0]
+    return [Snapshot(index, snap_seed, tuple(mobiles), serving, runs)
+            for (index, snap_seed), (mobiles, serving, _), runs in zip(seeds, drops, solved)]
 
 
 def _chunk_size(scenarios: tuple[Scenario, ...]) -> int:
@@ -115,7 +110,8 @@ def run_campaign(scenarios: tuple[Scenario, ...], seed: int, n_snapshots: int,
                  jobs: int = 1) -> list[Snapshot]:
     if n_snapshots < 1:
         raise ValueError("need at least one snapshot")
-    _check_campaign(scenarios)      # once, before any worker starts
+    for s in scenarios[:-1]:        # once, before any worker starts
+        check_pairable(s, scenarios[-1])
     workers = min(max(jobs, 1), n_snapshots)
     if workers == 1:
         return _task((scenarios, seed, 0, n_snapshots))
@@ -139,21 +135,3 @@ def check_pairable(baseline: Scenario, green: Scenario) -> None:
                 f"baseline green antenna '{g.id}' is not in the green scenario "
                 f"as it is in the baseline; the green scenario must hold every "
                 f"baseline green")
-
-
-def gather_tx_powers(snapshots, run: int = 0, pop_filter=None, kept=None) -> list[float]:
-    """Concatenate filtered Tx powers (dBm) of one run across snapshots.
-
-    `run` indexes the campaign's scenarios: 0 for a single run, 0
-    (baseline) or 1 (green) for a pair. `kept` is the campaign's
-    `metrics.kept_indices`, when the caller has already filtered it;
-    otherwise pop_filter (default: everyone) is applied here.
-    """
-    from .metrics import NO_FILTER, kept_indices
-
-    if kept is None:
-        kept = kept_indices(snapshots, NO_FILTER if pop_filter is None else pop_filter)
-    powers: list[float] = []
-    for snap, idx in zip(snapshots, kept):
-        powers.extend(snap.runs[run].tx_power_dbm[idx].tolist())
-    return powers

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from greenant.powerctl import Association, BranchSet
+from greenant.powerctl import BranchSet
 from greenant.propagation import LinkGainMatrix, ReceivePoint
 from greenant.scenario import AntennaPattern, MobileStation, load_scenario
 
@@ -80,7 +80,7 @@ def place(idx, x, y, indoor=False, building_id=None, target_db=-12.0):
 
 
 def make_tables(ul_gain_db, n_sectors, serving, noise_dbm=-104.0, attach=None):
-    """Synthetic LinkGainMatrix + Association + BranchSet.
+    """Synthetic LinkGainMatrix, serving sector index array and BranchSet.
 
     ul_gain_db: (n_ms, n_rp) with sector columns first, green columns after.
     serving: per-MS sector index. attach: {sector_id: [green ids]}.
@@ -107,21 +107,16 @@ def make_tables(ul_gain_db, n_sectors, serving, noise_dbm=-104.0, attach=None):
         dl_rx_dbm=dl,
         noise_dbm=np.full(n_rp, float(noise_dbm)),
     )
-    assoc = Association(
-        serving_sector=tuple(sector_ids[i] for i in serving),
-        serving_index=serving,
-        dl_rx_dbm=dl[rows, serving],
-    )
     by_sector = {sid: (sid,) for sid in sector_ids}
     for sid, gids in (attach or {}).items():
         by_sector[sid] = by_sector[sid] + tuple(gids)
-    return gm, assoc, BranchSet(by_sector=by_sector)
+    return gm, serving, BranchSet(by_sector=by_sector)
 
 
 def random_instance(rng, max_ms=20, max_sectors=5, green_prob=0.5):
     """Random synthetic instance for property tests.
 
-    Returns (gm, assoc, branches, targets_db). Gains span a wide dynamic
+    Returns (gm, serving, branches, targets_db). Gains span a wide dynamic
     range so interference-dominated and noise-dominated cases both occur.
     """
     n_ms = int(rng.integers(1, max_ms + 1))
@@ -133,9 +128,9 @@ def random_instance(rng, max_ms=20, max_sectors=5, green_prob=0.5):
     for k in range(n_green):
         sec = int(rng.integers(0, n_sec))
         attach.setdefault(f"s{sec}", []).append(f"g{k}")
-    gm, assoc, branches = make_tables(ul, n_sec, serving, attach=attach)
+    gm, serving, branches = make_tables(ul, n_sec, serving, attach=attach)
     targets = rng.uniform(-15.0, 9.0, size=n_ms)
-    return gm, assoc, branches, targets
+    return gm, serving, branches, targets
 
 
 @pytest.fixture

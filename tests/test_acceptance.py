@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from greenant.cli import main
-from greenant.metrics import PopulationFilter, compare_runs
-from greenant.powerctl import associate, power_update, solve_power_control
+from greenant.metrics import PopulationFilter, compare_runs, gather_tx_powers, kept_indices
+from greenant.powerctl import associate, power_update, solve_snapshots
 from greenant.propagation import build_gain_matrix
 from greenant.scenario import drop_mobiles, load_scenario_file, strip_greens
-from greenant.simulate import gather_tx_powers, run_campaign
+from greenant.simulate import run_campaign
 
 import conftest
 from conftest import load_doc, make_tables, place, random_instance, two_cell_doc
@@ -109,19 +109,19 @@ def test_closed_form_solutions():
     errs = []
 
     s1 = solver_scenario(1)
-    gm, assoc, _ = make_tables([[-100.0]], 1, serving=[0])
-    r1 = solve_power_control(s1, [mobile(0, 0.0)], gm, assoc)
+    gm, serving, _ = make_tables([[-100.0]], 1, serving=[0])
+    r1 = solve_snapshots((s1,), [([mobile(0, 0.0)], serving, (gm,))])[0][0]
     errs.append(abs(r1.tx_power_dbm[0] - (-4.0)))
 
     s2 = solver_scenario(2)
-    gm, assoc, _ = make_tables([[-100.0, -110.0], [-110.0, -100.0]], 2, serving=[0, 1])
-    r2 = solve_power_control(s2, [mobile(0, 0.0), mobile(1, 0.0)], gm, assoc,
-                             tol_db=1e-6)
+    pair = [mobile(0, 0.0), mobile(1, 0.0)]
+    gm, serving, _ = make_tables([[-100.0, -110.0], [-110.0, -100.0]], 2, serving=[0, 1])
+    r2 = solve_snapshots((s2,), [(pair, serving, (gm,))], tol_db=1e-6)[0][0]
     expected = 10.0 * np.log10(NOISE_MW / (1e-10 - 1e-11))
     errs.append(float(np.max(np.abs(r2.tx_power_dbm - expected))))
 
-    gm, assoc, _ = make_tables([[-120.0, -120.0], [-120.0, -120.0]], 2, serving=[0, 1])
-    r3 = solve_power_control(s2, [mobile(0, 0.0), mobile(1, 0.0)], gm, assoc)
+    gm, serving, _ = make_tables([[-120.0, -120.0], [-120.0, -120.0]], 2, serving=[0, 1])
+    r3 = solve_snapshots((s2,), [(pair, serving, (gm,))])[0][0]
     errs.append(float(np.max(np.abs(r3.tx_power_dbm - 24.0))))
     pinned_ok = bool(r3.outage.all())
 
@@ -158,8 +158,9 @@ def test_coverage_hole_study_reproduces_bands():
     pairs = run_campaign((baseline, green), seed=1, n_snapshots=200)
     f = PopulationFilter(center=green.greens[0].position, radius_m=300.0,
                          indoor_only=True)
-    b = gather_tx_powers(pairs, 0, f)
-    g = gather_tx_powers(pairs, 1, f)
+    kept = kept_indices(pairs, f)
+    b = gather_tx_powers(pairs, 0, kept)
+    g = gather_tx_powers(pairs, 1, kept)
     rep = compare_runs(b, g, target_dbm=4.0, snapshots=200)
     elapsed = time.monotonic() - t0
     rise = rep.frac_below_target["green"] - rep.frac_below_target["baseline"]
@@ -187,12 +188,11 @@ def test_egc_can_raise_power_where_mrc_cannot():
         for tag, s in (("base", base_s), ("green", green_s)):
             s = replace(s, radio=replace(s.radio, combining=combining))
             gm = build_gain_matrix(s, mobiles, seed=5)
-            runs[tag] = (s, gm, associate(gm))
-        results = {tag: solve_power_control(s, mobiles, gm, assoc)
-                   for tag, (s, gm, assoc) in runs.items()}
+            runs[tag] = (s, [(mobiles, associate(gm), (gm,))])
+        results = {tag: solve_snapshots((s,), drop)[0][0] for tag, (s, drop) in runs.items()}
         k = max(r.iterations for r in results.values())
-        results = {tag: solve_power_control(s, mobiles, gm, assoc, n_iters=k)
-                   for tag, (s, gm, assoc) in runs.items()}
+        results = {tag: solve_snapshots((s,), drop, n_iters=k)[0][0]
+                   for tag, (s, drop) in runs.items()}
         return results["green"].tx_power_dbm - results["base"].tx_power_dbm
 
     mrc_raise = float(np.max(solve_pair("mrc")))
@@ -226,7 +226,7 @@ def test_outputs_and_association_are_deterministic(tmp_path):
         gm_seed = int(rng.integers(1 << 30))
         with_greens = associate(build_gain_matrix(s, mobiles, gm_seed))
         without = associate(build_gain_matrix(strip_greens(s), mobiles, gm_seed))
-        if with_greens.serving_sector != without.serving_sector:
+        if with_greens.tobytes() != without.tobytes():
             invariant = False
     report("determinism",
            identical and invariant,

@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-import greenant.cli
 import greenant.metrics
 import greenant.simulate
 from greenant.cli import COMBINING_FLAGS, build_parser, main
@@ -43,13 +42,14 @@ def greens_json(tmp_path):
 
 
 def count_tables(monkeypatch):
-    """Count gain tables built by the campaign and by the CLI itself."""
+    """Count gain tables built by the campaign and by the CLI's gain dump."""
     calls = []
-    for module in (greenant.simulate, greenant.cli):
-        def counted(*args, _real=module.build_gain_matrix, **kwargs):
-            calls.append(args[0])
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(module, "build_gain_matrix", counted)
+
+    def counted(*args, _real=greenant.simulate.build_gain_matrix, **kwargs):
+        calls.append(args[0])
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(greenant.simulate, "build_gain_matrix", counted)
     return calls
 
 
@@ -75,11 +75,19 @@ def test_missing_scenario_file_is_exit_2(tmp_path, capsys):
     assert "error:" in err and "nope.json" in err
 
 
-def test_malformed_scenario_is_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["run", "--scenario", str(bad), "--snapshots", "1"]) == 2
-    assert "error:" in capsys.readouterr().err
+def test_malformed_scenario_is_exit_2(base_json, tmp_path, capsys):
+    for name, content in (("bad.json", b"{not json"), ("utf16.json", b"\xff\xfe{\x00}\x00")):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        assert main(run_args(str(bad), tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and str(bad) in err
+        # of the two files of a compare, the message names the malformed one
+        assert main(["compare", "--scenario", base_json, "--green-scenario", str(bad),
+                     "--snapshots", "1", "--out", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and base_json not in err
+        assert list(tmp_path.glob("out_*")) == list(tmp_path.glob("c_*")) == []
 
 
 def test_invalid_scenario_is_exit_2(tmp_path, capsys):
@@ -159,6 +167,21 @@ def test_bad_flag_values_exit_via_argparse(base_json):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["run"],
+    ["compare", "--green-scenario"],    # baseline against itself: no green for a center
+    ["sweep", "--axis", "seed"],
+])
+def test_filter_radius_without_center_is_exit_2(command, base_json, tmp_path, capsys):
+    argv = [*command, base_json] if command[0] == "compare" else command
+    code = main([*argv, "--scenario", base_json, "--snapshots", "1",
+                 "--filter-radius", "1", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--filter-radius" in err and "--filter-center" in err
+    assert list(tmp_path.glob("o_*")) == []
 
 
 def test_empty_filter_is_exit_2(base_json, tmp_path, capsys):
@@ -333,7 +356,7 @@ def test_population_filter_runs_once_per_snapshot(command, base_json, green_json
         return _real(mobiles, f)
 
     monkeypatch.setattr(greenant.metrics, "population_indices", counted)
-    argv = {"run": ["run", "--scenario", green_json],
+    argv = {"run": ["run", "--scenario", green_json, "--filter-center", "0,0"],
             "compare": ["compare", "--scenario", base_json, "--green-scenario", green_json],
             "sweep": ["sweep", "--scenario", greens_json, "--axis", "green_count"]}[command]
     assert main([*argv, "--snapshots", "3", "--filter-radius", "5000",
@@ -367,7 +390,7 @@ def test_summaries_report_outage_iterations_and_convergence(tmp_path):
     flags = ["--snapshots", "4", "--seed", "3", "--filter-radius", "1e9"]
     assert main(["compare", "--scenario", str(paths["base"]), "--green-scenario",
                  str(paths["green"]), *flags, "--out", str(tmp_path / "c")]) == 0
-    assert main(["run", "--scenario", str(paths["green"]), *flags,
+    assert main(["run", "--scenario", str(paths["green"]), *flags, "--filter-center", "0,0",
                  "--out", str(tmp_path / "r")]) == 0
 
     pairs = run_campaign(tuple(load_scenario_file(str(p)) for p in paths.values()), 3, 4)

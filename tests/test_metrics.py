@@ -1,5 +1,7 @@
 """Population filters, CDFs, run comparison, and report files."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from greenant.metrics import (
     PopulationFilter,
     compare_runs,
     emit_report,
-    filter_population,
+    gather_tx_powers,
+    kept_indices,
     tx_power_cdf,
     write_cdf_csv,
     write_cdf_svg,
@@ -40,30 +43,36 @@ def result_of(powers_dbm):
 POWERS = result_of([1.0, 2.0, 3.0, 4.0])
 
 
+def filtered_powers(*f):
+    """POWERS of the tagged mobiles kept by filter f (default: none), as
+    the CLI reads them: kept_indices, then gather_tx_powers."""
+    snaps = [SimpleNamespace(mobiles=tagged_mobiles(), runs=(POWERS,))]
+    return gather_tx_powers(snaps, 0, kept_indices(snaps, *f))
+
+
 def test_no_filter_keeps_everyone_in_ms_order():
-    assert filter_population(tagged_mobiles(), POWERS) == [1.0, 2.0, 3.0, 4.0]
-    assert filter_population(tagged_mobiles(), POWERS, NO_FILTER) == [1.0, 2.0, 3.0, 4.0]
+    assert filtered_powers() == [1.0, 2.0, 3.0, 4.0]
+    assert filtered_powers(NO_FILTER) == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_disk_filter_uses_euclidean_distance():
     f = PopulationFilter(center=(0.0, 0.0), radius_m=250.0)
-    assert filter_population(tagged_mobiles(), POWERS, f) == [1.0, 2.0, 3.0]
+    assert filtered_powers(f) == [1.0, 2.0, 3.0]
 
 
 def test_indoor_filter_composes_with_disk():
     f = PopulationFilter(center=(0.0, 0.0), radius_m=500.0, indoor_only=True)
-    assert filter_population(tagged_mobiles(), POWERS, f) == [2.0]
+    assert filtered_powers(f) == [2.0]
 
 
 def test_indoor_only_without_disk():
     f = PopulationFilter(indoor_only=True)
-    assert filter_population(tagged_mobiles(), POWERS, f) == [2.0, 4.0]
+    assert filtered_powers(f) == [2.0, 4.0]
 
 
 def test_negative_radius_is_rejected():
     with pytest.raises(ValueError):
-        filter_population(tagged_mobiles(), POWERS,
-                          PopulationFilter(center=(0.0, 0.0), radius_m=-1.0))
+        filtered_powers(PopulationFilter(center=(0.0, 0.0), radius_m=-1.0))
 
 
 def test_cdf_of_a_single_value():
@@ -162,7 +171,7 @@ def test_svg_is_wellformed_step_plot(tmp_path):
 
 
 def test_unequal_sample_counts_are_allowed():
-    # filter plumbing happens in simulate.gather_tx_powers; compare_runs
+    # filter plumbing happens in kept_indices and gather_tx_powers; compare_runs
     # only sees flat sample lists, so unequal lengths must still work
     rep = compare_runs([1.0, 2.0, 3.0], [0.5, 1.5], target_dbm=4.0)
     assert rep.samples == {"baseline": 3, "green": 2}

@@ -1,19 +1,20 @@
 """Power control: association, branch sets, combining rules, and the
 fixed-point solver with its closed-form and linear-algebra oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from greenant.powerctl import (
     _combined_sinr,
     _linear_targets,
-    _problem,
     _stacked_problem,
     associate,
     effective_sinr,
     power_update,
     receive_branches,
-    solve_power_control,
+    solve_snapshots,
 )
 from greenant.scenario import (
     AntennaPattern,
@@ -55,31 +56,36 @@ def mobile(i, target_db):
                          service="data", sinr_target_db=float(target_db))
 
 
+def solve_alone(s, mobiles, gm, serving, **kwargs):
+    """One run of one drop: a stack of one snapshot."""
+    return solve_snapshots((s,), [(mobiles, serving, (gm,))], **kwargs)[0][0]
+
+
 # ---------------------------------------------------------------------------
 # association and branch sets
 
 def test_associate_picks_strongest_downlink():
     gm, _, _ = make_tables([[-100.0, -90.0]], 2, serving=[1])
-    assoc = associate(gm)
-    assert assoc.serving_sector == ("s1",)
-    assert assoc.dl_rx_dbm[0] == -60.0
+    serving = associate(gm)
+    assert serving.tolist() == [1]
+    assert gm.dl_rx_dbm[0, serving[0]] == gm.dl_rx_dbm[0].max() == -60.0
 
 
 def test_associate_breaks_ties_to_lowest_sector_id():
     gm, _, _ = make_tables([[-100.0, -100.0]], 2, serving=[0])
     gm.dl_rx_dbm.flags.writeable = True
     gm.dl_rx_dbm[0, :] = -70.0
-    assert associate(gm).serving_sector == ("s0",)
+    assert associate(gm).tolist() == [0]
     # "s10" is declared after "s2" but is the lower id; a first-index
     # argmax over the tied columns would pick "s2"
     gm, _, _ = make_tables([[-100.0] * 11] * 2, 11, serving=[0, 0])
     gm.dl_rx_dbm.flags.writeable = True
     gm.dl_rx_dbm[0, [2, 10]] = -50.0
     gm.dl_rx_dbm[1, [3, 7]] = -50.0
-    assoc = associate(gm)
-    assert assoc.serving_sector == ("s10", "s3")
-    assert assoc.serving_index.tolist() == [10, 3]
-    assert assoc.dl_rx_dbm.tolist() == [-50.0, -50.0]
+    serving = associate(gm)
+    assert [gm.sector_ids[k] for k in serving] == ["s10", "s3"]
+    assert serving.tolist() == [10, 3]
+    assert gm.dl_rx_dbm[[0, 1], serving].tolist() == [-50.0, -50.0]
 
 
 def test_receive_branches_reflect_attachment(two_cell_green):
@@ -99,12 +105,12 @@ def test_multi_attached_green_appears_in_both_sets():
 # combining rules
 
 def test_two_equal_branches_mrc_adds_3db():
-    gm, assoc, branches = make_tables([[-104.0, -104.0]], 1, serving=[0],
+    gm, serving, branches = make_tables([[-104.0, -104.0]], 1, serving=[0],
                                       attach={"s0": ["g0"]})
     p = np.array([1.0])     # 0 dBm, so each branch sits at exactly 0 dB SINR
-    assert effective_sinr(0, p, gm, assoc, branches, "mrc") == pytest.approx(3.0103, abs=1e-3)
-    assert effective_sinr(0, p, gm, assoc, branches, "selection") == pytest.approx(0.0, abs=1e-9)
-    assert effective_sinr(0, p, gm, assoc, branches, "egc") == pytest.approx(3.0103, abs=1e-3)
+    assert effective_sinr(0, p, gm, serving, branches, "mrc") == pytest.approx(3.0103, abs=1e-3)
+    assert effective_sinr(0, p, gm, serving, branches, "selection") == pytest.approx(0.0, abs=1e-9)
+    assert effective_sinr(0, p, gm, serving, branches, "egc") == pytest.approx(3.0103, abs=1e-3)
 
 
 def test_single_branch_all_rules_agree_exactly():
@@ -112,34 +118,34 @@ def test_single_branch_all_rules_agree_exactly():
     for _ in range(25):
         n = int(rng.integers(1, 5))
         ul = rng.uniform(-120.0, -80.0, size=(n, 2))
-        gm, assoc, branches = make_tables(ul, 2, serving=rng.integers(0, 2, size=n))
+        gm, serving, branches = make_tables(ul, 2, serving=rng.integers(0, 2, size=n))
         p = rng.uniform(0.001, 100.0, size=n)
         for i in range(n):
-            mrc = effective_sinr(i, p, gm, assoc, branches, "mrc")
-            sel = effective_sinr(i, p, gm, assoc, branches, "selection")
-            egc = effective_sinr(i, p, gm, assoc, branches, "egc")
+            mrc = effective_sinr(i, p, gm, serving, branches, "mrc")
+            sel = effective_sinr(i, p, gm, serving, branches, "selection")
+            egc = effective_sinr(i, p, gm, serving, branches, "egc")
             assert mrc == sel == egc
 
 
 def test_interference_lowers_sinr():
-    gm, assoc, branches = make_tables([[-100.0], [-100.0]], 1, serving=[0, 0])
-    alone = effective_sinr(0, np.array([1.0, 1e-30]), gm, assoc, branches, "mrc")
-    loaded = effective_sinr(0, np.array([1.0, 1.0]), gm, assoc, branches, "mrc")
+    gm, serving, branches = make_tables([[-100.0], [-100.0]], 1, serving=[0, 0])
+    alone = effective_sinr(0, np.array([1.0, 1e-30]), gm, serving, branches, "mrc")
+    loaded = effective_sinr(0, np.array([1.0, 1.0]), gm, serving, branches, "mrc")
     assert loaded < alone
 
 
 def test_egc_cross_terms_match_closed_form():
     """(sqrt(S1)+sqrt(S2))^2 / (den1+den2), checked by hand."""
-    gm, assoc, branches = make_tables([[-100.0, -106.0]], 1, serving=[0],
+    gm, serving, branches = make_tables([[-100.0, -106.0]], 1, serving=[0],
                                       attach={"s0": ["g0"]})
     p = np.array([2.0])
     s1 = 2.0 * 10.0 ** (-10.0)
     s2 = 2.0 * 10.0 ** (-10.6)
     expected = 10 * np.log10((np.sqrt(s1) + np.sqrt(s2)) ** 2 / (2 * NOISE_MW))
-    assert effective_sinr(0, p, gm, assoc, branches, "egc") == pytest.approx(expected, rel=1e-12)
+    assert effective_sinr(0, p, gm, serving, branches, "egc") == pytest.approx(expected, rel=1e-12)
 
 
-def per_sector_sinr(powers_mw, gm, assoc, branches, combining):
+def per_sector_sinr(powers_mw, gm, serving, branches, combining):
     """Reference for the kernel: the combining rules evaluated with one
     np.ix_ block per serving sector, in the same arithmetic order."""
     gains = 10.0 ** (gm.ul_gain_db / 10.0)
@@ -147,8 +153,8 @@ def per_sector_sinr(powers_mw, gm, assoc, branches, combining):
     total_rx = powers_mw @ gains
     out = np.empty(len(powers_mw))
     by_serving = {}
-    for i, sid in enumerate(assoc.serving_sector):
-        by_serving.setdefault(sid, []).append(i)
+    for i, k in enumerate(serving):
+        by_serving.setdefault(gm.sector_ids[k], []).append(i)
     for sid, rows in by_serving.items():
         cols = np.array([gm.rp_index[rid] for rid in branches.by_sector[sid]], dtype=int)
         rows = np.array(rows, dtype=int)
@@ -186,29 +192,29 @@ def test_kernel_is_bitwise_equal_to_per_sector_evaluation():
     rng = np.random.default_rng(97)
     instances = [random_instance(rng)[:3] for _ in range(40)]
     instances += [wide_instance(rng) for _ in range(40)]
-    for gm, assoc, branches in instances:
+    for gm, serving, branches in instances:
         n = len(gm.ms_ids)
         p = 10.0 ** rng.uniform(-5.0, 2.4, size=n)
-        problem = _problem(gm, assoc, branches, np.zeros(n), -np.inf, np.inf)
+        problem = _stacked_problem([gm], [serving], branches, np.ones(n), -np.inf, np.inf)
         for mode in ("mrc", "selection", "egc"):
-            expected = per_sector_sinr(p, gm, assoc, branches, mode)
+            expected = per_sector_sinr(p, gm, serving, branches, mode)
             assert np.array_equal(_combined_sinr(p, problem, mode), expected)
 
 
-def reference_groups(gm, assoc, branches, targets_db):
+def reference_groups(gm, serving, branches, targets_db):
     """The per-mobile problem builder: {width: (rows, cols, gains, noise)}
     and the per-element scalar pow of the targets."""
-    cols = {sid: [gm.rp_index[rid] for rid in branches.by_sector[sid]]
-            for sid in set(assoc.serving_sector)}
+    names = [gm.sector_ids[k] for k in serving]
+    cols = {sid: [gm.rp_index[rid] for rid in branches.by_sector[sid]] for sid in set(names)}
     by_width = {}
-    for i, sid in enumerate(assoc.serving_sector):
+    for i, sid in enumerate(names):
         by_width.setdefault(len(cols[sid]), []).append(i)
     gains_mw = 10.0 ** (gm.ul_gain_db / 10.0)
     noise_mw = 10.0 ** (gm.noise_dbm / 10.0)
     groups = {}
     for width, ms_rows in by_width.items():
         rows = np.array(ms_rows, dtype=int)
-        branch_cols = np.array([cols[assoc.serving_sector[i]] for i in ms_rows], dtype=int)
+        branch_cols = np.array([cols[names[i]] for i in ms_rows], dtype=int)
         groups[width] = (rows, branch_cols, gains_mw[rows[:, None], branch_cols],
                          noise_mw[branch_cols])
     targets_lin = np.array([10.0 ** (float(t) / 10.0) for t in targets_db])
@@ -243,12 +249,13 @@ def test_vectorised_problem_equals_per_mobile_builder():
     rng = np.random.default_rng(89)
     cases = [random_instance(rng) for _ in range(60)]
     cases += [(*wide_instance(rng), rng.uniform(-15.0, 9.0, size=40)) for _ in range(20)]
-    cases = [(gm, assoc, branches, targets[:len(gm.ms_ids)])
-             for gm, assoc, branches, targets in cases]
+    cases = [(gm, serving, branches, targets[:len(gm.ms_ids)])
+             for gm, serving, branches, targets in cases]
     cases += multi_green_problems()
-    for gm, assoc, branches, targets in cases:
-        want, want_targets = reference_groups(gm, assoc, branches, targets)
-        problem = _problem(gm, assoc, branches, targets, -50.0, 24.0)
+    for gm, serving, branches, targets in cases:
+        want, want_targets = reference_groups(gm, serving, branches, targets)
+        problem = _stacked_problem([gm], [serving], branches, _linear_targets(targets),
+                                   -50.0, 24.0)
         assert_same_groups(problem, want)
         assert problem.targets_lin.tobytes() == want_targets.tobytes()
 
@@ -257,13 +264,13 @@ def test_stacked_problem_offsets_each_snapshots_groups():
     """Snapshot s of a stack holds its own groups, with rows shifted by s*n
     and columns by s*n_rp."""
     cases = multi_green_problems()
-    tables, assocs, branches = [c[0] for c in cases], [c[1] for c in cases], cases[0][2]
+    tables, servings, branches = [c[0] for c in cases], [c[1] for c in cases], cases[0][2]
     targets = np.stack([c[3] for c in cases])
-    stacked = _stacked_problem(tables, assocs, branches, _linear_targets(targets), -50.0, 24.0)
+    stacked = _stacked_problem(tables, servings, branches, _linear_targets(targets), -50.0, 24.0)
     n, n_rp = tables[0].ul_gain_db.shape
     assert stacked.gains_mw.shape == (len(cases), n, n_rp)
-    for s, (gm, assoc, _, t) in enumerate(cases):
-        want, want_targets = reference_groups(gm, assoc, branches, t)
+    for s, (gm, serving, _, t) in enumerate(cases):
+        want, want_targets = reference_groups(gm, serving, branches, t)
         widths = set()
         for g in stacked.groups:
             mine = g.rows // n == s
@@ -303,8 +310,8 @@ def test_stacked_kernel_is_bitwise_per_snapshot():
                                    np.ones(powers.size), -50.0, 24.0)
         for mode in ("mrc", "selection", "egc"):
             got = _combined_sinr(powers.reshape(-1), stacked, mode).reshape(powers.shape)
-            for s, (gm, assoc, _) in enumerate(tables):
-                alone = _problem(gm, assoc, branches, np.zeros(n), -50.0, 24.0)
+            for s, (gm, serving, _) in enumerate(tables):
+                alone = _stacked_problem([gm], [serving], branches, np.ones(n), -50.0, 24.0)
                 assert np.array_equal(got[s], _combined_sinr(powers[s], alone, mode))
 
 
@@ -313,21 +320,21 @@ def test_egc_closed_form_matches_pairwise_expansion():
     rounding, on groups up to 11 branches wide."""
     rng = np.random.default_rng(61)
     for _ in range(40):
-        gm, assoc, branches = wide_instance(rng)
+        gm, serving, branches = wide_instance(rng)
         n = len(gm.ms_ids)
         p = 10.0 ** rng.uniform(-5.0, 2.4, size=n)
         gains = 10.0 ** (gm.ul_gain_db / 10.0)
         noise = 10.0 ** (gm.noise_dbm / 10.0)
         total_rx = p @ gains
         expected = np.empty(n)
-        for i, sid in enumerate(assoc.serving_sector):
-            cols = [gm.rp_index[rid] for rid in branches.by_sector[sid]]
+        for i, k in enumerate(serving):
+            cols = [gm.rp_index[rid] for rid in branches.by_sector[gm.sector_ids[k]]]
             signal = p[i] * gains[i, cols]
             den = (total_rx[cols] - signal + noise[cols]).sum()
             pairs = sum(np.sqrt(signal[a] * signal[b])
                         for a in range(len(cols)) for b in range(a + 1, len(cols)))
             expected[i] = (signal.sum() + 2.0 * pairs) / den
-        problem = _problem(gm, assoc, branches, np.zeros(n), -np.inf, np.inf)
+        problem = _stacked_problem([gm], [serving], branches, np.ones(n), -np.inf, np.inf)
         assert _combined_sinr(p, problem, "egc") == pytest.approx(expected, rel=1e-12)
 
 
@@ -335,17 +342,17 @@ def test_single_branch_egc_is_bitwise_mrc():
     """At width 1, EGC is S / (I + N), which is MRC, bit for bit."""
     rng = np.random.default_rng(67)
     for _ in range(40):
-        gm, assoc, branches = wide_instance(rng)
+        gm, serving, branches = wide_instance(rng)
         n = len(gm.ms_ids)
         p = 10.0 ** rng.uniform(-5.0, 2.4, size=n)
         bare = type(branches)(by_sector={sid: rids[:1]
                                          for sid, rids in branches.by_sector.items()})
-        problem = _problem(gm, assoc, bare, np.zeros(n), -np.inf, np.inf)
+        problem = _stacked_problem([gm], [serving], bare, np.ones(n), -np.inf, np.inf)
         egc = _combined_sinr(p, problem, "egc")
         assert np.array_equal(egc, _combined_sinr(p, problem, "mrc"))
         gains = 10.0 ** (gm.ul_gain_db / 10.0)
         total_rx = p @ gains
-        col = np.array([gm.rp_index[sid] for sid in assoc.serving_sector])
+        col = np.array([gm.rp_index[gm.sector_ids[k]] for k in serving])
         signal = p * gains[np.arange(n), col]
         noise = 10.0 ** (gm.noise_dbm / 10.0)
         assert np.array_equal(egc, signal / ((total_rx[col] - signal) + noise[col]))
@@ -355,24 +362,24 @@ def test_single_branch_egc_is_bitwise_mrc():
 # the update map
 
 def test_update_is_a_fixed_point_at_target():
-    gm, assoc, branches = make_tables([[-100.0]], 1, serving=[0])
+    gm, serving, branches = make_tables([[-100.0]], 1, serving=[0])
     p_star = 10.0 ** (-0.4)     # gamma*N/g at 0 dB target, in mW
-    nxt = power_update(np.array([p_star]), np.array([0.0]), gm, assoc, branches, "mrc")
+    nxt = power_update(np.array([p_star]), np.array([0.0]), gm, serving, branches, "mrc")
     assert nxt[0] == pytest.approx(p_star, rel=1e-12)
 
 
 def test_update_raises_by_exactly_the_shortfall():
-    gm, assoc, branches = make_tables([[-100.0], [-108.0]], 1, serving=[0, 0])
+    gm, serving, branches = make_tables([[-100.0], [-108.0]], 1, serving=[0, 0])
     p = np.array([0.5, 2.0])
-    sinr_db = effective_sinr(0, p, gm, assoc, branches, "mrc")
-    nxt = power_update(p, np.array([sinr_db + 3.0, 0.0]), gm, assoc, branches, "mrc")
+    sinr_db = effective_sinr(0, p, gm, serving, branches, "mrc")
+    nxt = power_update(p, np.array([sinr_db + 3.0, 0.0]), gm, serving, branches, "mrc")
     assert 10 * np.log10(nxt[0] / p[0]) == pytest.approx(3.0, abs=1e-9)
 
 
 def test_step_clamps_to_limits():
-    gm, assoc, branches = make_tables([[-140.0]], 1, serving=[0])
+    gm, serving, branches = make_tables([[-140.0]], 1, serving=[0])
     p = np.array([10.0 ** 2.4])  # p_max
-    nxt = power_update(p, np.array([20.0]), gm, assoc, branches, "mrc",
+    nxt = power_update(p, np.array([20.0]), gm, serving, branches, "mrc",
                        limits_dbm=(-50.0, 24.0))
     assert 10 * np.log10(nxt[0]) == pytest.approx(24.0)
 
@@ -382,49 +389,49 @@ def test_update_axioms_hold_on_random_instances():
     rng = np.random.default_rng(11)
     rel = 1e-9
     for _ in range(15):
-        gm, assoc, branches, targets = random_instance(rng)
+        gm, serving, branches, targets = random_instance(rng)
         n = len(gm.ms_ids)
         for mode in ("mrc", "selection", "egc"):
             p = rng.uniform(1e-5, 10.0, size=n)
             q = p * (1.0 + rng.uniform(0.0, 2.0, size=n))
-            up = power_update(p, targets, gm, assoc, branches, mode)
-            uq = power_update(q, targets, gm, assoc, branches, mode)
+            up = power_update(p, targets, gm, serving, branches, mode)
+            uq = power_update(q, targets, gm, serving, branches, mode)
             assert np.all(up > 0)
             assert np.all(up <= uq * (1.0 + rel))
             alpha = 1.0 + rng.uniform(0.1, 3.0)
-            ua = power_update(alpha * p, targets, gm, assoc, branches, mode)
+            ua = power_update(alpha * p, targets, gm, serving, branches, mode)
             assert np.all(ua <= alpha * up * (1.0 + rel))
 
 
 def test_update_is_jacobi_order_independent():
     rng = np.random.default_rng(23)
-    gm, assoc, branches, targets = random_instance(rng, max_ms=12)
+    gm, serving, branches, targets = random_instance(rng, max_ms=12)
     n = len(gm.ms_ids)
     perm = rng.permutation(n)
     p = rng.uniform(1e-4, 5.0, size=n)
-    up = power_update(p, targets, gm, assoc, branches, "mrc")
+    up = power_update(p, targets, gm, serving, branches, "mrc")
 
     ul_p = gm.ul_gain_db[perm]
     n_sec = len(gm.sector_ids)
-    serving_p = [gm.sector_ids.index(assoc.serving_sector[i]) for i in perm]
+    serving_p = serving[perm]
     attach = {sid: list(rids[1:]) for sid, rids in branches.by_sector.items() if len(rids) > 1}
-    gm2, assoc2, branches2 = make_tables(ul_p, n_sec, serving_p, attach=attach)
-    up2 = power_update(p[perm], targets[perm], gm2, assoc2, branches2, "mrc")
+    gm2, serving2, branches2 = make_tables(ul_p, n_sec, serving_p, attach=attach)
+    up2 = power_update(p[perm], targets[perm], gm2, serving2, branches2, "mrc")
     assert np.allclose(up2, up[perm], rtol=1e-10)
 
 
 def test_added_branch_never_raises_the_mrc_update():
     rng = np.random.default_rng(31)
     for _ in range(20):
-        gm, assoc, branches, targets = random_instance(rng, green_prob=1.0)
+        gm, serving, branches, targets = random_instance(rng, green_prob=1.0)
         if all(len(r) == 1 for r in branches.by_sector.values()):
             continue
         bare = type(branches)(by_sector={sid: rids[:1]
                                          for sid, rids in branches.by_sector.items()})
         p = rng.uniform(1e-4, 10.0, size=len(gm.ms_ids))
         for mode in ("mrc", "selection"):
-            with_green = power_update(p, targets, gm, assoc, branches, mode)
-            without = power_update(p, targets, gm, assoc, bare, mode)
+            with_green = power_update(p, targets, gm, serving, branches, mode)
+            without = power_update(p, targets, gm, serving, bare, mode)
             assert np.all(with_green <= without * (1.0 + 1e-9))
 
 
@@ -433,8 +440,8 @@ def test_added_branch_never_raises_the_mrc_update():
 
 def test_solver_single_ms_closed_form():
     s = solver_scenario(1)
-    gm, assoc, _ = make_tables([[-100.0]], 1, serving=[0])
-    res = solve_power_control(s, [mobile(0, 0.0)], gm, assoc)
+    gm, serving, _ = make_tables([[-100.0]], 1, serving=[0])
+    res = solve_alone(s, [mobile(0, 0.0)], gm, serving)
     assert res.tx_power_dbm[0] == pytest.approx(-4.0, abs=1e-9)
     assert res.converged and not res.outage[0]
     assert res.sinr_db[0] == pytest.approx(0.0, abs=1e-9)
@@ -442,8 +449,8 @@ def test_solver_single_ms_closed_form():
 
 def test_solver_symmetric_pair_closed_form():
     s = solver_scenario(2)
-    gm, assoc, _ = make_tables([[-100.0, -110.0], [-110.0, -100.0]], 2, serving=[0, 1])
-    res = solve_power_control(s, [mobile(0, 0.0), mobile(1, 0.0)], gm, assoc,
+    gm, serving, _ = make_tables([[-100.0, -110.0], [-110.0, -100.0]], 2, serving=[0, 1])
+    res = solve_alone(s, [mobile(0, 0.0), mobile(1, 0.0)], gm, serving,
                               tol_db=1e-9)
     expected = 10 * np.log10(NOISE_MW / (1e-10 - 1e-11))
     assert expected == pytest.approx(-3.5423, abs=5e-4)
@@ -453,8 +460,8 @@ def test_solver_symmetric_pair_closed_form():
 def test_solver_infeasible_pair_pins_and_flags_outage():
     """Cross gain equal to serving gain at a 0 dB target cannot be met."""
     s = solver_scenario(2)
-    gm, assoc, _ = make_tables([[-120.0, -120.0], [-120.0, -120.0]], 2, serving=[0, 1])
-    res = solve_power_control(s, [mobile(0, 0.0), mobile(1, 0.0)], gm, assoc)
+    gm, serving, _ = make_tables([[-120.0, -120.0], [-120.0, -120.0]], 2, serving=[0, 1])
+    res = solve_alone(s, [mobile(0, 0.0), mobile(1, 0.0)], gm, serving)
     assert res.tx_power_dbm == pytest.approx([24.0, 24.0], abs=1e-9)
     assert res.outage.all()
     assert np.all(res.sinr_db < -0.5)
@@ -465,10 +472,10 @@ def test_solver_infeasible_pair_pins_and_flags_outage():
 
 def test_iterates_increase_monotonically_from_pmin():
     rng = np.random.default_rng(57)
-    gm, assoc, branches, targets = random_instance(rng, max_ms=10, max_sectors=3)
+    gm, serving, branches, targets = random_instance(rng, max_ms=10, max_sectors=3)
     p = np.full(len(gm.ms_ids), 10.0 ** (-5.0))
     for _ in range(40):
-        nxt = power_update(p, targets, gm, assoc, branches, "mrc",
+        nxt = power_update(p, targets, gm, serving, branches, "mrc",
                            limits_dbm=(-50.0, 24.0))
         assert np.all(nxt >= p * (1.0 - 1e-12))
         p = nxt
@@ -497,10 +504,10 @@ def test_solver_matches_linear_system_oracle():
         b = gamma * NOISE_MW / np.diag(gains)
         direct = np.linalg.solve(np.eye(n) - a, b)
 
-        gm, assoc, branches = make_tables(ul, n, serving)
+        gm, serving, branches = make_tables(ul, n, serving)
         p = np.full(n, 1e-9)
         for _ in range(2000):
-            nxt = power_update(p, targets, gm, assoc, branches, "mrc")
+            nxt = power_update(p, targets, gm, serving, branches, "mrc")
             if np.max(np.abs(10 * np.log10(nxt / p))) < 1e-9:
                 p = nxt
                 break
@@ -510,8 +517,8 @@ def test_solver_matches_linear_system_oracle():
 
 def test_nonconvergence_is_reported_not_raised():
     s = solver_scenario(2)
-    gm, assoc, _ = make_tables([[-100.0, -101.0], [-101.0, -100.0]], 2, serving=[0, 1])
-    res = solve_power_control(s, [mobile(0, 6.0), mobile(1, 6.0)], gm, assoc,
+    gm, serving, _ = make_tables([[-100.0, -101.0], [-101.0, -100.0]], 2, serving=[0, 1])
+    res = solve_alone(s, [mobile(0, 6.0), mobile(1, 6.0)], gm, serving,
                               max_iter=3)
     assert not res.converged
     assert res.iterations == 3
@@ -519,8 +526,8 @@ def test_nonconvergence_is_reported_not_raised():
 
 def test_forced_iteration_count_is_exact():
     s = solver_scenario(1)
-    gm, assoc, _ = make_tables([[-100.0]], 1, serving=[0])
-    res = solve_power_control(s, [mobile(0, 0.0)], gm, assoc, n_iters=7)
+    gm, serving, _ = make_tables([[-100.0]], 1, serving=[0])
+    res = solve_alone(s, [mobile(0, 0.0)], gm, serving, n_iters=7)
     assert res.iterations == 7
     assert res.converged
 
@@ -528,12 +535,32 @@ def test_forced_iteration_count_is_exact():
 def test_results_respect_power_limits():
     rng = np.random.default_rng(83)
     s = solver_scenario(3)
-    gm, assoc, _ = make_tables(rng.uniform(-130.0, -80.0, size=(8, 3)), 3,
+    gm, serving, _ = make_tables(rng.uniform(-130.0, -80.0, size=(8, 3)), 3,
                                serving=rng.integers(0, 3, size=8))
-    res = solve_power_control(s, [mobile(i, 5.0) for i in range(8)], gm, assoc)
+    res = solve_alone(s, [mobile(i, 5.0) for i in range(8)], gm, serving)
     assert np.all(res.tx_power_dbm >= -50.0 - 1e-9)
     assert np.all(res.tx_power_dbm <= 24.0 + 1e-9)
     # outage only ever at the upper clamp, short of target by the margin
     for i in np.flatnonzero(res.outage):
         assert res.tx_power_dbm[i] == pytest.approx(24.0)
         assert res.sinr_db[i] < 5.0 - 0.5
+
+
+# ---------------------------------------------------------------------------
+# solver input checks
+
+def test_solver_rejects_an_unknown_combining_rule():
+    s = solver_scenario(1)
+    s = replace(s, radio=replace(s.radio, combining="mimo"))
+    gm, serving, _ = make_tables([[-100.0]], 1, serving=[0])
+    with pytest.raises(ValueError, match="unknown combining mode 'mimo'"):
+        solve_alone(s, [mobile(0, 0.0)], gm, serving)
+
+
+def test_solver_rejects_snapshots_of_different_sizes():
+    s = solver_scenario(2)
+    gm1, serving1, _ = make_tables([[-100.0, -110.0]], 2, serving=[0])
+    gm2, serving2, _ = make_tables([[-100.0, -110.0], [-110.0, -100.0]], 2, serving=[0, 1])
+    with pytest.raises(ValueError, match="same number of mobiles"):
+        solve_snapshots((s,), [([mobile(0, 0.0)], serving1, (gm1,)),
+                               ([mobile(0, 0.0), mobile(1, 0.0)], serving2, (gm2,))])

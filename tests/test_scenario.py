@@ -87,6 +87,9 @@ def test_unknown_keys_are_rejected_with_path(mutate, fragment):
      "attached_sectors must be non-empty"),
     (lambda d: d.update(greens=[{"id": "G", "position": [0, 0], "attached_sectors": ["nope"]}]),
      "does not exist"),
+    (lambda d: d.update(greens=[{"id": "G", "position": [0, 0],
+                                 "attached_sectors": ["A1", "A1"]}]),
+     "greens[0] ('G'): attached sector 'A1' listed twice"),
     (lambda d: d.update(radio={"p_min_dbm": 30, "p_max_dbm": 24}), "p_min_dbm must be below"),
     (lambda d: d.update(traffic={"indoor_fraction": 1.5}), "indoor_fraction"),
     (lambda d: d.update(traffic={"mobiles_per_sector": -1}), "mobiles_per_sector"),
@@ -113,6 +116,20 @@ def test_load_scenario_file_names_missing_path(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_scenario_file(str(missing))
     assert "nope.json" in str(err.value)
+
+
+def test_load_scenario_file_errors_keep_their_class_and_name_the_path(tmp_path):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["radio"] = {"p_min_dbm": 30, "p_max_dbm": 24}
+    cases = [(b"\xff\xfe{\x00}\x00", ParseError, "not UTF-8"),
+             (b"{not json", ParseError, "malformed scenario document"),
+             (json.dumps(doc).encode(), ValidationError, "p_min_dbm must be below")]
+    for k, (content, cls, fragment) in enumerate(cases):
+        path = tmp_path / f"case{k}.json"
+        path.write_bytes(content)
+        with pytest.raises(cls) as err:
+            load_scenario_file(str(path))
+        assert str(err.value).startswith(f"{path}: ") and fragment in str(err.value)
 
 
 def test_strip_greens_removes_only_greens():

@@ -2,22 +2,21 @@
 
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
 
 from greenant import simulate
-from greenant.metrics import NO_FILTER, PopulationFilter, kept_indices
-from greenant.powerctl import associate, solve_power_control, solve_snapshots
+from greenant.metrics import NO_FILTER, PopulationFilter, gather_tx_powers, kept_indices
+from greenant.powerctl import associate, solve_snapshots
 from greenant.propagation import build_gain_matrix
 from greenant.scenario import drop_mobiles
 from greenant.simulate import (
     PairingError,
     Snapshot,
     check_pairable,
-    gather_tx_powers,
     run_campaign,
-    run_snapshot,
     snapshot_seed,
 )
 
@@ -32,16 +31,16 @@ def test_snapshot_seeds_are_distinct_and_stable():
 
 
 def test_run_snapshot_is_deterministic(two_cell):
-    a = run_snapshot((two_cell,), snapshot_seed(9, 0))
-    b = run_snapshot((two_cell,), snapshot_seed(9, 0))
+    a = simulate._run_chunk((two_cell,), [(0, snapshot_seed(9, 0))])[0]
+    b = simulate._run_chunk((two_cell,), [(0, snapshot_seed(9, 0))])[0]
     assert [m.position for m in a.mobiles] == [m.position for m in b.mobiles]
     assert np.array_equal(a.runs[0].tx_power_dbm, b.runs[0].tx_power_dbm)
-    assert a.association.serving_sector == b.association.serving_sector
+    assert a.association.tobytes() == b.association.tobytes()
 
 
 def test_snapshots_differ_across_indices(two_cell):
-    a = run_snapshot((two_cell,), snapshot_seed(9, 0))
-    b = run_snapshot((two_cell,), snapshot_seed(9, 1))
+    a = simulate._run_chunk((two_cell,), [(0, snapshot_seed(9, 0))])[0]
+    b = simulate._run_chunk((two_cell,), [(1, snapshot_seed(9, 1))])[0]
     assert [m.position for m in a.mobiles] != [m.position for m in b.mobiles]
 
 
@@ -70,11 +69,11 @@ def test_campaign_rejects_zero_snapshots(two_cell):
 def test_paired_snapshot_shares_drops_and_association():
     base = load_doc(two_cell_doc())
     green = load_doc(two_cell_doc(with_green=True))
-    pair = run_snapshot((base, green), snapshot_seed(1, 0))
+    pair = simulate._run_chunk((base, green), [(0, snapshot_seed(1, 0))])[0]
     assert pair.runs[0].iterations == pair.runs[1].iterations
-    solo = run_snapshot((base,), snapshot_seed(1, 0))
+    solo = simulate._run_chunk((base,), [(0, snapshot_seed(1, 0))])[0]
     assert [m.position for m in pair.mobiles] == [m.position for m in solo.mobiles]
-    assert pair.association.serving_sector == solo.association.serving_sector
+    assert pair.association.tobytes() == solo.association.tobytes()
 
 
 def _reference_paired_snapshot(baseline, green, snap_seed, index=0):
@@ -93,21 +92,23 @@ def _reference_paired_snapshot(baseline, green, snap_seed, index=0):
         raise PairingError(f"snapshot {index}: sector uplink gains differ between runs")
     if not np.array_equal(gm_b.dl_rx_dbm, gm_g.dl_rx_dbm):
         raise PairingError(f"snapshot {index}: downlink powers differ between runs")
-    assoc_b = associate(gm_b)
-    assoc_g = associate(gm_g)
-    if assoc_b.serving_sector != assoc_g.serving_sector:
+    serving_b = associate(gm_b)
+    serving_g = associate(gm_g)
+    if serving_b.tobytes() != serving_g.tobytes():
         raise PairingError(f"snapshot {index}: serving sectors differ between runs")
 
-    ctl_b = solve_power_control(baseline, mobiles_b, gm_b, assoc_b)
-    ctl_g = solve_power_control(green, mobiles_g, gm_g, assoc_g)
+    drop_b = [(mobiles_b, serving_b, (gm_b,))]
+    drop_g = [(mobiles_g, serving_g, (gm_g,))]
+    ctl_b = solve_snapshots((baseline,), drop_b)[0][0]
+    ctl_g = solve_snapshots((green,), drop_g)[0][0]
     resolved = ctl_b.iterations != ctl_g.iterations
     if resolved:
         k = max(ctl_b.iterations, ctl_g.iterations)
         if ctl_b.iterations < k:
-            ctl_b = solve_power_control(baseline, mobiles_b, gm_b, assoc_b, n_iters=k)
+            ctl_b = solve_snapshots((baseline,), drop_b, n_iters=k)[0][0]
         else:
-            ctl_g = solve_power_control(green, mobiles_g, gm_g, assoc_g, n_iters=k)
-    pair = Snapshot(index, snap_seed, tuple(mobiles_b), assoc_b, (ctl_b, ctl_g))
+            ctl_g = solve_snapshots((green,), drop_g, n_iters=k)[0][0]
+    pair = Snapshot(index, snap_seed, tuple(mobiles_b), serving_b, (ctl_b, ctl_g))
     return pair, resolved
 
 
@@ -127,11 +128,11 @@ def test_paired_snapshot_matches_two_drop_resolve_reference(combining, dl_mode):
         base, green = load_doc(docs[0]), load_doc(docs[1])
         for k in range(5):
             seed = snapshot_seed(23, k)
-            pair = run_snapshot((base, green), seed, k)
+            pair = simulate._run_chunk((base, green), [(k, seed)])[0]
             ref, did_resolve = _reference_paired_snapshot(base, green, seed, k)
             resolved += did_resolve
             assert pair.mobiles == ref.mobiles
-            assert pair.association.serving_sector == ref.association.serving_sector
+            assert pair.association.tobytes() == ref.association.tobytes()
             for got, want in zip(pair.runs, ref.runs, strict=True):
                 assert np.array_equal(got.tx_power_dbm, want.tx_power_dbm)
                 assert np.array_equal(got.sinr_db, want.sinr_db)
@@ -158,12 +159,12 @@ def test_baseline_greens_read_from_a_wider_table_match_own_table_solve(combining
     base, wide = load_doc(docs[0]), load_doc(docs[1])
     for k in range(5):
         seed = snapshot_seed(31, k)
-        snap = run_snapshot((base, wide), seed, k)
+        snap = simulate._run_chunk((base, wide), [(k, seed)])[0]
         mobiles = drop_mobiles(base, seed)
         gm = build_gain_matrix(base, mobiles, seed)
         assert snap.mobiles == tuple(mobiles)
-        own = solve_power_control(base, mobiles, gm, associate(gm),
-                                  n_iters=snap.runs[0].iterations)
+        own = solve_snapshots((base,), [(mobiles, associate(gm), (gm,))],
+                              n_iters=snap.runs[0].iterations)[0][0]
         for f in ("tx_power_dbm", "sinr_db", "outage"):
             assert np.array_equal(getattr(snap.runs[0], f), getattr(own, f)), (k, f)
 
@@ -189,10 +190,11 @@ def test_nested_green_campaign_matches_own_table_solves(combining):
             mobiles = drop_mobiles(s, snap.seed)
             gm = build_gain_matrix(s, mobiles, snap.seed)
             assert snap.mobiles == tuple(mobiles)
-            own = solve_power_control(s, mobiles, gm, associate(gm), n_iters=got.iterations)
+            drop = [(mobiles, associate(gm), (gm,))]
+            own = solve_snapshots((s,), drop, n_iters=got.iterations)[0][0]
             for f in ("tx_power_dbm", "sinr_db", "outage"):
                 assert np.array_equal(getattr(got, f), getattr(own, f)), (snap.index, f)
-            alone = solve_power_control(s, mobiles, gm, associate(gm))
+            alone = solve_snapshots((s,), drop)[0][0]
             stopped_alone_elsewhere += alone.iterations != got.iterations
     assert stopped_alone_elsewhere > 0     # the lockstep moved some run's stop
 
@@ -208,7 +210,8 @@ def test_baseline_greens_must_be_in_the_green_scenario(two_cell, two_cell_green)
 
 def test_green_run_never_transmits_more(two_cell, two_cell_green):
     for k in range(6):
-        base, green = run_snapshot((two_cell, two_cell_green), snapshot_seed(17, k)).runs
+        base, green = simulate._run_chunk((two_cell, two_cell_green),
+                                          [(k, snapshot_seed(17, k))])[0].runs
         assert np.all(green.tx_power_dbm <= base.tx_power_dbm + 1e-9)
 
 
@@ -221,7 +224,7 @@ def test_paired_campaign_requires_matching_scenarios(two_cell, two_cell_green):
     # identical non-green sections pair fine, the green scenario may add greens
     check_pairable(two_cell, two_cell_green)
     check_pairable(two_cell_green, two_cell_green)
-    same = run_snapshot((two_cell_green, two_cell_green), snapshot_seed(1, 0))
+    same = simulate._run_chunk((two_cell_green, two_cell_green), [(0, snapshot_seed(1, 0))])[0]
     for f in ("tx_power_dbm", "sinr_db", "outage"):
         assert np.array_equal(getattr(same.runs[0], f), getattr(same.runs[1], f))
 
@@ -243,36 +246,39 @@ def test_paired_campaign_runs_parallel(two_cell, two_cell_green):
 
 def test_gather_tx_powers_concatenates_in_snapshot_order(two_cell):
     snaps = run_campaign((two_cell,), seed=4, n_snapshots=3)
-    flat = gather_tx_powers(snaps)
+    flat = gather_tx_powers(snaps, 0, kept_indices(snaps))
     expected = [p for sn in snaps for p in sn.runs[0].tx_power_dbm]
     assert flat == expected
 
 
 def test_gather_tx_powers_selects_run_and_filters(two_cell, two_cell_green):
     pairs = run_campaign((two_cell, two_cell_green), seed=6, n_snapshots=3)
-    base = gather_tx_powers(pairs, run=0)
-    grn = gather_tx_powers(pairs, run=1)
+    base = gather_tx_powers(pairs, 0, kept_indices(pairs))
+    grn = gather_tx_powers(pairs, 1, kept_indices(pairs))
     assert len(base) == len(grn) == sum(len(p.mobiles) for p in pairs)
     assert np.mean(base) >= np.mean(grn)
 
     disk = PopulationFilter(center=(1600.0, 0.0), radius_m=600.0)
-    sub = gather_tx_powers(pairs, run=1, pop_filter=disk)
+    sub = gather_tx_powers(pairs, 1, kept_indices(pairs, disk))
     assert len(sub) < len(grn)
     assert set(sub) <= set(grn)
 
-    everyone = gather_tx_powers(pairs, run=1, pop_filter=NO_FILTER)
+    everyone = gather_tx_powers(pairs, 1, kept_indices(pairs, NO_FILTER))
     assert everyone == grn
 
 
 def test_gather_tx_powers_reads_precomputed_kept_indices(two_cell, two_cell_green):
     """One filter pass per snapshot serves every run: powers gathered from
-    kept_indices equal those filtered run by run."""
+    kept_indices equal those filtered run by run, mobile by mobile."""
     pairs = run_campaign((two_cell, two_cell_green), seed=6, n_snapshots=3)
     disk = PopulationFilter(center=(1600.0, 0.0), radius_m=600.0)
     kept = kept_indices(pairs, disk)
     assert [len(k) for k in kept] != [len(p.mobiles) for p in pairs]
     for run in (0, 1):
-        assert gather_tx_powers(pairs, run, kept=kept) == gather_tx_powers(pairs, run, disk)
+        want = [float(p) for snap in pairs
+                for m, p in zip(snap.mobiles, snap.runs[run].tx_power_dbm)
+                if math.dist(m.position, disk.center) <= disk.radius_m]
+        assert gather_tx_powers(pairs, run, kept) == want
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +300,8 @@ def _assert_same_result(got, want):
 
 def _assert_same_snapshot(got, want):
     assert (got.index, got.seed, got.mobiles) == (want.index, want.seed, want.mobiles)
-    assert got.association.serving_sector == want.association.serving_sector
-    assert got.association.serving_index.tobytes() == want.association.serving_index.tobytes()
-    assert got.association.dl_rx_dbm.tobytes() == want.association.dl_rx_dbm.tobytes()
+    assert got.association.tobytes() == want.association.tobytes()
+    assert got.association.dtype == want.association.dtype
     for g, w in zip(got.runs, want.runs, strict=True):
         _assert_same_result(g, w)
 
@@ -305,7 +310,7 @@ def _assert_same_snapshot(got, want):
 @pytest.mark.parametrize("combining", ["mrc", "selection", "egc"])
 def test_campaign_snapshots_are_bitwise_their_solves_alone(combining, jobs):
     """Chunks of the bundled pair (3 snapshots each) over 7 snapshots: every
-    snapshot equals run_snapshot alone, and each run equals a solve on its
+    snapshot equals a chunk of one alone, and each run equals a solve on its
     own scenario's table at the pair's iteration count."""
     scenarios = _hole_pair(combining)
     size = simulate._chunk_size(scenarios)
@@ -314,11 +319,12 @@ def test_campaign_snapshots_are_bitwise_their_solves_alone(combining, jobs):
     snaps = run_campaign(scenarios, seed=53, n_snapshots=n_snapshots, jobs=jobs)
     assert [sn.index for sn in snaps] == list(range(n_snapshots))
     for snap in snaps:
-        _assert_same_snapshot(snap, run_snapshot(scenarios, snap.seed, snap.index))
+        _assert_same_snapshot(snap, simulate._run_chunk(scenarios, [(snap.index, snap.seed)])[0])
         for s, got in zip(scenarios, snap.runs):
             mobiles = drop_mobiles(s, snap.seed)
             gm = build_gain_matrix(s, mobiles, snap.seed)
-            own = solve_power_control(s, mobiles, gm, associate(gm), n_iters=got.iterations)
+            own = solve_snapshots((s,), [(mobiles, associate(gm), (gm,))],
+                                  n_iters=got.iterations)[0][0]
             _assert_same_result(got, own)
 
 
@@ -357,7 +363,8 @@ def test_campaign_without_mobiles():
         snaps = run_campaign(scenarios, seed=3, n_snapshots=5, jobs=jobs)
         for snap in snaps:
             assert snap.mobiles == ()
-            _assert_same_snapshot(snap, run_snapshot(scenarios, snap.seed, snap.index))
+            _assert_same_snapshot(snap, simulate._run_chunk(scenarios,
+                                                            [(snap.index, snap.seed)])[0])
             for run in snap.runs:
                 assert run.tx_power_dbm.shape == (0,)
                 assert (run.iterations, run.converged) == (1, True)
