@@ -5,9 +5,9 @@ from .scenario import (
     AntennaPattern,
     Building,
     ClutterMap,
+    Drop,
     GreenAntenna,
     InfeasibleDropError,
-    MobileStation,
     ParseError,
     PathLossModel,
     RadioParams,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -326,6 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)    # before the campaign
         return args.func(_spec_from_args(args), args)
     except PairingError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,10 +9,11 @@ p_max rather than being dropped.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from .scenario import Drop
 
 
 @dataclass(frozen=True)
@@ -27,21 +28,14 @@ class PopulationFilter:
 NO_FILTER = PopulationFilter()
 
 
-def population_indices(mobiles, f: PopulationFilter = NO_FILTER) -> list[int]:
-    """Indices of the mobiles passing the filter, in MS order."""
+def population_indices(mobiles: Drop, f: PopulationFilter = NO_FILTER) -> np.ndarray:
+    """Indices of the mobiles passing the filter, in MS order (intp)."""
     if f.radius_m < 0:
         raise ValueError("filter radius must be >= 0")
-    out = []
-    for i, m in enumerate(mobiles):
-        if f.indoor_only and not m.indoor:
-            continue
-        if f.center is not None:
-            dx = m.position[0] - f.center[0]
-            dy = m.position[1] - f.center[1]
-            if math.hypot(dx, dy) > f.radius_m:
-                continue
-        out.append(i)
-    return out
+    keep = mobiles.indoor if f.indoor_only else np.ones(len(mobiles), dtype=bool)
+    if f.center is not None:
+        keep &= np.hypot(*(mobiles.xy - f.center).T) <= f.radius_m
+    return np.flatnonzero(keep)
 
 
 def kept_indices(snapshots, f: PopulationFilter = NO_FILTER) -> list[np.ndarray]:
@@ -50,7 +44,7 @@ def kept_indices(snapshots, f: PopulationFilter = NO_FILTER) -> list[np.ndarray]
     The runs of a snapshot share its mobiles, so one filter pass per
     snapshot serves every run's powers and the solver rows.
     """
-    return [np.array(population_indices(snap.mobiles, f), dtype=np.intp) for snap in snapshots]
+    return [population_indices(snap.mobiles, f) for snap in snapshots]
 
 
 def gather_tx_powers(snapshots, run: int, kept: list[np.ndarray]) -> list[float]:
@@ -168,9 +162,6 @@ def emit_report(report: ComparisonReport, path_prefix: str,
     `extra_rows` (such as solver_rows) follow the report's own summary
     rows. Output is byte-deterministic for fixed inputs.
     """
-    parent = os.path.dirname(path_prefix)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     cdf_path = f"{path_prefix}_cdf.csv"
     summary_path = f"{path_prefix}_summary.csv"
     svg_path = f"{path_prefix}_cdf.svg"

@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .propagation import LinkGainMatrix
-from .scenario import COMBINING_MODES, MobileStation, Scenario
+from .scenario import COMBINING_MODES, Drop, Scenario
 
 log = logging.getLogger(__name__)
 
@@ -86,7 +86,8 @@ def associate(gm: LinkGainMatrix) -> np.ndarray:
     DL pilot, ties broken to the lowest sector id.
 
     Only the DL pilot table enters, so green antennas can never influence
-    the serving sector.
+    the serving sector. The dtype is the smallest index type (uint8 up to
+    256 sectors), since a worker sends every snapshot's association back.
     """
     dl = gm.dl_rx_dbm
     ids = gm.sector_ids
@@ -95,7 +96,8 @@ def associate(gm: LinkGainMatrix) -> np.ndarray:
     rank = np.empty(len(ids), dtype=int)
     rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     tied = dl == dl.max(axis=1, keepdims=True)
-    return np.argmin(np.where(tied, rank, len(ids)), axis=1)
+    serving = np.argmin(np.where(tied, rank, len(ids)), axis=1)
+    return serving.astype(np.min_scalar_type(len(ids) - 1))
 
 
 def receive_branches(s: Scenario) -> BranchSet:
@@ -260,8 +262,7 @@ def power_update(powers_mw: np.ndarray, targets_db: np.ndarray, gm: LinkGainMatr
 
 
 def solve_snapshots(scenarios: tuple[Scenario, ...],
-                    snapshots: list[tuple[list[MobileStation], np.ndarray,
-                                          tuple[LinkGainMatrix, ...]]],
+                    snapshots: list[tuple[Drop, np.ndarray, tuple[LinkGainMatrix, ...]]],
                     tol_db: float = DEFAULT_TOL_DB, max_iter: int = DEFAULT_MAX_ITER,
                     n_iters: int | None = None) -> list[tuple[PowerControlResult, ...]]:
     """Solve S snapshots of R runs as R stacked problems, from all-p_min.
@@ -290,8 +291,7 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
     n = len(snapshots[0][0]) if snapshots else 0
     if any(len(mobiles) != n for mobiles, _, _ in snapshots):
         raise ValueError("stacked snapshots must hold the same number of mobiles")
-    targets_db = np.array([[m.sinr_target_db for m in mobiles]
-                           for mobiles, _, _ in snapshots], dtype=float).reshape(n_snap, n)
+    targets_db = np.array([drop.target_db for drop, _, _ in snapshots]).reshape(n_snap, n)
     servings = [serving for _, serving, _ in snapshots]
     targets_lin = _linear_targets(targets_db)
     problems = [_stacked_problem([tables[r] for _, _, tables in snapshots], servings,

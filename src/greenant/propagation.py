@@ -8,9 +8,9 @@ All gains are composed in dB as
 with a 0 dBi omni mobile antenna. Shadowing is an i.i.d. zero-mean
 Gaussian per (mobile, receive point, direction). Each column is one
 counter stream keyed by a hash of the snapshot seed and "<direction>:<receive
-point>", and each mobile id is a counter in it, so adding or removing a green
-antenna leaves every other link's draw bit-identical. A table is built in one
-array pass over all links, with one draw call per direction.
+point>", and each mobile's row in the drop is a counter in it, so adding or
+removing a green antenna leaves every other link's draw bit-identical. A table
+is built in one array pass over the drop's arrays, one draw call per direction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .scenario import AntennaPattern, MobileStation, PathLossModel, Scenario
+from .scenario import AntennaPattern, Drop, PathLossModel, Scenario
 from .seeds import label_normal
 
 #: Near-field clamp: distances below this evaluate the model at 10 m.
@@ -135,14 +135,14 @@ def antenna_gain(pattern: AntennaPattern, bearing_deg):
     return pattern.gain_dbi - attenuation
 
 
-def build_gain_matrix(s: Scenario, mobiles: list[MobileStation], seed: int) -> LinkGainMatrix:
+def build_gain_matrix(s: Scenario, mobiles: Drop, seed: int) -> LinkGainMatrix:
     """Channel tables for one drop; deterministic in (scenario, mobiles, seed).
 
     Each UL entry is -path_loss + rx_antenna_gain - penetration + shadowing,
     evaluated for every (mobile, receive point) link in one array pass:
     per-mobile quantities are columns, per-point ones rows. Shadowing is
     one label_normal call per direction, with one "ul:<receive point>"
-    label per column and the mobile ids as counters, so each column keeps
+    label per column and the mobile ids (rows) as counters, so each column keeps
     its own key (no draw where sigma is 0). A DL entry is the sector's
     tx_power_dbm plus the same composition. DL shadowing follows
     radio.dl_shadowing_mode: independent "dl:<sector>" columns by default,
@@ -155,14 +155,11 @@ def build_gain_matrix(s: Scenario, mobiles: list[MobileStation], seed: int) -> L
     n_sec = len(sector_ids)
     clutter, radio = s.clutter, s.radio
 
-    xs = np.array([m.position[0] for m in mobiles], dtype=float)
-    ys = np.array([m.position[1] for m in mobiles], dtype=float)
-    ids = np.asarray([m.id for m in mobiles]).astype(np.uint64)
-    # building index per mobile; outdoor mobiles read the trailing 0 dB entry
-    building = {b.id: k for k, b in enumerate(clutter.buildings)}
-    b_idx = np.array([building[m.building_id] if m.indoor else -1 for m in mobiles],
-                     dtype=np.intp)
-    pen = np.array([*(b.penetration_loss_db for b in clutter.buildings), 0.0])[b_idx, None]
+    xs, ys = mobiles.xy[:, 0], mobiles.xy[:, 1]
+    ids = np.arange(len(mobiles), dtype=np.uint64)
+    # outdoor mobiles (building -1) read the trailing 0 dB entry
+    pen = np.array([*(b.penetration_loss_db for b in clutter.buildings), 0.0])[
+        mobiles.building, None]
 
     # per-mobile clutter parameters, looked up by class code, as columns
     codes = clutter.class_codes(xs, ys)
@@ -202,7 +199,7 @@ def build_gain_matrix(s: Scenario, mobiles: list[MobileStation], seed: int) -> L
     for arr in (ul, dl, noise):
         arr.flags.writeable = False
     return LinkGainMatrix(
-        ms_ids=tuple(m.id for m in mobiles),
+        ms_ids=tuple(range(len(mobiles))),
         receive_points=tuple(rps),
         sector_ids=tuple(sector_ids),
         ul_gain_db=ul,

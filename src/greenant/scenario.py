@@ -8,8 +8,6 @@ pilot and take no part in any downlink computation.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -197,13 +195,30 @@ class TrafficParams:
 
 
 @dataclass(frozen=True)
-class MobileStation:
-    id: int
-    position: tuple[float, float]
-    indoor: bool
-    building_id: str | None
-    service: str                    # "voice" | "data"
-    sinr_target_db: float
+class Drop:
+    """One placement of mobiles, as read-only arrays: mobile i is row i,
+    and i is its id."""
+
+    xy: np.ndarray                  # (n, 2) float64, meters
+    building: np.ndarray            # (n,) intp into clutter.buildings, -1 outdoor
+    voice: np.ndarray               # (n,) bool: voice service, else data
+    target_db: np.ndarray           # (n,) float64, the service's SINR target
+
+    def __post_init__(self) -> None:
+        for arr in (self.xy, self.building, self.voice, self.target_db):
+            arr.flags.writeable = False
+
+    def __setstate__(self, state: dict) -> None:
+        # unpickling skips __post_init__, and its arrays come back writeable
+        self.__dict__.update(state)
+        self.__post_init__()
+
+    def __len__(self) -> int:
+        return len(self.building)
+
+    @property
+    def indoor(self) -> np.ndarray:
+        return self.building >= 0
 
 
 @dataclass(frozen=True)
@@ -654,23 +669,26 @@ def _pattern_violations(p: AntennaPattern, path: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # mobile drops
 
-def drop_mobiles(s: Scenario, seed: int) -> list[MobileStation]:
+def drop_mobiles(s: Scenario, seed: int) -> Drop:
     """One seeded drop: mobiles_per_sector * sector-count mobiles.
 
     Indoor mobiles are placed uniformly over the union of building
     footprints (area-weighted); outdoor mobiles uniformly over the
     non-building map area. The result is a pure function of
-    (scenario-without-greens, seed) with stable element order.
+    (scenario-without-greens, seed) with stable row order.
 
-    Each mobile consumes uniforms of the "drops" substream in a fixed
-    order: an indoor flag; then a building pick and an x and a y inside
-    it, or (x, y) candidate pairs over the map until one lies outside
-    every building (at most _MAX_PLACE_TRIES); then a service flag. The
-    uniforms are drawn in blocks, and every offset's outdoor candidate
-    and its building test are computed for a whole block at once, so
-    only the walk through the block is per mobile. A candidate is
-    low + (high - low) * u, as `Generator.uniform` computes it, so the
-    drop is the one that a scalar draw per value gives, bit for bit.
+    The stream contract: each mobile consumes uniforms of the "drops"
+    substream in a fixed order: an indoor flag; then a building pick and
+    an x and a y inside it, or (x, y) candidate pairs over the map until
+    one lies outside every building (at most _MAX_PLACE_TRIES); then a
+    service flag. A coordinate is low + (high - low) * u, as
+    `Generator.uniform` computes it, so the drop is the one that a scalar
+    draw per value gives, bit for bit. The walk reads a block of uniforms
+    as a table of next offsets: a mobile starting at offset j ends at
+    j + 5 if indoor, else three past the first free candidate at or after
+    j + 1 of that parity. n hops from offset 0 give every mobile's start;
+    positions and services are gathers there. A hop that leaves the block
+    grows it and walks on.
     """
     traffic = s.traffic
     clutter = s.clutter
@@ -681,59 +699,49 @@ def drop_mobiles(s: Scenario, seed: int) -> list[MobileStation]:
 
     rng = substream(seed, "drops")
     areas = [b.area for b in buildings]
-    total_area = sum(areas)
-    cum = list(itertools.accumulate(areas))
+    cum = np.cumsum(areas)
     x0, y0, x1, y1 = clutter.bounds
     rects = np.array([b.rect for b in buildings], dtype=float).reshape(-1, 4)
     draws = np.empty(0)
-    u: list[float] = []             # the uniforms, in stream order
-    cx: list[float] = []            # outdoor candidate at offset j: u[j], u[j + 1]
-    cy: list[float] = []
-    free: list[bool] = []           # candidate j lies outside every building
-
-    def grow() -> None:
-        nonlocal draws, u, cx, cy, free
+    starts: list[int] = []          # offset of each mobile's indoor flag
+    j = 0
+    while True:
         draws = np.concatenate([draws, rng.random(max(len(draws), 6 * n + 64))])
-        x = x0 + (x1 - x0) * draws[:-1, None]
-        y = y0 + (y1 - y0) * draws[1:, None]
+        size = len(draws)
+        cand = np.stack([x0 + (x1 - x0) * draws[:-1], y0 + (y1 - y0) * draws[1:]], axis=1)
+        x, y = cand[:, :1], cand[:, 1:]     # candidate c is (u[c], u[c + 1]) over the map
         inside = ((rects[:, 0] <= x) & (x <= rects[:, 2])
                   & (rects[:, 1] <= y) & (y <= rects[:, 3])).any(axis=1)
-        u, cx, cy, free = draws.tolist(), x[:, 0].tolist(), y[:, 0].tolist(), (~inside).tolist()
+        # stop[c]: the first free candidate at or after c of c's parity, or
+        # the first offset of that parity whose candidate is past the block
+        stop = np.where(np.append(~inside, (True, True)), np.arange(size + 1), size + 1)
+        for parity in (0, 1):
+            stop[parity::2] = np.minimum.accumulate(stop[parity::2][::-1])[::-1]
+        indoor_at = draws < traffic.indoor_fraction
+        hop = np.where(indoor_at, np.arange(5, size + 5), stop[1:] + 3)
+        # an outdoor start whose first _MAX_PLACE_TRIES candidates are all
+        # taken cannot be placed, however far the block grows
+        hop[~indoor_at & (stop[1:] - np.arange(1, size + 1) >= 2 * _MAX_PLACE_TRIES)] = -1
+        hops = [*hop.tolist(), size + 1]     # a start at the block's end grows it
+        while len(starts) < n and 0 < hops[j] <= size:
+            starts.append(j)
+            j = hops[j]
+        if len(starts) == n:
+            break
+        if hops[j] < 0:
+            raise InfeasibleDropError("could not place an outdoor mobile; map covered by buildings")
 
-    mobiles: list[MobileStation] = []
-    j = 0                           # offset of the next unused uniform
-    for i in range(n):
-        if j + 4 > len(u):          # the flag and an indoor placement
-            grow()
-        indoor = u[j] < traffic.indoor_fraction
-        j += 1
-        if indoor:
-            b = buildings[min(bisect.bisect_left(cum, u[j] * total_area), len(cum) - 1)]
-            bx0, by0, bx1, by1 = b.rect
-            pos = (bx0 + (bx1 - bx0) * u[j + 1], by0 + (by1 - by0) * u[j + 2])
-            j += 3
-            building_id = b.id
-        else:
-            for _ in range(_MAX_PLACE_TRIES):
-                if j >= len(free):
-                    grow()
-                pos, placed = (cx[j], cy[j]), free[j]
-                j += 2
-                if placed:
-                    break
-            else:
-                raise InfeasibleDropError("could not place an outdoor mobile; map covered by buildings")
-            building_id = None
-        if j >= len(u):
-            grow()
-        service = "voice" if u[j] < traffic.voice_fraction else "data"
-        j += 1
-        mobiles.append(MobileStation(
-            id=i,
-            position=pos,
-            indoor=indoor,
-            building_id=building_id,
-            service=service,
-            sinr_target_db=traffic.sinr_target_db[service],
-        ))
-    return mobiles
+    at = np.array(starts, dtype=np.intp)
+    indoor = indoor_at[at]
+    inner, outer = at[indoor], at[~indoor]
+    picked = np.minimum(np.searchsorted(cum, draws[inner + 1] * sum(areas)), len(cum) - 1)
+    corner = rects[picked, :2]
+    xy = np.empty((n, 2))
+    xy[indoor] = corner + (rects[picked, 2:] - corner) * draws[inner[:, None] + (2, 3)]
+    xy[~indoor] = cand[stop[outer + 1]]
+    building = np.full(n, -1, dtype=np.intp)
+    building[indoor] = picked
+    voice = draws[hop[at] - 1] < traffic.voice_fraction
+    targets = traffic.sinr_target_db
+    return Drop(xy=xy, building=building, voice=voice,
+                target_db=np.where(voice, targets["voice"], targets["data"]))

@@ -8,6 +8,7 @@ greens, and every earlier scenario's greens are also in the last one
 (check_pairable, once per campaign), so what they share is computed
 once, from the last scenario: one drop, one channel table and one
 association (`draw_snapshot`, which the CLI's gain dump calls too).
+The drop is one `Drop` of read-only arrays that every layer reads whole.
 Each earlier scenario reads its own receive-point columns of that
 table. Each run is solved under its own radio.combining, in
 lockstep to the same number of power control iterations. That last
@@ -34,7 +35,7 @@ import numpy as np
 
 from .powerctl import PowerControlResult, associate, solve_snapshots
 from .propagation import LinkGainMatrix, build_gain_matrix
-from .scenario import MobileStation, Scenario, drop_mobiles, strip_greens
+from .scenario import Drop, Scenario, drop_mobiles, strip_greens
 from .seeds import derive_seed
 
 #: Cap on the links (snapshots x mobiles x receive points, summed over the
@@ -58,13 +59,13 @@ class Snapshot:
 
     index: int
     seed: int
-    mobiles: tuple[MobileStation, ...]
+    mobiles: Drop
     association: np.ndarray         # serving sector per MS, see powerctl.associate
     runs: tuple[PowerControlResult, ...]
 
 
 def draw_snapshot(scenarios: tuple[Scenario, ...], snap_seed: int
-                  ) -> tuple[list[MobileStation], tuple[LinkGainMatrix, ...]]:
+                  ) -> tuple[Drop, tuple[LinkGainMatrix, ...]]:
     """The drop of one snapshot and each scenario's table of it.
 
     The drop and the table are the last scenario's; a scenario that is
@@ -84,7 +85,7 @@ def _run_chunk(scenarios: tuple[Scenario, ...],
         mobiles, tables = draw_snapshot(scenarios, snap_seed)
         drops.append((mobiles, associate(tables[-1]), tables))
     solved = solve_snapshots(scenarios, drops)
-    return [Snapshot(index, snap_seed, tuple(mobiles), serving, runs)
+    return [Snapshot(index, snap_seed, mobiles, serving, runs)
             for (index, snap_seed), (mobiles, serving, _), runs in zip(seeds, drops, solved)]
 
 

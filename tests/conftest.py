@@ -10,7 +10,7 @@ import pytest
 
 from greenant.powerctl import BranchSet
 from greenant.propagation import LinkGainMatrix, ReceivePoint
-from greenant.scenario import AntennaPattern, MobileStation, load_scenario
+from greenant.scenario import AntennaPattern, Drop, load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -72,11 +72,24 @@ def multi_green_doc(mobiles_per_sector=2, combining="egc", attached=6):
     return doc
 
 
-def place(idx, x, y, indoor=False, building_id=None, target_db=-12.0):
-    """A hand-placed mobile for constructed (non-random) snapshots."""
-    return MobileStation(id=idx, position=(float(x), float(y)), indoor=indoor,
-                         building_id=building_id, service="data",
-                         sinr_target_db=target_db)
+def place(*xy, building=None, target_db=-12.0):
+    """A hand-placed drop for constructed (non-random) snapshots: one (x, y)
+    row per mobile, outdoor data users unless `building` gives each row's
+    building index; `target_db` is one target or one per row."""
+    xy = np.array(xy, dtype=float).reshape(-1, 2)
+    n = len(xy)
+    return Drop(xy=xy,
+                building=np.full(n, -1, dtype=np.intp) if building is None
+                else np.array(building, dtype=np.intp),
+                voice=np.zeros(n, dtype=bool),
+                target_db=np.zeros(n) + target_db)
+
+
+def drop_bits(drop):
+    """Each field's dtype, shape and bytes: drops compare by these, because
+    a dataclass == of arrays is ambiguous."""
+    return tuple((a.dtype.str, a.shape, a.tobytes())
+                 for a in (drop.xy, drop.building, drop.voice, drop.target_db))
 
 
 def make_tables(ul_gain_db, n_sectors, serving, noise_dbm=-104.0, attach=None):

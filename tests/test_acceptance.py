@@ -104,17 +104,17 @@ def test_fixed_point_matches_linear_solve():
 
 def test_closed_form_solutions():
     """Single MS, symmetric pair, and the pinned infeasible pair."""
-    from test_powerctl import mobile, solver_scenario
+    from test_powerctl import mobiles, solver_scenario
 
     errs = []
 
     s1 = solver_scenario(1)
     gm, serving, _ = make_tables([[-100.0]], 1, serving=[0])
-    r1 = solve_snapshots((s1,), [([mobile(0, 0.0)], serving, (gm,))])[0][0]
+    r1 = solve_snapshots((s1,), [(mobiles(0.0), serving, (gm,))])[0][0]
     errs.append(abs(r1.tx_power_dbm[0] - (-4.0)))
 
     s2 = solver_scenario(2)
-    pair = [mobile(0, 0.0), mobile(1, 0.0)]
+    pair = mobiles(0.0, 0.0)
     gm, serving, _ = make_tables([[-100.0, -110.0], [-110.0, -100.0]], 2, serving=[0, 1])
     r2 = solve_snapshots((s2,), [(pair, serving, (gm,))], tol_db=1e-6)[0][0]
     expected = 10.0 * np.log10(NOISE_MW / (1e-10 - 1e-11))
@@ -181,7 +181,7 @@ def test_egc_can_raise_power_where_mrc_cannot():
     """A green deep in the neighbor cell helps MRC but hurts EGC."""
     base_s = load_doc(two_cell_doc(sigma=0.0))
     green_s = load_doc(two_cell_doc(sigma=0.0, with_green=True))
-    mobiles = [place(0, 400.0, 0.0), place(1, 1700.0, 0.0)]
+    mobiles = place((400.0, 0.0), (1700.0, 0.0))
 
     def solve_pair(combining):
         runs = {}

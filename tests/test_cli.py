@@ -68,6 +68,21 @@ def test_run_succeeds_and_writes_outputs(base_json, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("run:")
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--dump-gains"],
+    ["compare", "--filter-radius", "5000", "--green-scenario"],
+    ["sweep", "--axis", "seed", "--values", "1,2"],
+])
+def test_out_prefix_may_name_a_new_directory(command, base_json, green_json, tmp_path):
+    argv = [*command, green_json] if command[0] == "compare" else command
+    out = tmp_path / "new" / "nested" / "o"
+    assert main([*argv, "--scenario", base_json, "--snapshots", "1", "--out", str(out)]) == 0
+    written = sorted(p.name for p in out.parent.iterdir())
+    assert written == {"run": ["o_cdf.csv", "o_gains.csv", "o_summary.csv"],
+                       "compare": ["o_cdf.csv", "o_cdf.svg", "o_summary.csv"],
+                       "sweep": ["o_sweep.csv"]}[command[0]]
+
+
 def test_missing_scenario_file_is_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["run", "--scenario", missing, "--snapshots", "1"]) == 2

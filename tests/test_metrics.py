@@ -13,6 +13,7 @@ from greenant.metrics import (
     emit_report,
     gather_tx_powers,
     kept_indices,
+    population_indices,
     tx_power_cdf,
     write_cdf_csv,
     write_cdf_svg,
@@ -25,12 +26,9 @@ from conftest import place
 
 
 def tagged_mobiles():
-    return [
-        place(0, 0.0, 0.0),
-        place(1, 100.0, 0.0, indoor=True, building_id="b0"),
-        place(2, 250.0, 0.0),
-        place(3, 900.0, 0.0, indoor=True, building_id="b1"),
-    ]
+    """Outdoor at 0 and 250 m, indoor (buildings 0 and 1) at 100 and 900 m."""
+    return place((0.0, 0.0), (100.0, 0.0), (250.0, 0.0), (900.0, 0.0),
+                 building=[-1, 0, -1, 1])
 
 
 def result_of(powers_dbm):
@@ -58,6 +56,14 @@ def test_no_filter_keeps_everyone_in_ms_order():
 def test_disk_filter_uses_euclidean_distance():
     f = PopulationFilter(center=(0.0, 0.0), radius_m=250.0)
     assert filtered_powers(f) == [1.0, 2.0, 3.0]
+    # the disk is closed: one ulp less drops the mobile at (250, 0)
+    ulp_less = float(np.nextafter(250.0, 0.0))
+    assert filtered_powers(PopulationFilter(center=(0.0, 0.0), radius_m=ulp_less)) == [1.0, 2.0]
+    # a 3-4-5 diagonal from an off-origin center lies exactly on the boundary
+    diagonal = place((160.0, 220.0))
+    for radius, kept in ((250.0, [0]), (ulp_less, [])):
+        f = PopulationFilter(center=(10.0, 20.0), radius_m=radius)
+        assert population_indices(diagonal, f).tolist() == kept
 
 
 def test_indoor_filter_composes_with_disk():

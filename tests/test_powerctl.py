@@ -19,7 +19,6 @@ from greenant.powerctl import (
 from greenant.scenario import (
     AntennaPattern,
     GreenAntenna,
-    MobileStation,
     RadioParams,
     Scenario,
     Sector,
@@ -30,7 +29,7 @@ from greenant.propagation import build_gain_matrix
 from greenant.scenario import drop_mobiles
 from greenant.simulate import snapshot_seed
 
-from conftest import load_doc, make_tables, multi_green_doc, random_instance
+from conftest import load_doc, make_tables, multi_green_doc, place, random_instance
 
 NOISE_MW = 10.0 ** (-104.0 / 10.0)
 
@@ -51,14 +50,14 @@ def solver_scenario(n_sectors, attach=None, p_min=-50.0, p_max=24.0):
                     radio=RadioParams(p_min_dbm=p_min, p_max_dbm=p_max))
 
 
-def mobile(i, target_db):
-    return MobileStation(id=i, position=(0.0, 0.0), indoor=False, building_id=None,
-                         service="data", sinr_target_db=float(target_db))
+def mobiles(*targets_db):
+    """A drop of mobiles at the origin with these SINR targets."""
+    return place(*[(0.0, 0.0)] * len(targets_db), target_db=np.array(targets_db, dtype=float))
 
 
-def solve_alone(s, mobiles, gm, serving, **kwargs):
+def solve_alone(s, drop, gm, serving, **kwargs):
     """One run of one drop: a stack of one snapshot."""
-    return solve_snapshots((s,), [(mobiles, serving, (gm,))], **kwargs)[0][0]
+    return solve_snapshots((s,), [(drop, serving, (gm,))], **kwargs)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +68,17 @@ def test_associate_picks_strongest_downlink():
     serving = associate(gm)
     assert serving.tolist() == [1]
     assert gm.dl_rx_dbm[0, serving[0]] == gm.dl_rx_dbm[0].max() == -60.0
+
+
+def test_association_is_the_smallest_index_dtype():
+    """uint8 up to 256 sectors, uint16 beyond, holding the columns of an
+    int64 argmax of the pilots, last column included."""
+    for n_sec, dtype in ((2, np.uint8), (300, np.uint16)):
+        want = np.arange(40) * (n_sec - 1) // 39
+        gm, _, _ = make_tables(np.zeros((40, n_sec)), n_sec, serving=want)
+        got = associate(gm)
+        assert got.dtype == dtype
+        assert got.tolist() == np.argmax(gm.dl_rx_dbm, axis=1).tolist() == want.tolist()
 
 
 def test_associate_breaks_ties_to_lowest_sector_id():
@@ -227,10 +237,9 @@ def multi_green_problems(n_snapshots=6):
     out = []
     for k in range(n_snapshots):
         seed = snapshot_seed(43, k)
-        mobiles = drop_mobiles(s, seed)
-        gm = build_gain_matrix(s, mobiles, seed)
-        out.append((gm, associate(gm), receive_branches(s),
-                    np.array([m.sinr_target_db for m in mobiles])))
+        drop = drop_mobiles(s, seed)
+        gm = build_gain_matrix(s, drop, seed)
+        out.append((gm, associate(gm), receive_branches(s), drop.target_db))
     return out
 
 
@@ -441,7 +450,7 @@ def test_added_branch_never_raises_the_mrc_update():
 def test_solver_single_ms_closed_form():
     s = solver_scenario(1)
     gm, serving, _ = make_tables([[-100.0]], 1, serving=[0])
-    res = solve_alone(s, [mobile(0, 0.0)], gm, serving)
+    res = solve_alone(s, mobiles(0.0), gm, serving)
     assert res.tx_power_dbm[0] == pytest.approx(-4.0, abs=1e-9)
     assert res.converged and not res.outage[0]
     assert res.sinr_db[0] == pytest.approx(0.0, abs=1e-9)
@@ -450,8 +459,7 @@ def test_solver_single_ms_closed_form():
 def test_solver_symmetric_pair_closed_form():
     s = solver_scenario(2)
     gm, serving, _ = make_tables([[-100.0, -110.0], [-110.0, -100.0]], 2, serving=[0, 1])
-    res = solve_alone(s, [mobile(0, 0.0), mobile(1, 0.0)], gm, serving,
-                              tol_db=1e-9)
+    res = solve_alone(s, mobiles(0.0, 0.0), gm, serving, tol_db=1e-9)
     expected = 10 * np.log10(NOISE_MW / (1e-10 - 1e-11))
     assert expected == pytest.approx(-3.5423, abs=5e-4)
     assert res.tx_power_dbm == pytest.approx([expected, expected], abs=1e-6)
@@ -461,7 +469,7 @@ def test_solver_infeasible_pair_pins_and_flags_outage():
     """Cross gain equal to serving gain at a 0 dB target cannot be met."""
     s = solver_scenario(2)
     gm, serving, _ = make_tables([[-120.0, -120.0], [-120.0, -120.0]], 2, serving=[0, 1])
-    res = solve_alone(s, [mobile(0, 0.0), mobile(1, 0.0)], gm, serving)
+    res = solve_alone(s, mobiles(0.0, 0.0), gm, serving)
     assert res.tx_power_dbm == pytest.approx([24.0, 24.0], abs=1e-9)
     assert res.outage.all()
     assert np.all(res.sinr_db < -0.5)
@@ -518,8 +526,7 @@ def test_solver_matches_linear_system_oracle():
 def test_nonconvergence_is_reported_not_raised():
     s = solver_scenario(2)
     gm, serving, _ = make_tables([[-100.0, -101.0], [-101.0, -100.0]], 2, serving=[0, 1])
-    res = solve_alone(s, [mobile(0, 6.0), mobile(1, 6.0)], gm, serving,
-                              max_iter=3)
+    res = solve_alone(s, mobiles(6.0, 6.0), gm, serving, max_iter=3)
     assert not res.converged
     assert res.iterations == 3
 
@@ -527,7 +534,7 @@ def test_nonconvergence_is_reported_not_raised():
 def test_forced_iteration_count_is_exact():
     s = solver_scenario(1)
     gm, serving, _ = make_tables([[-100.0]], 1, serving=[0])
-    res = solve_alone(s, [mobile(0, 0.0)], gm, serving, n_iters=7)
+    res = solve_alone(s, mobiles(0.0), gm, serving, n_iters=7)
     assert res.iterations == 7
     assert res.converged
 
@@ -537,7 +544,7 @@ def test_results_respect_power_limits():
     s = solver_scenario(3)
     gm, serving, _ = make_tables(rng.uniform(-130.0, -80.0, size=(8, 3)), 3,
                                serving=rng.integers(0, 3, size=8))
-    res = solve_alone(s, [mobile(i, 5.0) for i in range(8)], gm, serving)
+    res = solve_alone(s, mobiles(*[5.0] * 8), gm, serving)
     assert np.all(res.tx_power_dbm >= -50.0 - 1e-9)
     assert np.all(res.tx_power_dbm <= 24.0 + 1e-9)
     # outage only ever at the upper clamp, short of target by the margin
@@ -554,7 +561,7 @@ def test_solver_rejects_an_unknown_combining_rule():
     s = replace(s, radio=replace(s.radio, combining="mimo"))
     gm, serving, _ = make_tables([[-100.0]], 1, serving=[0])
     with pytest.raises(ValueError, match="unknown combining mode 'mimo'"):
-        solve_alone(s, [mobile(0, 0.0)], gm, serving)
+        solve_alone(s, mobiles(0.0), gm, serving)
 
 
 def test_solver_rejects_snapshots_of_different_sizes():
@@ -562,5 +569,5 @@ def test_solver_rejects_snapshots_of_different_sizes():
     gm1, serving1, _ = make_tables([[-100.0, -110.0]], 2, serving=[0])
     gm2, serving2, _ = make_tables([[-100.0, -110.0], [-110.0, -100.0]], 2, serving=[0, 1])
     with pytest.raises(ValueError, match="same number of mobiles"):
-        solve_snapshots((s,), [([mobile(0, 0.0)], serving1, (gm1,)),
-                               ([mobile(0, 0.0), mobile(1, 0.0)], serving2, (gm2,))])
+        solve_snapshots((s,), [(mobiles(0.0), serving1, (gm1,)),
+                               (mobiles(0.0, 0.0), serving2, (gm2,))])

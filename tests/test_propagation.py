@@ -26,22 +26,23 @@ def _shadowing(seed, label, ms_id, sigma_db):
     return 0.0 if sigma_db == 0.0 else sigma_db * label_normal(seed, [label], np.array([ms_id]))[0, 0]
 
 
-def _scalar_gain(ms, position, antenna, azimuth_deg, s, seed, label):
-    """1x1 reference of a table entry, in dB, composed one link at a time:
-    -path_loss + rx_antenna_gain - penetration + shadowing."""
-    cls = s.clutter.clutter_class_at(*ms.position)
-    dx = ms.position[0] - position[0]
-    dy = ms.position[1] - position[1]
+def _scalar_gain(drop, i, position, antenna, azimuth_deg, s, seed, label):
+    """1x1 reference of a table entry (mobile i of the drop), in dB, composed
+    one link at a time: -path_loss + rx_antenna_gain - penetration + shadowing."""
+    x, y = drop.xy[i].tolist()
+    cls = s.clutter.clutter_class_at(x, y)
+    dx = x - position[0]
+    dy = y - position[1]
     pl = path_loss(s.radio.pathloss[cls], np.hypot(dx, dy))
     g_rx = antenna_gain(antenna, np.degrees(np.arctan2(dy, dx)) - azimuth_deg)
-    pen = next((b.penetration_loss_db for b in s.clutter.buildings
-                if ms.indoor and b.id == ms.building_id), 0.0)
-    chi = _shadowing(seed, label, ms.id, s.radio.shadowing_sigma_db[cls])
+    b = int(drop.building[i])
+    pen = s.clutter.buildings[b].penetration_loss_db if b >= 0 else 0.0
+    chi = _shadowing(seed, label, i, s.radio.shadowing_sigma_db[cls])
     return float(-pl + g_rx - pen + chi)
 
 
-def _ul_gain(ms, rp, s, seed):
-    return _scalar_gain(ms, rp.position, rp.antenna, rp.azimuth_deg, s, seed,
+def _ul_gain(drop, i, rp, s, seed):
+    return _scalar_gain(drop, i, rp.position, rp.antenna, rp.azimuth_deg, s, seed,
                         label=f"ul:{rp.id}")
 
 
@@ -104,21 +105,21 @@ def test_shadowing_sample_properties(monkeypatch):
         return label_normal(seed, labels, counters)
 
     monkeypatch.setattr(greenant.propagation, "label_normal", counted)
-    mobiles = [place(0, 431.0, 77.0), place(3, 1210.0, -340.0)]
+    mobiles = place((431.0, 77.0), (1210.0, -340.0), (-80.0, 5.0))
     build_gain_matrix(load_doc(two_cell_doc(sigma=0.0)), mobiles, 21)
     assert calls == []
     build_gain_matrix(load_doc(two_cell_doc(sigma=8.0)), mobiles, 21)
     assert sorted(labels for labels, _ in calls) == [["dl:A1", "dl:B1"], ["ul:A1", "ul:B1"]]
-    assert all(counters == [0, 3] for _, counters in calls)
+    assert all(counters == [0, 1, 2] for _, counters in calls)
 
 
 def test_link_gain_composition_without_shadowing():
     s = load_doc(two_cell_doc(sigma=0.0))
     rp = receive_points(s)[0]       # site A's omni, 10 dBi
-    m = place(0, 500.0, 0.0)
+    m = place((500.0, 0.0))
     expected = -(128.1 + 37.6 * np.log10(0.5)) + 10.0
-    assert _ul_gain(m, rp, s, 1) == pytest.approx(expected)
-    assert build_gain_matrix(s, [m], 1).ul_gain_db[0, 0] == _ul_gain(m, rp, s, 1)
+    assert _ul_gain(m, 0, rp, s, 1) == pytest.approx(expected)
+    assert build_gain_matrix(s, m, 1).ul_gain_db[0, 0] == _ul_gain(m, 0, rp, s, 1)
 
 
 def test_penetration_applies_to_indoor_mobiles_only():
@@ -127,10 +128,9 @@ def test_penetration_applies_to_indoor_mobiles_only():
                                      "penetration_loss_db": 20}]}
     s = load_doc(doc)
     rp = receive_points(s)[0]
-    outdoor = place(0, 500.0, 0.0)
-    indoor = place(1, 500.0, 0.0, indoor=True, building_id="bld")
-    assert _ul_gain(indoor, rp, s, 1) == pytest.approx(_ul_gain(outdoor, rp, s, 1) - 20.0)
-    gm = build_gain_matrix(s, [outdoor, indoor], 1)
+    mobiles = place((500.0, 0.0), (500.0, 0.0), building=[-1, 0])   # outdoor, in "bld"
+    assert _ul_gain(mobiles, 1, rp, s, 1) == pytest.approx(_ul_gain(mobiles, 0, rp, s, 1) - 20.0)
+    gm = build_gain_matrix(s, mobiles, 1)
     assert gm.ul_gain_db[1, 0] == pytest.approx(gm.ul_gain_db[0, 0] - 20.0)
 
 
@@ -154,12 +154,12 @@ def test_gain_matrix_matches_scalar_link_gain_bitwise():
         s = load_doc(doc)
         mobiles = drop_mobiles(s, 99)
         gm = build_gain_matrix(s, mobiles, 99)
-        for i, m in enumerate(mobiles):
+        for i in range(len(mobiles)):
             for j, rp in enumerate(receive_points(s)):
-                assert gm.ul_gain_db[i, j] == _ul_gain(m, rp, s, 99)
+                assert gm.ul_gain_db[i, j] == _ul_gain(mobiles, i, rp, s, 99)
             for j, (site, sec) in enumerate(s.sectors()):
                 assert gm.dl_rx_dbm[i, j] == sec.tx_power_dbm + _scalar_gain(
-                    m, site.position, sec.antenna, sec.azimuth_deg, s, 99,
+                    mobiles, i, site.position, sec.antenna, sec.azimuth_deg, s, 99,
                     label=f"{direction}:{sec.id}")
 
 
@@ -168,13 +168,9 @@ def _column_loop_tables(s, mobiles, seed):
     time: each column is its own array expression with its own one-label
     draw, and a reciprocal DL column adds tx power to its UL column."""
     clutter, radio = s.clutter, s.radio
-    xs = np.array([m.position[0] for m in mobiles], dtype=float)
-    ys = np.array([m.position[1] for m in mobiles], dtype=float)
-    ids = np.asarray([m.id for m in mobiles]).astype(np.uint64)
-    building = {b.id: k for k, b in enumerate(clutter.buildings)}
-    b_idx = np.array([building[m.building_id] if m.indoor else -1 for m in mobiles],
-                     dtype=np.intp)
-    pen = np.array([*(b.penetration_loss_db for b in clutter.buildings), 0.0])[b_idx]
+    xs, ys = mobiles.xy.T
+    ids = np.arange(len(mobiles), dtype=np.uint64)
+    pen = np.array([*(b.penetration_loss_db for b in clutter.buildings), 0.0])[mobiles.building]
     codes = clutter.class_codes(xs, ys)
     per_class = [radio.pathloss[c] for c in clutter.classes]
     model = PathLossModel(pl0_db=np.array([pm.pl0_db for pm in per_class])[codes],
@@ -256,8 +252,7 @@ def test_gain_matrix_is_bitwise_the_column_loop(doc):
             for got, want in ((gm.ul_gain_db, ul), (gm.dl_rx_dbm, dl), (gm.noise_dbm, noise)):
                 assert got.flags.c_contiguous
                 assert np.array_equal(got, want)
-        codes = s.clutter.class_codes(np.array([m.position[0] for m in mobiles]),
-                                      np.array([m.position[1] for m in mobiles]))
+        codes = s.clutter.class_codes(mobiles.xy[:, 0], mobiles.xy[:, 1])
         unshadowed += int(np.count_nonzero(sigma[codes] == 0.0))
     # the multi-green map's open region has sigma 0, and mobiles land in it
     assert (unshadowed > 0) == (0.0 in sigma)
@@ -291,8 +286,7 @@ def test_downlink_uses_tx_power_and_independent_shadowing():
     doc = two_cell_doc(sigma=0.0)
     doc["sites"][0]["sectors"][0]["tx_power_dbm"] = 40.0
     s = load_doc(doc)
-    mobiles = [place(0, 500.0, 0.0)]
-    gm = build_gain_matrix(s, mobiles, 1)
+    gm = build_gain_matrix(s, place((500.0, 0.0)), 1)
     assert gm.dl_rx_dbm[0, 0] == pytest.approx(40.0 + gm.ul_gain_db[0, 0])
 
 
@@ -300,16 +294,14 @@ def test_reciprocal_mode_copies_uplink_shadowing():
     doc = two_cell_doc(sigma=8.0)
     doc["radio"]["dl_shadowing_mode"] = "reciprocal"
     s = load_doc(doc)
-    mobiles = [place(0, 431.0, 77.0), place(1, 1210.0, -340.0)]
-    gm = build_gain_matrix(s, mobiles, 21)
+    gm = build_gain_matrix(s, place((431.0, 77.0), (1210.0, -340.0)), 21)
     tx = np.array([sec.tx_power_dbm for _, sec in s.sectors()])
     assert np.array_equal(gm.dl_rx_dbm, tx[None, :] + gm.ul_gain_db[:, :2])
 
 
 def test_independent_mode_draws_fresh_downlink_shadowing():
     s = load_doc(two_cell_doc(sigma=8.0))
-    mobiles = [place(0, 431.0, 77.0)]
-    gm = build_gain_matrix(s, mobiles, 21)
+    gm = build_gain_matrix(s, place((431.0, 77.0)), 21)
     tx = s.sites[0].sectors[0].tx_power_dbm
     assert gm.dl_rx_dbm[0, 0] != pytest.approx(tx + gm.ul_gain_db[0, 0])
 
@@ -318,7 +310,7 @@ def test_noise_floor_includes_noise_figure():
     doc = two_cell_doc()
     doc["sites"][0]["sectors"][0]["noise_figure_db"] = 5.0
     s = load_doc(doc)
-    gm = build_gain_matrix(s, [place(0, 100.0, 0.0)], 1)
+    gm = build_gain_matrix(s, place((100.0, 0.0)), 1)
     assert gm.noise_dbm[0] == pytest.approx(-99.0)
     assert gm.noise_dbm[1] == pytest.approx(-104.0)
 

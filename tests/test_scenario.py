@@ -13,7 +13,7 @@ from greenant.scenario import (
     InfeasibleDropError,
     ParseError,
     ValidationError,
-    MobileStation,
+    Drop,
     drop_mobiles,
     load_scenario,
     load_scenario_file,
@@ -24,7 +24,7 @@ from greenant.scenario import (
 from greenant.seeds import substream
 from greenant.simulate import snapshot_seed
 
-from conftest import bundled_doc, load_doc, multi_green_doc, two_cell_doc
+from conftest import bundled_doc, drop_bits, load_doc, multi_green_doc, two_cell_doc
 
 
 MINIMAL = {
@@ -188,40 +188,42 @@ def test_drop_count_and_determinism():
     b = drop_mobiles(s, 11)
     c = drop_mobiles(s, 12)
     assert len(a) == 4 * 2
-    assert a == b
-    assert a != c
-    assert [m.id for m in a] == list(range(8))
+    assert [len(f) for f in (a.xy, a.building, a.voice, a.target_db)] == [8] * 4
+    assert drop_bits(a) == drop_bits(b)
+    assert not np.array_equal(a.xy, c.xy)
 
 
 def test_drops_ignore_green_antennas():
     doc = _with_building(two_cell_doc(with_green=True, indoor_fraction=0.5,
                                       mobiles_per_sector=5))
     s = load_doc(doc)
-    assert drop_mobiles(s, 4) == drop_mobiles(strip_greens(s), 4)
+    assert drop_bits(drop_mobiles(s, 4)) == drop_bits(drop_mobiles(strip_greens(s), 4))
 
 
 def test_indoor_mobiles_land_in_their_building():
     doc = _with_building(two_cell_doc(indoor_fraction=1.0, mobiles_per_sector=10))
     s = load_doc(doc)
-    for m in drop_mobiles(s, 2):
-        assert m.indoor
-        assert m.building_id == "bld"
-        assert s.clutter.building_at(*m.position).id == "bld"
+    d = drop_mobiles(s, 2)
+    assert d.indoor.all()
+    for (x, y), b in zip(d.xy.tolist(), d.building.tolist()):
+        assert s.clutter.buildings[b].id == "bld"
+        assert s.clutter.building_at(x, y).id == "bld"
 
 
 def test_outdoor_mobiles_avoid_buildings_and_stay_in_bounds():
     doc = _with_building(two_cell_doc(indoor_fraction=0.0, mobiles_per_sector=20))
     s = load_doc(doc)
-    for m in drop_mobiles(s, 3):
-        assert not m.indoor and m.building_id is None
-        assert s.clutter.in_bounds(*m.position)
-        assert s.clutter.building_at(*m.position) is None
+    d = drop_mobiles(s, 3)
+    assert not d.indoor.any() and (d.building == -1).all()
+    for x, y in d.xy.tolist():
+        assert s.clutter.in_bounds(x, y)
+        assert s.clutter.building_at(x, y) is None
 
 
 def test_indoor_fraction_is_respected_statistically():
     doc = _with_building(two_cell_doc(indoor_fraction=0.3, mobiles_per_sector=50))
     s = load_doc(doc)
-    frac = np.mean([m.indoor for seed in range(20) for m in drop_mobiles(s, seed)])
+    frac = np.mean([drop_mobiles(s, seed).indoor for seed in range(20)])
     assert 0.25 < frac < 0.35
 
 
@@ -229,11 +231,10 @@ def test_service_targets_follow_traffic_config():
     doc = _with_building(two_cell_doc(indoor_fraction=0.2, mobiles_per_sector=30,
                                       targets=(-16.0, -10.0)))
     s = load_doc(doc)
-    mobiles = drop_mobiles(s, 8)
-    assert {m.service for m in mobiles} == {"voice", "data"}
-    for m in mobiles:
-        expected = -16.0 if m.service == "voice" else -10.0
-        assert m.sinr_target_db == expected
+    d = drop_mobiles(s, 8)
+    assert set(d.voice.tolist()) == {True, False}
+    for voice, target in zip(d.voice.tolist(), d.target_db.tolist()):
+        assert target == (-16.0 if voice else -10.0)
 
 
 def test_indoor_without_buildings_is_infeasible():
@@ -264,8 +265,8 @@ def _reference_drop(s, seed):
         cum.append(acc)
 
     x0, y0, x1, y1 = clutter.bounds
-    mobiles = []
-    for i in range(n):
+    xy, building, voice, target_db = [], [], [], []
+    for _ in range(n):
         indoor = bool(rng.random() < traffic.indoor_fraction)
         if indoor:
             u = rng.random() * total_area
@@ -275,7 +276,6 @@ def _reference_drop(s, seed):
             b = buildings[b_idx]
             bx0, by0, bx1, by1 = b.rect
             pos = (float(rng.uniform(bx0, bx1)), float(rng.uniform(by0, by1)))
-            building_id = b.id
         else:
             for _ in range(scenario._MAX_PLACE_TRIES):
                 pos = (float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1)))
@@ -283,12 +283,15 @@ def _reference_drop(s, seed):
                     break
             else:
                 raise InfeasibleDropError("could not place an outdoor mobile; map covered by buildings")
-            building_id = None
+            b_idx = -1
         service = "voice" if rng.random() < traffic.voice_fraction else "data"
-        mobiles.append(MobileStation(id=i, position=pos, indoor=indoor,
-                                     building_id=building_id, service=service,
-                                     sinr_target_db=traffic.sinr_target_db[service]))
-    return mobiles
+        xy.append(pos)
+        building.append(b_idx)
+        voice.append(service == "voice")
+        target_db.append(traffic.sinr_target_db[service])
+    return Drop(xy=np.array(xy, dtype=float).reshape(n, 2),
+                building=np.array(building, dtype=np.intp),
+                voice=np.array(voice, dtype=bool), target_db=np.array(target_db, dtype=float))
 
 
 def _covered_doc(mobiles_per_sector=2):
@@ -315,11 +318,9 @@ def _with_traffic(doc, **traffic):
 
 def _assert_same_drop(got, want):
     assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g == w
-        # exact floats, not just ==: the same bits
-        assert [v.hex() for v in g.position] == [v.hex() for v in w.position]
-        assert type(g.position[0]) is float and type(g.indoor) is bool
+    assert drop_bits(got) == drop_bits(want)
+    assert (got.xy.dtype, got.building.dtype, got.voice.dtype, got.target_db.dtype) == (
+        np.float64, np.intp, np.bool_, np.float64)
 
 
 DROP_MAPS = {

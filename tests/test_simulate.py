@@ -20,7 +20,7 @@ from greenant.simulate import (
     snapshot_seed,
 )
 
-from conftest import bundled_doc, load_doc, two_cell_doc
+from conftest import bundled_doc, drop_bits, load_doc, two_cell_doc
 
 
 def test_snapshot_seeds_are_distinct_and_stable():
@@ -33,7 +33,7 @@ def test_snapshot_seeds_are_distinct_and_stable():
 def test_run_snapshot_is_deterministic(two_cell):
     a = simulate._run_chunk((two_cell,), [(0, snapshot_seed(9, 0))])[0]
     b = simulate._run_chunk((two_cell,), [(0, snapshot_seed(9, 0))])[0]
-    assert [m.position for m in a.mobiles] == [m.position for m in b.mobiles]
+    assert drop_bits(a.mobiles) == drop_bits(b.mobiles)
     assert np.array_equal(a.runs[0].tx_power_dbm, b.runs[0].tx_power_dbm)
     assert a.association.tobytes() == b.association.tobytes()
 
@@ -41,7 +41,7 @@ def test_run_snapshot_is_deterministic(two_cell):
 def test_snapshots_differ_across_indices(two_cell):
     a = simulate._run_chunk((two_cell,), [(0, snapshot_seed(9, 0))])[0]
     b = simulate._run_chunk((two_cell,), [(1, snapshot_seed(9, 1))])[0]
-    assert [m.position for m in a.mobiles] != [m.position for m in b.mobiles]
+    assert not np.array_equal(a.mobiles.xy, b.mobiles.xy)
 
 
 def test_campaign_is_order_preserving_and_seeded(two_cell):
@@ -61,6 +61,16 @@ def test_parallel_campaign_matches_serial(two_cell):
         assert np.array_equal(x.runs[0].sinr_db, y.runs[0].sinr_db)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_snapshot_drops_are_read_only(two_cell, jobs):
+    """Every run and caller shares a snapshot's drop, a worker's too."""
+    for snap in run_campaign((two_cell,), seed=5, n_snapshots=2, jobs=jobs):
+        for arr in (snap.mobiles.xy, snap.mobiles.building, snap.mobiles.voice,
+                    snap.mobiles.target_db):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 def test_campaign_rejects_zero_snapshots(two_cell):
     with pytest.raises(ValueError):
         run_campaign((two_cell,), seed=1, n_snapshots=0)
@@ -72,7 +82,7 @@ def test_paired_snapshot_shares_drops_and_association():
     pair = simulate._run_chunk((base, green), [(0, snapshot_seed(1, 0))])[0]
     assert pair.runs[0].iterations == pair.runs[1].iterations
     solo = simulate._run_chunk((base,), [(0, snapshot_seed(1, 0))])[0]
-    assert [m.position for m in pair.mobiles] == [m.position for m in solo.mobiles]
+    assert drop_bits(pair.mobiles) == drop_bits(solo.mobiles)
     assert pair.association.tobytes() == solo.association.tobytes()
 
 
@@ -81,7 +91,7 @@ def _reference_paired_snapshot(baseline, green, snap_seed, index=0):
     of the run that stopped first; also says whether it re-solved."""
     mobiles_b = drop_mobiles(baseline, snap_seed)
     mobiles_g = drop_mobiles(green, snap_seed)
-    if mobiles_b != mobiles_g:
+    if drop_bits(mobiles_b) != drop_bits(mobiles_g):
         raise PairingError(f"snapshot {index}: mobile drops differ between runs")
     gm_b = build_gain_matrix(baseline, mobiles_b, snap_seed)
     gm_g = build_gain_matrix(green, mobiles_g, snap_seed)
@@ -108,7 +118,7 @@ def _reference_paired_snapshot(baseline, green, snap_seed, index=0):
             ctl_b = solve_snapshots((baseline,), drop_b, n_iters=k)[0][0]
         else:
             ctl_g = solve_snapshots((green,), drop_g, n_iters=k)[0][0]
-    pair = Snapshot(index, snap_seed, tuple(mobiles_b), serving_b, (ctl_b, ctl_g))
+    pair = Snapshot(index, snap_seed, mobiles_b, serving_b, (ctl_b, ctl_g))
     return pair, resolved
 
 
@@ -131,7 +141,7 @@ def test_paired_snapshot_matches_two_drop_resolve_reference(combining, dl_mode):
             pair = simulate._run_chunk((base, green), [(k, seed)])[0]
             ref, did_resolve = _reference_paired_snapshot(base, green, seed, k)
             resolved += did_resolve
-            assert pair.mobiles == ref.mobiles
+            assert drop_bits(pair.mobiles) == drop_bits(ref.mobiles)
             assert pair.association.tobytes() == ref.association.tobytes()
             for got, want in zip(pair.runs, ref.runs, strict=True):
                 assert np.array_equal(got.tx_power_dbm, want.tx_power_dbm)
@@ -162,7 +172,7 @@ def test_baseline_greens_read_from_a_wider_table_match_own_table_solve(combining
         snap = simulate._run_chunk((base, wide), [(k, seed)])[0]
         mobiles = drop_mobiles(base, seed)
         gm = build_gain_matrix(base, mobiles, seed)
-        assert snap.mobiles == tuple(mobiles)
+        assert drop_bits(snap.mobiles) == drop_bits(mobiles)
         own = solve_snapshots((base,), [(mobiles, associate(gm), (gm,))],
                               n_iters=snap.runs[0].iterations)[0][0]
         for f in ("tx_power_dbm", "sinr_db", "outage"):
@@ -189,7 +199,7 @@ def test_nested_green_campaign_matches_own_table_solves(combining):
         for s, got in zip(variants, snap.runs, strict=True):
             mobiles = drop_mobiles(s, snap.seed)
             gm = build_gain_matrix(s, mobiles, snap.seed)
-            assert snap.mobiles == tuple(mobiles)
+            assert drop_bits(snap.mobiles) == drop_bits(mobiles)
             drop = [(mobiles, associate(gm), (gm,))]
             own = solve_snapshots((s,), drop, n_iters=got.iterations)[0][0]
             for f in ("tx_power_dbm", "sinr_db", "outage"):
@@ -276,8 +286,8 @@ def test_gather_tx_powers_reads_precomputed_kept_indices(two_cell, two_cell_gree
     assert [len(k) for k in kept] != [len(p.mobiles) for p in pairs]
     for run in (0, 1):
         want = [float(p) for snap in pairs
-                for m, p in zip(snap.mobiles, snap.runs[run].tx_power_dbm)
-                if math.dist(m.position, disk.center) <= disk.radius_m]
+                for xy, p in zip(snap.mobiles.xy.tolist(), snap.runs[run].tx_power_dbm)
+                if math.dist(xy, disk.center) <= disk.radius_m]
         assert gather_tx_powers(pairs, run, kept) == want
 
 
@@ -299,7 +309,8 @@ def _assert_same_result(got, want):
 
 
 def _assert_same_snapshot(got, want):
-    assert (got.index, got.seed, got.mobiles) == (want.index, want.seed, want.mobiles)
+    assert ((got.index, got.seed, drop_bits(got.mobiles))
+            == (want.index, want.seed, drop_bits(want.mobiles)))
     assert got.association.tobytes() == want.association.tobytes()
     assert got.association.dtype == want.association.dtype
     for g, w in zip(got.runs, want.runs, strict=True):
@@ -362,7 +373,7 @@ def test_campaign_without_mobiles():
     for jobs in (1, 2):
         snaps = run_campaign(scenarios, seed=3, n_snapshots=5, jobs=jobs)
         for snap in snaps:
-            assert snap.mobiles == ()
+            assert len(snap.mobiles) == 0
             _assert_same_snapshot(snap, simulate._run_chunk(scenarios,
                                                             [(snap.index, snap.seed)])[0])
             for run in snap.runs:
