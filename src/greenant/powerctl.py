@@ -27,18 +27,23 @@ noise are gathered once per solve. EGC's numerator is the closed form
 (sum_r sqrt(S_r))^2 over the group's branch axis, except that a single
 branch uses S itself, so width-1 EGC equals MRC and selection exactly.
 
-One solve loop, `solve_snapshots`, solves S snapshots of R runs (one
-(scenario, table) pair each) as R stacked problems: the per-receive-point
-totals are one batched matmul over an (S, n, n_rp) gain stack, and the
-width groups span all S snapshots. The runs of a snapshot step together
-until every one has met tol_db, so they stop at a common iteration
-count; from then on the snapshot's rows are frozen while the rest of the
-stack iterates. The stack changes no bits: every elementwise operation
-and every per-row reduction sees the operands of the snapshot's own
-solve, in the same order, and each slice of the batched matmul is that
-snapshot's `powers @ gains`. A single drop is a stack of S = 1. Each
-run combines by its scenario's radio.combining; only the kernel takes
-the rule as an argument.
+One solve loop, `solve_snapshots`, solves snapshots of R runs (one
+(scenario, table) pair each) in a stack of S slots, one snapshot per
+slot, as R stacked problems: the per-receive-point totals are one
+batched matmul over an (S, n, n_rp) gain stack, and the width groups
+span all S slots. The runs of a snapshot step together until every one
+has met tol_db, so they stop at a common iteration count; from then on
+the snapshot's rows are frozen while the rest of the stack iterates.
+Once half the slots have stopped, their results are emitted, the next
+snapshots are loaded into the freed slots, and the stack is rebuilt, so
+few iterations are spent on frozen rows; a rebuild costs about as much
+as a few iterations, so it is batched rather than done at every stop.
+The stack changes no bits: every elementwise operation and every
+per-row reduction sees the operands of the snapshot's own solve, in the
+same order, and each slice of the batched matmul is that snapshot's
+`powers @ gains`. A single drop is a stack of S = 1. Each run combines
+by its scenario's radio.combining; only the kernel takes the rule as an
+argument.
 
 The association is an index array: entry i is the column of mobile i's
 serving sector in the table's sector_ids.
@@ -47,6 +52,7 @@ serving sector in the table's sector_ids.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,6 +86,15 @@ class PowerControlResult:
     iterations: int
     converged: bool
 
+    def __post_init__(self) -> None:
+        for arr in (self.tx_power_dbm, self.sinr_db, self.outage):
+            arr.flags.writeable = False
+
+    def __setstate__(self, state: dict) -> None:
+        # unpickling skips __post_init__, and its arrays come back writeable
+        self.__dict__.update(state)
+        self.__post_init__()
+
 
 def associate(gm: LinkGainMatrix) -> np.ndarray:
     """Serving sector per MS, as a column of gm.sector_ids: the strongest
@@ -88,6 +103,7 @@ def associate(gm: LinkGainMatrix) -> np.ndarray:
     Only the DL pilot table enters, so green antennas can never influence
     the serving sector. The dtype is the smallest index type (uint8 up to
     256 sectors), since a worker sends every snapshot's association back.
+    It is read-only, as it is shared by every run of the snapshot.
     """
     dl = gm.dl_rx_dbm
     ids = gm.sector_ids
@@ -97,7 +113,9 @@ def associate(gm: LinkGainMatrix) -> np.ndarray:
     rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     tied = dl == dl.max(axis=1, keepdims=True)
     serving = np.argmin(np.where(tied, rank, len(ids)), axis=1)
-    return serving.astype(np.min_scalar_type(len(ids) - 1))
+    serving = serving.astype(np.min_scalar_type(len(ids) - 1))
+    serving.flags.writeable = False
+    return serving
 
 
 def receive_branches(s: Scenario) -> BranchSet:
@@ -167,7 +185,7 @@ def _stacked_problem(tables: list[LinkGainMatrix], servings: list[np.ndarray],
     order, so nothing here is per mobile.
     """
     gm = tables[0]
-    n, n_rp = len(gm.ms_ids), len(gm.receive_points)
+    n, n_rp = gm.ul_gain_db.shape
     sector_cols = [[gm.rp_index[rid] for rid in branches.by_sector[sid]]
                    for sid in gm.sector_ids]
     widths = [len(c) for c in sector_cols]
@@ -227,14 +245,14 @@ def _combined_sinr(powers_mw: np.ndarray, problem: _Problem, combining: str) -> 
     return out
 
 
-def _update(powers_mw: np.ndarray, problem: _Problem, combining: str) -> np.ndarray:
-    """p * target / sinr(p), clamped into [p_min, p_max].
+def _update(powers_mw: np.ndarray, sinr: np.ndarray, problem: _Problem) -> np.ndarray:
+    """p * target / sinr, with sinr the SINR at p, clamped into [p_min, p_max].
 
     The clamp is np.maximum then np.minimum rather than np.clip, which
     costs more per call; the two differ only on signed zeros, and
     p * target / sinr is never -0.0.
     """
-    raw = powers_mw * problem.targets_lin / _combined_sinr(powers_mw, problem, combining)
+    raw = powers_mw * problem.targets_lin / sinr
     return np.minimum(np.maximum(raw, problem.p_min_mw), problem.p_max_mw)
 
 
@@ -258,79 +276,160 @@ def power_update(powers_mw: np.ndarray, targets_db: np.ndarray, gm: LinkGainMatr
     """
     lo, hi = limits_dbm if limits_dbm is not None else (-np.inf, np.inf)
     problem = _stacked_problem([gm], [serving], branches, _linear_targets(targets_db), lo, hi)
-    return _update(np.asarray(powers_mw, dtype=float), problem, combining)
+    powers_mw = np.asarray(powers_mw, dtype=float)
+    return _update(powers_mw, _combined_sinr(powers_mw, problem, combining), problem)
+
+
+class _Slot(NamedTuple):
+    """A snapshot in the solver stack."""
+
+    index: int                      # its position in the input
+    targets_db: np.ndarray          # (n,)
+    serving: np.ndarray
+    tables: tuple[LinkGainMatrix, ...]
+    targets_lin: np.ndarray         # (n,)
+
+
+def _stopped(iterations: np.ndarray, met: np.ndarray, limit: int, on_met: bool) -> np.ndarray:
+    """Slots at their iteration limit or, if on_met, met in every run."""
+    stopped = iterations >= limit
+    return stopped | met.all(axis=0) if on_met else stopped
+
+
+def _advance(powers_mw: np.ndarray, sinr: np.ndarray, problem: _Problem, size: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """One update of a stack of `size` slots from the SINR at powers_mw,
+    and each slot's largest per-MS step in dB."""
+    updated = _update(powers_mw, sinr, problem)
+    step = np.abs(10.0 * np.log10(updated / powers_mw)).reshape(size, -1).max(axis=1, initial=0.0)
+    return updated, step
+
+
+def _results(problem: _Problem, powers_mw: np.ndarray, sinr: np.ndarray, targets_db: np.ndarray,
+             iterations: np.ndarray, converged: np.ndarray) -> list[PowerControlResult]:
+    """One run's results of stopped snapshots, from their (k, n) final
+    powers and SINRs."""
+    sinr_db = 10.0 * np.log10(sinr)
+    tx_dbm = 10.0 * np.log10(powers_mw)
+    pinned = powers_mw >= problem.p_max_mw * (1.0 - 1e-12)
+    outage = pinned & (sinr_db < targets_db - OUTAGE_MARGIN_DB)
+    return [PowerControlResult(tx_dbm[k], sinr_db[k], outage[k], it, ok)
+            for k, (it, ok) in enumerate(zip(iterations.tolist(), converged.tolist()))]
 
 
 def solve_snapshots(scenarios: tuple[Scenario, ...],
-                    snapshots: list[tuple[Drop, np.ndarray, tuple[LinkGainMatrix, ...]]],
+                    snapshots: Iterable[tuple[Drop, np.ndarray, tuple[LinkGainMatrix, ...]]],
                     tol_db: float = DEFAULT_TOL_DB, max_iter: int = DEFAULT_MAX_ITER,
-                    n_iters: int | None = None) -> list[tuple[PowerControlResult, ...]]:
-    """Solve S snapshots of R runs as R stacked problems, from all-p_min.
+                    n_iters: int | None = None, slots: int | None = None
+                    ) -> list[tuple[PowerControlResult, ...]]:
+    """Solve snapshots of R runs in a stack of up to `slots` snapshots, from all-p_min.
 
     Each snapshot is (mobiles, serving, tables), where tables[r] is
     scenarios[r]'s table of that drop and serving is `associate` of it;
-    all snapshots hold the same number of mobiles. Run r of every
-    snapshot is one stacked problem under scenarios[r].radio.combining,
-    so an iteration costs R kernel calls whatever S is. A snapshot stops
-    once every run's largest per-MS step has dropped below tol_db at
-    least once, or after max_iter (exactly n_iters if given), so its runs
-    share an iteration count. From then on
-    np.where keeps its final iterate and last step while the rest of the
-    stack iterates. Snapshots do not interact, so each ends with the bits
-    of its solve alone, whichever snapshots share its stack. Every table
-    must hold its own scenario's receive points only: the width of the
-    gain array changes the last bits of `powers @ gains`.
+    all snapshots hold the same number of mobiles. Snapshots are read
+    from the iterable only as slots free, so a generator can draw each
+    one when it is needed; without `slots`, all of them form one stack.
+    Run r of every slot is one stacked problem under
+    scenarios[r].radio.combining, so an iteration costs R kernel calls
+    whatever the slot count. A snapshot stops once every run's largest
+    per-MS step has dropped below tol_db at least once, or after its own
+    max_iter iterations (exactly n_iters if given), so its runs share an
+    iteration count. A stopped snapshot's rows stay frozen in the stack
+    while the others iterate. Once half the slots have stopped, their
+    results are emitted and the next snapshots take their slots, and
+    the stack is rebuilt; when the iterable is drained, the stack
+    shrinks each time a quarter of its slots have stopped. Kept slots
+    carry their powers, last steps, met flags and iteration counts
+    across a rebuild. Snapshots do not interact, so each ends with the
+    bits of its solve alone, whichever snapshots share its stack. Every
+    table must hold its own scenario's receive points only: the width of
+    the gain array changes the last bits of `powers @ gains`.
 
-    Returns, per snapshot, one PowerControlResult per run.
+    Returns, per snapshot and in input order, one PowerControlResult per run.
     """
     rules = [s.radio.combining for s in scenarios]
     for rule in rules:
         if rule not in COMBINING_MODES:
             raise ValueError(f"unknown combining mode '{rule}'")
-    n_snap = len(snapshots)
-    n = len(snapshots[0][0]) if snapshots else 0
-    if any(len(mobiles) != n for mobiles, _, _ in snapshots):
-        raise ValueError("stacked snapshots must hold the same number of mobiles")
-    targets_db = np.array([drop.target_db for drop, _, _ in snapshots]).reshape(n_snap, n)
-    servings = [serving for _, serving, _ in snapshots]
-    targets_lin = _linear_targets(targets_db)
-    problems = [_stacked_problem([tables[r] for _, _, tables in snapshots], servings,
-                                 receive_branches(s), targets_lin,
-                                 s.radio.p_min_dbm, s.radio.p_max_dbm)
-                for r, s in enumerate(scenarios)]
-    powers = [np.full(n_snap * n, p.p_min_mw) for p in problems]
-    steps = np.zeros((len(scenarios), n_snap))
-    met = np.zeros((len(scenarios), n_snap), dtype=bool)
-    iterations = np.zeros(n_snap, dtype=int)
-    active = np.ones(n_snap, dtype=bool)
-    for _ in range(max_iter if n_iters is None else n_iters):
-        frozen = None if active.all() else np.repeat(~active, n)
-        for r, problem in enumerate(problems):
-            updated = _update(powers[r], problem, rules[r])
-            step = np.abs(10.0 * np.log10(updated / powers[r])).reshape(n_snap, n).max(
-                axis=1, initial=0.0)
-            if frozen is not None:
-                updated = np.where(frozen, powers[r], updated)
-                step = np.where(active, step, steps[r])
-            powers[r] = updated
-            steps[r] = step
-        met |= steps < tol_db
-        iterations += active
-        if n_iters is None:
-            active &= ~met.all(axis=0)
-            if not active.any():
+    if slots is None:
+        snapshots = list(snapshots)
+        slots = len(snapshots)
+    stream = iter(snapshots)
+    limit = max_iter if n_iters is None else n_iters
+    branches = [receive_branches(s) for s in scenarios]
+    n_runs = len(scenarios)
+    results: list[tuple[PowerControlResult, ...]] = []
+    # the stack, in slot order: each slot's snapshot, and its solver state
+    held: list[_Slot] = []
+    powers = [np.empty(0) for _ in scenarios]     # per run, stacked
+    steps = np.zeros((n_runs, 0))                 # per run and slot, last step
+    met = np.zeros((n_runs, 0), dtype=bool)       # per run and slot, step below tol once
+    iterations = np.zeros(0, dtype=int)           # per slot
+    n = 0
+    drained = False
+    while True:
+        loaded = 0
+        while not drained and len(held) < max(slots, 1):
+            snapshot = next(stream, None)
+            if snapshot is None:
+                drained = True
                 break
-    if n_iters is None:
-        for _ in np.flatnonzero(~met.all(axis=0)):
-            log.warning("power control did not converge in %d iterations", max_iter)
-    by_run = []
-    for problem, rule, p, step in zip(problems, rules, powers, steps):
-        sinr_db = (10.0 * np.log10(_combined_sinr(p, problem, rule))).reshape(n_snap, n)
-        tx_dbm = (10.0 * np.log10(p)).reshape(n_snap, n)
-        pinned = p.reshape(n_snap, n) >= problem.p_max_mw * (1.0 - 1e-12)
-        outage = pinned & (sinr_db < targets_db - OUTAGE_MARGIN_DB)
-        for arr in (tx_dbm, sinr_db, outage):
-            arr.flags.writeable = False
-        by_run.append([PowerControlResult(tx_dbm[k], sinr_db[k], outage[k], int(iterations[k]),
-                                          bool(step[k] < tol_db)) for k in range(n_snap)])
-    return list(zip(*by_run))
+            mobiles, serving, tables = snapshot
+            if not results:
+                n = len(mobiles)
+            elif len(mobiles) != n:
+                raise ValueError("stacked snapshots must hold the same number of mobiles")
+            held.append(_Slot(len(results), mobiles.target_db, serving, tables,
+                              _linear_targets(mobiles.target_db)))
+            results.append(())
+            loaded += 1
+        if not held:
+            return results
+        size = len(held)
+        powers = [np.concatenate([p, np.full(loaded * n, 10.0 ** (s.radio.p_min_dbm / 10.0))])
+                  for p, s in zip(powers, scenarios)]
+        steps = np.concatenate([steps, np.zeros((n_runs, loaded))], axis=1)
+        met = np.concatenate([met, np.zeros((n_runs, loaded), dtype=bool)], axis=1)
+        iterations = np.concatenate([iterations, np.zeros(loaded, dtype=int)])
+        targets_lin = np.concatenate([h.targets_lin for h in held])
+        problems = [_stacked_problem([h.tables[r] for h in held], [h.serving for h in held],
+                                     branches[r], targets_lin,
+                                     s.radio.p_min_dbm, s.radio.p_max_dbm)
+                    for r, s in enumerate(scenarios)]
+        batch = max(1, size // (4 if drained else 2))
+        stopped = _stopped(iterations, met, limit, n_iters is None)
+        while True:
+            # at a stopped slot's final powers, this is its final SINR
+            sinrs = [_combined_sinr(p, problem, rule)
+                     for p, problem, rule in zip(powers, problems, rules)]
+            done = stopped
+            if not done.all():
+                live = ~done
+                frozen = np.repeat(done, n) if done.any() else None
+                for r in range(n_runs):
+                    updated, step = _advance(powers[r], sinrs[r], problems[r], size)
+                    if frozen is not None:
+                        updated = np.where(frozen, powers[r], updated)
+                        step = np.where(live, step, steps[r])
+                    powers[r] = updated
+                    steps[r] = step
+                met |= steps < tol_db
+                iterations += live
+                stopped = _stopped(iterations, met, limit, n_iters is None)
+            if done.sum() >= batch:
+                break
+        emitted = np.flatnonzero(done)
+        targets_db = np.array([held[j].targets_db for j in emitted])
+        by_run = [_results(problem, p.reshape(size, n)[emitted], sinr.reshape(size, n)[emitted],
+                           targets_db, iterations[emitted], step[emitted] < tol_db)
+                  for problem, p, sinr, step in zip(problems, powers, sinrs, steps)]
+        for j, runs in zip(emitted, zip(*by_run)):
+            results[held[j].index] = runs
+            if n_iters is None and not met[:, j].all():
+                log.warning("power control did not converge in %d iterations", max_iter)
+        del problems, sinrs             # freed before the next drops are drawn
+        kept = ~done
+        held = [h for h, keep in zip(held, kept) if keep]
+        powers = [p.reshape(size, n)[kept].reshape(-1) for p in powers]
+        steps, met, iterations = steps[:, kept], met[:, kept], iterations[kept]
+

@@ -70,12 +70,12 @@ def receive_points(s: Scenario) -> list[ReceivePoint]:
 class LinkGainMatrix:
     """Per-snapshot channel tables.
 
+    Row i of each table is mobile i of the drop (the gain dump's ms_id).
     ul_gain_db is |MS| x |receive points| (sectors then greens);
     dl_rx_dbm is |MS| x |sectors| and never contains green antennas.
     noise_dbm is the per-branch noise floor (thermal + noise figure).
     """
 
-    ms_ids: tuple[int, ...]
     receive_points: tuple[ReceivePoint, ...]
     sector_ids: tuple[str, ...]
     ul_gain_db: np.ndarray
@@ -199,7 +199,6 @@ def build_gain_matrix(s: Scenario, mobiles: Drop, seed: int) -> LinkGainMatrix:
     for arr in (ul, dl, noise):
         arr.flags.writeable = False
     return LinkGainMatrix(
-        ms_ids=tuple(range(len(mobiles))),
         receive_points=tuple(rps),
         sector_ids=tuple(sector_ids),
         ul_gain_db=ul,
@@ -212,9 +211,9 @@ def write_gain_dump(gm: LinkGainMatrix, path: str) -> None:
     """Debug CSV of both channel tables (long format)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("table,ms_id,point_id,value_db\n")
-        for i, ms_id in enumerate(gm.ms_ids):
+        for i in range(len(gm.ul_gain_db)):
             for j, rp in enumerate(gm.receive_points):
-                fh.write(f"ul,{ms_id},{rp.id},{gm.ul_gain_db[i, j]:.6f}\n")
-        for i, ms_id in enumerate(gm.ms_ids):
+                fh.write(f"ul,{i},{rp.id},{gm.ul_gain_db[i, j]:.6f}\n")
+        for i in range(len(gm.dl_rx_dbm)):
             for j, sid in enumerate(gm.sector_ids):
-                fh.write(f"dl,{ms_id},{sid},{gm.dl_rx_dbm[i, j]:.6f}\n")
+                fh.write(f"dl,{i},{sid},{gm.dl_rx_dbm[i, j]:.6f}\n")

@@ -17,13 +17,14 @@ p_min; comparing at a common iteration count is what makes the per-MS
 power ordering exact instead of blurred by the stopping rule.
 
 `run_campaign` is the one way in, for a single snapshot too. It runs
-in tasks, each a contiguous range of snapshot indices:
-the whole campaign at jobs=1, one range per worker otherwise. A task
-draws and tabulates its snapshots one by one, and solves them in chunks
-of up to STACK_LINKS stacked links as one problem (powerctl's
-solve_snapshots). Each snapshot's results are the bits of its solve
-alone, so neither the chunking nor the number of workers changes any
-output.
+in tasks, each a contiguous range of snapshot indices: the whole
+campaign at jobs=1, one range per worker otherwise. A task hands
+powerctl's solve_snapshots a generator of its snapshots and a slot
+count (up to STACK_LINKS stacked links); a snapshot is drawn,
+tabulated and associated only when a solver slot frees for it, so a
+task holds the tables of at most one stack. Each snapshot's results
+are the bits of its solve alone, so neither the slot count, the order
+in which snapshots stop, nor the number of workers changes any output.
 """
 
 from __future__ import annotations
@@ -38,11 +39,14 @@ from .propagation import LinkGainMatrix, build_gain_matrix
 from .scenario import Drop, Scenario, drop_mobiles, strip_greens
 from .seeds import derive_seed
 
-#: Cap on the links (snapshots x mobiles x receive points, summed over the
-#: runs) of one stacked solve, 0.25 MB per float64 stack. On the bundled
-#: maps a cap twice as large saves under 5% of the campaign time and adds
-#: about 1 MB to its peak memory.
-STACK_LINKS = 1 << 15
+#: Slot budget of a task's solver stack, in links (snapshots x mobiles x
+#: receive points, summed over the runs): 0.5 MB per float64 stack. That
+#: is 7 slots of the bundled pair and 48 of the 11-green map with 2
+#: mobiles per sector. Against half this budget (3 and 24 slots),
+#: perfbench read 16% less time per pair on hole-compare and 9% less on
+#: hole-compare-j2, the same time on multi-green-egc, and about 1 MB more
+#: peak memory (2-core shared x86-64 machine).
+STACK_LINKS = 1 << 16
 
 
 class PairingError(Exception):
@@ -63,6 +67,11 @@ class Snapshot:
     association: np.ndarray         # serving sector per MS, see powerctl.associate
     runs: tuple[PowerControlResult, ...]
 
+    def __setstate__(self, state: dict) -> None:
+        # a worker's association comes back writeable from the pickle
+        self.__dict__.update(state)
+        self.association.flags.writeable = False
+
 
 def draw_snapshot(scenarios: tuple[Scenario, ...], snap_seed: int
                   ) -> tuple[Drop, tuple[LinkGainMatrix, ...]]:
@@ -77,20 +86,8 @@ def draw_snapshot(scenarios: tuple[Scenario, ...], snap_seed: int
     return mobiles, tuple(gm if s is table_scenario else gm.restricted_to(s) for s in scenarios)
 
 
-def _run_chunk(scenarios: tuple[Scenario, ...],
-               seeds: list[tuple[int, int]]) -> list[Snapshot]:
-    """Snapshots of (index, snapshot seed) pairs, solved as one stack."""
-    drops = []
-    for _, snap_seed in seeds:
-        mobiles, tables = draw_snapshot(scenarios, snap_seed)
-        drops.append((mobiles, associate(tables[-1]), tables))
-    solved = solve_snapshots(scenarios, drops)
-    return [Snapshot(index, snap_seed, mobiles, serving, runs)
-            for (index, snap_seed), (mobiles, serving, _), runs in zip(seeds, drops, solved)]
-
-
-def _chunk_size(scenarios: tuple[Scenario, ...]) -> int:
-    """Snapshots per stacked solve, under STACK_LINKS."""
+def _slot_count(scenarios: tuple[Scenario, ...]) -> int:
+    """Snapshots in a task's solver stack, under STACK_LINKS."""
     s = scenarios[-1]
     n_ms = s.traffic.mobiles_per_sector * s.n_sectors()
     links = n_ms * sum(v.n_sectors() + len(v.greens) for v in scenarios)
@@ -98,13 +95,20 @@ def _chunk_size(scenarios: tuple[Scenario, ...]) -> int:
 
 
 def _task(args) -> list[Snapshot]:
+    """Snapshots start..stop-1, each drawn when a solver slot frees."""
     scenarios, seed, start, stop = args
-    size = _chunk_size(scenarios)
-    snapshots: list[Snapshot] = []
-    for lo in range(start, stop, size):
-        snapshots += _run_chunk(scenarios, [(k, snapshot_seed(seed, k))
-                                            for k in range(lo, min(lo + size, stop))])
-    return snapshots
+    drawn = []
+
+    def stream():
+        for index in range(start, stop):
+            snap_seed = snapshot_seed(seed, index)
+            mobiles, tables = draw_snapshot(scenarios, snap_seed)
+            serving = associate(tables[-1])
+            drawn.append((index, snap_seed, mobiles, serving))
+            yield mobiles, serving, tables
+
+    solved = solve_snapshots(scenarios, stream(), slots=_slot_count(scenarios))
+    return [Snapshot(*snap, runs) for snap, runs in zip(drawn, solved)]
 
 
 def run_campaign(scenarios: tuple[Scenario, ...], seed: int, n_snapshots: int,

@@ -113,7 +113,6 @@ def make_tables(ul_gain_db, n_sectors, serving, noise_dbm=-104.0, attach=None):
     serving = np.asarray(serving, dtype=int)
     dl[rows, serving] = -60.0
     gm = LinkGainMatrix(
-        ms_ids=tuple(range(n_ms)),
         receive_points=tuple(rps),
         sector_ids=sector_ids,
         ul_gain_db=ul,

@@ -39,7 +39,7 @@ def test_update_map_axioms():
     violations = 0
     for _ in range(200):
         gm, assoc, branches, targets = random_instance(rng, max_ms=20, max_sectors=5)
-        n = len(gm.ms_ids)
+        n = len(gm.ul_gain_db)
         for mode in ("mrc", "selection", "egc"):
             for _ in range(50):
                 p = rng.uniform(1e-6, 50.0, size=n)

@@ -203,7 +203,7 @@ def test_kernel_is_bitwise_equal_to_per_sector_evaluation():
     instances = [random_instance(rng)[:3] for _ in range(40)]
     instances += [wide_instance(rng) for _ in range(40)]
     for gm, serving, branches in instances:
-        n = len(gm.ms_ids)
+        n = len(gm.ul_gain_db)
         p = 10.0 ** rng.uniform(-5.0, 2.4, size=n)
         problem = _stacked_problem([gm], [serving], branches, np.ones(n), -np.inf, np.inf)
         for mode in ("mrc", "selection", "egc"):
@@ -258,7 +258,7 @@ def test_vectorised_problem_equals_per_mobile_builder():
     rng = np.random.default_rng(89)
     cases = [random_instance(rng) for _ in range(60)]
     cases += [(*wide_instance(rng), rng.uniform(-15.0, 9.0, size=40)) for _ in range(20)]
-    cases = [(gm, serving, branches, targets[:len(gm.ms_ids)])
+    cases = [(gm, serving, branches, targets[:len(gm.ul_gain_db)])
              for gm, serving, branches, targets in cases]
     cases += multi_green_problems()
     for gm, serving, branches, targets in cases:
@@ -330,7 +330,7 @@ def test_egc_closed_form_matches_pairwise_expansion():
     rng = np.random.default_rng(61)
     for _ in range(40):
         gm, serving, branches = wide_instance(rng)
-        n = len(gm.ms_ids)
+        n = len(gm.ul_gain_db)
         p = 10.0 ** rng.uniform(-5.0, 2.4, size=n)
         gains = 10.0 ** (gm.ul_gain_db / 10.0)
         noise = 10.0 ** (gm.noise_dbm / 10.0)
@@ -352,7 +352,7 @@ def test_single_branch_egc_is_bitwise_mrc():
     rng = np.random.default_rng(67)
     for _ in range(40):
         gm, serving, branches = wide_instance(rng)
-        n = len(gm.ms_ids)
+        n = len(gm.ul_gain_db)
         p = 10.0 ** rng.uniform(-5.0, 2.4, size=n)
         bare = type(branches)(by_sector={sid: rids[:1]
                                          for sid, rids in branches.by_sector.items()})
@@ -399,7 +399,7 @@ def test_update_axioms_hold_on_random_instances():
     rel = 1e-9
     for _ in range(15):
         gm, serving, branches, targets = random_instance(rng)
-        n = len(gm.ms_ids)
+        n = len(gm.ul_gain_db)
         for mode in ("mrc", "selection", "egc"):
             p = rng.uniform(1e-5, 10.0, size=n)
             q = p * (1.0 + rng.uniform(0.0, 2.0, size=n))
@@ -415,7 +415,7 @@ def test_update_axioms_hold_on_random_instances():
 def test_update_is_jacobi_order_independent():
     rng = np.random.default_rng(23)
     gm, serving, branches, targets = random_instance(rng, max_ms=12)
-    n = len(gm.ms_ids)
+    n = len(gm.ul_gain_db)
     perm = rng.permutation(n)
     p = rng.uniform(1e-4, 5.0, size=n)
     up = power_update(p, targets, gm, serving, branches, "mrc")
@@ -437,7 +437,7 @@ def test_added_branch_never_raises_the_mrc_update():
             continue
         bare = type(branches)(by_sector={sid: rids[:1]
                                          for sid, rids in branches.by_sector.items()})
-        p = rng.uniform(1e-4, 10.0, size=len(gm.ms_ids))
+        p = rng.uniform(1e-4, 10.0, size=len(gm.ul_gain_db))
         for mode in ("mrc", "selection"):
             with_green = power_update(p, targets, gm, serving, branches, mode)
             without = power_update(p, targets, gm, serving, bare, mode)
@@ -481,7 +481,7 @@ def test_solver_infeasible_pair_pins_and_flags_outage():
 def test_iterates_increase_monotonically_from_pmin():
     rng = np.random.default_rng(57)
     gm, serving, branches, targets = random_instance(rng, max_ms=10, max_sectors=3)
-    p = np.full(len(gm.ms_ids), 10.0 ** (-5.0))
+    p = np.full(len(gm.ul_gain_db), 10.0 ** (-5.0))
     for _ in range(40):
         nxt = power_update(p, targets, gm, serving, branches, "mrc",
                            limits_dbm=(-50.0, 24.0))

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from greenant import simulate
+from greenant import powerctl, simulate
 from greenant.metrics import NO_FILTER, PopulationFilter, gather_tx_powers, kept_indices
 from greenant.powerctl import associate, solve_snapshots
 from greenant.propagation import build_gain_matrix
@@ -23,6 +23,11 @@ from greenant.simulate import (
 from conftest import bundled_doc, drop_bits, load_doc, two_cell_doc
 
 
+def solved_alone(scenarios, seed, index):
+    """Snapshot `index` of a campaign at `seed`, as a task of that one snapshot."""
+    return simulate._task((scenarios, seed, index, index + 1))[0]
+
+
 def test_snapshot_seeds_are_distinct_and_stable():
     seeds = [snapshot_seed(1, k) for k in range(100)]
     assert len(set(seeds)) == 100
@@ -31,16 +36,16 @@ def test_snapshot_seeds_are_distinct_and_stable():
 
 
 def test_run_snapshot_is_deterministic(two_cell):
-    a = simulate._run_chunk((two_cell,), [(0, snapshot_seed(9, 0))])[0]
-    b = simulate._run_chunk((two_cell,), [(0, snapshot_seed(9, 0))])[0]
+    a = solved_alone((two_cell,), 9, 0)
+    b = solved_alone((two_cell,), 9, 0)
     assert drop_bits(a.mobiles) == drop_bits(b.mobiles)
     assert np.array_equal(a.runs[0].tx_power_dbm, b.runs[0].tx_power_dbm)
     assert a.association.tobytes() == b.association.tobytes()
 
 
 def test_snapshots_differ_across_indices(two_cell):
-    a = simulate._run_chunk((two_cell,), [(0, snapshot_seed(9, 0))])[0]
-    b = simulate._run_chunk((two_cell,), [(1, snapshot_seed(9, 1))])[0]
+    a = solved_alone((two_cell,), 9, 0)
+    b = solved_alone((two_cell,), 9, 1)
     assert not np.array_equal(a.mobiles.xy, b.mobiles.xy)
 
 
@@ -71,6 +76,18 @@ def test_snapshot_drops_are_read_only(two_cell, jobs):
                 arr[0] = 0
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_snapshot_results_and_association_are_read_only(two_cell, two_cell_green, jobs):
+    """A worker's results and association are as read-only as the serial ones."""
+    for snap in run_campaign((two_cell, two_cell_green), seed=5, n_snapshots=2, jobs=jobs):
+        arrays = [snap.association]
+        arrays += [getattr(run, f) for run in snap.runs
+                   for f in ("tx_power_dbm", "sinr_db", "outage")]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 def test_campaign_rejects_zero_snapshots(two_cell):
     with pytest.raises(ValueError):
         run_campaign((two_cell,), seed=1, n_snapshots=0)
@@ -79,9 +96,9 @@ def test_campaign_rejects_zero_snapshots(two_cell):
 def test_paired_snapshot_shares_drops_and_association():
     base = load_doc(two_cell_doc())
     green = load_doc(two_cell_doc(with_green=True))
-    pair = simulate._run_chunk((base, green), [(0, snapshot_seed(1, 0))])[0]
+    pair = solved_alone((base, green), 1, 0)
     assert pair.runs[0].iterations == pair.runs[1].iterations
-    solo = simulate._run_chunk((base,), [(0, snapshot_seed(1, 0))])[0]
+    solo = solved_alone((base,), 1, 0)
     assert drop_bits(pair.mobiles) == drop_bits(solo.mobiles)
     assert pair.association.tobytes() == solo.association.tobytes()
 
@@ -138,7 +155,7 @@ def test_paired_snapshot_matches_two_drop_resolve_reference(combining, dl_mode):
         base, green = load_doc(docs[0]), load_doc(docs[1])
         for k in range(5):
             seed = snapshot_seed(23, k)
-            pair = simulate._run_chunk((base, green), [(k, seed)])[0]
+            pair = solved_alone((base, green), 23, k)
             ref, did_resolve = _reference_paired_snapshot(base, green, seed, k)
             resolved += did_resolve
             assert drop_bits(pair.mobiles) == drop_bits(ref.mobiles)
@@ -169,7 +186,7 @@ def test_baseline_greens_read_from_a_wider_table_match_own_table_solve(combining
     base, wide = load_doc(docs[0]), load_doc(docs[1])
     for k in range(5):
         seed = snapshot_seed(31, k)
-        snap = simulate._run_chunk((base, wide), [(k, seed)])[0]
+        snap = solved_alone((base, wide), 31, k)
         mobiles = drop_mobiles(base, seed)
         gm = build_gain_matrix(base, mobiles, seed)
         assert drop_bits(snap.mobiles) == drop_bits(mobiles)
@@ -220,8 +237,7 @@ def test_baseline_greens_must_be_in_the_green_scenario(two_cell, two_cell_green)
 
 def test_green_run_never_transmits_more(two_cell, two_cell_green):
     for k in range(6):
-        base, green = simulate._run_chunk((two_cell, two_cell_green),
-                                          [(k, snapshot_seed(17, k))])[0].runs
+        base, green = solved_alone((two_cell, two_cell_green), 17, k).runs
         assert np.all(green.tx_power_dbm <= base.tx_power_dbm + 1e-9)
 
 
@@ -234,7 +250,7 @@ def test_paired_campaign_requires_matching_scenarios(two_cell, two_cell_green):
     # identical non-green sections pair fine, the green scenario may add greens
     check_pairable(two_cell, two_cell_green)
     check_pairable(two_cell_green, two_cell_green)
-    same = simulate._run_chunk((two_cell_green, two_cell_green), [(0, snapshot_seed(1, 0))])[0]
+    same = solved_alone((two_cell_green, two_cell_green), 1, 0)
     for f in ("tx_power_dbm", "sinr_db", "outage"):
         assert np.array_equal(getattr(same.runs[0], f), getattr(same.runs[1], f))
 
@@ -292,7 +308,7 @@ def test_gather_tx_powers_reads_precomputed_kept_indices(two_cell, two_cell_gree
 
 
 # ---------------------------------------------------------------------------
-# chunked campaigns: every snapshot is the bits of its solve alone
+# refilled stacks: every snapshot is the bits of its solve alone
 
 def _hole_pair(combining):
     docs = [bundled_doc("baseline.json"), bundled_doc("green.json")]
@@ -319,24 +335,95 @@ def _assert_same_snapshot(got, want):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("combining", ["mrc", "selection", "egc"])
-def test_campaign_snapshots_are_bitwise_their_solves_alone(combining, jobs):
-    """Chunks of the bundled pair (3 snapshots each) over 7 snapshots: every
-    snapshot equals a chunk of one alone, and each run equals a solve on its
-    own scenario's table at the pair's iteration count."""
+def test_campaign_snapshots_are_bitwise_their_solves_alone(combining, jobs, monkeypatch):
+    """Two solver slots of the bundled pair over 9 snapshots, so slots are
+    refilled and the drained stack shrinks: every snapshot equals a task of
+    it alone, and each run equals a solve on its own scenario's table at
+    the pair's iteration count."""
     scenarios = _hole_pair(combining)
-    size = simulate._chunk_size(scenarios)
-    n_snapshots = 2 * size + 1
-    assert size > 1
-    snaps = run_campaign(scenarios, seed=53, n_snapshots=n_snapshots, jobs=jobs)
-    assert [sn.index for sn in snaps] == list(range(n_snapshots))
+    # 210 mobiles, each linked to 21 sectors and to 21 sectors + 1 green
+    monkeypatch.setattr(simulate, "STACK_LINKS", 2 * 210 * (21 + 22))
+    assert simulate._slot_count(scenarios) == 2
+    snaps = run_campaign(scenarios, seed=53, n_snapshots=9, jobs=jobs)
+    assert [sn.index for sn in snaps] == list(range(9))
     for snap in snaps:
-        _assert_same_snapshot(snap, simulate._run_chunk(scenarios, [(snap.index, snap.seed)])[0])
+        _assert_same_snapshot(snap, solved_alone(scenarios, 53, snap.index))
         for s, got in zip(scenarios, snap.runs):
             mobiles = drop_mobiles(s, snap.seed)
             gm = build_gain_matrix(s, mobiles, snap.seed)
             own = solve_snapshots((s,), [(mobiles, associate(gm), (gm,))],
                                   n_iters=got.iterations)[0][0]
             _assert_same_result(got, own)
+
+
+def _hole_drops(scenarios, seed, count):
+    drops = []
+    for k in range(count):
+        snap_seed = snapshot_seed(seed, k)
+        mobiles = drop_mobiles(scenarios[1], snap_seed)
+        gm = build_gain_matrix(scenarios[1], mobiles, snap_seed)
+        drops.append((mobiles, associate(gm), (gm.restricted_to(scenarios[0]), gm)))
+    return drops
+
+
+def _counting_builds(monkeypatch):
+    """Record the snapshot count of every stacked problem the solver builds."""
+    sizes = []
+    build = powerctl._stacked_problem
+
+    def counted(tables, *args):
+        sizes.append(len(tables))
+        return build(tables, *args)
+
+    monkeypatch.setattr(powerctl, "_stacked_problem", counted)
+    return sizes
+
+
+def test_refilled_stack_returns_input_order(monkeypatch):
+    """Snapshots stop out of input order in a stack of 3 slots fed from a
+    generator; the results come back in input order, each the bits of its
+    solve alone, and the stack was refilled."""
+    scenarios = _hole_pair("mrc")
+    drops = _hole_drops(scenarios, 61, 10)
+    alone = [solve_snapshots(scenarios, [d])[0] for d in drops]
+    iters = [runs[0].iterations for runs in alone]
+    assert iters != sorted(iters)
+    sizes = _counting_builds(monkeypatch)
+    got = solve_snapshots(scenarios, iter(drops), slots=3)
+    assert max(sizes) == 3 and len(sizes) > 2 * len(scenarios)
+    for g, w in zip(got, alone, strict=True):
+        for r_got, r_want in zip(g, w, strict=True):
+            _assert_same_result(r_got, r_want)
+
+
+def test_refilled_snapshot_stops_at_its_own_max_iter(monkeypatch, caplog):
+    """A snapshot loaded into a freed slot after the first one stopped runs
+    its own max_iter iterations, past the stack's loop count at its load:
+    it ends unconverged at max_iter, with one warning, and with the bits
+    of its solve alone."""
+    scenarios = _hole_pair("mrc")
+    drops = _hole_drops(scenarios, 59, 8)
+    natural = [solve_snapshots(scenarios, [d])[0][0].iterations for d in drops]
+    fast = min(range(len(drops)), key=natural.__getitem__)
+    slow = max(range(len(drops)), key=natural.__getitem__)
+    other = next(k for k in range(len(drops)) if k not in (fast, slow))
+    max_iter = (natural[fast] + natural[slow]) // 2
+    assert natural[fast] < max_iter < natural[slow]
+    order = [drops[fast], drops[other], drops[slow]]
+    alone = [solve_snapshots(scenarios, [d], max_iter=max_iter)[0] for d in order]
+    sizes = _counting_builds(monkeypatch)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="greenant.powerctl"):
+        got = solve_snapshots(scenarios, iter(order), max_iter=max_iter, slots=2)
+    warnings = [r for r in caplog.records if "did not converge" in r.getMessage()]
+    failed = sum(not all(r.converged for r in runs) for runs in alone)
+    assert len(warnings) == failed >= 1
+    assert len(sizes) > len(scenarios)      # the slow snapshot joined a rebuilt stack
+    assert [r.iterations for r in got[2]] == [max_iter] * len(scenarios)
+    assert not all(r.converged for r in got[2])
+    for g, w in zip(got, alone, strict=True):
+        for r_got, r_want in zip(g, w, strict=True):
+            _assert_same_result(r_got, r_want)
 
 
 def test_nonconverged_snapshot_in_a_stack_keeps_its_own_state(caplog):
@@ -374,8 +461,7 @@ def test_campaign_without_mobiles():
         snaps = run_campaign(scenarios, seed=3, n_snapshots=5, jobs=jobs)
         for snap in snaps:
             assert len(snap.mobiles) == 0
-            _assert_same_snapshot(snap, simulate._run_chunk(scenarios,
-                                                            [(snap.index, snap.seed)])[0])
+            _assert_same_snapshot(snap, solved_alone(scenarios, 3, snap.index))
             for run in snap.runs:
                 assert run.tx_power_dbm.shape == (0,)
                 assert (run.iterations, run.converged) == (1, True)
