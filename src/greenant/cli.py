@@ -22,7 +22,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,37 +44,20 @@ DEFAULT_FILTER_RADIUS_M = 300.0
 SWEEP_AXES = ("seed", "green_count", "combining")
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything one invocation needs, resolved from flags."""
-
-    scenario: str
-    green_scenario: str | None = None
-    seed: int = 1
-    snapshots: int = 50
-    combining: str | None = None
-    filter_center: tuple[float, float] | None = None
-    filter_radius: float | None = None
-    indoor_only: bool = False
-    target_dbm: float = 4.0
-    out: str = "out"
-    jobs: int = 1
-    dump_gains: bool = False
-
-
 def _progress(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _spec_filter(spec: RunSpec, default_center: tuple[float, float] | None = None) -> PopulationFilter:
-    center = spec.filter_center if spec.filter_center is not None else default_center
+def _population_filter(args: argparse.Namespace,
+                       default_center: tuple[float, float] | None = None) -> PopulationFilter:
+    center = args.filter_center if args.filter_center is not None else default_center
     if center is None:
-        if spec.filter_radius is not None:
+        if args.filter_radius is not None:
             raise ScenarioError("--filter-radius needs a center: give --filter-center "
                                 "(compare and sweep default to the first green antenna)")
-        return PopulationFilter(indoor_only=spec.indoor_only)
-    radius = spec.filter_radius if spec.filter_radius is not None else DEFAULT_FILTER_RADIUS_M
-    return PopulationFilter(center=center, radius_m=radius, indoor_only=spec.indoor_only)
+        return PopulationFilter(indoor_only=args.indoor_only)
+    radius = args.filter_radius if args.filter_radius is not None else DEFAULT_FILTER_RADIUS_M
+    return PopulationFilter(center=center, radius_m=radius, indoor_only=args.indoor_only)
 
 
 def _stats_rows(powers: list[float], target_dbm: float) -> list[tuple[str, float]]:
@@ -101,48 +84,46 @@ def _dump_first_snapshot_gains(scenarios: tuple[Scenario, ...], seed: int,
         write_gain_dump(gm, path)
 
 
-def cmd_run(spec: RunSpec) -> int:
-    s = _with_rule(load_scenario_file(spec.scenario), spec.combining)
-    f = _spec_filter(spec)
-    _progress(f"run: {spec.snapshots} snapshots of {spec.scenario} (seed {spec.seed})")
-    snaps = run_campaign((s,), spec.seed, spec.snapshots, jobs=spec.jobs)
+def cmd_run(args: argparse.Namespace) -> int:
+    s = _with_rule(load_scenario_file(args.scenario), args.combining)
+    f = _population_filter(args)
+    _progress(f"run: {args.snapshots} snapshots of {args.scenario} (seed {args.seed})")
+    snaps = run_campaign((s,), args.seed, args.snapshots, jobs=args.jobs)
     kept = kept_indices(snaps, f)
     powers = gather_tx_powers(snaps, 0, kept)
     if not powers:
         _progress("error: population filter excluded every mobile")
         return 2
-    write_cdf_csv({"run": tx_power_cdf(powers)}, f"{spec.out}_cdf.csv")
-    write_summary_csv(_stats_rows(powers, spec.target_dbm) + solver_rows(snaps, kept),
-                      f"{spec.out}_summary.csv")
-    if spec.dump_gains:
-        _dump_first_snapshot_gains((s,), spec.seed, [f"{spec.out}_gains.csv"])
-    _progress(f"run: wrote {spec.out}_cdf.csv and {spec.out}_summary.csv")
+    write_cdf_csv({"run": tx_power_cdf(powers)}, f"{args.out}_cdf.csv")
+    write_summary_csv(_stats_rows(powers, args.target_dbm) + solver_rows(snaps, kept),
+                      f"{args.out}_summary.csv")
+    if args.dump_gains:
+        _dump_first_snapshot_gains((s,), args.seed, [f"{args.out}_gains.csv"])
+    _progress(f"run: wrote {args.out}_cdf.csv and {args.out}_summary.csv")
     return 0
 
 
-def cmd_compare(spec: RunSpec) -> int:
-    if spec.green_scenario is None:
-        raise ScenarioError("compare needs --green-scenario")
-    baseline = load_scenario_file(spec.scenario)
-    green = load_scenario_file(spec.green_scenario)
+def cmd_compare(args: argparse.Namespace) -> int:
+    baseline = load_scenario_file(args.scenario)
+    green = load_scenario_file(args.green_scenario)
     # the files must pair as written: the override would hide a rule that differs
     check_pairable(baseline, green)
-    baseline, green = _with_rule(baseline, spec.combining), _with_rule(green, spec.combining)
-    f = _spec_filter(spec, green.greens[0].position if green.greens else None)
-    _progress(f"compare: {spec.snapshots} paired snapshots, "
-              f"{spec.scenario} vs {spec.green_scenario} (seed {spec.seed})")
-    pairs = run_campaign((baseline, green), spec.seed, spec.snapshots, jobs=spec.jobs)
+    baseline, green = _with_rule(baseline, args.combining), _with_rule(green, args.combining)
+    f = _population_filter(args, green.greens[0].position if green.greens else None)
+    _progress(f"compare: {args.snapshots} paired snapshots, "
+              f"{args.scenario} vs {args.green_scenario} (seed {args.seed})")
+    pairs = run_campaign((baseline, green), args.seed, args.snapshots, jobs=args.jobs)
     kept = kept_indices(pairs, f)
     b_powers = gather_tx_powers(pairs, 0, kept)
     g_powers = gather_tx_powers(pairs, 1, kept)
     if not b_powers or not g_powers:
         _progress("error: population filter excluded every mobile")
         return 2
-    report = compare_runs(b_powers, g_powers, spec.target_dbm, snapshots=spec.snapshots)
-    paths = emit_report(report, spec.out, solver_rows(pairs, kept, ("baseline", "green")))
-    if spec.dump_gains:
-        _dump_first_snapshot_gains((baseline, green), spec.seed, [
-            f"{spec.out}_gains_baseline.csv", f"{spec.out}_gains_green.csv"])
+    report = compare_runs(b_powers, g_powers, args.target_dbm, snapshots=args.snapshots)
+    paths = emit_report(report, args.out, solver_rows(pairs, kept, ("baseline", "green")))
+    if args.dump_gains:
+        _dump_first_snapshot_gains((baseline, green), args.seed, [
+            f"{args.out}_gains_baseline.csv", f"{args.out}_gains_green.csv"])
     _progress(f"compare: mean delta {report.mean_delta_db:+.2f} dB, "
               f"median delta {report.median_delta_db:+.2f} dB, "
               f"below {report.target_dbm:g} dBm "
@@ -152,7 +133,7 @@ def cmd_compare(spec: RunSpec) -> int:
     return 0
 
 
-def _sweep_values(axis: str, raw: str | None, spec: RunSpec, s: Scenario) -> list:
+def _sweep_values(axis: str, raw: str | None, seed: int, s: Scenario) -> list:
     if raw is not None:
         items = [v.strip() for v in raw.split(",") if v.strip()]
         if not items:
@@ -172,31 +153,30 @@ def _sweep_values(axis: str, raw: str | None, spec: RunSpec, s: Scenario) -> lis
             modes.append(COMBINING_FLAGS[v])
         return modes
     if axis == "seed":
-        return [spec.seed + k for k in range(5)]
+        return [seed + k for k in range(5)]
     if axis == "green_count":
         return list(range(len(s.greens) + 1))
     return ["mrc", "selection", "egc"]
 
 
-def cmd_sweep(spec: RunSpec, axis: str, values: str | None = None) -> int:
-    if axis not in SWEEP_AXES:
-        raise ScenarioError(f"unknown sweep axis '{axis}'")
-    if axis == "combining" and spec.combining is not None:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    axis = args.axis
+    if axis == "combining" and args.combining is not None:
         raise ScenarioError("--combining conflicts with --axis combining; use --values")
-    s = _with_rule(load_scenario_file(spec.scenario), spec.combining)
-    axis_values = _sweep_values(axis, values, spec, s)
+    s = _with_rule(load_scenario_file(args.scenario), args.combining)
+    axis_values = _sweep_values(axis, args.values, args.seed, s)
     if axis == "green_count" and axis_values and max(axis_values) > len(s.greens):
         raise ScenarioError(
             f"green_count sweep up to {max(axis_values)} but the scenario "
             f"defines only {len(s.greens)} green antennas")
 
-    f = _spec_filter(spec, s.greens[0].position if s.greens else None)
+    f = _population_filter(args, s.greens[0].position if s.greens else None)
     if axis == "green_count":
         # nested green lists, fullest last: one drop and one table per snapshot
         counts = sorted(set(axis_values))
         _progress(f"sweep: green_count={','.join(map(str, counts))} as one campaign")
         nested = run_campaign(tuple(replace(s, greens=s.greens[:k]) for k in counts),
-                              spec.seed, spec.snapshots, jobs=spec.jobs)
+                              args.seed, args.snapshots, jobs=args.jobs)
         nested_kept = kept_indices(nested, f)
     rows = []
     for value in axis_values:
@@ -204,16 +184,16 @@ def cmd_sweep(spec: RunSpec, axis: str, values: str | None = None) -> int:
             snaps, run, kept = nested, counts.index(value), nested_kept
         else:
             _progress(f"sweep: {axis}={value}")
-            variant, seed = (s, value) if axis == "seed" else (_with_rule(s, value), spec.seed)
-            snaps, run = run_campaign((variant,), seed, spec.snapshots, jobs=spec.jobs), 0
+            variant, seed = (s, value) if axis == "seed" else (_with_rule(s, value), args.seed)
+            snaps, run = run_campaign((variant,), seed, args.snapshots, jobs=args.jobs), 0
             kept = kept_indices(snaps, f)
         powers = gather_tx_powers(snaps, run, kept)
         if not powers:
             _progress("error: population filter excluded every mobile")
             return 2
-        rows.append((value, dict(_stats_rows(powers, spec.target_dbm))))
+        rows.append((value, dict(_stats_rows(powers, args.target_dbm))))
 
-    path = f"{spec.out}_sweep.csv"
+    path = f"{args.out}_sweep.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("axis,value,samples,mean_dbm,median_dbm,frac_below_target\n")
         for value, st in rows:
@@ -243,6 +223,11 @@ def _center_flag(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"expected numbers: {exc}") from exc
 
 
+def _combining_flag(text: str) -> str:
+    """The mode a --combining spelling names; argparse rejects other text."""
+    return COMBINING_FLAGS.get(text, text)
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -268,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=1, help="campaign seed (default 1)")
     common.add_argument("--snapshots", type=_positive_int, default=50,
                         help="number of Monte Carlo snapshots (default 50)")
-    common.add_argument("--combining", choices=sorted(COMBINING_FLAGS), default=None,
-                        help="diversity combining rule (default: scenario's)")
+    common.add_argument("--combining", type=_combining_flag, choices=sorted(COMBINING_FLAGS),
+                        default=None, help="diversity combining rule (default: scenario's)")
     common.add_argument("--filter-center", type=_center_flag, default=None,
                         metavar="X,Y", help="report only mobiles near this point")
     common.add_argument("--filter-radius", type=_nonneg_float, default=None,
@@ -288,39 +273,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", parents=[common, dump],
                            help="simulate one scenario and write its Tx power CDF")
-    p_run.set_defaults(func=lambda spec, args: cmd_run(spec))
+    p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", parents=[common, dump],
                            help="paired baseline-vs-green comparison")
     p_cmp.add_argument("--green-scenario", required=True,
                        help="the --scenario world with the same or more green antennas")
-    p_cmp.set_defaults(func=lambda spec, args: cmd_compare(spec))
+    p_cmp.set_defaults(func=cmd_compare)
 
     p_swp = sub.add_parser("sweep", parents=[common],
                            help="repeat a run across one axis")
     p_swp.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p_swp.add_argument("--values", default=None,
                        help="comma-separated axis values (sensible defaults per axis)")
-    p_swp.set_defaults(func=lambda spec, args: cmd_sweep(spec, args.axis, args.values))
+    p_swp.set_defaults(func=cmd_sweep)
 
     return parser
-
-
-def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    return RunSpec(
-        scenario=args.scenario,
-        green_scenario=getattr(args, "green_scenario", None),
-        seed=args.seed,
-        snapshots=args.snapshots,
-        combining=None if args.combining is None else COMBINING_FLAGS[args.combining],
-        filter_center=args.filter_center,
-        filter_radius=args.filter_radius,
-        indoor_only=args.indoor_only,
-        target_dbm=args.target_dbm,
-        out=args.out,
-        jobs=args.jobs,
-        dump_gains=getattr(args, "dump_gains", False),
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -328,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)    # before the campaign
-        return args.func(_spec_from_args(args), args)
+        return args.func(args)
     except PairingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

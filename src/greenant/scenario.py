@@ -1,17 +1,19 @@
 """Simulation worlds: sites/sectors, receive-only green antennas, clutter
 and buildings, radio parameters, and seeded mobile drops.
 
-A scenario is loaded from a single JSON document (schema in the README)
-and is immutable afterwards. Green antennas never transmit: they carry no
+A scenario is loaded from a single JSON document, whose schema is the
+dataclasses below (the README describes it), and is immutable afterwards. Green antennas never transmit: they carry no
 pilot and take no part in any downlink computation.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Any
+from collections.abc import Callable
+from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -56,11 +58,11 @@ class AntennaPattern:
     front_to_back_db: float = 25.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Sector:
     id: str
-    azimuth_deg: float              # boresight, degrees CCW from +x
-    antenna: AntennaPattern
+    azimuth_deg: float = 0.0        # boresight, degrees CCW from +x
+    antenna: AntennaPattern = AntennaPattern(kind="sector", gain_dbi=15.0)
     tx_power_dbm: float = 43.0      # DL pilot, used for association only
     noise_figure_db: float = 0.0
 
@@ -72,7 +74,7 @@ class Site:
     sectors: tuple[Sector, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GreenAntenna:
     """Receive-only antenna wired to one or more sectors.
 
@@ -82,7 +84,7 @@ class GreenAntenna:
 
     id: str
     position: tuple[float, float]
-    antenna: AntennaPattern
+    antenna: AntennaPattern = AntennaPattern()
     attached_sectors: tuple[str, ...]
     noise_figure_db: float = 0.0
 
@@ -92,10 +94,6 @@ class Building:
     id: str
     rect: tuple[float, float, float, float]   # x0, y0, x1, y1
     penetration_loss_db: float = 20.0
-
-    def contains(self, x: float, y: float) -> bool:
-        x0, y0, x1, y1 = self.rect
-        return x0 <= x <= x1 and y0 <= y <= y1
 
     @property
     def area(self) -> float:
@@ -135,15 +133,6 @@ class ClutterMap:
         for k, ((rx0, ry0, rx1, ry1), _) in enumerate(self.class_regions, start=1):
             codes[(rx0 <= cx) & (cx <= rx1) & (ry0 <= cy) & (cy <= ry1)] = k
         return codes
-
-    def clutter_class_at(self, x: float, y: float) -> str:
-        return self.classes[int(self.class_codes(np.array([x], float), np.array([y], float))[0])]
-
-    def building_at(self, x: float, y: float) -> Building | None:
-        for b in self.buildings:
-            if b.contains(x, y):
-                return b
-        return None
 
     def in_bounds(self, x: float, y: float) -> bool:
         x0, y0, x1, y1 = self.bounds
@@ -226,8 +215,8 @@ class Scenario:
     sites: tuple[Site, ...]
     greens: tuple[GreenAntenna, ...] = ()
     clutter: ClutterMap = ClutterMap(bounds=(-2000.0, -2000.0, 2000.0, 2000.0))
-    radio: RadioParams = RadioParams()
-    traffic: TrafficParams = TrafficParams()
+    radio: RadioParams = field(default_factory=RadioParams)
+    traffic: TrafficParams = field(default_factory=TrafficParams)
 
     def sectors(self) -> list[tuple[Site, Sector]]:
         """All (site, sector) pairs in declaration order."""
@@ -247,40 +236,22 @@ def strip_greens(s: Scenario) -> Scenario:
 
 # ---------------------------------------------------------------------------
 # document loading
-
-class _Cfg:
-    """Cursor over one mapping of the config document; tracks consumed keys."""
-
-    def __init__(self, data: Any, path: str):
-        if not isinstance(data, dict):
-            raise ValidationError(f"{path}: expected an object")
-        self._data = data
-        self._path = path
-        self._seen: set[str] = set()
-
-    def take(self, key: str, default: Any = None) -> Any:
-        self._seen.add(key)
-        return self._data.get(key, default)
-
-    def has(self, key: str) -> bool:
-        return key in self._data
-
-    def close(self) -> None:
-        unknown = sorted(set(self._data) - self._seen)
-        if unknown:
-            raise ValidationError(f"{self._path}: unknown key '{unknown[0]}'")
-
-    @property
-    def path(self) -> str:
-        return self._path
-
+#
+# The dataclasses above are the schema. `_record` reads a JSON object as one
+# of them: each key is a field, read as its declared type, and an absent
+# field takes its default. The few readers that a type cannot name are
+# written out below it.
 
 def _num(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}: expected a number")
-    if not math.isfinite(value):
-        raise ValidationError(f"{path}: expected a finite number, got {value}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:       # an integer literal past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{path}: expected a finite number, got {number}")
+    return number
 
 
 def _intval(value: Any, path: str) -> int:
@@ -289,22 +260,20 @@ def _intval(value: Any, path: str) -> int:
     return value
 
 
-def _string(value: Any, path: str, choices: tuple[str, ...] | None = None) -> str:
+def _string(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise ValidationError(f"{path}: expected a string")
-    if choices is not None and value not in choices:
-        raise ValidationError(f"{path}: '{value}' not one of {list(choices)}")
     return value
 
 
 def _xy(value: Any, path: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
+    if not isinstance(value, list) or len(value) != 2:
         raise ValidationError(f"{path}: expected [x, y]")
     return (_num(value[0], f"{path}[0]"), _num(value[1], f"{path}[1]"))
 
 
 def _rect(value: Any, path: str) -> tuple[float, float, float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 4:
+    if not isinstance(value, list) or len(value) != 4:
         raise ValidationError(f"{path}: expected [x0, y0, x1, y1]")
     x0, y0, x1, y1 = (_num(v, f"{path}[{i}]") for i, v in enumerate(value))
     if not (x0 < x1 and y0 < y1):
@@ -312,176 +281,135 @@ def _rect(value: Any, path: str) -> tuple[float, float, float, float]:
     return (x0, y0, x1, y1)
 
 
-def _parse_antenna(data: Any, path: str, default: AntennaPattern) -> AntennaPattern:
-    if data is None:
-        return default
-    cfg = _Cfg(data, path)
-    pattern = AntennaPattern(
-        kind=_string(cfg.take("kind", default.kind), f"{path}.kind", ("omni", "sector")),
-        gain_dbi=_num(cfg.take("gain_dbi", default.gain_dbi), f"{path}.gain_dbi"),
-        theta_3db_deg=_num(cfg.take("theta_3db_deg", default.theta_3db_deg), f"{path}.theta_3db_deg"),
-        front_to_back_db=_num(cfg.take("front_to_back_db", default.front_to_back_db), f"{path}.front_to_back_db"),
-    )
-    cfg.close()
-    return pattern
+#: Readers of the scalar types; null is a wrong value for each of them.
+_SCALARS: dict[Any, Callable[[Any, str], Any]] = {
+    float: _num, int: _intval, str: _string,
+    tuple[float, float]: _xy, tuple[float, float, float, float]: _rect,
+}
 
 
-DEFAULT_SECTOR_ANTENNA = AntennaPattern(kind="sector", gain_dbi=15.0, theta_3db_deg=65.0, front_to_back_db=25.0)
-DEFAULT_GREEN_ANTENNA = AntennaPattern(kind="omni", gain_dbi=0.0)
+def _items(value: Any, path: str, read: Callable, nonempty: bool = False) -> tuple:
+    """A JSON list, item i read as read(item, path[i], i); null reads as ()
+    where the list may be empty."""
+    if value is None and not nonempty:
+        return ()
+    if not isinstance(value, list) or (nonempty and not value):
+        raise ValidationError(f"{path}: expected a {'non-empty ' * nonempty}list")
+    return tuple(read(item, f"{path}[{i}]", i) for i, item in enumerate(value))
 
 
-def _parse_site(data: Any, path: str) -> Site:
-    cfg = _Cfg(data, path)
-    site_id = _string(cfg.take("id", None) or "", f"{path}.id")
-    if not site_id:
-        raise ValidationError(f"{path}.id: missing required key")
-    position = _xy(cfg.take("position", None), f"{path}.position")
-    raw_sectors = cfg.take("sectors", None)
-    if not isinstance(raw_sectors, list) or not raw_sectors:
-        raise ValidationError(f"{path}.sectors: expected a non-empty list")
-    sectors = []
-    for i, raw in enumerate(raw_sectors):
-        spath = f"{path}.sectors[{i}]"
-        scfg = _Cfg(raw, spath)
-        sec_id = scfg.take("id", None)
-        if sec_id is None:
-            sec_id = f"{site_id}-{i}"
-        sectors.append(Sector(
-            id=_string(sec_id, f"{spath}.id"),
-            azimuth_deg=_num(scfg.take("azimuth_deg", 0.0), f"{spath}.azimuth_deg"),
-            antenna=_parse_antenna(scfg.take("antenna", None), f"{spath}.antenna", DEFAULT_SECTOR_ANTENNA),
-            tx_power_dbm=_num(scfg.take("tx_power_dbm", 43.0), f"{spath}.tx_power_dbm"),
-            noise_figure_db=_num(scfg.take("noise_figure_db", 0.0), f"{spath}.noise_figure_db"),
-        ))
-        scfg.close()
-    cfg.close()
-    return Site(id=site_id, position=position, sectors=tuple(sectors))
+def _keyed(value: Any, path: str, defaults: dict, read: Callable) -> dict:
+    """A JSON object merged over `defaults`, each value read as
+    read(raw, path.key, default); a key not in `defaults` is an error."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path}: expected an object")
+    merged = dict(defaults)
+    for key, raw in value.items():
+        if key not in merged:
+            raise ValidationError(f"{path}: unknown key '{key}'")
+        merged[key] = read(raw, f"{path}.{key}", merged[key])
+    return merged
 
 
-def _parse_green(data: Any, path: str) -> GreenAntenna:
-    cfg = _Cfg(data, path)
-    green_id = cfg.take("id", None)
-    if green_id is None:
-        raise ValidationError(f"{path}.id: missing required key")
-    attached = cfg.take("attached_sectors", None)
-    if not isinstance(attached, list):
-        raise ValidationError(f"{path}.attached_sectors: expected a list of sector ids")
-    green = GreenAntenna(
-        id=_string(green_id, f"{path}.id"),
-        position=_xy(cfg.take("position", None), f"{path}.position"),
-        antenna=_parse_antenna(cfg.take("antenna", None), f"{path}.antenna", DEFAULT_GREEN_ANTENNA),
-        attached_sectors=tuple(_string(a, f"{path}.attached_sectors[{i}]") for i, a in enumerate(attached)),
-        noise_figure_db=_num(cfg.take("noise_figure_db", 0.0), f"{path}.noise_figure_db"),
-    )
-    cfg.close()
-    return green
+def _value(hint: Any, value: Any, path: str, default: Any) -> Any:
+    """`value` read as the declared type `hint`, over the field's `default`."""
+    if hint in _SCALARS:
+        return _SCALARS[hint](value, path)
+    if is_dataclass(hint):
+        return _record(hint, value, path, default)
+    args = get_args(hint)           # dict[str, V] or tuple[V, ...]
+    if get_origin(hint) is dict:
+        return _keyed(value, path, default, lambda raw, at, base: _value(args[1], raw, at, base))
+    return _items(value, path, lambda raw, at, i: _value(args[0], raw, at, None))
 
 
-def _parse_clutter(data: Any, path: str, auto_bounds: tuple[float, float, float, float]) -> ClutterMap:
-    if data is None:
-        return ClutterMap(bounds=auto_bounds)
-    cfg = _Cfg(data, path)
-    bounds = _rect(cfg.take("bounds"), f"{path}.bounds") if cfg.has("bounds") else auto_bounds
-    regions = []
-    for i, raw in enumerate(cfg.take("class_regions", []) or []):
-        rpath = f"{path}.class_regions[{i}]"
-        rcfg = _Cfg(raw, rpath)
-        regions.append((
-            _rect(rcfg.take("rect", None), f"{rpath}.rect"),
-            _string(rcfg.take("clutter_class", None), f"{rpath}.clutter_class", CLUTTER_CLASSES),
-        ))
-        rcfg.close()
-    buildings = []
-    for i, raw in enumerate(cfg.take("buildings", []) or []):
-        bpath = f"{path}.buildings[{i}]"
-        bcfg = _Cfg(raw, bpath)
-        b_id = bcfg.take("id", None)
-        buildings.append(Building(
-            id=_string(b_id, f"{bpath}.id") if b_id is not None else f"building-{i}",
-            rect=_rect(bcfg.take("rect", None), f"{bpath}.rect"),
-            penetration_loss_db=_num(bcfg.take("penetration_loss_db", 20.0), f"{bpath}.penetration_loss_db"),
-        ))
-        bcfg.close()
-    clutter = ClutterMap(
-        bounds=bounds,
-        cell_size=_num(cfg.take("cell_size", 50.0), f"{path}.cell_size"),
-        default_class=_string(cfg.take("default_class", "urban"), f"{path}.default_class", CLUTTER_CLASSES),
-        class_regions=tuple(regions),
-        buildings=tuple(buildings),
-    )
-    cfg.close()
-    return clutter
+@functools.cache
+def _hints(cls: type) -> dict[str, Any]:
+    return get_type_hints(cls)
 
 
-def _parse_pathloss(data: Any, path: str) -> dict[str, PathLossModel]:
-    models = default_pathloss()
-    if data is None:
-        return models
+def _record(cls: type, data: Any, path: str, base: Any = None, **read: Callable) -> Any:
+    """The dataclass `cls` read from the JSON object `data` at `path`.
+
+    Each key is the field of that name, read as its declared type or by
+    read[name](value, path, got), which also sees an absent key, as None;
+    `got` holds the fields read before it. An absent field takes its value
+    in `base`, else its default, and so does a null list or object. A key
+    that names no field is an error, and so is an absent required field.
+    """
+    where = path or "scenario"
     if not isinstance(data, dict):
-        raise ValidationError(f"{path}: expected an object keyed by clutter class")
-    for cls, raw in data.items():
-        if cls not in CLUTTER_CLASSES:
-            raise ValidationError(f"{path}.{cls}: unknown clutter class")
-        mpath = f"{path}.{cls}"
-        mcfg = _Cfg(raw, mpath)
-        base = models[cls]
-        models[cls] = PathLossModel(
-            pl0_db=_num(mcfg.take("pl0_db", base.pl0_db), f"{mpath}.pl0_db"),
-            d0_m=_num(mcfg.take("d0_m", base.d0_m), f"{mpath}.d0_m"),
-            exponent=_num(mcfg.take("exponent", base.exponent), f"{mpath}.exponent"),
-        )
-        mcfg.close()
-    return models
+        raise ValidationError(f"{where}: expected an object")
+    hints = _hints(cls)
+    unknown = sorted(set(data) - set(hints))
+    if unknown:
+        raise ValidationError(f"{where}: unknown key '{unknown[0]}'")
+    got: dict[str, Any] = {}
+    for f in fields(cls):
+        name, value = f.name, data.get(f.name)
+        at = f"{path}.{name}".lstrip(".")
+        if base is not None:
+            default = getattr(base, name)
+        else:
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+        if name in read:
+            got[name] = read[name](value, at, got)
+        elif value is not None or (name in data and hints[name] in _SCALARS):
+            got[name] = _value(hints[name], value, at, default)
+        elif default is MISSING:
+            raise ValidationError(f"{at}: missing required key")
+        else:
+            got[name] = default
+    return cls(**got)
 
 
-def _parse_radio(data: Any, path: str) -> RadioParams:
-    if data is None:
-        return RadioParams()
-    cfg = _Cfg(data, path)
-    sigma = default_shadowing_sigma()
-    raw_sigma = cfg.take("shadowing_sigma_db", None)
-    if raw_sigma is not None:
-        if not isinstance(raw_sigma, dict):
-            raise ValidationError(f"{path}.shadowing_sigma_db: expected an object keyed by clutter class")
-        for cls, val in raw_sigma.items():
-            if cls not in CLUTTER_CLASSES:
-                raise ValidationError(f"{path}.shadowing_sigma_db.{cls}: unknown clutter class")
-            sigma[cls] = _num(val, f"{path}.shadowing_sigma_db.{cls}")
-    radio = RadioParams(
-        p_min_dbm=_num(cfg.take("p_min_dbm", -50.0), f"{path}.p_min_dbm"),
-        p_max_dbm=_num(cfg.take("p_max_dbm", 24.0), f"{path}.p_max_dbm"),
-        thermal_noise_dbm=_num(cfg.take("thermal_noise_dbm", -104.0), f"{path}.thermal_noise_dbm"),
-        pathloss=_parse_pathloss(cfg.take("pathloss", None), f"{path}.pathloss"),
-        shadowing_sigma_db=sigma,
-        dl_shadowing_mode=_string(cfg.take("dl_shadowing_mode", "independent"),
-                                  f"{path}.dl_shadowing_mode", DL_SHADOWING_MODES),
-        combining=_string(cfg.take("combining", "mrc"), f"{path}.combining", COMBINING_MODES),
-    )
-    cfg.close()
-    return radio
+def _generated_id(generated: str) -> Callable:
+    """Reader of an id that null or absence sets to `generated`."""
+    return lambda value, path, got: generated if value is None else _string(value, path)
 
 
-def _parse_traffic(data: Any, path: str) -> TrafficParams:
-    if data is None:
-        return TrafficParams()
-    cfg = _Cfg(data, path)
-    targets = default_sinr_targets()
-    raw_targets = cfg.take("sinr_target_db", None)
-    if raw_targets is not None:
-        if not isinstance(raw_targets, dict):
-            raise ValidationError(f"{path}.sinr_target_db: expected an object with voice/data keys")
-        for svc, val in raw_targets.items():
-            if svc not in SERVICES:
-                raise ValidationError(f"{path}.sinr_target_db.{svc}: unknown service")
-            targets[svc] = _num(val, f"{path}.sinr_target_db.{svc}")
-    traffic = TrafficParams(
-        mobiles_per_sector=_intval(cfg.take("mobiles_per_sector", 10), f"{path}.mobiles_per_sector"),
-        indoor_fraction=_num(cfg.take("indoor_fraction", 0.3), f"{path}.indoor_fraction"),
-        voice_fraction=_num(cfg.take("voice_fraction", 0.5), f"{path}.voice_fraction"),
-        sinr_target_db=targets,
-    )
-    cfg.close()
-    return traffic
+def _site_id(value: Any, path: str, got: dict) -> str:
+    if not value:
+        raise ValidationError(f"{path}: missing required key")
+    return _string(value, path)
+
+
+def _sectors(value: Any, path: str, got: dict) -> tuple[Sector, ...]:
+    return _items(value, path, lambda raw, at, i: _record(
+        Sector, raw, at, id=_generated_id(f"{got['id']}-{i}")), nonempty=True)
+
+
+def _sites(value: Any, path: str, got: dict) -> tuple[Site, ...]:
+    return _items(value, path, lambda raw, at, i: _record(
+        Site, raw, at, id=_site_id, sectors=_sectors), nonempty=True)
+
+
+@dataclass(frozen=True)
+class _Region:
+    """One entry of `clutter.class_regions`, as the document writes it."""
+
+    rect: tuple[float, float, float, float]
+    clutter_class: str
+
+
+def _regions(value: Any, path: str, got: dict) -> tuple:
+    return _items(value, path, lambda raw, at, i: astuple(_record(_Region, raw, at)))
+
+
+def _buildings(value: Any, path: str, got: dict) -> tuple[Building, ...]:
+    return _items(value, path, lambda raw, at, i: _record(
+        Building, raw, at, id=_generated_id(f"building-{i}")))
+
+
+def _clutter(value: Any, path: str, got: dict) -> ClutterMap:
+    """The clutter map; its bounds default to the box around the sites and
+    greens, 2 km wider on every side."""
+    xs, ys = zip(*(node.position for node in (*got["sites"], *got["greens"])))
+    pad = 2000.0
+    auto = ClutterMap(bounds=(min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad))
+    if value is None:
+        return auto
+    return _record(ClutterMap, value, path, auto, class_regions=_regions, buildings=_buildings)
 
 
 def load_scenario(config_text: str) -> Scenario:
@@ -493,35 +421,9 @@ def load_scenario(config_text: str) -> Scenario:
     """
     try:
         data = json.loads(config_text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"malformed scenario document: {exc}") from exc
-    cfg = _Cfg(data, "scenario")
-
-    raw_sites = cfg.take("sites", None)
-    if not isinstance(raw_sites, list) or not raw_sites:
-        raise ValidationError("scenario.sites: expected a non-empty list")
-    sites = tuple(_parse_site(raw, f"sites[{i}]") for i, raw in enumerate(raw_sites))
-
-    raw_greens = cfg.take("greens", []) or []
-    if not isinstance(raw_greens, list):
-        raise ValidationError("scenario.greens: expected a list")
-    greens = tuple(_parse_green(raw, f"greens[{i}]") for i, raw in enumerate(raw_greens))
-
-    positions = [site.position for site in sites] + [g.position for g in greens]
-    xs = [p[0] for p in positions]
-    ys = [p[1] for p in positions]
-    pad = 2000.0
-    auto_bounds = (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
-
-    scenario = Scenario(
-        sites=sites,
-        greens=greens,
-        clutter=_parse_clutter(cfg.take("clutter", None), "clutter", auto_bounds),
-        radio=_parse_radio(cfg.take("radio", None), "radio"),
-        traffic=_parse_traffic(cfg.take("traffic", None), "traffic"),
-    )
-    cfg.close()
-
+    scenario = _record(Scenario, data, "", sites=_sites, clutter=_clutter)
     violations = validate_scenario(scenario)
     if violations:
         raise ValidationError("; ".join(violations))
@@ -622,6 +524,9 @@ def validate_scenario(s: Scenario) -> list[str]:
     radio = s.radio
     if not radio.p_min_dbm < radio.p_max_dbm:
         out.append("radio: p_min_dbm must be below p_max_dbm")
+    for name in ("p_min_dbm", "p_max_dbm"):
+        if not _linear_in_range(getattr(radio, name)):
+            out.append(f"radio.{name}: {getattr(radio, name)} dBm is outside the float range")
     for cls in CLUTTER_CLASSES:
         model = radio.pathloss.get(cls)
         if model is None:
@@ -649,8 +554,20 @@ def validate_scenario(s: Scenario) -> list[str]:
     for svc in SERVICES:
         if svc not in traffic.sinr_target_db:
             out.append(f"traffic.sinr_target_db.{svc}: missing target")
+        elif not _linear_in_range(traffic.sinr_target_db[svc]):
+            out.append(f"traffic.sinr_target_db.{svc}: {traffic.sinr_target_db[svc]} dB "
+                       "is outside the float range")
 
     return out
+
+
+def _linear_in_range(db: float) -> bool:
+    """Whether 10 ** (db / 10), as the solver computes it, is a positive
+    finite float."""
+    try:
+        return 0.0 < 10.0 ** (db / 10.0) < math.inf
+    except OverflowError:
+        return False
 
 
 def _pattern_violations(p: AntennaPattern, path: str) -> list[str]:

@@ -85,6 +85,25 @@ def place(*xy, building=None, target_db=-12.0):
                 target_db=np.zeros(n) + target_db)
 
 
+def clutter_class_at(clutter, x, y):
+    """The clutter class of one point, through the map's array lookup."""
+    return clutter.classes[int(clutter.class_codes(np.array([x], float), np.array([y], float))[0])]
+
+
+def contains(building, x, y):
+    """Scalar reference of the drop's building test: a closed rectangle."""
+    x0, y0, x1, y1 = building.rect
+    return x0 <= x <= x1 and y0 <= y <= y1
+
+
+def building_at(clutter, x, y):
+    """The first building of the map that contains (x, y), else None."""
+    for b in clutter.buildings:
+        if contains(b, x, y):
+            return b
+    return None
+
+
 def drop_bits(drop):
     """Each field's dtype, shape and bytes: drops compare by these, because
     a dataclass == of arrays is ambiguous."""

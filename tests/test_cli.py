@@ -127,6 +127,23 @@ def test_non_finite_scenario_number_is_exit_2(tmp_path, capsys, section, table, 
     assert not (tmp_path / "out_cdf.csv").exists()
 
 
+@pytest.mark.parametrize("section, key, value, path", [
+    ("radio", "p_max_dbm", 4000.0, "radio.p_max_dbm"),
+    ("radio", "p_min_dbm", -4000.0, "radio.p_min_dbm"),
+    ("traffic", "sinr_target_db", {"voice": 4000.0}, "traffic.sinr_target_db.voice"),
+])
+def test_db_value_outside_the_float_range_is_exit_2(tmp_path, capsys, section, key, value, path):
+    """10 ** (dB / 10) overflows above ~3083 dB and is 0.0 below ~-3240 dB:
+    such a power or target is bad input, not a runtime failure or a nan row."""
+    doc = two_cell_doc()
+    doc[section][key] = value
+    bad = tmp_path / "range.json"
+    bad.write_text(json.dumps(doc))
+    assert main(run_args(str(bad), tmp_path)) == 2
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "out_cdf.csv").exists()
+
+
 def test_unpairable_compare_is_exit_3(base_json, tmp_path, capsys):
     other = tmp_path / "other.json"
     other.write_text(json.dumps(two_cell_doc(targets=(-6.0, -6.0), with_green=True)))

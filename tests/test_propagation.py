@@ -16,7 +16,7 @@ from greenant.propagation import (
 from greenant.scenario import AntennaPattern, PathLossModel, drop_mobiles, strip_greens
 from greenant.seeds import label_normal
 
-from conftest import GREEN_JSON, load_doc, place, two_cell_doc
+from conftest import GREEN_JSON, clutter_class_at, load_doc, place, two_cell_doc
 
 URBAN = PathLossModel(pl0_db=128.1, d0_m=1000.0, exponent=3.76)
 
@@ -30,7 +30,7 @@ def _scalar_gain(drop, i, position, antenna, azimuth_deg, s, seed, label):
     """1x1 reference of a table entry (mobile i of the drop), in dB, composed
     one link at a time: -path_loss + rx_antenna_gain - penetration + shadowing."""
     x, y = drop.xy[i].tolist()
-    cls = s.clutter.clutter_class_at(x, y)
+    cls = clutter_class_at(s.clutter, x, y)
     dx = x - position[0]
     dy = y - position[1]
     pl = path_loss(s.radio.pathloss[cls], np.hypot(dx, dy))

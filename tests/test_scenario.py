@@ -1,7 +1,11 @@
 """Scenario documents: parsing, defaults, validation, and mobile drops."""
 
 import dataclasses
+import functools
 import json
+import operator
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,10 @@ from greenant.scenario import (
     ClutterMap,
     InfeasibleDropError,
     ParseError,
+    Scenario,
+    ScenarioError,
+    Sector,
+    Site,
     ValidationError,
     Drop,
     drop_mobiles,
@@ -24,7 +32,8 @@ from greenant.scenario import (
 from greenant.seeds import substream
 from greenant.simulate import snapshot_seed
 
-from conftest import bundled_doc, drop_bits, load_doc, multi_green_doc, two_cell_doc
+from conftest import (building_at, bundled_doc, clutter_class_at, contains, drop_bits, load_doc,
+                      multi_green_doc, two_cell_doc)
 
 
 MINIMAL = {
@@ -52,6 +61,20 @@ def test_minimal_document_loads_with_defaults():
     # default sector antenna
     ant = s.sites[0].sectors[0].antenna
     assert ant.kind == "sector" and ant.gain_dbi == 15.0
+    # absent fields take the dataclass defaults
+    site = Site(id="A", position=(0.0, 0.0), sectors=(Sector(id="A1"),))
+    assert s == Scenario(sites=(site,), clutter=ClutterMap(bounds=(-2000.0, -2000.0, 2000.0, 2000.0)))
+
+
+def test_a_partial_antenna_keeps_its_context_pattern():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["sites"][0]["sectors"][0]["antenna"] = {"gain_dbi": 10}
+    doc["greens"] = [{"id": "G", "position": [0, 0], "attached_sectors": ["A1"],
+                      "antenna": {"gain_dbi": 10}}]
+    s = load_doc(doc)
+    sector, green = s.sites[0].sectors[0].antenna, s.greens[0].antenna
+    assert (sector.kind, sector.gain_dbi, sector.theta_3db_deg) == ("sector", 10.0, 65.0)
+    assert (green.kind, green.gain_dbi) == ("omni", 10.0)
 
 
 def test_auto_bounds_cover_sites_with_margin():
@@ -94,6 +117,12 @@ def test_unknown_keys_are_rejected_with_path(mutate, fragment):
     (lambda d: d.update(traffic={"indoor_fraction": 1.5}), "indoor_fraction"),
     (lambda d: d.update(traffic={"mobiles_per_sector": -1}), "mobiles_per_sector"),
     (lambda d: d.update(clutter={"bounds": [50, 50, 150, 150]}), "outside clutter map bounds"),
+    (lambda d: d.update(clutter={"buildings": 5}), "clutter.buildings: expected a list"),
+    (lambda d: d.update(clutter={"class_regions": 5}), "clutter.class_regions: expected a list"),
+    (lambda d: d.update(greens=0), "greens: expected a list"),
+    (lambda d: d.update(greens={}), "greens: expected a list"),
+    (lambda d: d.update(greens=""), "greens: expected a list"),
+    (lambda d: d.update(greens=False), "greens: expected a list"),
 ])
 def test_invalid_documents_are_rejected(mutate, fragment):
     doc = json.loads(json.dumps(MINIMAL))
@@ -101,6 +130,60 @@ def test_invalid_documents_are_rejected(mutate, fragment):
     with pytest.raises(ValidationError) as err:
         load_doc(doc)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("path", [
+    ("greens",), ("clutter",), ("radio",), ("traffic",), ("clutter", "buildings"),
+    ("clutter", "class_regions"), ("radio", "pathloss"), ("radio", "shadowing_sigma_db"),
+    ("traffic", "sinr_target_db"), ("sites", 0, "sectors", 0, "antenna"), ("greens", 0, "antenna"),
+])
+def test_a_null_list_or_object_is_an_absent_key(path):
+    doc = bundled_doc("green.json")
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    parent[path[-1]] = None
+    nulled = load_doc(doc)
+    del parent[path[-1]]
+    assert nulled == load_doc(doc)
+
+
+WRONG_KINDS = (None, 0, 1.5, "", True, [], {})
+
+
+def _nested_paths(node, path=()):
+    """The path of every object- or list-valued entry below `node`."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)):
+            yield (*path, key)
+            yield from _nested_paths(value, (*path, key))
+
+
+@pytest.mark.parametrize("name", ["baseline.json", "green.json"])
+def test_lists_and_objects_of_the_wrong_kind_are_scenario_errors(name):
+    """Each object or list of a bundled document, replaced in turn by a value
+    of every JSON kind: the loader returns a scenario or raises a
+    ScenarioError, never another exception."""
+    doc = bundled_doc(name)
+    outcomes = set()
+    for path in _nested_paths(doc):
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        kept = parent[path[-1]]
+        for wrong in WRONG_KINDS:
+            parent[path[-1]] = wrong
+            try:
+                load_doc(doc)
+            except ScenarioError:
+                outcomes.add("rejected")
+            else:
+                outcomes.add("loaded")
+        parent[path[-1]] = kept
+    assert outcomes == {"loaded", "rejected"}
+
+
+def test_readme_schema_example_loads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    s = load_scenario(block)
+    assert s.greens[0].attached_sectors == ("s0a", "s1b")
 
 
 def test_validate_scenario_returns_violations_as_data():
@@ -149,9 +232,9 @@ def test_clutter_class_is_resolved_per_cell():
                     default_class="urban",
                     class_regions=(((0.0, 0.0, 260.0, 260.0), "open"),))
     # both points share the cell whose center is (250, 250), inside the region
-    assert cm.clutter_class_at(201.0, 201.0) == "open"
-    assert cm.clutter_class_at(299.0, 299.0) == "open"
-    assert cm.clutter_class_at(301.0, 301.0) == "urban"
+    assert clutter_class_at(cm, 201.0, 201.0) == "open"
+    assert clutter_class_at(cm, 299.0, 299.0) == "open"
+    assert clutter_class_at(cm, 301.0, 301.0) == "urban"
 
 
 def test_clutter_last_region_wins():
@@ -160,17 +243,17 @@ def test_clutter_last_region_wins():
                         ((0.0, 0.0, 500.0, 500.0), "open"),
                         ((0.0, 0.0, 500.0, 500.0), "suburban"),
                     ))
-    assert cm.clutter_class_at(100.0, 100.0) == "suburban"
+    assert clutter_class_at(cm, 100.0, 100.0) == "suburban"
 
 
 def test_building_lookup():
     b = Building(id="b0", rect=(0.0, 0.0, 100.0, 50.0))
-    assert b.contains(50.0, 25.0)
-    assert not b.contains(150.0, 25.0)
+    assert contains(b, 50.0, 25.0)
+    assert not contains(b, 150.0, 25.0)
     assert b.area == 100.0 * 50.0
     cm = ClutterMap(bounds=(-10.0, -10.0, 200.0, 200.0), buildings=(b,))
-    assert cm.building_at(1.0, 1.0) is b
-    assert cm.building_at(150.0, 150.0) is None
+    assert building_at(cm, 1.0, 1.0) is b
+    assert building_at(cm, 150.0, 150.0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +290,7 @@ def test_indoor_mobiles_land_in_their_building():
     assert d.indoor.all()
     for (x, y), b in zip(d.xy.tolist(), d.building.tolist()):
         assert s.clutter.buildings[b].id == "bld"
-        assert s.clutter.building_at(x, y).id == "bld"
+        assert building_at(s.clutter, x, y).id == "bld"
 
 
 def test_outdoor_mobiles_avoid_buildings_and_stay_in_bounds():
@@ -217,7 +300,7 @@ def test_outdoor_mobiles_avoid_buildings_and_stay_in_bounds():
     assert not d.indoor.any() and (d.building == -1).all()
     for x, y in d.xy.tolist():
         assert s.clutter.in_bounds(x, y)
-        assert s.clutter.building_at(x, y) is None
+        assert building_at(s.clutter, x, y) is None
 
 
 def test_indoor_fraction_is_respected_statistically():
@@ -279,7 +362,7 @@ def _reference_drop(s, seed):
         else:
             for _ in range(scenario._MAX_PLACE_TRIES):
                 pos = (float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1)))
-                if clutter.building_at(*pos) is None:
+                if building_at(clutter, *pos) is None:
                     break
             else:
                 raise InfeasibleDropError("could not place an outdoor mobile; map covered by buildings")
