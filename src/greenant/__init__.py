@@ -11,6 +11,7 @@ from .scenario import (
     ParseError,
     PathLossModel,
     RadioParams,
+    ReceivePoint,
     Scenario,
     ScenarioError,
     Sector,
@@ -25,11 +26,9 @@ from .scenario import (
 )
 from .propagation import (
     LinkGainMatrix,
-    ReceivePoint,
     antenna_gain,
     build_gain_matrix,
     path_loss,
-    receive_points,
 )
 from .powerctl import (
     BranchSet,

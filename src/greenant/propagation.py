@@ -20,50 +20,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .scenario import AntennaPattern, Drop, PathLossModel, Scenario
+from .scenario import AntennaPattern, Drop, PathLossModel, ReceivePoint, Scenario
 from .seeds import label_normal
 
 #: Near-field clamp: distances below this evaluate the model at 10 m.
 D_MIN_M = 10.0
-
-
-@dataclass(frozen=True)
-class ReceivePoint:
-    """An uplink receive branch: a sector's own antenna or a green antenna."""
-
-    kind: str                       # "sector" | "green"
-    id: str
-    position: tuple[float, float]
-    antenna: AntennaPattern
-    azimuth_deg: float
-    noise_figure_db: float = 0.0
-
-
-def receive_points(s: Scenario) -> list[ReceivePoint]:
-    """All receive points: sector antennas first, then greens, in declaration order."""
-    points = [
-        ReceivePoint(
-            kind="sector",
-            id=sec.id,
-            position=site.position,
-            antenna=sec.antenna,
-            azimuth_deg=sec.azimuth_deg,
-            noise_figure_db=sec.noise_figure_db,
-        )
-        for site, sec in s.sectors()
-    ]
-    points.extend(
-        ReceivePoint(
-            kind="green",
-            id=g.id,
-            position=g.position,
-            antenna=g.antenna,
-            azimuth_deg=0.0,
-            noise_figure_db=g.noise_figure_db,
-        )
-        for g in s.greens
-    )
-    return points
 
 
 @dataclass(frozen=True)
@@ -104,13 +65,12 @@ class LinkGainMatrix:
         of the same drop. The copy is C-ordered, as a built table is: the
         layout of the gain array changes the last bits of `powers @ gains`.
         """
-        cols = [self.rp_index[rid] for rid in (*s.sector_ids(), *(g.id for g in s.greens))]
+        cols = [self.rp_index[rp.id] for rp in s.receive_points]
         ul = np.ascontiguousarray(self.ul_gain_db[:, cols])
-        noise = self.noise_dbm[cols]
-        for arr in (ul, noise):
-            arr.flags.writeable = False
-        return replace(self, receive_points=tuple(self.receive_points[c] for c in cols),
-                       ul_gain_db=ul, noise_dbm=noise)
+        ul.flags.writeable = False
+        # s's own points and noise equal this table's by value
+        return replace(self, receive_points=s.receive_points, ul_gain_db=ul,
+                       noise_dbm=s.channel.noise_dbm)
 
 
 def path_loss(model: PathLossModel, distance_m):
@@ -148,36 +108,31 @@ def build_gain_matrix(s: Scenario, mobiles: Drop, seed: int) -> LinkGainMatrix:
     radio.dl_shadowing_mode: independent "dl:<sector>" columns by default,
     or a copy of the UL draw in reciprocal mode. Each column depends only
     on its receive point, so another scenario's points read from this
-    table are `restricted_to` it.
+    table are `restricted_to` it. The per-point and per-class arrays, the
+    labels and the noise floor are the scenario's (`Scenario.channel`),
+    built at its first table; only what depends on the drop or the seed
+    is computed per call.
     """
-    rps = receive_points(s)
-    sector_ids = s.sector_ids()
-    n_sec = len(sector_ids)
-    clutter, radio = s.clutter, s.radio
+    ch = s.channel
+    n_sec = len(ch.sector_ids)
 
     xs, ys = mobiles.xy[:, 0], mobiles.xy[:, 1]
     ids = np.arange(len(mobiles), dtype=np.uint64)
     # outdoor mobiles (building -1) read the trailing 0 dB entry
-    pen = np.array([*(b.penetration_loss_db for b in clutter.buildings), 0.0])[
-        mobiles.building, None]
+    pen = ch.penetration_db[mobiles.building, None]
 
     # per-mobile clutter parameters, looked up by class code, as columns
-    codes = clutter.class_codes(xs, ys)
-    per_class = [radio.pathloss[c] for c in clutter.classes]
-    model = PathLossModel(pl0_db=np.array([pm.pl0_db for pm in per_class])[codes, None],
-                          d0_m=np.array([pm.d0_m for pm in per_class])[codes, None],
-                          exponent=np.array([pm.exponent for pm in per_class])[codes, None])
-    sigma = np.array([radio.shadowing_sigma_db[c] for c in clutter.classes])[codes, None]
+    codes = s.clutter.class_codes(xs, ys)
+    model = PathLossModel(pl0_db=ch.pl0_db[codes, None], d0_m=ch.d0_m[codes, None],
+                          exponent=ch.exponent[codes, None])
+    sigma = ch.sigma_db[codes, None]
     shadowed = sigma != 0.0
 
-    dx = xs[:, None] - np.array([rp.position[0] for rp in rps])
-    dy = ys[:, None] - np.array([rp.position[1] for rp in rps])
-    bearing = np.degrees(np.arctan2(dy, dx)) - np.array([rp.azimuth_deg for rp in rps])
+    dx = xs[:, None] - ch.rp_x
+    dy = ys[:, None] - ch.rp_y
+    bearing = np.degrees(np.arctan2(dy, dx)) - ch.rp_azimuth_deg
     rx_gain = np.empty_like(bearing)
-    by_pattern: dict[AntennaPattern, list[int]] = {}
-    for j, rp in enumerate(rps):
-        by_pattern.setdefault(rp.antenna, []).append(j)
-    for pattern, cols in by_pattern.items():
+    for pattern, cols in ch.pattern_cols:
         rx_gain[:, cols] = antenna_gain(pattern, bearing[:, cols])
     base = -path_loss(model, np.hypot(dx, dy)) + rx_gain - pen
 
@@ -188,22 +143,20 @@ def build_gain_matrix(s: Scenario, mobiles: Drop, seed: int) -> LinkGainMatrix:
 
     # a sector's DL column shares its UL column's geometry; in reciprocal
     # mode it also shares the UL draw, so each sector column is drawn once
-    tx_dbm = np.array([sec.tx_power_dbm for _, sec in s.sectors()])
-    ul = base + chi([f"ul:{rp.id}" for rp in rps])
-    if radio.dl_shadowing_mode == "reciprocal":
-        dl = tx_dbm + ul[:, :n_sec]
+    ul = base + chi(ch.ul_labels)
+    if s.radio.dl_shadowing_mode == "reciprocal":
+        dl = ch.tx_power_dbm + ul[:, :n_sec]
     else:
-        dl = tx_dbm + (base[:, :n_sec] + chi([f"dl:{sid}" for sid in sector_ids]))
+        dl = ch.tx_power_dbm + (base[:, :n_sec] + chi(ch.dl_labels))
 
-    noise = np.array([radio.thermal_noise_dbm + rp.noise_figure_db for rp in rps])
-    for arr in (ul, dl, noise):
+    for arr in (ul, dl):
         arr.flags.writeable = False
     return LinkGainMatrix(
-        receive_points=tuple(rps),
-        sector_ids=tuple(sector_ids),
+        receive_points=s.receive_points,
+        sector_ids=ch.sector_ids,
         ul_gain_db=ul,
         dl_rx_dbm=dl,
-        noise_dbm=noise,
+        noise_dbm=ch.noise_dbm,
     )
 
 

@@ -44,6 +44,18 @@ class InfeasibleDropError(ScenarioError):
     """A mobile drop cannot be realized for this scenario."""
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _fields_only(self) -> dict[str, Any]:
+    """The pickled state of a record with memoized arrays: its fields
+    alone. A memo is rebuilt where it is read, so a pool task never
+    carries one."""
+    return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
 class AntennaPattern:
     """Planar antenna pattern: omni, or a parabolic sector main lobe.
@@ -138,6 +150,21 @@ class ClutterMap:
         x0, y0, x1, y1 = self.bounds
         return x0 <= x <= x1 and y0 <= y <= y1
 
+    @functools.cached_property
+    def building_rects(self) -> np.ndarray:
+        """(n, 4) read-only rows of x0, y0, x1, y1, one per building, built
+        at the first drop of the map."""
+        return _read_only(np.array([b.rect for b in self.buildings], dtype=float).reshape(-1, 4))
+
+    @functools.cached_property
+    def building_areas(self) -> tuple[np.ndarray, float]:
+        """The buildings' cumulative areas, read-only, and their total: the
+        area-weighted building pick of an indoor mobile."""
+        areas = [b.area for b in self.buildings]
+        return _read_only(np.cumsum(areas)), sum(areas)
+
+    __getstate__ = _fields_only
+
 
 @dataclass(frozen=True)
 class PathLossModel:
@@ -211,12 +238,58 @@ class Drop:
 
 
 @dataclass(frozen=True)
+class ReceivePoint:
+    """An uplink receive branch: a sector's own antenna or a green antenna."""
+
+    kind: str                       # "sector" | "green"
+    id: str
+    position: tuple[float, float]
+    antenna: AntennaPattern
+    azimuth_deg: float
+    noise_figure_db: float = 0.0
+
+
+@dataclass(frozen=True)
+class ChannelArrays:
+    """What every channel table of a scenario shares, as read-only arrays
+    indexed by receive point (sectors, then greens), by sector or by
+    clutter class code (`ClutterMap.classes`). propagation's tables read
+    them; see `Scenario.channel`."""
+
+    rp_x: np.ndarray
+    rp_y: np.ndarray
+    rp_azimuth_deg: np.ndarray
+    noise_dbm: np.ndarray           # thermal noise plus each point's noise figure
+    #: each distinct antenna pattern, in order of first use, with its columns
+    pattern_cols: tuple[tuple[AntennaPattern, np.ndarray], ...]
+    pl0_db: np.ndarray              # per class code, as are d0_m, exponent and sigma_db
+    d0_m: np.ndarray
+    exponent: np.ndarray
+    sigma_db: np.ndarray
+    penetration_db: np.ndarray      # per building, then 0 dB: an outdoor mobile's -1
+    sector_ids: tuple[str, ...]
+    tx_power_dbm: np.ndarray        # per sector
+    ul_labels: tuple[str, ...]      # the shadowing stream of each UL column,
+    dl_labels: tuple[str, ...]      # and of each independent DL column
+
+
+@dataclass(frozen=True)
 class Scenario:
+    """One world.
+
+    Its receive points and channel arrays, and its clutter map's building
+    arrays, are built at the first table or drop of it and shared by every
+    later one, so a scenario, its radio and traffic dicts included, must
+    not be mutated after that. A pickle carries the fields alone.
+    """
+
     sites: tuple[Site, ...]
     greens: tuple[GreenAntenna, ...] = ()
     clutter: ClutterMap = ClutterMap(bounds=(-2000.0, -2000.0, 2000.0, 2000.0))
     radio: RadioParams = field(default_factory=RadioParams)
     traffic: TrafficParams = field(default_factory=TrafficParams)
+
+    __getstate__ = _fields_only
 
     def sectors(self) -> list[tuple[Site, Sector]]:
         """All (site, sector) pairs in declaration order."""
@@ -227,6 +300,54 @@ class Scenario:
 
     def n_sectors(self) -> int:
         return sum(len(site.sectors) for site in self.sites)
+
+    @functools.cached_property
+    def receive_points(self) -> tuple[ReceivePoint, ...]:
+        """All receive points: sector antennas first, then greens, in declaration order."""
+        return (*(ReceivePoint(kind="sector", id=sec.id, position=site.position,
+                               antenna=sec.antenna, azimuth_deg=sec.azimuth_deg,
+                               noise_figure_db=sec.noise_figure_db)
+                  for site, sec in self.sectors()),
+                *(ReceivePoint(kind="green", id=g.id, position=g.position, antenna=g.antenna,
+                               azimuth_deg=0.0, noise_figure_db=g.noise_figure_db)
+                  for g in self.greens))
+
+    @functools.cached_property
+    def channel(self) -> ChannelArrays:
+        """The channel tables' shared arrays, built at the first table."""
+        return _channel_arrays(self)
+
+
+def _channel_arrays(s: Scenario) -> ChannelArrays:
+    """The builder of `Scenario.channel`."""
+    rps = s.receive_points
+    clutter, radio = s.clutter, s.radio
+    sectors = [sec for _, sec in s.sectors()]
+    by_pattern: dict[AntennaPattern, list[int]] = {}
+    for j, rp in enumerate(rps):
+        by_pattern.setdefault(rp.antenna, []).append(j)
+    per_class = [radio.pathloss[c] for c in clutter.classes]
+
+    def array(values) -> np.ndarray:
+        return _read_only(np.array(values, dtype=float))
+
+    return ChannelArrays(
+        rp_x=array([rp.position[0] for rp in rps]),
+        rp_y=array([rp.position[1] for rp in rps]),
+        rp_azimuth_deg=array([rp.azimuth_deg for rp in rps]),
+        noise_dbm=array([radio.thermal_noise_dbm + rp.noise_figure_db for rp in rps]),
+        pattern_cols=tuple((pattern, _read_only(np.array(cols, dtype=np.intp)))
+                           for pattern, cols in by_pattern.items()),
+        pl0_db=array([pm.pl0_db for pm in per_class]),
+        d0_m=array([pm.d0_m for pm in per_class]),
+        exponent=array([pm.exponent for pm in per_class]),
+        sigma_db=array([radio.shadowing_sigma_db[c] for c in clutter.classes]),
+        penetration_db=array([*(b.penetration_loss_db for b in clutter.buildings), 0.0]),
+        sector_ids=tuple(sec.id for sec in sectors),
+        tx_power_dbm=array([sec.tx_power_dbm for sec in sectors]),
+        ul_labels=tuple(f"ul:{rp.id}" for rp in rps),
+        dl_labels=tuple(f"dl:{sec.id}" for sec in sectors),
+    )
 
 
 def strip_greens(s: Scenario) -> Scenario:
@@ -490,7 +611,7 @@ def validate_scenario(s: Scenario) -> list[str]:
                 out.append(f"{path}: azimuth_deg must lie in [0, 360)")
             if not math.isfinite(sec.tx_power_dbm):
                 out.append(f"{path}: tx_power_dbm must be finite")
-            out.extend(_pattern_violations(sec.antenna, path))
+            out.extend(_receiver_violations(sec.antenna, sec.noise_figure_db, path))
 
     seen_greens: set[str] = set()
     for i, g in enumerate(s.greens):
@@ -507,7 +628,7 @@ def validate_scenario(s: Scenario) -> list[str]:
                 out.append(f"{path}: attached sector '{ref}' listed twice")
         if not clutter.in_bounds(*g.position):
             out.append(f"{path}: position outside clutter map bounds")
-        out.extend(_pattern_violations(g.antenna, path))
+        out.extend(_receiver_violations(g.antenna, g.noise_figure_db, path))
 
     seen_buildings: set[str] = set()
     for i, b in enumerate(clutter.buildings):
@@ -520,6 +641,9 @@ def validate_scenario(s: Scenario) -> list[str]:
             out.append(f"{path}: footprint outside clutter map bounds")
         if b.penetration_loss_db < 0:
             out.append(f"{path}: penetration_loss_db must be >= 0")
+        elif not _db_in_range(b.penetration_loss_db):
+            out.append(f"{path}: penetration_loss_db {b.penetration_loss_db} dB "
+                       "is outside the float range")
 
     radio = s.radio
     if not radio.p_min_dbm < radio.p_max_dbm:
@@ -527,6 +651,9 @@ def validate_scenario(s: Scenario) -> list[str]:
     for name in ("p_min_dbm", "p_max_dbm"):
         if not _linear_in_range(getattr(radio, name)):
             out.append(f"radio.{name}: {getattr(radio, name)} dBm is outside the float range")
+    if not _db_in_range(radio.thermal_noise_dbm):
+        out.append(f"radio.thermal_noise_dbm: {radio.thermal_noise_dbm} dBm "
+                   "is outside the float range")
     for cls in CLUTTER_CLASSES:
         model = radio.pathloss.get(cls)
         if model is None:
@@ -536,6 +663,8 @@ def validate_scenario(s: Scenario) -> list[str]:
             out.append(f"radio.pathloss.{cls}: exponent must be > 0")
         if not model.d0_m > 0:
             out.append(f"radio.pathloss.{cls}: d0_m must be > 0")
+        if not _db_in_range(model.pl0_db):
+            out.append(f"radio.pathloss.{cls}.pl0_db: {model.pl0_db} dB is outside the float range")
         sigma = radio.shadowing_sigma_db.get(cls)
         if sigma is None or sigma < 0:
             out.append(f"radio.shadowing_sigma_db.{cls}: must be >= 0")
@@ -570,7 +699,15 @@ def _linear_in_range(db: float) -> bool:
         return False
 
 
-def _pattern_violations(p: AntennaPattern, path: str) -> list[str]:
+def _db_in_range(db: float) -> bool:
+    """Whether a gain, loss or noise level in dB maps to a positive finite
+    float at both signs: the channel table adds it to or subtracts it from
+    a link, and powerctl takes the sum to 10 ** (x / 10)."""
+    return _linear_in_range(db) and _linear_in_range(-db)
+
+
+def _receiver_violations(p: AntennaPattern, noise_figure_db: float, path: str) -> list[str]:
+    """A receive point's antenna pattern and its dB inputs."""
     out = []
     if p.kind not in ("omni", "sector"):
         out.append(f"{path}: unknown antenna kind '{p.kind}'")
@@ -578,8 +715,9 @@ def _pattern_violations(p: AntennaPattern, path: str) -> list[str]:
         out.append(f"{path}: theta_3db_deg must be > 0")
     if p.front_to_back_db < 0:
         out.append(f"{path}: front_to_back_db must be >= 0")
-    if not math.isfinite(p.gain_dbi):
-        out.append(f"{path}: gain_dbi must be finite")
+    for name, db in (("antenna.gain_dbi", p.gain_dbi), ("noise_figure_db", noise_figure_db)):
+        if not _db_in_range(db):
+            out.append(f"{path}: {name} {db} dB is outside the float range")
     return out
 
 
@@ -615,10 +753,9 @@ def drop_mobiles(s: Scenario, seed: int) -> Drop:
         raise InfeasibleDropError("indoor_fraction > 0 but the scenario has no buildings")
 
     rng = substream(seed, "drops")
-    areas = [b.area for b in buildings]
-    cum = np.cumsum(areas)
+    cum, total_area = clutter.building_areas
     x0, y0, x1, y1 = clutter.bounds
-    rects = np.array([b.rect for b in buildings], dtype=float).reshape(-1, 4)
+    rects = clutter.building_rects
     draws = np.empty(0)
     starts: list[int] = []          # offset of each mobile's indoor flag
     j = 0
@@ -651,7 +788,7 @@ def drop_mobiles(s: Scenario, seed: int) -> Drop:
     at = np.array(starts, dtype=np.intp)
     indoor = indoor_at[at]
     inner, outer = at[indoor], at[~indoor]
-    picked = np.minimum(np.searchsorted(cum, draws[inner + 1] * sum(areas)), len(cum) - 1)
+    picked = np.minimum(np.searchsorted(cum, draws[inner + 1] * total_area), len(cum) - 1)
     corner = rects[picked, :2]
     xy = np.empty((n, 2))
     xy[indoor] = corner + (rects[picked, 2:] - corner) * draws[inner[:, None] + (2, 3)]

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from greenant.powerctl import BranchSet
-from greenant.propagation import LinkGainMatrix, ReceivePoint
-from greenant.scenario import AntennaPattern, Drop, load_scenario
+from greenant.propagation import LinkGainMatrix
+from greenant.scenario import AntennaPattern, Drop, ReceivePoint, load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import greenant.metrics
+import greenant.scenario
 import greenant.simulate
 from greenant.cli import COMBINING_FLAGS, build_parser, main
 from greenant.propagation import build_gain_matrix, write_gain_dump
@@ -50,6 +51,18 @@ def count_tables(monkeypatch):
         return _real(*args, **kwargs)
 
     monkeypatch.setattr(greenant.simulate, "build_gain_matrix", counted)
+    return calls
+
+
+def count_channel_builds(monkeypatch):
+    """Count the scenarios whose channel arrays are built."""
+    calls = []
+
+    def counted(s, _real=greenant.scenario._channel_arrays):
+        calls.append(s)
+        return _real(s)
+
+    monkeypatch.setattr(greenant.scenario, "_channel_arrays", counted)
     return calls
 
 
@@ -131,10 +144,16 @@ def test_non_finite_scenario_number_is_exit_2(tmp_path, capsys, section, table, 
     ("radio", "p_max_dbm", 4000.0, "radio.p_max_dbm"),
     ("radio", "p_min_dbm", -4000.0, "radio.p_min_dbm"),
     ("traffic", "sinr_target_db", {"voice": 4000.0}, "traffic.sinr_target_db.voice"),
+    ("radio", "thermal_noise_dbm", 4000.0, "radio.thermal_noise_dbm"),
+    ("radio", "pathloss", {"urban": {"pl0_db": -4000.0}}, "radio.pathloss.urban.pl0_db"),
+    ("sites", 0, {"id": "A", "position": [0, 0],
+                  "sectors": [{"id": "A1", "antenna": {"kind": "omni", "gain_dbi": 4000.0}}]},
+     "sites[0].sectors[0] ('A1'): antenna.gain_dbi"),
 ])
 def test_db_value_outside_the_float_range_is_exit_2(tmp_path, capsys, section, key, value, path):
     """10 ** (dB / 10) overflows above ~3083 dB and is 0.0 below ~-3240 dB:
-    such a power or target is bad input, not a runtime failure or a nan row."""
+    such a power, target, gain, loss or noise floor is bad input, not a
+    runtime failure or a nan row."""
     doc = two_cell_doc()
     doc[section][key] = value
     bad = tmp_path / "range.json"
@@ -305,11 +324,14 @@ def test_compare_dump_gains_builds_one_extra_table(greens_json, tmp_path, monkey
     one_green = tmp_path / "one_green.json"
     one_green.write_text(json.dumps(two_cell_doc(with_green=True, sigma=8.0)))
     calls = count_tables(monkeypatch)
+    builds = count_channel_builds(monkeypatch)
     code = main(["compare", "--scenario", str(one_green), "--green-scenario", greens_json,
                  "--snapshots", "2", "--seed", "5", "--filter-radius", "5000",
                  "--out", str(tmp_path / "c"), "--dump-gains"])
     assert code == 0
     assert len(calls) == 2 + 1
+    # once per scenario: the table's, then the baseline's at its first columns
+    assert [len(s.greens) for s in builds] == [4, 1]
     snap_seed = snapshot_seed(5, 0)
     for tag, path in (("baseline", str(one_green)), ("green", greens_json)):
         s = load_scenario_file(path)
@@ -338,12 +360,15 @@ def test_combining_sweep_rejects_combining_flag(base_json, tmp_path, capsys):
 def test_green_count_sweep_builds_one_table_per_snapshot(greens_json, tmp_path,
                                                          monkeypatch):
     calls = count_tables(monkeypatch)
+    builds = count_channel_builds(monkeypatch)
     code = main(["sweep", "--scenario", greens_json, "--axis", "green_count",
                  "--snapshots", "3", "--filter-radius", "5000",
                  "--out", str(tmp_path / "s")])
     assert code == 0
     assert len(calls) == 3
     assert all(len(s.greens) == 4 for s in calls)      # the fullest variant's table
+    # each variant's channel arrays once, not once per snapshot
+    assert sorted(len(s.greens) for s in builds) == [0, 1, 2, 3, 4]
     lines = (tmp_path / "s_sweep.csv").read_text().splitlines()
     assert [ln.split(",")[1] for ln in lines[1:]] == ["0", "1", "2", "3", "4"]
 

@@ -1,6 +1,8 @@
 """Channel model: path loss, antenna patterns, shadowing, gain tables."""
 
 import json
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from greenant.propagation import (
     antenna_gain,
     build_gain_matrix,
     path_loss,
-    receive_points,
     write_gain_dump,
 )
 from greenant.scenario import AntennaPattern, PathLossModel, drop_mobiles, strip_greens
@@ -115,7 +116,7 @@ def test_shadowing_sample_properties(monkeypatch):
 
 def test_link_gain_composition_without_shadowing():
     s = load_doc(two_cell_doc(sigma=0.0))
-    rp = receive_points(s)[0]       # site A's omni, 10 dBi
+    rp = s.receive_points[0]         # site A's omni, 10 dBi
     m = place((500.0, 0.0))
     expected = -(128.1 + 37.6 * np.log10(0.5)) + 10.0
     assert _ul_gain(m, 0, rp, s, 1) == pytest.approx(expected)
@@ -127,7 +128,7 @@ def test_penetration_applies_to_indoor_mobiles_only():
     doc["clutter"] = {"buildings": [{"id": "bld", "rect": [400, -50, 600, 50],
                                      "penetration_loss_db": 20}]}
     s = load_doc(doc)
-    rp = receive_points(s)[0]
+    rp = s.receive_points[0]
     mobiles = place((500.0, 0.0), (500.0, 0.0), building=[-1, 0])   # outdoor, in "bld"
     assert _ul_gain(mobiles, 1, rp, s, 1) == pytest.approx(_ul_gain(mobiles, 0, rp, s, 1) - 20.0)
     gm = build_gain_matrix(s, mobiles, 1)
@@ -155,7 +156,7 @@ def test_gain_matrix_matches_scalar_link_gain_bitwise():
         mobiles = drop_mobiles(s, 99)
         gm = build_gain_matrix(s, mobiles, 99)
         for i in range(len(mobiles)):
-            for j, rp in enumerate(receive_points(s)):
+            for j, rp in enumerate(s.receive_points):
                 assert gm.ul_gain_db[i, j] == _ul_gain(mobiles, i, rp, s, 99)
             for j, (site, sec) in enumerate(s.sectors()):
                 assert gm.dl_rx_dbm[i, j] == sec.tx_power_dbm + _scalar_gain(
@@ -190,7 +191,7 @@ def _column_loop_tables(s, mobiles, seed):
             return 0.0
         return np.where(shadowed, sigma * label_normal(seed, [label], ids)[:, 0], 0.0)
 
-    rps = receive_points(s)
+    rps = s.receive_points
     reciprocal = radio.dl_shadowing_mode == "reciprocal"
     tx_dbm = [sec.tx_power_dbm for _, sec in s.sectors()]
     ul = np.empty((len(mobiles), len(rps)))
@@ -232,34 +233,67 @@ def _multi_green_doc():
                          ids=["green", "multi-green"])
 def test_gain_matrix_is_bitwise_the_column_loop(doc):
     """The one-pass table equals the column-at-a-time reference entry for
-    entry, in both DL shadowing modes, and every array is C-ordered (the
-    layout changes the last bits of `powers @ gains`)."""
+    entry, in both DL shadowing modes, and so do its columns restricted to
+    the greenless world; every array is C-ordered (the layout changes the
+    last bits of `powers @ gains`)."""
     s_by_mode = {}
     for mode in ("reciprocal", "independent"):
         doc["radio"]["dl_shadowing_mode"] = mode
         s_by_mode[mode] = load_doc(doc)
     s = s_by_mode["reciprocal"]
-    patterns = {rp.antenna.kind for rp in receive_points(s)}
+    # each scenario's channel arrays are built at its first table and read
+    # by all 200; its greenless variant reads its columns of those tables
+    bare_by_mode = {mode: strip_greens(sm) for mode, sm in s_by_mode.items()}
+    patterns = {rp.antenna.kind for rp in s.receive_points}
     assert patterns == {"sector", "omni"}
     sigma = np.array([s.radio.shadowing_sigma_db[c] for c in s.clutter.classes])
     unshadowed = 0
     for k in range(200):
         seed = 1000 + k
         mobiles = drop_mobiles(s, seed)
-        for sm in s_by_mode.values():
+        for mode, sm in s_by_mode.items():
             gm = build_gain_matrix(sm, mobiles, seed)
-            ul, dl, noise = _column_loop_tables(sm, mobiles, seed)
-            for got, want in ((gm.ul_gain_db, ul), (gm.dl_rx_dbm, dl), (gm.noise_dbm, noise)):
-                assert got.flags.c_contiguous
-                assert np.array_equal(got, want)
+            bare = bare_by_mode[mode]
+            for table, ref in ((gm, sm), (gm.restricted_to(bare), bare)):
+                ul, dl, noise = _column_loop_tables(ref, mobiles, seed)
+                for got, want in ((table.ul_gain_db, ul), (table.dl_rx_dbm, dl),
+                                  (table.noise_dbm, noise)):
+                    assert got.flags.c_contiguous
+                    assert np.array_equal(got, want)
         codes = s.clutter.class_codes(mobiles.xy[:, 0], mobiles.xy[:, 1])
         unshadowed += int(np.count_nonzero(sigma[codes] == 0.0))
     # the multi-green map's open region has sigma 0, and mobiles land in it
     assert (unshadowed > 0) == (0.0 in sigma)
 
 
+def test_channel_arrays_belong_to_one_scenario_and_stay_out_of_pickles(two_cell_green):
+    """A scenario builds its receive points and channel arrays at its first
+    table and keeps them; a replace()d variant builds its own. A pickle
+    carries the fields alone, so a pool task is the same size with or
+    without them, and the copy's tables have the same bits."""
+    s = two_cell_green
+    size = len(pickle.dumps(s))
+    mobiles = drop_mobiles(s, 3)
+    gm = build_gain_matrix(s, mobiles, 3)
+    assert gm.receive_points is s.receive_points and gm.noise_dbm is s.channel.noise_dbm
+    assert {"receive_points", "channel"} <= set(vars(s))
+    assert "building_rects" in vars(s.clutter)
+    variant = replace(s, greens=())
+    assert not {"receive_points", "channel"} & set(vars(variant))
+    assert variant.channel is not s.channel
+    assert variant.receive_points == s.receive_points[:2]
+    assert len(pickle.dumps(s)) == size
+    clone = pickle.loads(pickle.dumps(s))
+    assert clone == s
+    assert not {"receive_points", "channel"} & set(vars(clone))
+    again = build_gain_matrix(clone, drop_mobiles(clone, 3), 3)
+    for got, want in ((again.ul_gain_db, gm.ul_gain_db), (again.dl_rx_dbm, gm.dl_rx_dbm),
+                      (again.noise_dbm, gm.noise_dbm)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_receive_point_order_is_sectors_then_greens(two_cell_green):
-    rps = receive_points(two_cell_green)
+    rps = two_cell_green.receive_points
     assert [rp.id for rp in rps] == ["A1", "B1", "G"]
     assert [rp.kind for rp in rps] == ["sector", "sector", "green"]
 

@@ -123,6 +123,22 @@ def test_unknown_keys_are_rejected_with_path(mutate, fragment):
     (lambda d: d.update(greens={}), "greens: expected a list"),
     (lambda d: d.update(greens=""), "greens: expected a list"),
     (lambda d: d.update(greens=False), "greens: expected a list"),
+    # each dB input that reaches 10 ** (x / 10), at either sign
+    (lambda d: d["sites"][0]["sectors"][0].update(noise_figure_db=-4000),
+     "sites[0].sectors[0] ('A1'): noise_figure_db -4000.0 dB is outside the float range"),
+    (lambda d: d.update(greens=[{"id": "G", "position": [0, 0], "attached_sectors": ["A1"],
+                                 "antenna": {"gain_dbi": -4000}}]),
+     "greens[0] ('G'): antenna.gain_dbi -4000.0 dB is outside the float range"),
+    (lambda d: d.update(greens=[{"id": "G", "position": [0, 0], "attached_sectors": ["A1"],
+                                 "noise_figure_db": 4000}]),
+     "greens[0] ('G'): noise_figure_db 4000.0 dB is outside the float range"),
+    (lambda d: d.update(clutter={"buildings": [{"rect": [-9, -9, 9, 9],
+                                                "penetration_loss_db": 4000}]}),
+     "clutter.buildings[0] ('building-0'): penetration_loss_db 4000.0 dB is outside"),
+    (lambda d: d.update(radio={"pathloss": {"open": {"pl0_db": 4000}}}),
+     "radio.pathloss.open.pl0_db: 4000.0 dB is outside the float range"),
+    (lambda d: d.update(radio={"thermal_noise_dbm": -4000}),
+     "radio.thermal_noise_dbm: -4000.0 dBm is outside the float range"),
 ])
 def test_invalid_documents_are_rejected(mutate, fragment):
     doc = json.loads(json.dumps(MINIMAL))
