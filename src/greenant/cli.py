@@ -14,6 +14,8 @@ progress goes to stderr. Exit codes are the machine contract:
     2  bad input (flags, scenario files, schema violations)
     3  pairing violation (compare scenarios differ outside `greens`, or a
        --scenario green is not in --green-scenario as it is)
+
+--debug adds the traceback of a runtime failure (exit 1) to stderr.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import math
 import os
 import sys
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -267,6 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="out", help="output path prefix (default 'out')")
     common.add_argument("--jobs", type=_positive_int, default=1,
                         help="parallel snapshot workers (default 1)")
+    common.add_argument("--debug", action="store_true",
+                        help="on a runtime failure (exit 1), also print its traceback")
     dump = argparse.ArgumentParser(add_help=False)
     dump.add_argument("--dump-gains", action="store_true",
                       help="also write snapshot 0's channel tables as CSV")
@@ -304,6 +309,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime catch-all so exit codes stay meaningful
+        if args.debug:      # a worker's own traceback comes first, as the cause
+            traceback.print_exc(file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,18 +18,27 @@ power ordering exact instead of blurred by the stopping rule.
 
 `run_campaign` is the one way in, for a single snapshot too. It runs
 in tasks, each a contiguous range of snapshot indices: the whole
-campaign at jobs=1, one range per worker otherwise. A task hands
-powerctl's solve_snapshots a generator of its snapshots and a slot
-count (up to STACK_LINKS stacked links); a snapshot is drawn,
-tabulated and associated only when a solver slot frees for it, so a
-task holds the tables of at most one stack. Each snapshot's results
-are the bits of its solve alone, so neither the slot count, the order
-in which snapshots stop, nor the number of workers changes any output.
+campaign at jobs=1, one range per worker otherwise. At jobs=N the
+parent forks N-1 children, one per range after the first, runs the
+first range itself, then reads each child's snapshots from a one-way
+pipe in range order. A child inherits its task by fork, so nothing is
+pickled on the way in; its snapshots, or the exception it raised with
+its traceback text, come back pickled. Where the fork start method
+does not exist, the campaign is one range in the parent.
+
+A task hands powerctl's solve_snapshots a generator of its snapshots
+and a slot count (up to STACK_LINKS stacked links); a snapshot is
+drawn, tabulated and associated only when a solver slot frees for it,
+so a task holds the tables of at most one stack. Each snapshot's
+results are the bits of its solve alone, so neither the slot count,
+the order in which snapshots stop, nor the number of workers changes
+any output.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,15 +51,25 @@ from .seeds import derive_seed
 #: Slot budget of a task's solver stack, in links (snapshots x mobiles x
 #: receive points, summed over the runs): 0.5 MB per float64 stack. That
 #: is 7 slots of the bundled pair and 48 of the 11-green map with 2
-#: mobiles per sector. Against half this budget (3 and 24 slots),
-#: perfbench read 16% less time per pair on hole-compare and 9% less on
-#: hole-compare-j2, the same time on multi-green-egc, and about 1 MB more
-#: peak memory (2-core shared x86-64 machine).
+#: mobiles per sector. Each process of a campaign, the parent and every
+#: forked child, holds one stack. Against half this budget (3 and 24
+#: slots), perfbench read 16% less time per pair on hole-compare and 9%
+#: less on hole-compare-j2 (then run by a process pool), the same time on
+#: multi-green-egc, and about 1 MB more peak memory (2-core shared x86-64
+#: machine).
 STACK_LINKS = 1 << 16
+
+#: Whether ranges after the first can run in forked children.
+_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 class PairingError(Exception):
     """The scenarios of a campaign are not one world with more or fewer greens."""
+
+
+class WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised in a forked child,
+    attached as that exception's __cause__ when the parent re-raises it."""
 
 
 def snapshot_seed(seed: int, index: int) -> int:
@@ -111,19 +130,65 @@ def _task(args) -> list[Snapshot]:
     return [Snapshot(*snap, runs) for snap, runs in zip(drawn, solved)]
 
 
+def _child(task, conn) -> None:
+    """A forked child's body: run one range and send (ok, value) once."""
+    try:
+        reply = (True, _task(task))
+    except Exception as exc:
+        reply = (False, (exc, "".join(traceback.format_exception(exc))))
+    conn.send(reply)
+    conn.close()
+
+
+def _receive(child, conn, task) -> list[Snapshot]:
+    """The snapshots a child sent, or its exception re-raised here, once
+    the child has exited."""
+    try:
+        reply = conn.recv()
+    except EOFError:
+        reply = None
+    child.join()
+    if reply is None:
+        _, _, lo, hi = task
+        raise RuntimeError(f"snapshot worker for snapshots {lo}..{hi - 1} exited with "
+                           f"code {child.exitcode} before sending its results")
+    ok, value = reply
+    if ok:
+        return value
+    exc, text = value
+    raise exc from WorkerTraceback(text)
+
+
 def run_campaign(scenarios: tuple[Scenario, ...], seed: int, n_snapshots: int,
                  jobs: int = 1) -> list[Snapshot]:
     if n_snapshots < 1:
         raise ValueError("need at least one snapshot")
     for s in scenarios[:-1]:        # once, before any worker starts
         check_pairable(s, scenarios[-1])
-    workers = min(max(jobs, 1), n_snapshots)
-    if workers == 1:
-        return _task((scenarios, seed, 0, n_snapshots))
+    workers = min(max(jobs, 1), n_snapshots) if _CAN_FORK else 1
     bounds = [n_snapshots * w // workers for w in range(workers + 1)]
     tasks = [(scenarios, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [snap for part in pool.map(_task, tasks) for snap in part]
+    if workers == 1:
+        return _task(tasks[0])
+    fork = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for task in tasks[1:]:
+            conn, child_end = fork.Pipe(duplex=False)
+            child = fork.Process(target=_child, args=(task, child_end), daemon=True)
+            children.append((child, conn, task))
+            child.start()
+            child_end.close()   # so a later fork does not hold it open
+        parts = [_task(tasks[0])]
+        parts += (_receive(*c) for c in children)
+    finally:    # a child is still running only when this campaign fails
+        for child, conn, _ in children:
+            if child.is_alive():
+                child.terminate()
+            if child.pid is not None:
+                child.join()
+            conn.close()
+    return [snap for part in parts for snap in part]
 
 
 def check_pairable(baseline: Scenario, green: Scenario) -> None:

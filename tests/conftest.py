@@ -3,11 +3,13 @@ synthetic channel tables that bypass the propagation layer."""
 
 import json
 import math
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from greenant import simulate
 from greenant.powerctl import BranchSet
 from greenant.propagation import LinkGainMatrix
 from greenant.scenario import AntennaPattern, Drop, ReceivePoint, load_scenario
@@ -111,6 +113,19 @@ def drop_bits(drop):
                  for a in (drop.xy, drop.building, drop.voice, drop.target_db))
 
 
+def act_from(monkeypatch, first, action):
+    """Call `action(index)` as each snapshot from index `first` on is drawn,
+    before its seed is derived; a forked worker inherits the patch."""
+    real = simulate.snapshot_seed
+
+    def seed_or_act(seed, index):
+        if index >= first:
+            action(index)
+        return real(seed, index)
+
+    monkeypatch.setattr(simulate, "snapshot_seed", seed_or_act)
+
+
 def make_tables(ul_gain_db, n_sectors, serving, noise_dbm=-104.0, attach=None):
     """Synthetic LinkGainMatrix, serving sector index array and BranchSet.
 
@@ -162,6 +177,14 @@ def random_instance(rng, max_ms=20, max_sectors=5, green_prob=0.5):
     gm, serving, branches = make_tables(ul, n_sec, serving, attach=attach)
     targets = rng.uniform(-15.0, 9.0, size=n_ms)
     return gm, serving, branches, targets
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """Fail a test that leaves a child process running."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"the test left processes running: {left}"
 
 
 @pytest.fixture

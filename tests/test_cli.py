@@ -1,6 +1,7 @@
 """Command line interface: exit codes, output files, and determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ import greenant.scenario
 import greenant.simulate
 from greenant.cli import COMBINING_FLAGS, build_parser, main
 from greenant.propagation import build_gain_matrix, write_gain_dump
-from greenant.scenario import drop_mobiles, load_scenario_file
+from greenant.scenario import InfeasibleDropError, drop_mobiles, load_scenario_file
 from greenant.simulate import run_campaign, snapshot_seed
 
-from conftest import two_cell_doc
+from conftest import act_from, two_cell_doc
 
 
 @pytest.fixture
@@ -471,3 +472,94 @@ def test_summaries_report_outage_iterations_and_convergence(tmp_path):
     assert dict(run_rows)["outage_frac"] == pytest.approx(
         np.concatenate([s.runs[0].outage for s in alone]).mean(), abs=1e-6)
     assert dict(run_rows)["iterations_max"] == max(s.runs[0].iterations for s in alone)
+
+
+@pytest.fixture
+def shadowed_pair(tmp_path):
+    """Baseline and green two-cell files with shadowing, so snapshots differ."""
+    paths = []
+    for with_green in (False, True):
+        path = tmp_path / f"shadowed_{with_green}.json"
+        path.write_text(json.dumps(two_cell_doc(with_green=with_green, sigma=8.0,
+                                                mobiles_per_sector=3)))
+        paths.append(str(path))
+    return paths
+
+
+PARITY_COMMANDS = {
+    "run": lambda pair, greens: ["run", "--scenario", pair[1], "--dump-gains"],
+    "compare": lambda pair, greens: ["compare", "--scenario", pair[0],
+                                     "--green-scenario", pair[1], "--dump-gains"],
+    "sweep-green_count": lambda pair, greens: ["sweep", "--scenario", greens,
+                                               "--axis", "green_count"],
+    "sweep-seed": lambda pair, greens: ["sweep", "--scenario", pair[1], "--axis", "seed",
+                                        "--values", "4,9"],
+    "sweep-combining": lambda pair, greens: ["sweep", "--scenario", greens,
+                                             "--axis", "combining"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARITY_COMMANDS))
+def test_outputs_are_byte_identical_at_any_jobs(command, shadowed_pair, greens_json, tmp_path):
+    argv = [*PARITY_COMMANDS[command](shadowed_pair, greens_json), "--snapshots", "5",
+            "--seed", "7", "--filter-center", "1000,0", "--filter-radius", "1e9"]
+    written = {}
+    for jobs in (1, 2, 3):
+        out = tmp_path / f"j{jobs}" / "o"
+        assert main([*argv, "--jobs", str(jobs), "--out", str(out)]) == 0
+        written[jobs] = {p.name: p.read_bytes() for p in out.parent.iterdir()}
+    assert written[1]
+    assert written[2] == written[1]
+    assert written[3] == written[1]
+
+
+def _infeasible(index):
+    raise InfeasibleDropError(f"no room for the mobiles of snapshot {index}")
+
+
+def test_worker_only_error_exits_as_in_a_serial_run(base_json, tmp_path, monkeypatch, capsys):
+    act_from(monkeypatch, 2, _infeasible)     # only the second of two ranges fails
+    errs = []
+    for flags in (["--jobs", "1"], ["--jobs", "2"], ["--jobs", "2", "--debug"]):
+        assert main(run_args(base_json, tmp_path, "--snapshots", "4", *flags)) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == errs[2]
+    assert errs[0].splitlines()[-1] == "error: no room for the mobiles of snapshot 2"
+
+
+def test_worker_that_exits_without_sending_is_exit_1(base_json, tmp_path, monkeypatch, capsys):
+    act_from(monkeypatch, 2, lambda index: os._exit(3))
+    assert main(run_args(base_json, tmp_path, "--snapshots", "4", "--jobs", "2")) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: snapshot worker") and "exited with code 3" in err
+
+
+def _boom(index):
+    raise RuntimeError(f"boom at snapshot {index}")
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_debug_adds_the_traceback_of_a_runtime_failure(command, base_json, green_json,
+                                                       tmp_path, monkeypatch, capsys):
+    act_from(monkeypatch, 1, _boom)     # at --jobs 2, only the worker's range fails
+    argv = {"run": ["run", "--scenario", base_json],
+            "compare": ["compare", "--scenario", base_json, "--green-scenario", green_json],
+            "sweep": ["sweep", "--scenario", base_json, "--axis", "seed", "--values", "5"],
+            }[command] + ["--snapshots", "2", "--out", str(tmp_path / "o")]
+    err = {}
+    for jobs in ("1", "2"):
+        for debug in ([], ["--debug"]):
+            assert main([*argv, "--jobs", jobs, *debug]) == 1
+            err[jobs, bool(debug)] = capsys.readouterr().err
+    assert err["1", False] == err["2", False]
+    assert err["1", False].splitlines()[-1] == "error: boom at snapshot 1"
+    assert "Traceback" not in err["1", False]
+    for jobs in ("1", "2"):
+        with_tb = err[jobs, True]
+        assert with_tb.startswith(err["1", False].splitlines()[0])
+        assert with_tb.splitlines()[-1] == "error: boom at snapshot 1"
+        assert "Traceback (most recent call last)" in with_tb and "in _boom" in with_tb
+    # the worker's own traceback, then the parent's
+    cause, _, reraised = err["2", True].partition("direct cause of the following exception")
+    assert "WorkerTraceback" in cause and "in _child" in cause and "in _boom" in cause
+    assert "in _receive" in reraised

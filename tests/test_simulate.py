@@ -3,6 +3,11 @@
 import dataclasses
 import logging
 import math
+import multiprocessing
+import os
+import pickle
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -11,16 +16,17 @@ from greenant import powerctl, simulate
 from greenant.metrics import NO_FILTER, PopulationFilter, gather_tx_powers, kept_indices
 from greenant.powerctl import associate, solve_snapshots
 from greenant.propagation import build_gain_matrix
-from greenant.scenario import drop_mobiles
+from greenant.scenario import InfeasibleDropError, drop_mobiles
 from greenant.simulate import (
     PairingError,
     Snapshot,
+    WorkerTraceback,
     check_pairable,
     run_campaign,
     snapshot_seed,
 )
 
-from conftest import bundled_doc, drop_bits, load_doc, two_cell_doc
+from conftest import act_from, bundled_doc, drop_bits, load_doc, two_cell_doc
 
 
 def solved_alone(scenarios, seed, index):
@@ -268,6 +274,64 @@ def test_paired_campaign_runs_parallel(two_cell, two_cell_green):
     for x, y in zip(serial, parallel):
         assert np.array_equal(x.runs[1].tx_power_dbm, y.runs[1].tx_power_dbm)
         assert np.array_equal(x.runs[0].tx_power_dbm, y.runs[0].tx_power_dbm)
+
+
+def test_three_workers_return_every_snapshot_in_order(two_cell, two_cell_green):
+    scenarios = (two_cell, two_cell_green)
+    serial = run_campaign(scenarios, seed=3, n_snapshots=5)
+    parallel = run_campaign(scenarios, seed=3, n_snapshots=5, jobs=3)
+    assert [snap.index for snap in parallel] == [0, 1, 2, 3, 4]
+    assert [pickle.dumps(snap) for snap in parallel] == [pickle.dumps(snap) for snap in serial]
+
+
+def test_without_fork_every_range_runs_in_the_parent(two_cell, monkeypatch):
+    serial = run_campaign((two_cell,), seed=3, n_snapshots=4)
+    pids = []
+    act_from(monkeypatch, 0, lambda index: pids.append(os.getpid()))
+    monkeypatch.setattr(simulate, "_CAN_FORK", False)
+    alone = run_campaign((two_cell,), seed=3, n_snapshots=4, jobs=2)
+    assert pids == [os.getpid()] * 4
+    assert [pickle.dumps(snap) for snap in alone] == [pickle.dumps(snap) for snap in serial]
+
+
+def _infeasible(index):
+    raise InfeasibleDropError(f"no room for the mobiles of snapshot {index}")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_worker_error_is_raised_with_its_type_and_message(two_cell, monkeypatch, jobs):
+    act_from(monkeypatch, 2, _infeasible)     # only the second of two ranges fails
+    with pytest.raises(InfeasibleDropError, match="^no room for the mobiles of snapshot 2$") as info:
+        run_campaign((two_cell,), seed=1, n_snapshots=4, jobs=jobs)
+    if jobs > 1:    # the worker's traceback is the cause
+        assert isinstance(info.value.__cause__, WorkerTraceback)
+        assert "_infeasible" in str(info.value.__cause__)
+
+
+def test_worker_that_exits_without_sending_is_a_runtime_error(two_cell, monkeypatch):
+    act_from(monkeypatch, 2, lambda index: os._exit(3))
+    with pytest.raises(RuntimeError, match="snapshots 2..3 exited with code 3"):
+        run_campaign((two_cell,), seed=1, n_snapshots=4, jobs=2)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_error_in_the_parents_range_terminates_and_joins_the_workers(two_cell, monkeypatch,
+                                                                      error):
+    workers = []
+
+    def act(index):
+        if index >= 2:      # a worker's range: it would outlive the test
+            time.sleep(60)
+        workers.extend(multiprocessing.active_children())
+        raise error("the parent's range failed")
+
+    act_from(monkeypatch, 0, act)
+    t0 = time.perf_counter()
+    with pytest.raises(error, match="parent's range failed"):
+        run_campaign((two_cell,), seed=1, n_snapshots=4, jobs=2)
+    assert time.perf_counter() - t0 < 30
+    assert len(workers) == 1
+    assert workers[0].exitcode == -signal.SIGTERM
 
 
 def test_gather_tx_powers_concatenates_in_snapshot_order(two_cell):
