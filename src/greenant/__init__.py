@@ -3,6 +3,7 @@ green antennas added to cellular sectors."""
 
 from .scenario import (
     AntennaPattern,
+    BranchTable,
     Building,
     ClutterMap,
     Drop,
@@ -31,12 +32,10 @@ from .propagation import (
     path_loss,
 )
 from .powerctl import (
-    BranchSet,
     PowerControlResult,
     associate,
     effective_sinr,
     power_update,
-    receive_branches,
     solve_snapshots,
 )
 from .metrics import (

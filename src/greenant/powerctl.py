@@ -47,6 +47,14 @@ argument.
 
 The association is an index array: entry i is the column of mobile i's
 serving sector in the table's sector_ids.
+
+What depends only on a scenario is built once per scenario and read by
+every problem: its branch table (`Scenario.branches`, one padded row of
+receive-point columns per sector and a width per sector), its sectors'
+tie-break rank (`ChannelArrays.sector_rank`), its noise floors in mW, and
+its linear class targets (`Scenario.class_targets`). A drawn drop's
+targets are its classes', so a slot reads those; any other targets (a
+hand-placed drop, `power_update`'s callers) take a scalar pow each.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .propagation import LinkGainMatrix
-from .scenario import COMBINING_MODES, Drop, Scenario
+from .scenario import COMBINING_MODES, BranchTable, Drop, Scenario
 
 log = logging.getLogger(__name__)
 
@@ -69,13 +77,6 @@ OUTAGE_MARGIN_DB = 0.5
 
 DEFAULT_TOL_DB = 0.01
 DEFAULT_MAX_ITER = 1000
-
-
-@dataclass(frozen=True)
-class BranchSet:
-    """Receive-point ids per sector: own antenna plus attached greens."""
-
-    by_sector: dict[str, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -106,25 +107,15 @@ def associate(gm: LinkGainMatrix) -> np.ndarray:
     It is read-only, as it is shared by every run of the snapshot.
     """
     dl = gm.dl_rx_dbm
-    ids = gm.sector_ids
-    # lexicographic rank of each id: declaration order can differ ("s10"
-    # after "s2"), so the first tied column is not always the lowest id
-    rank = np.empty(len(ids), dtype=int)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    # the lexicographic rank of each id, the scenario's: declaration order
+    # can differ ("s10" after "s2"), so the first tied column is not
+    # always the lowest id
+    rank = gm.channel.sector_rank
     tied = dl == dl.max(axis=1, keepdims=True)
-    serving = np.argmin(np.where(tied, rank, len(ids)), axis=1)
-    serving = serving.astype(np.min_scalar_type(len(ids) - 1))
+    serving = np.argmin(np.where(tied, rank, len(rank)), axis=1)
+    serving = serving.astype(np.min_scalar_type(len(rank) - 1))
     serving.flags.writeable = False
     return serving
-
-
-def receive_branches(s: Scenario) -> BranchSet:
-    """Branch sets per sector; a multi-attached green appears in each."""
-    by_sector: dict[str, tuple[str, ...]] = {sid: (sid,) for sid in s.sector_ids()}
-    for g in s.greens:
-        for sid in g.attached_sectors:
-            by_sector[sid] = by_sector[sid] + (g.id,)
-    return BranchSet(by_sector=by_sector)
 
 
 class _Group(NamedTuple):
@@ -163,38 +154,43 @@ class _Problem(NamedTuple):
 
 
 def _linear_targets(targets_db: np.ndarray) -> np.ndarray:
-    """10^(t/10) per target, flattened, from a scalar pow of each distinct t.
+    """10^(t/10) per target, flattened, from a scalar pow of each t.
 
     numpy's vectorised power differs from the scalar one in the last bit
-    for some inputs, which would shift every iterate; a drop has only a
-    few distinct targets, so the scalar pow costs nothing.
+    for some inputs, which would shift every iterate.
     """
-    targets = np.asarray(targets_db, dtype=float).reshape(-1).tolist()
-    lin = {t: 10.0 ** (t / 10.0) for t in dict.fromkeys(targets)}
-    return np.array(list(map(lin.__getitem__, targets)), dtype=float)
+    return np.array([10.0 ** (t / 10.0)
+                     for t in np.asarray(targets_db, dtype=float).reshape(-1).tolist()],
+                    dtype=float)
+
+
+def _drop_targets(mobiles: Drop, s: Scenario) -> np.ndarray:
+    """`_linear_targets` of the drop's targets. A drop whose every target
+    is its service class's in s reads s's linear class targets, which are
+    the same scalar pows; any other drop takes `_linear_targets`."""
+    db, lin = s.class_targets
+    voice = mobiles.voice.view(np.uint8)
+    if np.array_equal(mobiles.target_db, db[voice]):
+        return lin[voice]
+    return _linear_targets(mobiles.target_db)
 
 
 def _stacked_problem(tables: list[LinkGainMatrix], servings: list[np.ndarray],
-                     branches: BranchSet, targets_lin: np.ndarray,
+                     branches: BranchTable, targets_lin: np.ndarray,
                      p_min_dbm: float, p_max_dbm: float) -> _Problem:
     """One run's problem over snapshots whose tables share receive points.
 
     servings[s] is the association of tables[s]. The branch columns come
-    from a per-sector table indexed by each mobile's serving sector, and a
-    stable sort by width lists each width group's mobiles in stacked
-    order, so nothing here is per mobile.
+    from the scenario's branch table, indexed by each mobile's serving
+    sector, and a stable sort by width lists each width group's mobiles
+    in stacked order, so nothing here is per mobile.
     """
     gm = tables[0]
     n, n_rp = gm.ul_gain_db.shape
-    sector_cols = [[gm.rp_index[rid] for rid in branches.by_sector[sid]]
-                   for sid in gm.sector_ids]
-    widths = [len(c) for c in sector_cols]
-    pad = max(widths)
-    col_table = np.array([col for c in sector_cols for col in c + [0] * (pad - len(c))],
-                         dtype=int).reshape(len(widths), pad)
+    col_table = branches.cols
     flat_gains = np.concatenate([t.ul_gain_mw for t in tables])
     serving = np.concatenate(servings)
-    ms_width = np.array(widths)[serving]
+    ms_width = branches.widths[serving]
     order = np.argsort(ms_width, kind="stable")
     order_serving = serving[order]
     groups = []
@@ -206,7 +202,7 @@ def _stacked_problem(tables: list[LinkGainMatrix], servings: list[np.ndarray],
             # receive point c of snapshot s is stacked column s * n_rp + c
             stacked = cols if len(tables) == 1 else cols + (rows // n * n_rp)[:, None]
             groups.append(_Group(rows, stacked, flat_gains[rows[:, None], cols],
-                                 gm.noise_mw[cols]))
+                                 gm.channel.noise_mw[cols]))
             lo += count
     return _Problem(
         gains_mw=flat_gains.reshape(len(tables), n, n_rp),
@@ -257,7 +253,7 @@ def _update(powers_mw: np.ndarray, sinr: np.ndarray, problem: _Problem) -> np.nd
 
 
 def effective_sinr(ms: int, powers_mw: np.ndarray, gm: LinkGainMatrix,
-                   serving: np.ndarray, branches: BranchSet, combining: str) -> float:
+                   serving: np.ndarray, branches: BranchTable, combining: str) -> float:
     """Post-combining SINR (dB) of one MS for the given transmit powers."""
     powers_mw = np.asarray(powers_mw, dtype=float)
     problem = _stacked_problem([gm], [serving], branches, np.ones(len(powers_mw)),
@@ -266,7 +262,7 @@ def effective_sinr(ms: int, powers_mw: np.ndarray, gm: LinkGainMatrix,
 
 
 def power_update(powers_mw: np.ndarray, targets_db: np.ndarray, gm: LinkGainMatrix,
-                 serving: np.ndarray, branches: BranchSet, combining: str,
+                 serving: np.ndarray, branches: BranchTable, combining: str,
                  limits_dbm: tuple[float, float] | None = None) -> np.ndarray:
     """One multiplicative power-control update, p * target / sinr(p).
 
@@ -356,7 +352,7 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
         slots = len(snapshots)
     stream = iter(snapshots)
     limit = max_iter if n_iters is None else n_iters
-    branches = [receive_branches(s) for s in scenarios]
+    branches = [s.branches for s in scenarios]
     n_runs = len(scenarios)
     results: list[tuple[PowerControlResult, ...]] = []
     # the stack, in slot order: each slot's snapshot, and its solver state
@@ -379,8 +375,9 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
                 n = len(mobiles)
             elif len(mobiles) != n:
                 raise ValueError("stacked snapshots must hold the same number of mobiles")
+            # a campaign's drop is its last scenario's (simulate.draw_snapshot)
             held.append(_Slot(len(results), mobiles.target_db, serving, tables,
-                              _linear_targets(mobiles.target_db)))
+                              _drop_targets(mobiles, scenarios[-1])))
             results.append(())
             loaded += 1
         if not held:

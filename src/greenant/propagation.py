@@ -11,6 +11,10 @@ counter stream keyed by a hash of the snapshot seed and "<direction>:<receive
 point>", and each mobile's row in the drop is a counter in it, so adding or
 removing a green antenna leaves every other link's draw bit-identical. A table
 is built in one array pass over the drop's arrays, one draw call per direction.
+What depends only on the scenario is its `ChannelArrays` (`Scenario.channel`),
+which every table of it keeps: distances and angles are taken once per
+distinct receive point position (a site's sectors share one) and gathered to
+the columns, so a table computes only what depends on its drop and seed.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .scenario import AntennaPattern, Drop, PathLossModel, ReceivePoint, Scenario
+from .scenario import AntennaPattern, ChannelArrays, Drop, PathLossModel, ReceivePoint, Scenario
 from .seeds import label_normal
 
 #: Near-field clamp: distances below this evaluate the model at 10 m.
@@ -34,28 +38,31 @@ class LinkGainMatrix:
     Row i of each table is mobile i of the drop (the gain dump's ms_id).
     ul_gain_db is |MS| x |receive points| (sectors then greens);
     dl_rx_dbm is |MS| x |sectors| and never contains green antennas.
-    noise_dbm is the per-branch noise floor (thermal + noise figure).
+    channel is the scenario's shared record: its receive points (the UL
+    columns), sector ids (the DL columns) and per-branch noise floor.
     """
 
-    receive_points: tuple[ReceivePoint, ...]
-    sector_ids: tuple[str, ...]
+    channel: ChannelArrays
     ul_gain_db: np.ndarray
     dl_rx_dbm: np.ndarray
-    noise_dbm: np.ndarray
 
-    @cached_property
-    def rp_index(self) -> dict[str, int]:
-        return {rp.id: i for i, rp in enumerate(self.receive_points)}
+    @property
+    def receive_points(self) -> tuple[ReceivePoint, ...]:
+        return self.channel.receive_points
+
+    @property
+    def sector_ids(self) -> tuple[str, ...]:
+        return self.channel.sector_ids
+
+    @property
+    def noise_dbm(self) -> np.ndarray:
+        """The noise floor per receive point: thermal noise plus its noise figure."""
+        return self.channel.noise_dbm
 
     @cached_property
     def ul_gain_mw(self) -> np.ndarray:
         """ul_gain_db in linear units, computed once per table."""
         return 10.0 ** (self.ul_gain_db / 10.0)
-
-    @cached_property
-    def noise_mw(self) -> np.ndarray:
-        """noise_dbm in milliwatts, computed once per table."""
-        return 10.0 ** (self.noise_dbm / 10.0)
 
     def restricted_to(self, s: Scenario) -> LinkGainMatrix:
         """The columns of s's receive points, by id and in s's order.
@@ -65,12 +72,9 @@ class LinkGainMatrix:
         of the same drop. The copy is C-ordered, as a built table is: the
         layout of the gain array changes the last bits of `powers @ gains`.
         """
-        cols = [self.rp_index[rp.id] for rp in s.receive_points]
-        ul = np.ascontiguousarray(self.ul_gain_db[:, cols])
+        ul = np.ascontiguousarray(self.ul_gain_db[:, s.channel.columns_in(self.channel)])
         ul.flags.writeable = False
-        # s's own points and noise equal this table's by value
-        return replace(self, receive_points=s.receive_points, ul_gain_db=ul,
-                       noise_dbm=s.channel.noise_dbm)
+        return replace(self, channel=s.channel, ul_gain_db=ul)
 
 
 def path_loss(model: PathLossModel, distance_m):
@@ -90,7 +94,14 @@ def antenna_gain(pattern: AntennaPattern, bearing_deg):
     """
     if pattern.kind == "omni":
         return pattern.gain_dbi + np.zeros_like(np.asarray(bearing_deg, dtype=float))
-    theta = np.abs((np.asarray(bearing_deg, dtype=float) + 180.0) % 360.0 - 180.0)
+    # theta is |(b + 180) % 360 - 180|, bit for bit. numpy's remainder is
+    # fmod moved into [0, 360), except that it turns -0.0 into 0.0, which
+    # gives the same theta. fmod is exact, so below 360 in magnitude, where
+    # every bearing of a table lies, it is the identity and is skipped.
+    w = np.asarray(bearing_deg, dtype=float) + 180.0
+    if np.abs(w).max(initial=0.0) >= 360.0:
+        w = np.fmod(w, 360.0)
+    theta = np.abs(np.where(w < 0.0, w + 360.0, w) - 180.0)
     attenuation = np.minimum(12.0 * (theta / pattern.theta_3db_deg) ** 2, pattern.front_to_back_db)
     return pattern.gain_dbi - attenuation
 
@@ -128,13 +139,16 @@ def build_gain_matrix(s: Scenario, mobiles: Drop, seed: int) -> LinkGainMatrix:
     sigma = ch.sigma_db[codes, None]
     shadowed = sigma != 0.0
 
-    dx = xs[:, None] - ch.rp_x
-    dy = ys[:, None] - ch.rp_y
-    bearing = np.degrees(np.arctan2(dy, dx)) - ch.rp_azimuth_deg
+    # distance and angle per distinct receive point position (sectors share
+    # their site's), gathered to that position's columns
+    dx = xs[:, None] - ch.pos_x
+    dy = ys[:, None] - ch.pos_y
+    loss = path_loss(model, np.hypot(dx, dy))[:, ch.rp_pos]
+    bearing = np.degrees(np.arctan2(dy, dx))[:, ch.rp_pos] - ch.rp_azimuth_deg
     rx_gain = np.empty_like(bearing)
     for pattern, cols in ch.pattern_cols:
         rx_gain[:, cols] = antenna_gain(pattern, bearing[:, cols])
-    base = -path_loss(model, np.hypot(dx, dy)) + rx_gain - pen
+    base = -loss + rx_gain - pen
 
     def chi(labels):
         if not shadowed.any():
@@ -151,13 +165,7 @@ def build_gain_matrix(s: Scenario, mobiles: Drop, seed: int) -> LinkGainMatrix:
 
     for arr in (ul, dl):
         arr.flags.writeable = False
-    return LinkGainMatrix(
-        receive_points=s.receive_points,
-        sector_ids=ch.sector_ids,
-        ul_gain_db=ul,
-        dl_rx_dbm=dl,
-        noise_dbm=ch.noise_dbm,
-    )
+    return LinkGainMatrix(channel=ch, ul_gain_db=ul, dl_rx_dbm=dl)
 
 
 def write_gain_dump(gm: LinkGainMatrix, path: str) -> None:

@@ -135,6 +135,8 @@ class ClutterMap:
 
     def class_codes(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Index into `classes` for each point (arrays of x and y)."""
+        if not self.class_regions:
+            return np.zeros(np.shape(xs), dtype=np.intp)
         x0, y0, x1, y1 = self.bounds
         cs = self.cell_size
         # snap to the center of the containing cell so the class map is
@@ -249,17 +251,22 @@ class ReceivePoint:
     noise_figure_db: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelArrays:
     """What every channel table of a scenario shares, as read-only arrays
-    indexed by receive point (sectors, then greens), by sector or by
-    clutter class code (`ClutterMap.classes`). propagation's tables read
-    them; see `Scenario.channel`."""
+    indexed by receive point (sectors, then greens), by distinct receive
+    point position, by sector or by clutter class code
+    (`ClutterMap.classes`). propagation's tables read them, and each table
+    keeps its scenario's record; see `Scenario.channel`. It compares and
+    hashes by identity."""
 
-    rp_x: np.ndarray
-    rp_y: np.ndarray
+    receive_points: tuple[ReceivePoint, ...]
+    pos_x: np.ndarray               # each distinct receive point position,
+    pos_y: np.ndarray               # in order of first use,
+    rp_pos: np.ndarray              # and each receive point's index into them
     rp_azimuth_deg: np.ndarray
     noise_dbm: np.ndarray           # thermal noise plus each point's noise figure
+    noise_mw: np.ndarray            # the same in milliwatts
     #: each distinct antenna pattern, in order of first use, with its columns
     pattern_cols: tuple[tuple[AntennaPattern, np.ndarray], ...]
     pl0_db: np.ndarray              # per class code, as are d0_m, exponent and sigma_db
@@ -268,19 +275,54 @@ class ChannelArrays:
     sigma_db: np.ndarray
     penetration_db: np.ndarray      # per building, then 0 dB: an outdoor mobile's -1
     sector_ids: tuple[str, ...]
+    sector_rank: np.ndarray         # each sector id's place in sorted(sector_ids)
     tx_power_dbm: np.ndarray        # per sector
     ul_labels: tuple[str, ...]      # the shadowing stream of each UL column,
     dl_labels: tuple[str, ...]      # and of each independent DL column
+
+    def columns_in(self, full: ChannelArrays) -> np.ndarray:
+        """The column of each of these receive points in a table of `full`,
+        by id, as a read-only int array kept for the next table of `full`."""
+        memo = self.__dict__.setdefault("_columns_in", {})
+        cols = memo.get(full)
+        if cols is None:
+            index = {rp.id: j for j, rp in enumerate(full.receive_points)}
+            cols = memo[full] = _read_only(np.array([index[rp.id] for rp in self.receive_points],
+                                                    dtype=np.intp))
+        return cols
+
+
+@dataclass(frozen=True)
+class BranchTable:
+    """Each sector's uplink receive branches, as receive-point columns.
+
+    Row k of cols lists sector k's branch set (its own antenna, then each
+    green attached to it) and is padded with column 0 past widths[k].
+    The power-control solver gathers every mobile's branches from it.
+    """
+
+    cols: np.ndarray                # (n_sectors, widest set) intp
+    widths: np.ndarray              # (n_sectors,) intp
+
+    @classmethod
+    def of(cls, branch_cols: list[list[int]]) -> BranchTable:
+        """The table of one column list per sector."""
+        widths = [len(c) for c in branch_cols]
+        pad = max(widths)
+        return cls(cols=_read_only(np.array([c + [0] * (pad - len(c)) for c in branch_cols],
+                                            dtype=np.intp)),
+                   widths=_read_only(np.array(widths, dtype=np.intp)))
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One world.
 
-    Its receive points and channel arrays, and its clutter map's building
-    arrays, are built at the first table or drop of it and shared by every
-    later one, so a scenario, its radio and traffic dicts included, must
-    not be mutated after that. A pickle carries the fields alone.
+    Its receive points, channel arrays, branch table and class targets,
+    and its clutter map's building arrays, are built at the first table,
+    solve or drop of it and shared by every later one, so a scenario, its
+    radio and traffic dicts included, must not be mutated after that. A
+    pickle carries the fields alone.
     """
 
     sites: tuple[Site, ...]
@@ -317,6 +359,27 @@ class Scenario:
         """The channel tables' shared arrays, built at the first table."""
         return _channel_arrays(self)
 
+    @functools.cached_property
+    def branches(self) -> BranchTable:
+        """Each sector's receive branches; a green attached to several
+        sectors is a branch of each. Built at the first solve."""
+        n_sec = self.n_sectors()
+        cols = [[k] for k in range(n_sec)]
+        at = {sid: k for k, sid in enumerate(self.sector_ids())}
+        for j, g in enumerate(self.greens, start=n_sec):
+            for sid in g.attached_sectors:
+                cols[at[sid]].append(j)
+        return BranchTable.of(cols)
+
+    @functools.cached_property
+    def class_targets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The SINR targets of the data and the voice class (in that order,
+        so a voice flag indexes them), in dB and linear; each linear target
+        is the scalar pow 10 ** (t / 10) that powerctl takes of any target."""
+        db = [self.traffic.sinr_target_db[svc] for svc in ("data", "voice")]
+        return (_read_only(np.array(db, dtype=float)),
+                _read_only(np.array([10.0 ** (t / 10.0) for t in db], dtype=float)))
+
 
 def _channel_arrays(s: Scenario) -> ChannelArrays:
     """The builder of `Scenario.channel`."""
@@ -326,16 +389,29 @@ def _channel_arrays(s: Scenario) -> ChannelArrays:
     by_pattern: dict[AntennaPattern, list[int]] = {}
     for j, rp in enumerate(rps):
         by_pattern.setdefault(rp.antenna, []).append(j)
+    # positions are told apart by their bits, so 0.0 and -0.0 stay two
+    positions: dict[bytes, int] = {}
+    rp_pos = [positions.setdefault(np.array(rp.position, dtype=float).tobytes(), len(positions))
+              for rp in rps]
+    xy = np.frombuffer(b"".join(positions), dtype=float).reshape(-1, 2)
     per_class = [radio.pathloss[c] for c in clutter.classes]
+    ids = [sec.id for sec in sectors]
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    noise_dbm = _read_only(np.array([radio.thermal_noise_dbm + rp.noise_figure_db for rp in rps],
+                                    dtype=float))
 
     def array(values) -> np.ndarray:
         return _read_only(np.array(values, dtype=float))
 
     return ChannelArrays(
-        rp_x=array([rp.position[0] for rp in rps]),
-        rp_y=array([rp.position[1] for rp in rps]),
+        receive_points=rps,
+        pos_x=array(xy[:, 0]),
+        pos_y=array(xy[:, 1]),
+        rp_pos=_read_only(np.array(rp_pos, dtype=np.intp)),
         rp_azimuth_deg=array([rp.azimuth_deg for rp in rps]),
-        noise_dbm=array([radio.thermal_noise_dbm + rp.noise_figure_db for rp in rps]),
+        noise_dbm=noise_dbm,
+        noise_mw=_read_only(10.0 ** (noise_dbm / 10.0)),
         pattern_cols=tuple((pattern, _read_only(np.array(cols, dtype=np.intp)))
                            for pattern, cols in by_pattern.items()),
         pl0_db=array([pm.pl0_db for pm in per_class]),
@@ -343,7 +419,8 @@ def _channel_arrays(s: Scenario) -> ChannelArrays:
         exponent=array([pm.exponent for pm in per_class]),
         sigma_db=array([radio.shadowing_sigma_db[c] for c in clutter.classes]),
         penetration_db=array([*(b.penetration_loss_db for b in clutter.buildings), 0.0]),
-        sector_ids=tuple(sec.id for sec in sectors),
+        sector_ids=tuple(ids),
+        sector_rank=_read_only(rank),
         tx_power_dbm=array([sec.tx_power_dbm for sec in sectors]),
         ul_labels=tuple(f"ul:{rp.id}" for rp in rps),
         dl_labels=tuple(f"dl:{sec.id}" for sec in sectors),
@@ -762,10 +839,12 @@ def drop_mobiles(s: Scenario, seed: int) -> Drop:
     while True:
         draws = np.concatenate([draws, rng.random(max(len(draws), 6 * n + 64))])
         size = len(draws)
-        cand = np.stack([x0 + (x1 - x0) * draws[:-1], y0 + (y1 - y0) * draws[1:]], axis=1)
-        x, y = cand[:, :1], cand[:, 1:]     # candidate c is (u[c], u[c + 1]) over the map
-        inside = ((rects[:, 0] <= x) & (x <= rects[:, 2])
-                  & (rects[:, 1] <= y) & (y <= rects[:, 3])).any(axis=1)
+        # candidate c is (u[c], u[c + 1]) over the map, tested against
+        # every building at once: one row per building
+        cand_x = x0 + (x1 - x0) * draws[:-1]
+        cand_y = y0 + (y1 - y0) * draws[1:]
+        inside = ((rects[:, 0, None] <= cand_x) & (cand_x <= rects[:, 2, None])
+                  & (rects[:, 1, None] <= cand_y) & (cand_y <= rects[:, 3, None])).any(axis=0)
         # stop[c]: the first free candidate at or after c of c's parity, or
         # the first offset of that parity whose candidate is past the block
         stop = np.where(np.append(~inside, (True, True)), np.arange(size + 1), size + 1)
@@ -792,7 +871,9 @@ def drop_mobiles(s: Scenario, seed: int) -> Drop:
     corner = rects[picked, :2]
     xy = np.empty((n, 2))
     xy[indoor] = corner + (rects[picked, 2:] - corner) * draws[inner[:, None] + (2, 3)]
-    xy[~indoor] = cand[stop[outer + 1]]
+    free = stop[outer + 1]
+    xy[~indoor, 0] = cand_x[free]
+    xy[~indoor, 1] = cand_y[free]
     building = np.full(n, -1, dtype=np.intp)
     building[indoor] = picked
     voice = draws[hop[at] - 1] < traffic.voice_fraction

@@ -4,6 +4,9 @@ One master seed drives every stochastic element of a run. Independent
 draws are derived by hashing (seed, label), so unrelated parts of a
 scenario never share or shift each other's randomness: adding a green
 antenna must not perturb mobile drops or the shadowing of existing links.
+A blake2b hash streams, so `label_normal` hashes the "<seed>:" prefix once
+per call and finishes each label's key on a copy of it; the keys are those
+of `derive_seed`.
 """
 
 from __future__ import annotations
@@ -48,7 +51,15 @@ def label_normal(seed: int, labels, counters) -> np.ndarray:
     """
     if isinstance(labels, str):
         raise TypeError("labels must be a sequence of str, not a str")
-    keys = np.array([derive_seed(seed, label) for label in labels], dtype=np.uint64)
+    # each key is derive_seed(seed, label): blake2b streams, so the hash of
+    # the shared "<seed>:" prefix is taken once and copied per label
+    prefix = hashlib.blake2b(f"{seed & _U64}:".encode(), digest_size=8)
+    digests = []
+    for label in labels:
+        h = prefix.copy()
+        h.update(label.encode())
+        digests.append(h.digest())
+    keys = np.frombuffer(b"".join(digests), dtype="<u8").astype(np.uint64)
     c = np.asarray(counters).astype(np.uint64, copy=False)[:, None]
     a = _mix(keys + (c + 1) * _PHI)
     b = _mix(a ^ keys)

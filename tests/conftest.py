@@ -10,9 +10,18 @@ import numpy as np
 import pytest
 
 from greenant import simulate
-from greenant.powerctl import BranchSet
 from greenant.propagation import LinkGainMatrix
-from greenant.scenario import AntennaPattern, Drop, ReceivePoint, load_scenario
+from greenant.scenario import (
+    AntennaPattern,
+    BranchTable,
+    Drop,
+    GreenAntenna,
+    RadioParams,
+    Scenario,
+    Sector,
+    Site,
+    load_scenario,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -127,36 +136,46 @@ def act_from(monkeypatch, first, action):
 
 
 def make_tables(ul_gain_db, n_sectors, serving, noise_dbm=-104.0, attach=None):
-    """Synthetic LinkGainMatrix, serving sector index array and BranchSet.
+    """Synthetic LinkGainMatrix, serving sector index array and BranchTable.
 
     ul_gain_db: (n_ms, n_rp) with sector columns first, green columns after.
-    serving: per-MS sector index. attach: {sector_id: [green ids]}.
+    serving: per-MS sector index. attach: {sector_id: [green ids]}, each
+    sector's greens in branch order. The table's world is a scenario of
+    omni sectors "s<k>" and greens "g<k>" at the origin, with noise_dbm of
+    thermal noise and no noise figure.
     """
     ul = np.asarray(ul_gain_db, dtype=float)
     n_ms, n_rp = ul.shape
-    sector_ids = tuple(f"s{k}" for k in range(n_sectors))
-    green_ids = tuple(f"g{k}" for k in range(n_rp - n_sectors))
     pattern = AntennaPattern()
-    rps = [ReceivePoint(kind="sector", id=sid, position=(0.0, 0.0), antenna=pattern,
-                        azimuth_deg=0.0) for sid in sector_ids]
-    rps += [ReceivePoint(kind="green", id=gid, position=(0.0, 0.0), antenna=pattern,
-                         azimuth_deg=0.0) for gid in green_ids]
+    world = Scenario(
+        sites=tuple(Site(id=f"site{k}", position=(0.0, 0.0),
+                         sectors=(Sector(id=f"s{k}", antenna=pattern),))
+                    for k in range(n_sectors)),
+        greens=tuple(GreenAntenna(id=f"g{k}", position=(0.0, 0.0), attached_sectors=())
+                     for k in range(n_rp - n_sectors)),
+        radio=RadioParams(thermal_noise_dbm=float(noise_dbm)))
 
     dl = np.full((n_ms, n_sectors), -90.0)
     rows = np.arange(n_ms)
     serving = np.asarray(serving, dtype=int)
     dl[rows, serving] = -60.0
-    gm = LinkGainMatrix(
-        receive_points=tuple(rps),
-        sector_ids=sector_ids,
-        ul_gain_db=ul,
-        dl_rx_dbm=dl,
-        noise_dbm=np.full(n_rp, float(noise_dbm)),
-    )
-    by_sector = {sid: (sid,) for sid in sector_ids}
-    for sid, gids in (attach or {}).items():
-        by_sector[sid] = by_sector[sid] + tuple(gids)
-    return gm, serving, BranchSet(by_sector=by_sector)
+    gm = LinkGainMatrix(channel=world.channel, ul_gain_db=ul, dl_rx_dbm=dl)
+    column = {rp.id: j for j, rp in enumerate(world.receive_points)}
+    attach = attach or {}
+    return gm, serving, BranchTable.of([[k, *(column[g] for g in attach.get(f"s{k}", ()))]
+                                        for k in range(n_sectors)])
+
+
+def branch_ids(branches, receive_points):
+    """{sector id: its branch set's receive point ids}, from a branch table."""
+    return {receive_points[k].id: tuple(receive_points[j].id for j in row[:width])
+            for k, (row, width) in enumerate(zip(branches.cols.tolist(),
+                                                 branches.widths.tolist()))}
+
+
+def own_antennas(branches):
+    """The branch table with each sector's own antenna as its only branch."""
+    return BranchTable(cols=branches.cols[:, :1], widths=np.ones_like(branches.widths))
 
 
 def random_instance(rng, max_ms=20, max_sectors=5, green_prob=0.5):

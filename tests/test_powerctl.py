@@ -6,14 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from greenant import powerctl
 from greenant.powerctl import (
     _combined_sinr,
+    _drop_targets,
     _linear_targets,
     _stacked_problem,
     associate,
     effective_sinr,
     power_update,
-    receive_branches,
     solve_snapshots,
 )
 from greenant.scenario import (
@@ -29,7 +30,16 @@ from greenant.propagation import build_gain_matrix
 from greenant.scenario import drop_mobiles
 from greenant.simulate import snapshot_seed
 
-from conftest import load_doc, make_tables, multi_green_doc, place, random_instance
+from conftest import (
+    branch_ids,
+    load_doc,
+    make_tables,
+    multi_green_doc,
+    own_antennas,
+    place,
+    random_instance,
+    two_cell_doc,
+)
 
 NOISE_MW = 10.0 ** (-104.0 / 10.0)
 
@@ -99,16 +109,16 @@ def test_associate_breaks_ties_to_lowest_sector_id():
 
 
 def test_receive_branches_reflect_attachment(two_cell_green):
-    bs = receive_branches(two_cell_green)
-    assert bs.by_sector["A1"] == ("A1", "G")
-    assert bs.by_sector["B1"] == ("B1",)
+    bs = branch_ids(two_cell_green.branches, two_cell_green.receive_points)
+    assert bs["A1"] == ("A1", "G")
+    assert bs["B1"] == ("B1",)
 
 
 def test_multi_attached_green_appears_in_both_sets():
     s = solver_scenario(2, attach={"s0": ["g0"], "s1": ["g0"]})
-    bs = receive_branches(s)
-    assert bs.by_sector["s0"] == ("s0", "g0")
-    assert bs.by_sector["s1"] == ("s1", "g0")
+    bs = branch_ids(s.branches, s.receive_points)
+    assert bs["s0"] == ("s0", "g0")
+    assert bs["s1"] == ("s1", "g0")
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +174,9 @@ def per_sector_sinr(powers_mw, gm, serving, branches, combining):
     out = np.empty(len(powers_mw))
     by_serving = {}
     for i, k in enumerate(serving):
-        by_serving.setdefault(gm.sector_ids[k], []).append(i)
-    for sid, rows in by_serving.items():
-        cols = np.array([gm.rp_index[rid] for rid in branches.by_sector[sid]], dtype=int)
+        by_serving.setdefault(k, []).append(i)
+    for k, rows in by_serving.items():
+        cols = branches.cols[k, :branches.widths[k]]
         rows = np.array(rows, dtype=int)
         signal = powers_mw[rows, None] * gains[np.ix_(rows, cols)]
         den = (total_rx[cols][None, :] - signal) + noise[cols][None, :]
@@ -214,11 +224,11 @@ def test_kernel_is_bitwise_equal_to_per_sector_evaluation():
 def reference_groups(gm, serving, branches, targets_db):
     """The per-mobile problem builder: {width: (rows, cols, gains, noise)}
     and the per-element scalar pow of the targets."""
-    names = [gm.sector_ids[k] for k in serving]
-    cols = {sid: [gm.rp_index[rid] for rid in branches.by_sector[sid]] for sid in set(names)}
+    names = serving.tolist()
+    cols = {k: branches.cols[k, :branches.widths[k]].tolist() for k in set(names)}
     by_width = {}
-    for i, sid in enumerate(names):
-        by_width.setdefault(len(cols[sid]), []).append(i)
+    for i, k in enumerate(names):
+        by_width.setdefault(len(cols[k]), []).append(i)
     gains_mw = 10.0 ** (gm.ul_gain_db / 10.0)
     noise_mw = 10.0 ** (gm.noise_dbm / 10.0)
     groups = {}
@@ -239,7 +249,7 @@ def multi_green_problems(n_snapshots=6):
         seed = snapshot_seed(43, k)
         drop = drop_mobiles(s, seed)
         gm = build_gain_matrix(s, drop, seed)
-        out.append((gm, associate(gm), receive_branches(s), drop.target_db))
+        out.append((gm, associate(gm), s.branches, drop.target_db))
     return out
 
 
@@ -252,6 +262,45 @@ def assert_same_groups(problem, want):
         assert np.array_equal(g.cols, cols)
         assert np.array_equal(g.gains_mw, gains)
         assert np.array_equal(g.noise_mw, noise)
+
+
+def test_class_targets_are_bitwise_the_linear_targets(monkeypatch):
+    """A drawn drop's targets are its scenario's class targets, so the
+    solver reads the scenario's linear class targets, with the bits of
+    `_linear_targets`; a drop with any other target (a hand-placed one)
+    takes `_linear_targets` itself."""
+    calls = []
+
+    def counted(targets_db):
+        calls.append(len(targets_db))
+        return _linear_targets(targets_db)
+
+    monkeypatch.setattr(powerctl, "_linear_targets", counted)
+    rng = np.random.default_rng(29)
+    doc = two_cell_doc(mobiles_per_sector=6)
+    for k in range(40):
+        voice, data = rng.uniform(-25.0, 25.0, size=2).round(int(rng.integers(0, 17)))
+        doc["traffic"]["sinr_target_db"] = {"voice": voice, "data": data}
+        doc["traffic"]["voice_fraction"] = rng.random()
+        s = load_doc(doc)
+        drop = drop_mobiles(s, snapshot_seed(31, k))
+        got = _drop_targets(drop, s)
+        assert got.tobytes() == _linear_targets(drop.target_db).tobytes()
+    assert calls == []
+    s = solver_scenario(2)
+    gm, serving, _ = make_tables([[-100.0, -110.0], [-110.0, -100.0]], 2, serving=[0, 1])
+    # hand-placed drops are data users: neither any target nor the voice
+    # class's target is the class target of a data user
+    for drop in (mobiles(-3.0, 5.0), mobiles(*[s.traffic.sinr_target_db["voice"]] * 2)):
+        assert _drop_targets(drop, s).tobytes() == _linear_targets(drop.target_db).tobytes()
+        assert calls.pop() == 2
+        solve_alone(s, drop, gm, serving)
+        assert calls == [2]
+        calls.clear()
+    # a drop of the scenario's data class, hand-placed, reads the class map
+    drop = mobiles(*[s.traffic.sinr_target_db["data"]] * 2)
+    solve_alone(s, drop, gm, serving)
+    assert calls == []
 
 
 def test_vectorised_problem_equals_per_mobile_builder():
@@ -337,7 +386,7 @@ def test_egc_closed_form_matches_pairwise_expansion():
         total_rx = p @ gains
         expected = np.empty(n)
         for i, k in enumerate(serving):
-            cols = [gm.rp_index[rid] for rid in branches.by_sector[gm.sector_ids[k]]]
+            cols = branches.cols[k, :branches.widths[k]]
             signal = p[i] * gains[i, cols]
             den = (total_rx[cols] - signal + noise[cols]).sum()
             pairs = sum(np.sqrt(signal[a] * signal[b])
@@ -354,14 +403,13 @@ def test_single_branch_egc_is_bitwise_mrc():
         gm, serving, branches = wide_instance(rng)
         n = len(gm.ul_gain_db)
         p = 10.0 ** rng.uniform(-5.0, 2.4, size=n)
-        bare = type(branches)(by_sector={sid: rids[:1]
-                                         for sid, rids in branches.by_sector.items()})
+        bare = own_antennas(branches)
         problem = _stacked_problem([gm], [serving], bare, np.ones(n), -np.inf, np.inf)
         egc = _combined_sinr(p, problem, "egc")
         assert np.array_equal(egc, _combined_sinr(p, problem, "mrc"))
         gains = 10.0 ** (gm.ul_gain_db / 10.0)
         total_rx = p @ gains
-        col = np.array([gm.rp_index[gm.sector_ids[k]] for k in serving])
+        col = branches.cols[serving, 0]
         signal = p * gains[np.arange(n), col]
         noise = 10.0 ** (gm.noise_dbm / 10.0)
         assert np.array_equal(egc, signal / ((total_rx[col] - signal) + noise[col]))
@@ -423,7 +471,8 @@ def test_update_is_jacobi_order_independent():
     ul_p = gm.ul_gain_db[perm]
     n_sec = len(gm.sector_ids)
     serving_p = serving[perm]
-    attach = {sid: list(rids[1:]) for sid, rids in branches.by_sector.items() if len(rids) > 1}
+    attach = {sid: list(rids[1:])
+              for sid, rids in branch_ids(branches, gm.receive_points).items() if len(rids) > 1}
     gm2, serving2, branches2 = make_tables(ul_p, n_sec, serving_p, attach=attach)
     up2 = power_update(p[perm], targets[perm], gm2, serving2, branches2, "mrc")
     assert np.allclose(up2, up[perm], rtol=1e-10)
@@ -433,10 +482,9 @@ def test_added_branch_never_raises_the_mrc_update():
     rng = np.random.default_rng(31)
     for _ in range(20):
         gm, serving, branches, targets = random_instance(rng, green_prob=1.0)
-        if all(len(r) == 1 for r in branches.by_sector.values()):
+        if (branches.widths == 1).all():
             continue
-        bare = type(branches)(by_sector={sid: rids[:1]
-                                         for sid, rids in branches.by_sector.items()})
+        bare = own_antennas(branches)
         p = rng.uniform(1e-4, 10.0, size=len(gm.ul_gain_db))
         for mode in ("mrc", "selection"):
             with_green = power_update(p, targets, gm, serving, branches, mode)

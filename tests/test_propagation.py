@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import greenant.propagation
+from greenant.powerctl import associate, solve_snapshots
 from greenant.propagation import (
     antenna_gain,
     build_gain_matrix,
@@ -88,6 +89,35 @@ def test_sector_gain_folds_bearings():
     sec = AntennaPattern(kind="sector", gain_dbi=15.0)
     assert antenna_gain(sec, 350.0) == pytest.approx(antenna_gain(sec, -10.0))
     assert antenna_gain(sec, 370.0) == pytest.approx(antenna_gain(sec, 10.0))
+
+
+def _remainder_gain(pattern, bearing_deg):
+    """A sector pattern's gain with the bearing wrapped by numpy's
+    remainder, (b + 180) % 360 - 180."""
+    theta = np.abs((np.asarray(bearing_deg, dtype=float) + 180.0) % 360.0 - 180.0)
+    return pattern.gain_dbi - np.minimum(12.0 * (theta / pattern.theta_3db_deg) ** 2,
+                                         pattern.front_to_back_db)
+
+
+def test_sector_gain_wrap_is_bitwise_the_remainder():
+    """The wrap gives the remainder's bits, type and shape, on 0-d and
+    array bearings, at the wrap points and far outside a table's range.
+    An infinite front-to-back ratio leaves every theta visible."""
+    sec = AntennaPattern(kind="sector", gain_dbi=15.0, theta_3db_deg=65.0,
+                         front_to_back_db=np.inf)
+    tiny = np.nextafter(0.0, 1.0)
+    edges = [0.0, -0.0, 180.0, -180.0, 540.0, -540.0, 360.0, -360.0, 720.0, -720.0,
+             3600.0, -3600.0, 1e6, -1e6, tiny, -tiny, 1e-300, -1e-300, 1e-12, -1e-12,
+             np.nextafter(180.0, 0.0), np.nextafter(-180.0, 0.0), np.nextafter(-540.0, 0.0),
+             np.nextafter(360.0, 1e3), 179.99999999999997, -359.99999999999994]
+    rng = np.random.default_rng(19)
+    arrays = [np.array(edges), np.array(edges).reshape(2, -1),
+              rng.uniform(-540.0, 180.0, size=(50, 7)),       # a table's bearings
+              rng.uniform(-1e6, 1e6, size=(50, 7)), np.zeros((0, 3))]
+    for b in [*edges, *(np.float64(x) for x in edges), *(np.array(x) for x in edges), *arrays]:
+        got, want = antenna_gain(sec, b), _remainder_gain(sec, b)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), b
 
 
 def test_shadowing_sample_properties(monkeypatch):
@@ -229,8 +259,25 @@ def _multi_green_doc():
     return doc
 
 
-@pytest.mark.parametrize("doc", [json.loads(GREEN_JSON.read_text()), _multi_green_doc()],
-                         ids=["green", "multi-green"])
+def _shared_positions_doc():
+    """green.json with one green exactly on a site, so a green column and
+    three sector columns share one position, and two greens of different
+    patterns at one position of their own."""
+    doc = json.loads(GREEN_JSON.read_text())
+    site = doc["sites"][2]
+    doc["greens"] += [
+        {"id": "on-site", "position": list(site["position"]),
+         "attached_sectors": [site["sectors"][0]["id"]]},
+        {"id": "twin-sector", "position": [-450.0, 820.0],
+         "antenna": {"kind": "sector", "gain_dbi": 12.0}, "attached_sectors": ["s0a", "s0b"]},
+        {"id": "twin-omni", "position": [-450.0, 820.0], "attached_sectors": ["s0b"]},
+    ]
+    return doc
+
+
+@pytest.mark.parametrize("doc", [json.loads(GREEN_JSON.read_text()), _multi_green_doc(),
+                                 _shared_positions_doc()],
+                         ids=["green", "multi-green", "shared-positions"])
 def test_gain_matrix_is_bitwise_the_column_loop(doc):
     """The one-pass table equals the column-at-a-time reference entry for
     entry, in both DL shadowing modes, and so do its columns restricted to
@@ -246,6 +293,9 @@ def test_gain_matrix_is_bitwise_the_column_loop(doc):
     bare_by_mode = {mode: strip_greens(sm) for mode, sm in s_by_mode.items()}
     patterns = {rp.antenna.kind for rp in s.receive_points}
     assert patterns == {"sector", "omni"}
+    # the table computes its geometry once per distinct position
+    positions = {rp.position for rp in s.receive_points}
+    assert len(s.channel.pos_x) == len(positions) < len(s.receive_points)
     sigma = np.array([s.radio.shadowing_sigma_db[c] for c in s.clutter.classes])
     unshadowed = 0
     for k in range(200):
@@ -268,28 +318,47 @@ def test_gain_matrix_is_bitwise_the_column_loop(doc):
 
 def test_channel_arrays_belong_to_one_scenario_and_stay_out_of_pickles(two_cell_green):
     """A scenario builds its receive points and channel arrays at its first
-    table and keeps them; a replace()d variant builds its own. A pickle
-    carries the fields alone, so a pool task is the same size with or
-    without them, and the copy's tables have the same bits."""
+    table, and its branch table and class targets at its first solve, and
+    keeps them; a replace()d variant builds its own, and keeps its columns
+    in the fuller scenario's table. A pickle carries the fields alone, so
+    a pool task is the same size with or without them, and the copy's
+    tables and solves have the same bits."""
+    memos = {"receive_points", "channel", "branches", "class_targets"}
     s = two_cell_green
     size = len(pickle.dumps(s))
     mobiles = drop_mobiles(s, 3)
     gm = build_gain_matrix(s, mobiles, 3)
+    assert gm.channel is s.channel
     assert gm.receive_points is s.receive_points and gm.noise_dbm is s.channel.noise_dbm
     assert {"receive_points", "channel"} <= set(vars(s))
     assert "building_rects" in vars(s.clutter)
     variant = replace(s, greens=())
-    assert not {"receive_points", "channel"} & set(vars(variant))
+    assert not memos & set(vars(variant))
     assert variant.channel is not s.channel
     assert variant.receive_points == s.receive_points[:2]
+    sectors = gm.restricted_to(variant)
+    assert sectors.channel is variant.channel
+    cols = variant.channel.columns_in(s.channel)
+    assert cols.tolist() == [0, 1] and not cols.flags.writeable
+    assert gm.restricted_to(variant).ul_gain_db.tobytes() == sectors.ul_gain_db.tobytes()
+    assert variant.channel.columns_in(s.channel) is cols
+    solved = solve_snapshots((variant, s), [(mobiles, associate(gm), (sectors, gm))])
+    # the targets are read from the class targets of the drop's scenario
+    assert memos <= set(vars(s)) and memos - {"class_targets"} <= set(vars(variant))
+    assert s.branches is s.branches and s.class_targets is s.class_targets
     assert len(pickle.dumps(s)) == size
     clone = pickle.loads(pickle.dumps(s))
     assert clone == s
-    assert not {"receive_points", "channel"} & set(vars(clone))
+    assert not memos & set(vars(clone))
     again = build_gain_matrix(clone, drop_mobiles(clone, 3), 3)
     for got, want in ((again.ul_gain_db, gm.ul_gain_db), (again.dl_rx_dbm, gm.dl_rx_dbm),
                       (again.noise_dbm, gm.noise_dbm)):
         assert got.tobytes() == want.tobytes()
+    bare = pickle.loads(pickle.dumps(variant))
+    resolved = solve_snapshots((bare, clone), [(mobiles, associate(again),
+                                                (again.restricted_to(bare), again))])
+    for got, want in zip(resolved[0], solved[0], strict=True):
+        assert pickle.dumps(got) == pickle.dumps(want)
 
 
 def test_receive_point_order_is_sectors_then_greens(two_cell_green):
