@@ -32,7 +32,7 @@ from .propagation import (
     path_loss,
 )
 from .powerctl import (
-    PowerControlResult,
+    Campaign,
     associate,
     effective_sinr,
     power_update,
@@ -44,13 +44,11 @@ from .metrics import (
     PopulationFilter,
     compare_runs,
     emit_report,
-    gather_tx_powers,
-    kept_indices,
+    population_mask,
     tx_power_cdf,
 )
 from .simulate import (
     PairingError,
-    Snapshot,
     check_pairable,
     run_campaign,
     snapshot_seed,

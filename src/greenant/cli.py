@@ -29,9 +29,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .metrics import (PopulationFilter, compare_runs, emit_report, gather_tx_powers,
-                      kept_indices, solver_rows, tx_power_cdf, write_cdf_csv,
-                      write_summary_csv)
+from .metrics import (PopulationFilter, compare_runs, emit_report, population_mask,
+                      solver_rows, tx_power_cdf, write_cdf_csv, write_summary_csv)
 from .propagation import write_gain_dump
 from .scenario import Scenario, ScenarioError, load_scenario_file
 from .simulate import (PairingError, check_pairable, draw_snapshot, run_campaign,
@@ -63,13 +62,12 @@ def _population_filter(args: argparse.Namespace,
     return PopulationFilter(center=center, radius_m=radius, indoor_only=args.indoor_only)
 
 
-def _stats_rows(powers: list[float], target_dbm: float) -> list[tuple[str, float]]:
-    arr = np.asarray(powers, dtype=float)
+def _stats_rows(powers: np.ndarray, target_dbm: float) -> list[tuple[str, float]]:
     return [
-        ("samples", float(len(arr))),
-        ("mean_dbm", float(arr.mean())),
-        ("median_dbm", float(np.median(arr))),
-        ("frac_below_target", float((arr <= target_dbm).mean())),
+        ("samples", float(len(powers))),
+        ("mean_dbm", float(powers.mean())),
+        ("median_dbm", float(np.median(powers))),
+        ("frac_below_target", float((powers <= target_dbm).mean())),
         ("target_dbm", target_dbm),
     ]
 
@@ -91,14 +89,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     s = _with_rule(load_scenario_file(args.scenario), args.combining)
     f = _population_filter(args)
     _progress(f"run: {args.snapshots} snapshots of {args.scenario} (seed {args.seed})")
-    snaps = run_campaign((s,), args.seed, args.snapshots, jobs=args.jobs)
-    kept = kept_indices(snaps, f)
-    powers = gather_tx_powers(snaps, 0, kept)
-    if not powers:
+    c = run_campaign((s,), args.seed, args.snapshots, jobs=args.jobs)
+    mask = population_mask(c.drop, f)
+    powers = c.tx_power_dbm[:, 0][mask]
+    if not powers.size:
         _progress("error: population filter excluded every mobile")
         return 2
     write_cdf_csv({"run": tx_power_cdf(powers)}, f"{args.out}_cdf.csv")
-    write_summary_csv(_stats_rows(powers, args.target_dbm) + solver_rows(snaps, kept),
+    write_summary_csv(_stats_rows(powers, args.target_dbm) + solver_rows(c, mask),
                       f"{args.out}_summary.csv")
     if args.dump_gains:
         _dump_first_snapshot_gains((s,), args.seed, [f"{args.out}_gains.csv"])
@@ -115,15 +113,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     f = _population_filter(args, green.greens[0].position if green.greens else None)
     _progress(f"compare: {args.snapshots} paired snapshots, "
               f"{args.scenario} vs {args.green_scenario} (seed {args.seed})")
-    pairs = run_campaign((baseline, green), args.seed, args.snapshots, jobs=args.jobs)
-    kept = kept_indices(pairs, f)
-    b_powers = gather_tx_powers(pairs, 0, kept)
-    g_powers = gather_tx_powers(pairs, 1, kept)
-    if not b_powers or not g_powers:
+    c = run_campaign((baseline, green), args.seed, args.snapshots, jobs=args.jobs)
+    mask = population_mask(c.drop, f)
+    if not mask.any():
         _progress("error: population filter excluded every mobile")
         return 2
-    report = compare_runs(b_powers, g_powers, args.target_dbm, snapshots=args.snapshots)
-    paths = emit_report(report, args.out, solver_rows(pairs, kept, ("baseline", "green")))
+    report = compare_runs(c.tx_power_dbm[:, 0][mask], c.tx_power_dbm[:, 1][mask],
+                          args.target_dbm, snapshots=args.snapshots)
+    paths = emit_report(report, args.out, solver_rows(c, mask, ("baseline", "green")))
     if args.dump_gains:
         _dump_first_snapshot_gains((baseline, green), args.seed, [
             f"{args.out}_gains_baseline.csv", f"{args.out}_gains_green.csv"])
@@ -180,18 +177,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _progress(f"sweep: green_count={','.join(map(str, counts))} as one campaign")
         nested = run_campaign(tuple(replace(s, greens=s.greens[:k]) for k in counts),
                               args.seed, args.snapshots, jobs=args.jobs)
-        nested_kept = kept_indices(nested, f)
+        nested_mask = population_mask(nested.drop, f)
     rows = []
     for value in axis_values:
         if axis == "green_count":
-            snaps, run, kept = nested, counts.index(value), nested_kept
+            c, run, mask = nested, counts.index(value), nested_mask
         else:
             _progress(f"sweep: {axis}={value}")
             variant, seed = (s, value) if axis == "seed" else (_with_rule(s, value), args.seed)
-            snaps, run = run_campaign((variant,), seed, args.snapshots, jobs=args.jobs), 0
-            kept = kept_indices(snaps, f)
-        powers = gather_tx_powers(snaps, run, kept)
-        if not powers:
+            c, run = run_campaign((variant,), seed, args.snapshots, jobs=args.jobs), 0
+            mask = population_mask(c.drop, f)
+        powers = c.tx_power_dbm[:, run][mask]
+        if not powers.size:
             _progress("error: population filter excluded every mobile")
             return 2
         rows.append((value, dict(_stats_rows(powers, args.target_dbm))))

@@ -1,9 +1,12 @@
-"""Aggregation of Monte Carlo snapshots into Tx-power CDFs and
+"""Aggregation of a campaign's record into Tx-power CDFs and
 baseline-vs-green comparison reports.
 
-All statistics run on dBm values directly (log-domain averages), matching
-how power deltas are usually quoted. Outage MSs stay in every sample at
-p_max rather than being dropped.
+A population filter is one (S, n) mask over the campaign's stacked drop,
+shared by every run: run r's kept powers are `c.tx_power_dbm[:, r][mask]`,
+in snapshot order, then mobile order, and the solver rows are sums over
+the same mask. All statistics run on dBm values directly (log-domain
+averages), matching how power deltas are usually quoted. Outage MSs stay
+in every sample at p_max rather than being dropped.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .powerctl import Campaign
 from .scenario import Drop
 
 
@@ -28,68 +32,44 @@ class PopulationFilter:
 NO_FILTER = PopulationFilter()
 
 
-def population_indices(mobiles: Drop, f: PopulationFilter = NO_FILTER) -> np.ndarray:
-    """Indices of the mobiles passing the filter, in MS order (intp)."""
+def population_mask(drop: Drop, f: PopulationFilter = NO_FILTER) -> np.ndarray:
+    """Which of the drop's mobiles pass the filter: a bool mask of the
+    drop's shape, (n,) for one drop and (S, n) for a campaign's."""
     if f.radius_m < 0:
         raise ValueError("filter radius must be >= 0")
-    keep = mobiles.indoor if f.indoor_only else np.ones(len(mobiles), dtype=bool)
+    keep = drop.indoor if f.indoor_only else np.ones(drop.building.shape, dtype=bool)
     if f.center is not None:
-        keep &= np.hypot(*(mobiles.xy - f.center).T) <= f.radius_m
-    return np.flatnonzero(keep)
+        offset = drop.xy - f.center
+        keep &= np.hypot(offset[..., 0], offset[..., 1]) <= f.radius_m
+    return keep
 
 
-def kept_indices(snapshots, f: PopulationFilter = NO_FILTER) -> list[np.ndarray]:
-    """Per snapshot, the indices of its mobiles passing the filter.
-
-    The runs of a snapshot share its mobiles, so one filter pass per
-    snapshot serves every run's powers and the solver rows.
-    """
-    return [population_indices(snap.mobiles, f) for snap in snapshots]
-
-
-def gather_tx_powers(snapshots, run: int, kept: list[np.ndarray]) -> list[float]:
-    """Tx powers (dBm) of one run's kept mobiles, concatenated in snapshot order.
-
-    `run` indexes the campaign's scenarios: 0 for a single run, 0
-    (baseline) or 1 (green) for a pair. `kept` is the campaign's
-    `kept_indices`.
-    """
-    powers: list[float] = []
-    for snap, idx in zip(snapshots, kept):
-        powers.extend(snap.runs[run].tx_power_dbm[idx].tolist())
-    return powers
-
-
-def solver_rows(snapshots, kept: list[np.ndarray],
+def solver_rows(c: Campaign, mask: np.ndarray,
                 runs: tuple[str, ...] = ("",)) -> list[tuple[str, float]]:
     """Summary rows of the solver's state over a campaign.
 
     One `outage_frac[_<run>]` row per named run: the share of the mobiles
-    kept by the population filter (`kept_indices`) that end in outage.
-    Then the mean and maximum power control iterations per snapshot (the
-    runs of a snapshot share one count) and the number of snapshots in
-    which some run did not converge.
+    in `mask` (`population_mask` of the campaign's drop) that end in
+    outage. Then the mean and maximum power control iterations per
+    snapshot (the runs of a snapshot share one count) and the number of
+    snapshots in which some run did not converge.
     """
-    n = sum(map(len, kept))
-    rows = []
-    for r, name in enumerate(runs):
-        hits = sum(int(np.count_nonzero(snap.runs[r].outage[idx]))
-                   for snap, idx in zip(snapshots, kept))
-        rows.append((f"outage_frac_{name}" if name else "outage_frac", hits / n))
-    iters = [snap.runs[0].iterations for snap in snapshots]
-    unconverged = sum(not all(run.converged for run in snap.runs) for snap in snapshots)
-    return rows + [("iterations_mean", float(np.mean(iters))),
-                   ("iterations_max", float(max(iters))),
-                   ("nonconverged_snapshots", float(unconverged))]
+    n = np.count_nonzero(mask)
+    rows = [(f"outage_frac_{name}" if name else "outage_frac",
+             np.count_nonzero(c.outage[:, r][mask]) / n) for r, name in enumerate(runs)]
+    return rows + [("iterations_mean", float(np.mean(c.iterations))),
+                   ("iterations_max", float(c.iterations.max())),
+                   ("nonconverged_snapshots",
+                    float(np.count_nonzero(~c.converged.all(axis=1))))]
 
 
-def tx_power_cdf(samples: list[float]) -> list[tuple[float, float]]:
-    """Empirical CDF at the sorted sample points (right-continuous steps)."""
+def tx_power_cdf(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical CDF at the sorted distinct sample values (right-continuous
+    steps): those values and the fraction of samples at or below each."""
     if len(samples) == 0:
         raise ValueError("cannot build a CDF from an empty sample list")
     values, counts = np.unique(np.asarray(samples, dtype=float), return_counts=True)
-    fractions = np.cumsum(counts) / len(samples)
-    return [(float(v), float(c)) for v, c in zip(values, fractions)]
+    return values, np.cumsum(counts) / len(samples)
 
 
 @dataclass(frozen=True)
@@ -102,12 +82,12 @@ class ComparisonReport:
     median_dbm: dict[str, float]
     frac_below_target: dict[str, float]
     target_dbm: float
-    cdfs: dict[str, list[tuple[float, float]]]
+    cdfs: dict[str, tuple[np.ndarray, np.ndarray]]     # tx_power_cdf per run
     samples: dict[str, int]
     snapshots: int
 
 
-def compare_runs(baseline: list[float], green: list[float], target_dbm: float,
+def compare_runs(baseline: np.ndarray, green: np.ndarray, target_dbm: float,
                  snapshots: int = 0) -> ComparisonReport:
     """Summary deltas between two paired sample populations.
 
@@ -140,12 +120,12 @@ def compare_runs(baseline: list[float], green: list[float], target_dbm: float,
 CDF_HEADER = "run,power_dbm,cum_frac"
 
 
-def write_cdf_csv(cdfs: dict[str, list[tuple[float, float]]], path: str) -> None:
+def write_cdf_csv(cdfs: dict[str, tuple[np.ndarray, np.ndarray]], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CDF_HEADER + "\n")
-        for run, cdf in cdfs.items():
-            for power, frac in cdf:
-                fh.write(f"{run},{power:.6f},{frac:.6f}\n")
+        for run, (values, fractions) in cdfs.items():
+            fh.write("".join(f"{run},{power:.6f},{frac:.6f}\n"
+                             for power, frac in zip(values.tolist(), fractions.tolist())))
 
 
 def write_summary_csv(rows: list[tuple[str, float]], path: str) -> None:
@@ -191,20 +171,24 @@ _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
 
 
-def write_cdf_svg(cdfs: dict[str, list[tuple[float, float]]], path: str) -> None:
-    """Two-curve (or N-curve) step plot of empirical CDFs."""
-    all_x = [p for cdf in cdfs.values() for p, _ in cdf]
-    x_lo, x_hi = min(all_x), max(all_x)
+def write_cdf_svg(cdfs: dict[str, tuple[np.ndarray, np.ndarray]], path: str) -> None:
+    """Two-curve (or N-curve) step plot of empirical CDFs.
+
+    sx and sy map plot coordinates to pixels, on a float or elementwise
+    on an array: the same IEEE operations in the same order either way.
+    """
+    x_lo = float(min(values[0] for values, _ in cdfs.values()))
+    x_hi = float(max(values[-1] for values, _ in cdfs.values()))
     if x_hi - x_lo < 1e-9:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     span = x_hi - x_lo
     x_lo -= 0.02 * span
     x_hi += 0.02 * span
 
-    def sx(x: float) -> float:
+    def sx(x):
         return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
 
-    def sy(y: float) -> float:
+    def sy(y):
         return _H - _MB - y * (_H - _MT - _MB)
 
     parts = [
@@ -230,16 +214,14 @@ def write_cdf_svg(cdfs: dict[str, list[tuple[float, float]]], path: str) -> None
     parts.append(f'<text x="16" y="{(_MT + _H - _MB) / 2:.2f}" text-anchor="middle" '
                  f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.2f})">cumulative fraction</text>')
 
-    for idx, (run, cdf) in enumerate(cdfs.items()):
+    for idx, (run, (values, fractions)) in enumerate(cdfs.items()):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
-        pts = [f"{sx(x_lo):.2f},{sy(0):.2f}"]
-        prev = 0.0
-        for x, fr in cdf:
-            pts.append(f"{sx(x):.2f},{sy(prev):.2f}")
-            pts.append(f"{sx(x):.2f},{sy(fr):.2f}")
-            prev = fr
-        pts.append(f"{sx(x_hi):.2f},{sy(prev):.2f}")
-        parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
+        # steps from (x_lo, 0) up through each value to (x_hi, 1)
+        xs = sx(np.concatenate(([x_lo], np.repeat(values, 2), [x_hi])))
+        ys = sy(np.repeat(np.concatenate(([0.0], fractions)), 2))
+        points = np.column_stack((xs, ys)).ravel().tolist()
+        pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(points)
+        parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         y_leg = _MT + 16 + 18 * idx
         parts.append(f'<line x1="{_ML + 12}" y1="{y_leg}" x2="{_ML + 42}" y2="{y_leg}" '

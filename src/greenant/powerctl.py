@@ -34,8 +34,8 @@ batched matmul over an (S, n, n_rp) gain stack, and the width groups
 span all S slots. The runs of a snapshot step together until every one
 has met tol_db, so they stop at a common iteration count; from then on
 the snapshot's rows are frozen while the rest of the stack iterates.
-Once half the slots have stopped, their results are emitted, the next
-snapshots are loaded into the freed slots, and the stack is rebuilt, so
+Once half the slots have stopped, their rows of the returned `Campaign`
+record are written, the next snapshots are loaded into the freed slots, and the stack is rebuilt, so
 few iterations are spent on frozen rows; a rebuild costs about as much
 as a few iterations, so it is batched rather than done at every stop.
 The stack changes no bits: every elementwise operation and every
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -80,21 +80,30 @@ DEFAULT_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
-class PowerControlResult:
-    tx_power_dbm: np.ndarray
-    sinr_db: np.ndarray
-    outage: np.ndarray
-    iterations: int
-    converged: bool
+class Campaign:
+    """Solved snapshots of R runs, as read-only arrays whose leading axis is
+    the snapshot: row s is snapshot s, in input order.
+
+    `drop` is the snapshots' drops stacked, a Drop of (S, n, 2) `xy` and
+    (S, n) other fields (`len(drop)` is still the mobile count n), and
+    `association` their (S, n) serving sectors (see `associate`). Per
+    run r, `tx_power_dbm[:, r]`, `sinr_db[:, r]` and `outage[:, r]` are
+    (S, n). `iterations` is (S,), since the runs of a snapshot stop
+    together, and `converged` (S, R): whether the run's last step was
+    below tol_db. Row-major order is snapshot order, then mobile order.
+    """
+
+    drop: Drop
+    association: np.ndarray         # (S, n)
+    tx_power_dbm: np.ndarray        # (S, R, n)
+    sinr_db: np.ndarray             # (S, R, n)
+    outage: np.ndarray              # (S, R, n) bool
+    iterations: np.ndarray          # (S,)
+    converged: np.ndarray           # (S, R) bool
 
     def __post_init__(self) -> None:
-        for arr in (self.tx_power_dbm, self.sinr_db, self.outage):
-            arr.flags.writeable = False
-
-    def __setstate__(self, state: dict) -> None:
-        # unpickling skips __post_init__, and its arrays come back writeable
-        self.__dict__.update(state)
-        self.__post_init__()
+        for f in fields(self)[1:]:
+            getattr(self, f.name).flags.writeable = False
 
 
 def associate(gm: LinkGainMatrix) -> np.ndarray:
@@ -103,7 +112,7 @@ def associate(gm: LinkGainMatrix) -> np.ndarray:
 
     Only the DL pilot table enters, so green antennas can never influence
     the serving sector. The dtype is the smallest index type (uint8 up to
-    256 sectors), since a worker sends every snapshot's association back.
+    256 sectors), since a forked child sends its range's associations back.
     It is read-only, as it is shared by every run of the snapshot.
     """
     dl = gm.dl_rx_dbm
@@ -280,7 +289,6 @@ class _Slot(NamedTuple):
     """A snapshot in the solver stack."""
 
     index: int                      # its position in the input
-    targets_db: np.ndarray          # (n,)
     serving: np.ndarray
     tables: tuple[LinkGainMatrix, ...]
     targets_lin: np.ndarray         # (n,)
@@ -301,30 +309,20 @@ def _advance(powers_mw: np.ndarray, sinr: np.ndarray, problem: _Problem, size: i
     return updated, step
 
 
-def _results(problem: _Problem, powers_mw: np.ndarray, sinr: np.ndarray, targets_db: np.ndarray,
-             iterations: np.ndarray, converged: np.ndarray) -> list[PowerControlResult]:
-    """One run's results of stopped snapshots, from their (k, n) final
-    powers and SINRs."""
-    sinr_db = 10.0 * np.log10(sinr)
-    tx_dbm = 10.0 * np.log10(powers_mw)
-    pinned = powers_mw >= problem.p_max_mw * (1.0 - 1e-12)
-    outage = pinned & (sinr_db < targets_db - OUTAGE_MARGIN_DB)
-    return [PowerControlResult(tx_dbm[k], sinr_db[k], outage[k], it, ok)
-            for k, (it, ok) in enumerate(zip(iterations.tolist(), converged.tolist()))]
-
-
 def solve_snapshots(scenarios: tuple[Scenario, ...],
                     snapshots: Iterable[tuple[Drop, np.ndarray, tuple[LinkGainMatrix, ...]]],
                     tol_db: float = DEFAULT_TOL_DB, max_iter: int = DEFAULT_MAX_ITER,
-                    n_iters: int | None = None, slots: int | None = None
-                    ) -> list[tuple[PowerControlResult, ...]]:
+                    n_iters: int | None = None, slots: int | None = None,
+                    count: int | None = None) -> Campaign:
     """Solve snapshots of R runs in a stack of up to `slots` snapshots, from all-p_min.
 
     Each snapshot is (mobiles, serving, tables), where tables[r] is
     scenarios[r]'s table of that drop and serving is `associate` of it;
     all snapshots hold the same number of mobiles. Snapshots are read
     from the iterable only as slots free, so a generator can draw each
-    one when it is needed; without `slots`, all of them form one stack.
+    one when it is needed; it must then say how many it yields, as
+    `count`. Without `count` the iterable is listed first, and without
+    `slots`, all snapshots form one stack.
     Run r of every slot is one stacked problem under
     scenarios[r].radio.combining, so an iteration costs R kernel calls
     whatever the slot count. A snapshot stops once every run's largest
@@ -332,7 +330,7 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
     max_iter iterations (exactly n_iters if given), so its runs share an
     iteration count. A stopped snapshot's rows stay frozen in the stack
     while the others iterate. Once half the slots have stopped, their
-    results are emitted and the next snapshots take their slots, and
+    results are written and the next snapshots take their slots, and
     the stack is rebuilt; when the iterable is drained, the stack
     shrinks each time a quarter of its slots have stopped. Kept slots
     carry their powers, last steps, met flags and iteration counts
@@ -341,47 +339,63 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
     table must hold its own scenario's receive points only: the width of
     the gain array changes the last bits of `powers @ gains`.
 
-    Returns, per snapshot and in input order, one PowerControlResult per run.
+    Returns the snapshots' `Campaign`, row s for input snapshot s: its
+    drop and association as given, and its runs' results. Each row is
+    written in place, into arrays allocated once, at the first snapshot.
     """
     rules = [s.radio.combining for s in scenarios]
     for rule in rules:
         if rule not in COMBINING_MODES:
             raise ValueError(f"unknown combining mode '{rule}'")
-    if slots is None:
+    if count is None:
         snapshots = list(snapshots)
-        slots = len(snapshots)
+        count = len(snapshots)
+    if count < 1:
+        raise ValueError("need at least one snapshot")
+    if slots is None:
+        slots = count
     stream = iter(snapshots)
     limit = max_iter if n_iters is None else n_iters
     branches = [s.branches for s in scenarios]
     n_runs = len(scenarios)
-    results: list[tuple[PowerControlResult, ...]] = []
+    rows: dict[str, np.ndarray] = {}    # the record's drop fields and association
     # the stack, in slot order: each slot's snapshot, and its solver state
     held: list[_Slot] = []
     powers = [np.empty(0) for _ in scenarios]     # per run, stacked
     steps = np.zeros((n_runs, 0))                 # per run and slot, last step
     met = np.zeros((n_runs, 0), dtype=bool)       # per run and slot, step below tol once
     iterations = np.zeros(0, dtype=int)           # per slot
-    n = 0
+    index = n = 0
     drained = False
     while True:
         loaded = 0
         while not drained and len(held) < max(slots, 1):
-            snapshot = next(stream, None)
-            if snapshot is None:
+            if index == count:
                 drained = True
                 break
+            snapshot = next(stream, None)
+            if snapshot is None:
+                raise ValueError(f"expected {count} snapshots, got {index}")
             mobiles, serving, tables = snapshot
-            if not results:
+            given = {f.name: getattr(mobiles, f.name) for f in fields(Drop)}
+            given["association"] = serving
+            if index == 0:
                 n = len(mobiles)
+                rows = {k: np.empty((count, *a.shape), a.dtype) for k, a in given.items()}
+                tx_dbm, sinr_db = np.empty((count, n_runs, n)), np.empty((count, n_runs, n))
+                outage = np.empty((count, n_runs, n), dtype=bool)
+                converged = np.empty((count, n_runs), dtype=bool)
+                iterations_at = np.empty(count, dtype=int)
             elif len(mobiles) != n:
                 raise ValueError("stacked snapshots must hold the same number of mobiles")
+            for k, a in given.items():
+                rows[k][index] = a
             # a campaign's drop is its last scenario's (simulate.draw_snapshot)
-            held.append(_Slot(len(results), mobiles.target_db, serving, tables,
-                              _drop_targets(mobiles, scenarios[-1])))
-            results.append(())
+            held.append(_Slot(index, serving, tables, _drop_targets(mobiles, scenarios[-1])))
+            index += 1
             loaded += 1
         if not held:
-            return results
+            break
         size = len(held)
         powers = [np.concatenate([p, np.full(loaded * n, 10.0 ** (s.radio.p_min_dbm / 10.0))])
                   for p, s in zip(powers, scenarios)]
@@ -416,17 +430,25 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
             if done.sum() >= batch:
                 break
         emitted = np.flatnonzero(done)
-        targets_db = np.array([held[j].targets_db for j in emitted])
-        by_run = [_results(problem, p.reshape(size, n)[emitted], sinr.reshape(size, n)[emitted],
-                           targets_db, iterations[emitted], step[emitted] < tol_db)
-                  for problem, p, sinr, step in zip(problems, powers, sinrs, steps)]
-        for j, runs in zip(emitted, zip(*by_run)):
-            results[held[j].index] = runs
-            if n_iters is None and not met[:, j].all():
+        at = np.array([held[j].index for j in emitted])
+        targets_db = rows["target_db"][at]
+        for r, (problem, p, sinr, step) in enumerate(zip(problems, powers, sinrs, steps)):
+            final_mw = p.reshape(size, n)[emitted]
+            final_sinr_db = 10.0 * np.log10(sinr.reshape(size, n)[emitted])
+            tx_dbm[at, r] = 10.0 * np.log10(final_mw)
+            sinr_db[at, r] = final_sinr_db
+            pinned = final_mw >= problem.p_max_mw * (1.0 - 1e-12)
+            outage[at, r] = pinned & (final_sinr_db < targets_db - OUTAGE_MARGIN_DB)
+            converged[at, r] = step[emitted] < tol_db
+        iterations_at[at] = iterations[emitted]
+        if n_iters is None:
+            for _ in np.flatnonzero(~met[:, emitted].all(axis=0)):
                 log.warning("power control did not converge in %d iterations", max_iter)
-        del problems, sinrs             # freed before the next drops are drawn
+        # freed before the next drops are drawn, the loop's last run too
+        del problems, sinrs, problem, sinr
         kept = ~done
         held = [h for h, keep in zip(held, kept) if keep]
         powers = [p.reshape(size, n)[kept].reshape(-1) for p in powers]
         steps, met, iterations = steps[:, kept], met[:, kept], iterations[kept]
-
+    association = rows.pop("association")
+    return Campaign(Drop(**rows), association, tx_dbm, sinr_db, outage, iterations_at, converged)

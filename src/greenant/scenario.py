@@ -215,7 +215,9 @@ class TrafficParams:
 @dataclass(frozen=True)
 class Drop:
     """One placement of mobiles, as read-only arrays: mobile i is row i,
-    and i is its id."""
+    and i is its id. A campaign's record stacks its drops in one Drop
+    whose arrays lead with a snapshot axis; its len is still the mobile
+    count."""
 
     xy: np.ndarray                  # (n, 2) float64, meters
     building: np.ndarray            # (n,) intp into clutter.buildings, -1 outdoor
@@ -232,7 +234,7 @@ class Drop:
         self.__post_init__()
 
     def __len__(self) -> int:
-        return len(self.building)
+        return self.building.shape[-1]
 
     @property
     def indoor(self) -> np.ndarray:

@@ -20,30 +20,34 @@ power ordering exact instead of blurred by the stopping rule.
 in tasks, each a contiguous range of snapshot indices: the whole
 campaign at jobs=1, one range per worker otherwise. At jobs=N the
 parent forks N-1 children, one per range after the first, runs the
-first range itself, then reads each child's snapshots from a one-way
-pipe in range order. A child inherits its task by fork, so nothing is
-pickled on the way in; its snapshots, or the exception it raised with
-its traceback text, come back pickled. Where the fork start method
-does not exist, the campaign is one range in the parent.
+first range itself, then reads each child's range from a one-way pipe
+in range order. A child inherits its task by fork, so nothing is
+pickled on the way in; its results come back as one pickled record of
+stacked arrays (`Campaign`), or the exception it raised with its
+traceback text does. The parent joins the ranges' records along their
+snapshot axis, in order; at jobs=1 the task's record is the campaign's.
+Where the fork start method does not exist, the campaign is one range
+in the parent.
 
 A task hands powerctl's solve_snapshots a generator of its snapshots
 and a slot count (up to STACK_LINKS stacked links); a snapshot is
 drawn, tabulated and associated only when a solver slot frees for it,
-so a task holds the tables of at most one stack. Each snapshot's
-results are the bits of its solve alone, so neither the slot count,
-the order in which snapshots stop, nor the number of workers changes
-any output.
+so a task holds the tables of at most one stack. The solver writes
+each snapshot's drop, association and results into the task's record
+by index. Each snapshot's results are the bits of its solve alone, so
+neither the slot count, the order in which snapshots stop, nor the
+number of workers changes any output.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import traceback
-from dataclasses import dataclass
+from dataclasses import fields
 
 import numpy as np
 
-from .powerctl import PowerControlResult, associate, solve_snapshots
+from .powerctl import Campaign, associate, solve_snapshots
 from .propagation import LinkGainMatrix, build_gain_matrix
 from .scenario import Drop, Scenario, drop_mobiles, strip_greens
 from .seeds import derive_seed
@@ -76,22 +80,6 @@ def snapshot_seed(seed: int, index: int) -> int:
     return derive_seed(seed, f"snapshot:{index}")
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """One drop, solved under every scenario of the campaign, in order."""
-
-    index: int
-    seed: int
-    mobiles: Drop
-    association: np.ndarray         # serving sector per MS, see powerctl.associate
-    runs: tuple[PowerControlResult, ...]
-
-    def __setstate__(self, state: dict) -> None:
-        # a worker's association comes back writeable from the pickle
-        self.__dict__.update(state)
-        self.association.flags.writeable = False
-
-
 def draw_snapshot(scenarios: tuple[Scenario, ...], snap_seed: int
                   ) -> tuple[Drop, tuple[LinkGainMatrix, ...]]:
     """The drop of one snapshot and each scenario's table of it.
@@ -113,21 +101,25 @@ def _slot_count(scenarios: tuple[Scenario, ...]) -> int:
     return max(1, STACK_LINKS // max(links, 1))
 
 
-def _task(args) -> list[Snapshot]:
-    """Snapshots start..stop-1, each drawn when a solver slot frees."""
+def _task(args) -> Campaign:
+    """The record of snapshots start..stop-1, each drawn when a solver slot frees."""
     scenarios, seed, start, stop = args
-    drawn = []
 
     def stream():
         for index in range(start, stop):
-            snap_seed = snapshot_seed(seed, index)
-            mobiles, tables = draw_snapshot(scenarios, snap_seed)
-            serving = associate(tables[-1])
-            drawn.append((index, snap_seed, mobiles, serving))
-            yield mobiles, serving, tables
+            mobiles, tables = draw_snapshot(scenarios, snapshot_seed(seed, index))
+            yield mobiles, associate(tables[-1]), tables
 
-    solved = solve_snapshots(scenarios, stream(), slots=_slot_count(scenarios))
-    return [Snapshot(*snap, runs) for snap, runs in zip(drawn, solved)]
+    return solve_snapshots(scenarios, stream(), slots=_slot_count(scenarios),
+                           count=stop - start)
+
+
+def _joined(parts: list[Campaign]) -> Campaign:
+    """The ranges' records as one, along the snapshot axis in range order."""
+    def stacked(records):       # every array field, in field order
+        return [np.concatenate([getattr(r, f.name) for r in records])
+                for f in fields(records[0]) if f.name != "drop"]
+    return Campaign(Drop(*stacked([p.drop for p in parts])), *stacked(parts))
 
 
 def _child(task, conn) -> None:
@@ -140,8 +132,8 @@ def _child(task, conn) -> None:
     conn.close()
 
 
-def _receive(child, conn, task) -> list[Snapshot]:
-    """The snapshots a child sent, or its exception re-raised here, once
+def _receive(child, conn, task) -> Campaign:
+    """The record a child sent, or its exception re-raised here, once
     the child has exited."""
     try:
         reply = conn.recv()
@@ -160,7 +152,8 @@ def _receive(child, conn, task) -> list[Snapshot]:
 
 
 def run_campaign(scenarios: tuple[Scenario, ...], seed: int, n_snapshots: int,
-                 jobs: int = 1) -> list[Snapshot]:
+                 jobs: int = 1) -> Campaign:
+    """Snapshots 0..n_snapshots-1 of the scenarios at `seed`, as one record."""
     if n_snapshots < 1:
         raise ValueError("need at least one snapshot")
     for s in scenarios[:-1]:        # once, before any worker starts
@@ -188,7 +181,7 @@ def run_campaign(scenarios: tuple[Scenario, ...], seed: int, n_snapshots: int,
             if child.pid is not None:
                 child.join()
             conn.close()
-    return [snap for part in parts for snap in part]
+    return _joined(parts)
 
 
 def check_pairable(baseline: Scenario, green: Scenario) -> None:

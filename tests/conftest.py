@@ -4,7 +4,9 @@ synthetic channel tables that bypass the propagation layer."""
 import json
 import math
 import multiprocessing
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from greenant.scenario import (
     Site,
     load_scenario,
 )
+from greenant.simulate import snapshot_seed
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -120,6 +123,26 @@ def drop_bits(drop):
     a dataclass == of arrays is ambiguous."""
     return tuple((a.dtype.str, a.shape, a.tobytes())
                  for a in (drop.xy, drop.building, drop.voice, drop.target_db))
+
+
+def snapshots(c, seed=None, start=0):
+    """The snapshots of a campaign record (`run_campaign`, `solve_snapshots`),
+    one view each of row s: `index` (start + s), `seed` (its snapshot seed,
+    if the campaign's seed is given), `mobiles` (its Drop), `association`,
+    and `runs`, one view per run of its `tx_power_dbm`, `sinr_db` and
+    `outage` rows, its `iterations` (an int) and `converged` (a bool)."""
+    out = []
+    for s, iterations in enumerate(c.iterations.tolist()):
+        index = start + s
+        runs = tuple(SimpleNamespace(tx_power_dbm=c.tx_power_dbm[s, r], sinr_db=c.sinr_db[s, r],
+                                     outage=c.outage[s, r], iterations=iterations,
+                                     converged=converged)
+                     for r, converged in enumerate(c.converged[s].tolist()))
+        out.append(SimpleNamespace(
+            index=index, seed=None if seed is None else snapshot_seed(seed, index),
+            mobiles=Drop(*(getattr(c.drop, f.name)[s] for f in fields(Drop))),
+            association=c.association[s], runs=runs))
+    return out
 
 
 def act_from(monkeypatch, first, action):

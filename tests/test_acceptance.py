@@ -12,16 +12,21 @@ import numpy as np
 import pytest
 
 from greenant.cli import main
-from greenant.metrics import PopulationFilter, compare_runs, gather_tx_powers, kept_indices
+from greenant.metrics import PopulationFilter, compare_runs, population_mask
 from greenant.powerctl import associate, power_update, solve_snapshots
 from greenant.propagation import build_gain_matrix
 from greenant.scenario import drop_mobiles, load_scenario_file, strip_greens
 from greenant.simulate import run_campaign
 
 import conftest
-from conftest import load_doc, make_tables, place, random_instance, two_cell_doc
+from conftest import load_doc, make_tables, place, random_instance, snapshots, two_cell_doc
 
 NOISE_MW = 10.0 ** (-104.0 / 10.0)
+
+
+def solved(scenarios, drops, **kwargs):
+    """Per snapshot of `solve_snapshots(scenarios, drops, **kwargs)`, its runs."""
+    return [snap.runs for snap in snapshots(solve_snapshots(scenarios, drops, **kwargs))]
 
 
 def report(label, ok, detail):
@@ -110,18 +115,18 @@ def test_closed_form_solutions():
 
     s1 = solver_scenario(1)
     gm, serving, _ = make_tables([[-100.0]], 1, serving=[0])
-    r1 = solve_snapshots((s1,), [(mobiles(0.0), serving, (gm,))])[0][0]
+    r1 = solved((s1,), [(mobiles(0.0), serving, (gm,))])[0][0]
     errs.append(abs(r1.tx_power_dbm[0] - (-4.0)))
 
     s2 = solver_scenario(2)
     pair = mobiles(0.0, 0.0)
     gm, serving, _ = make_tables([[-100.0, -110.0], [-110.0, -100.0]], 2, serving=[0, 1])
-    r2 = solve_snapshots((s2,), [(pair, serving, (gm,))], tol_db=1e-6)[0][0]
+    r2 = solved((s2,), [(pair, serving, (gm,))], tol_db=1e-6)[0][0]
     expected = 10.0 * np.log10(NOISE_MW / (1e-10 - 1e-11))
     errs.append(float(np.max(np.abs(r2.tx_power_dbm - expected))))
 
     gm, serving, _ = make_tables([[-120.0, -120.0], [-120.0, -120.0]], 2, serving=[0, 1])
-    r3 = solve_snapshots((s2,), [(pair, serving, (gm,))])[0][0]
+    r3 = solved((s2,), [(pair, serving, (gm,))])[0][0]
     errs.append(float(np.max(np.abs(r3.tx_power_dbm - 24.0))))
     pinned_ok = bool(r3.outage.all())
 
@@ -136,7 +141,7 @@ def test_green_never_raises_any_mobile():
     baseline = load_scenario_file(str(conftest.BASELINE_JSON))
     green = load_scenario_file(str(conftest.GREEN_JSON))
     t0 = time.monotonic()
-    pairs = run_campaign((baseline, green), seed=1, n_snapshots=50)
+    pairs = snapshots(run_campaign((baseline, green), seed=1, n_snapshots=50))
     elapsed = time.monotonic() - t0
     worst = max(float(np.max(p.runs[1].tx_power_dbm - p.runs[0].tx_power_dbm))
                 for p in pairs)
@@ -158,9 +163,9 @@ def test_coverage_hole_study_reproduces_bands():
     pairs = run_campaign((baseline, green), seed=1, n_snapshots=200)
     f = PopulationFilter(center=green.greens[0].position, radius_m=300.0,
                          indoor_only=True)
-    kept = kept_indices(pairs, f)
-    b = gather_tx_powers(pairs, 0, kept)
-    g = gather_tx_powers(pairs, 1, kept)
+    kept = population_mask(pairs.drop, f)
+    b = pairs.tx_power_dbm[:, 0][kept]
+    g = pairs.tx_power_dbm[:, 1][kept]
     rep = compare_runs(b, g, target_dbm=4.0, snapshots=200)
     elapsed = time.monotonic() - t0
     rise = rep.frac_below_target["green"] - rep.frac_below_target["baseline"]
@@ -189,9 +194,9 @@ def test_egc_can_raise_power_where_mrc_cannot():
             s = replace(s, radio=replace(s.radio, combining=combining))
             gm = build_gain_matrix(s, mobiles, seed=5)
             runs[tag] = (s, [(mobiles, associate(gm), (gm,))])
-        results = {tag: solve_snapshots((s,), drop)[0][0] for tag, (s, drop) in runs.items()}
+        results = {tag: solved((s,), drop)[0][0] for tag, (s, drop) in runs.items()}
         k = max(r.iterations for r in results.values())
-        results = {tag: solve_snapshots((s,), drop, n_iters=k)[0][0]
+        results = {tag: solved((s,), drop, n_iters=k)[0][0]
                    for tag, (s, drop) in runs.items()}
         return results["green"].tx_power_dbm - results["base"].tx_power_dbm
 

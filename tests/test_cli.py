@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-import greenant.metrics
+import greenant.cli
 import greenant.scenario
 import greenant.simulate
 from greenant.cli import COMBINING_FLAGS, build_parser, main
@@ -14,7 +14,7 @@ from greenant.propagation import build_gain_matrix, write_gain_dump
 from greenant.scenario import InfeasibleDropError, drop_mobiles, load_scenario_file
 from greenant.simulate import run_campaign, snapshot_seed
 
-from conftest import act_from, two_cell_doc
+from conftest import act_from, snapshots, two_cell_doc
 
 
 @pytest.fixture
@@ -404,22 +404,23 @@ def test_compare_of_files_with_different_rules_is_exit_3(base_json, tmp_path, ca
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
-def test_population_filter_runs_once_per_snapshot(command, base_json, green_json,
+def test_population_filter_runs_once_per_campaign(command, base_json, green_json,
                                                   greens_json, tmp_path, monkeypatch):
-    """The runs of a snapshot and the solver rows share one filter pass."""
+    """Every run of a campaign, each green count of a sweep, and the solver
+    rows share one filter mask over the campaign's stacked drop."""
     calls = []
 
-    def counted(mobiles, f, _real=greenant.metrics.population_indices):
-        calls.append(len(mobiles))
-        return _real(mobiles, f)
+    def counted(drop, f, _real=greenant.cli.population_mask):
+        calls.append(drop.building.shape)
+        return _real(drop, f)
 
-    monkeypatch.setattr(greenant.metrics, "population_indices", counted)
+    monkeypatch.setattr(greenant.cli, "population_mask", counted)
     argv = {"run": ["run", "--scenario", green_json, "--filter-center", "0,0"],
             "compare": ["compare", "--scenario", base_json, "--green-scenario", green_json],
             "sweep": ["sweep", "--scenario", greens_json, "--axis", "green_count"]}[command]
     assert main([*argv, "--snapshots", "3", "--filter-radius", "5000",
                  "--out", str(tmp_path / "p")]) == 0
-    assert len(calls) == 3
+    assert len(calls) == 1 and calls[0][0] == 3     # one mask over all 3 snapshots
 
 
 def test_parser_covers_all_subcommands():
@@ -451,7 +452,8 @@ def test_summaries_report_outage_iterations_and_convergence(tmp_path):
     assert main(["run", "--scenario", str(paths["green"]), *flags, "--filter-center", "0,0",
                  "--out", str(tmp_path / "r")]) == 0
 
-    pairs = run_campaign(tuple(load_scenario_file(str(p)) for p in paths.values()), 3, 4)
+    pairs = snapshots(run_campaign(tuple(load_scenario_file(str(p)) for p in paths.values()),
+                                   3, 4))
     outage = [np.concatenate([p.runs[r].outage for p in pairs]).mean() for r in (0, 1)]
     iters = [p.runs[0].iterations for p in pairs]
     assert 0.0 < outage[1] < outage[0]
@@ -467,7 +469,7 @@ def test_summaries_report_outage_iterations_and_convergence(tmp_path):
 
     # a run's draws are those of the campaign's last (green) scenario
     run_rows = read_summary(tmp_path / "r_summary.csv")
-    alone = run_campaign((load_scenario_file(str(paths["green"])),), 3, 4)
+    alone = snapshots(run_campaign((load_scenario_file(str(paths["green"])),), 3, 4))
     assert [m for m, _ in run_rows[5:]] == ["outage_frac", *(m for m, _ in solver)]
     assert dict(run_rows)["outage_frac"] == pytest.approx(
         np.concatenate([s.runs[0].outage for s in alone]).mean(), abs=1e-6)

@@ -38,6 +38,7 @@ from conftest import (
     own_antennas,
     place,
     random_instance,
+    snapshots,
     two_cell_doc,
 )
 
@@ -67,7 +68,7 @@ def mobiles(*targets_db):
 
 def solve_alone(s, drop, gm, serving, **kwargs):
     """One run of one drop: a stack of one snapshot."""
-    return solve_snapshots((s,), [(drop, serving, (gm,))], **kwargs)[0][0]
+    return snapshots(solve_snapshots((s,), [(drop, serving, (gm,))], **kwargs))[0].runs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from greenant.propagation import (
 from greenant.scenario import AntennaPattern, PathLossModel, drop_mobiles, strip_greens
 from greenant.seeds import label_normal
 
-from conftest import GREEN_JSON, clutter_class_at, load_doc, place, two_cell_doc
+from conftest import GREEN_JSON, clutter_class_at, load_doc, place, snapshots, two_cell_doc
 
 URBAN = PathLossModel(pl0_db=128.1, d0_m=1000.0, exponent=3.76)
 
@@ -357,7 +357,7 @@ def test_channel_arrays_belong_to_one_scenario_and_stay_out_of_pickles(two_cell_
     bare = pickle.loads(pickle.dumps(variant))
     resolved = solve_snapshots((bare, clone), [(mobiles, associate(again),
                                                 (again.restricted_to(bare), again))])
-    for got, want in zip(resolved[0], solved[0], strict=True):
+    for got, want in zip(snapshots(resolved)[0].runs, snapshots(solved)[0].runs, strict=True):
         assert pickle.dumps(got) == pickle.dumps(want)
 
 

@@ -6,32 +6,44 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from greenant import powerctl, simulate
-from greenant.metrics import NO_FILTER, PopulationFilter, gather_tx_powers, kept_indices
+from greenant.metrics import NO_FILTER, PopulationFilter, population_mask
 from greenant.powerctl import associate, solve_snapshots
 from greenant.propagation import build_gain_matrix
 from greenant.scenario import InfeasibleDropError, drop_mobiles
 from greenant.simulate import (
     PairingError,
-    Snapshot,
     WorkerTraceback,
     check_pairable,
     run_campaign,
     snapshot_seed,
 )
 
-from conftest import act_from, bundled_doc, drop_bits, load_doc, two_cell_doc
+from conftest import (SCENARIO_DIR, act_from, bundled_doc, drop_bits, load_doc, snapshots,
+                      two_cell_doc)
 
 
 def solved_alone(scenarios, seed, index):
     """Snapshot `index` of a campaign at `seed`, as a task of that one snapshot."""
-    return simulate._task((scenarios, seed, index, index + 1))[0]
+    return snapshots(simulate._task((scenarios, seed, index, index + 1)), seed, index)[0]
+
+
+def solved(scenarios, drops, **kwargs):
+    """Per snapshot of `solve_snapshots(scenarios, drops, **kwargs)`, its runs."""
+    return [snap.runs for snap in snapshots(solve_snapshots(scenarios, drops, **kwargs))]
+
+
+def gather_tx_powers(c, run, mask):
+    """One run's powers of the mobiles in `mask`, as the CLI reads them."""
+    return c.tx_power_dbm[:, run][mask].tolist()
 
 
 def test_snapshot_seeds_are_distinct_and_stable():
@@ -56,16 +68,16 @@ def test_snapshots_differ_across_indices(two_cell):
 
 
 def test_campaign_is_order_preserving_and_seeded(two_cell):
-    snaps = run_campaign((two_cell,), seed=3, n_snapshots=4)
+    snaps = snapshots(run_campaign((two_cell,), seed=3, n_snapshots=4))
     assert [sn.index for sn in snaps] == [0, 1, 2, 3]
-    again = run_campaign((two_cell,), seed=3, n_snapshots=4)
+    again = snapshots(run_campaign((two_cell,), seed=3, n_snapshots=4))
     for x, y in zip(snaps, again):
         assert np.array_equal(x.runs[0].tx_power_dbm, y.runs[0].tx_power_dbm)
 
 
 def test_parallel_campaign_matches_serial(two_cell):
-    serial = run_campaign((two_cell,), seed=5, n_snapshots=4, jobs=1)
-    parallel = run_campaign((two_cell,), seed=5, n_snapshots=4, jobs=2)
+    serial = snapshots(run_campaign((two_cell,), seed=5, n_snapshots=4, jobs=1))
+    parallel = snapshots(run_campaign((two_cell,), seed=5, n_snapshots=4, jobs=2))
     for x, y in zip(serial, parallel):
         assert x.index == y.index
         assert np.array_equal(x.runs[0].tx_power_dbm, y.runs[0].tx_power_dbm)
@@ -75,23 +87,19 @@ def test_parallel_campaign_matches_serial(two_cell):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_snapshot_drops_are_read_only(two_cell, jobs):
     """Every run and caller shares a snapshot's drop, a worker's too."""
-    for snap in run_campaign((two_cell,), seed=5, n_snapshots=2, jobs=jobs):
-        for arr in (snap.mobiles.xy, snap.mobiles.building, snap.mobiles.voice,
-                    snap.mobiles.target_db):
-            with pytest.raises(ValueError):
-                arr[0] = 0
+    drop = run_campaign((two_cell,), seed=5, n_snapshots=2, jobs=jobs).drop
+    for arr in (drop.xy, drop.building, drop.voice, drop.target_db):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_snapshot_results_and_association_are_read_only(two_cell, two_cell_green, jobs):
     """A worker's results and association are as read-only as the serial ones."""
-    for snap in run_campaign((two_cell, two_cell_green), seed=5, n_snapshots=2, jobs=jobs):
-        arrays = [snap.association]
-        arrays += [getattr(run, f) for run in snap.runs
-                   for f in ("tx_power_dbm", "sinr_db", "outage")]
-        for arr in arrays:
-            with pytest.raises(ValueError):
-                arr[0] = 0
+    c = run_campaign((two_cell, two_cell_green), seed=5, n_snapshots=2, jobs=jobs)
+    for f in ("association", "tx_power_dbm", "sinr_db", "outage", "iterations", "converged"):
+        with pytest.raises(ValueError):
+            getattr(c, f)[0] = 0
 
 
 def test_campaign_rejects_zero_snapshots(two_cell):
@@ -132,16 +140,17 @@ def _reference_paired_snapshot(baseline, green, snap_seed, index=0):
 
     drop_b = [(mobiles_b, serving_b, (gm_b,))]
     drop_g = [(mobiles_g, serving_g, (gm_g,))]
-    ctl_b = solve_snapshots((baseline,), drop_b)[0][0]
-    ctl_g = solve_snapshots((green,), drop_g)[0][0]
+    ctl_b = solved((baseline,), drop_b)[0][0]
+    ctl_g = solved((green,), drop_g)[0][0]
     resolved = ctl_b.iterations != ctl_g.iterations
     if resolved:
         k = max(ctl_b.iterations, ctl_g.iterations)
         if ctl_b.iterations < k:
-            ctl_b = solve_snapshots((baseline,), drop_b, n_iters=k)[0][0]
+            ctl_b = solved((baseline,), drop_b, n_iters=k)[0][0]
         else:
-            ctl_g = solve_snapshots((green,), drop_g, n_iters=k)[0][0]
-    pair = Snapshot(index, snap_seed, mobiles_b, serving_b, (ctl_b, ctl_g))
+            ctl_g = solved((green,), drop_g, n_iters=k)[0][0]
+    pair = SimpleNamespace(index=index, seed=snap_seed, mobiles=mobiles_b,
+                           association=serving_b, runs=(ctl_b, ctl_g))
     return pair, resolved
 
 
@@ -196,8 +205,8 @@ def test_baseline_greens_read_from_a_wider_table_match_own_table_solve(combining
         mobiles = drop_mobiles(base, seed)
         gm = build_gain_matrix(base, mobiles, seed)
         assert drop_bits(snap.mobiles) == drop_bits(mobiles)
-        own = solve_snapshots((base,), [(mobiles, associate(gm), (gm,))],
-                              n_iters=snap.runs[0].iterations)[0][0]
+        own = solved((base,), [(mobiles, associate(gm), (gm,))],
+                     n_iters=snap.runs[0].iterations)[0][0]
         for f in ("tx_power_dbm", "sinr_db", "outage"):
             assert np.array_equal(getattr(snap.runs[0], f), getattr(own, f)), (k, f)
 
@@ -217,17 +226,17 @@ def test_nested_green_campaign_matches_own_table_solves(combining):
     variants = tuple(dataclasses.replace(full, greens=full.greens[:k])
                      for k in range(len(full.greens) + 1))
     stopped_alone_elsewhere = 0
-    for snap in run_campaign(variants, seed=37, n_snapshots=4):
+    for snap in snapshots(run_campaign(variants, seed=37, n_snapshots=4), 37):
         assert len({r.iterations for r in snap.runs}) == 1
         for s, got in zip(variants, snap.runs, strict=True):
             mobiles = drop_mobiles(s, snap.seed)
             gm = build_gain_matrix(s, mobiles, snap.seed)
             assert drop_bits(snap.mobiles) == drop_bits(mobiles)
             drop = [(mobiles, associate(gm), (gm,))]
-            own = solve_snapshots((s,), drop, n_iters=got.iterations)[0][0]
+            own = solved((s,), drop, n_iters=got.iterations)[0][0]
             for f in ("tx_power_dbm", "sinr_db", "outage"):
                 assert np.array_equal(getattr(got, f), getattr(own, f)), (snap.index, f)
-            alone = solve_snapshots((s,), drop)[0][0]
+            alone = solved((s,), drop)[0][0]
             stopped_alone_elsewhere += alone.iterations != got.iterations
     assert stopped_alone_elsewhere > 0     # the lockstep moved some run's stop
 
@@ -269,8 +278,9 @@ def test_pairing_errors_mention_the_divergence(two_cell, two_cell_green):
 
 
 def test_paired_campaign_runs_parallel(two_cell, two_cell_green):
-    serial = run_campaign((two_cell, two_cell_green), seed=2, n_snapshots=3)
-    parallel = run_campaign((two_cell, two_cell_green), seed=2, n_snapshots=3, jobs=2)
+    serial = snapshots(run_campaign((two_cell, two_cell_green), seed=2, n_snapshots=3))
+    parallel = snapshots(run_campaign((two_cell, two_cell_green), seed=2, n_snapshots=3,
+                                      jobs=2))
     for x, y in zip(serial, parallel):
         assert np.array_equal(x.runs[1].tx_power_dbm, y.runs[1].tx_power_dbm)
         assert np.array_equal(x.runs[0].tx_power_dbm, y.runs[0].tx_power_dbm)
@@ -280,8 +290,8 @@ def test_three_workers_return_every_snapshot_in_order(two_cell, two_cell_green):
     scenarios = (two_cell, two_cell_green)
     serial = run_campaign(scenarios, seed=3, n_snapshots=5)
     parallel = run_campaign(scenarios, seed=3, n_snapshots=5, jobs=3)
-    assert [snap.index for snap in parallel] == [0, 1, 2, 3, 4]
-    assert [pickle.dumps(snap) for snap in parallel] == [pickle.dumps(snap) for snap in serial]
+    assert [snap.index for snap in snapshots(parallel)] == [0, 1, 2, 3, 4]
+    assert pickle.dumps(parallel) == pickle.dumps(serial)
 
 
 def test_without_fork_every_range_runs_in_the_parent(two_cell, monkeypatch):
@@ -291,7 +301,7 @@ def test_without_fork_every_range_runs_in_the_parent(two_cell, monkeypatch):
     monkeypatch.setattr(simulate, "_CAN_FORK", False)
     alone = run_campaign((two_cell,), seed=3, n_snapshots=4, jobs=2)
     assert pids == [os.getpid()] * 4
-    assert [pickle.dumps(snap) for snap in alone] == [pickle.dumps(snap) for snap in serial]
+    assert pickle.dumps(alone) == pickle.dumps(serial)
 
 
 def _infeasible(index):
@@ -335,37 +345,37 @@ def test_error_in_the_parents_range_terminates_and_joins_the_workers(two_cell, m
 
 
 def test_gather_tx_powers_concatenates_in_snapshot_order(two_cell):
-    snaps = run_campaign((two_cell,), seed=4, n_snapshots=3)
-    flat = gather_tx_powers(snaps, 0, kept_indices(snaps))
-    expected = [p for sn in snaps for p in sn.runs[0].tx_power_dbm]
+    c = run_campaign((two_cell,), seed=4, n_snapshots=3)
+    flat = gather_tx_powers(c, 0, population_mask(c.drop))
+    expected = [p for sn in snapshots(c) for p in sn.runs[0].tx_power_dbm]
     assert flat == expected
 
 
 def test_gather_tx_powers_selects_run_and_filters(two_cell, two_cell_green):
     pairs = run_campaign((two_cell, two_cell_green), seed=6, n_snapshots=3)
-    base = gather_tx_powers(pairs, 0, kept_indices(pairs))
-    grn = gather_tx_powers(pairs, 1, kept_indices(pairs))
-    assert len(base) == len(grn) == sum(len(p.mobiles) for p in pairs)
+    base = gather_tx_powers(pairs, 0, population_mask(pairs.drop))
+    grn = gather_tx_powers(pairs, 1, population_mask(pairs.drop))
+    assert len(base) == len(grn) == sum(len(p.mobiles) for p in snapshots(pairs))
     assert np.mean(base) >= np.mean(grn)
 
     disk = PopulationFilter(center=(1600.0, 0.0), radius_m=600.0)
-    sub = gather_tx_powers(pairs, 1, kept_indices(pairs, disk))
+    sub = gather_tx_powers(pairs, 1, population_mask(pairs.drop, disk))
     assert len(sub) < len(grn)
     assert set(sub) <= set(grn)
 
-    everyone = gather_tx_powers(pairs, 1, kept_indices(pairs, NO_FILTER))
+    everyone = gather_tx_powers(pairs, 1, population_mask(pairs.drop, NO_FILTER))
     assert everyone == grn
 
 
 def test_gather_tx_powers_reads_precomputed_kept_indices(two_cell, two_cell_green):
-    """One filter pass per snapshot serves every run: powers gathered from
-    kept_indices equal those filtered run by run, mobile by mobile."""
+    """One filter mask per campaign serves every run: powers gathered
+    through it equal those filtered run by run, mobile by mobile."""
     pairs = run_campaign((two_cell, two_cell_green), seed=6, n_snapshots=3)
     disk = PopulationFilter(center=(1600.0, 0.0), radius_m=600.0)
-    kept = kept_indices(pairs, disk)
-    assert [len(k) for k in kept] != [len(p.mobiles) for p in pairs]
+    kept = population_mask(pairs.drop, disk)
+    assert kept.sum(axis=1).tolist() != [len(p.mobiles) for p in snapshots(pairs)]
     for run in (0, 1):
-        want = [float(p) for snap in pairs
+        want = [float(p) for snap in snapshots(pairs)
                 for xy, p in zip(snap.mobiles.xy.tolist(), snap.runs[run].tx_power_dbm)
                 if math.dist(xy, disk.center) <= disk.radius_m]
         assert gather_tx_powers(pairs, run, kept) == want
@@ -408,15 +418,15 @@ def test_campaign_snapshots_are_bitwise_their_solves_alone(combining, jobs, monk
     # 210 mobiles, each linked to 21 sectors and to 21 sectors + 1 green
     monkeypatch.setattr(simulate, "STACK_LINKS", 2 * 210 * (21 + 22))
     assert simulate._slot_count(scenarios) == 2
-    snaps = run_campaign(scenarios, seed=53, n_snapshots=9, jobs=jobs)
+    snaps = snapshots(run_campaign(scenarios, seed=53, n_snapshots=9, jobs=jobs), 53)
     assert [sn.index for sn in snaps] == list(range(9))
     for snap in snaps:
         _assert_same_snapshot(snap, solved_alone(scenarios, 53, snap.index))
         for s, got in zip(scenarios, snap.runs):
             mobiles = drop_mobiles(s, snap.seed)
             gm = build_gain_matrix(s, mobiles, snap.seed)
-            own = solve_snapshots((s,), [(mobiles, associate(gm), (gm,))],
-                                  n_iters=got.iterations)[0][0]
+            own = solved((s,), [(mobiles, associate(gm), (gm,))],
+                         n_iters=got.iterations)[0][0]
             _assert_same_result(got, own)
 
 
@@ -449,11 +459,11 @@ def test_refilled_stack_returns_input_order(monkeypatch):
     solve alone, and the stack was refilled."""
     scenarios = _hole_pair("mrc")
     drops = _hole_drops(scenarios, 61, 10)
-    alone = [solve_snapshots(scenarios, [d])[0] for d in drops]
+    alone = [solved(scenarios, [d])[0] for d in drops]
     iters = [runs[0].iterations for runs in alone]
     assert iters != sorted(iters)
     sizes = _counting_builds(monkeypatch)
-    got = solve_snapshots(scenarios, iter(drops), slots=3)
+    got = solved(scenarios, iter(drops), slots=3, count=len(drops))
     assert max(sizes) == 3 and len(sizes) > 2 * len(scenarios)
     for g, w in zip(got, alone, strict=True):
         for r_got, r_want in zip(g, w, strict=True):
@@ -467,18 +477,18 @@ def test_refilled_snapshot_stops_at_its_own_max_iter(monkeypatch, caplog):
     of its solve alone."""
     scenarios = _hole_pair("mrc")
     drops = _hole_drops(scenarios, 59, 8)
-    natural = [solve_snapshots(scenarios, [d])[0][0].iterations for d in drops]
+    natural = [solved(scenarios, [d])[0][0].iterations for d in drops]
     fast = min(range(len(drops)), key=natural.__getitem__)
     slow = max(range(len(drops)), key=natural.__getitem__)
     other = next(k for k in range(len(drops)) if k not in (fast, slow))
     max_iter = (natural[fast] + natural[slow]) // 2
     assert natural[fast] < max_iter < natural[slow]
     order = [drops[fast], drops[other], drops[slow]]
-    alone = [solve_snapshots(scenarios, [d], max_iter=max_iter)[0] for d in order]
+    alone = [solved(scenarios, [d], max_iter=max_iter)[0] for d in order]
     sizes = _counting_builds(monkeypatch)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="greenant.powerctl"):
-        got = solve_snapshots(scenarios, iter(order), max_iter=max_iter, slots=2)
+        got = solved(scenarios, iter(order), max_iter=max_iter, slots=2, count=len(order))
     warnings = [r for r in caplog.records if "did not converge" in r.getMessage()]
     failed = sum(not all(r.converged for r in runs) for runs in alone)
     assert len(warnings) == failed >= 1
@@ -501,14 +511,14 @@ def test_nonconverged_snapshot_in_a_stack_keeps_its_own_state(caplog):
         mobiles = drop_mobiles(scenarios[1], seed)
         gm = build_gain_matrix(scenarios[1], mobiles, seed)
         drops.append((mobiles, associate(gm), (gm.restricted_to(scenarios[0]), gm)))
-    natural = sorted(solve_snapshots(scenarios, [d])[0][0].iterations for d in drops)
+    natural = sorted(solved(scenarios, [d])[0][0].iterations for d in drops)
     max_iter = natural[len(natural) // 2]
-    alone = [solve_snapshots(scenarios, [d], max_iter=max_iter)[0] for d in drops]
+    alone = [solved(scenarios, [d], max_iter=max_iter)[0] for d in drops]
     failed = sum(not all(r.converged for r in runs) for runs in alone)
     assert 0 < failed < len(drops)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="greenant.powerctl"):
-        stacked = solve_snapshots(scenarios, drops, max_iter=max_iter)
+        stacked = solved(scenarios, drops, max_iter=max_iter)
     warnings = [r for r in caplog.records if "did not converge" in r.getMessage()]
     assert len(warnings) == failed
     for got, want in zip(stacked, alone, strict=True):
@@ -522,10 +532,22 @@ def test_campaign_without_mobiles():
     scenarios = (load_doc(two_cell_doc(mobiles_per_sector=0)),
                  load_doc(two_cell_doc(with_green=True, mobiles_per_sector=0)))
     for jobs in (1, 2):
-        snaps = run_campaign(scenarios, seed=3, n_snapshots=5, jobs=jobs)
+        snaps = snapshots(run_campaign(scenarios, seed=3, n_snapshots=5, jobs=jobs), 3)
         for snap in snaps:
             assert len(snap.mobiles) == 0
             _assert_same_snapshot(snap, solved_alone(scenarios, 3, snap.index))
             for run in snap.runs:
                 assert run.tx_power_dbm.shape == (0,)
                 assert (run.iterations, run.converged) == (1, True)
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    """The README's library example runs as written, from the repository
+    root, and prints the green pair's mean and median power drop."""
+    readme = (SCENARIO_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library use"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    exec(compile(code, "README.md", "exec"), {})
+    mean_delta, median_delta = map(float, capsys.readouterr().out.split())
+    assert mean_delta > 0.0 and median_delta > 0.0
