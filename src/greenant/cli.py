@@ -62,6 +62,14 @@ def _population_filter(args: argparse.Namespace,
     return PopulationFilter(center=center, radius_m=radius, indoor_only=args.indoor_only)
 
 
+def _check_population(mask: np.ndarray) -> None:
+    """A ScenarioError naming why, if the population mask keeps no mobile."""
+    if not mask.any():
+        raise ScenarioError("the scenario drops no mobiles: traffic.mobiles_per_sector is 0"
+                            if mask.shape[-1] == 0
+                            else "population filter excluded every mobile")
+
+
 def _stats_rows(powers: np.ndarray, target_dbm: float) -> list[tuple[str, float]]:
     return [
         ("samples", float(len(powers))),
@@ -91,10 +99,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     _progress(f"run: {args.snapshots} snapshots of {args.scenario} (seed {args.seed})")
     c = run_campaign((s,), args.seed, args.snapshots, jobs=args.jobs)
     mask = population_mask(c.drop, f)
+    _check_population(mask)
     powers = c.tx_power_dbm[:, 0][mask]
-    if not powers.size:
-        _progress("error: population filter excluded every mobile")
-        return 2
     write_cdf_csv({"run": tx_power_cdf(powers)}, f"{args.out}_cdf.csv")
     write_summary_csv(_stats_rows(powers, args.target_dbm) + solver_rows(c, mask),
                       f"{args.out}_summary.csv")
@@ -115,9 +121,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
               f"{args.scenario} vs {args.green_scenario} (seed {args.seed})")
     c = run_campaign((baseline, green), args.seed, args.snapshots, jobs=args.jobs)
     mask = population_mask(c.drop, f)
-    if not mask.any():
-        _progress("error: population filter excluded every mobile")
-        return 2
+    _check_population(mask)
     report = compare_runs(c.tx_power_dbm[:, 0][mask], c.tx_power_dbm[:, 1][mask],
                           args.target_dbm, snapshots=args.snapshots)
     paths = emit_report(report, args.out, solver_rows(c, mask, ("baseline", "green")))
@@ -187,10 +191,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             variant, seed = (s, value) if axis == "seed" else (_with_rule(s, value), args.seed)
             c, run = run_campaign((variant,), seed, args.snapshots, jobs=args.jobs), 0
             mask = population_mask(c.drop, f)
+        _check_population(mask)
         powers = c.tx_power_dbm[:, run][mask]
-        if not powers.size:
-            _progress("error: population filter excluded every mobile")
-            return 2
         rows.append((value, dict(_stats_rows(powers, args.target_dbm))))
 
     path = f"{args.out}_sweep.csv"

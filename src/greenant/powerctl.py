@@ -35,9 +35,10 @@ span all S slots. The runs of a snapshot step together until every one
 has met tol_db, so they stop at a common iteration count; from then on
 the snapshot's rows are frozen while the rest of the stack iterates.
 Once half the slots have stopped, their rows of the returned `Campaign`
-record are written, the next snapshots are loaded into the freed slots, and the stack is rebuilt, so
-few iterations are spent on frozen rows; a rebuild costs about as much
-as a few iterations, so it is batched rather than done at every stop.
+record are written, the next snapshots are loaded into the freed slots,
+and the stack is rebuilt, so few iterations are spent on frozen rows; a
+rebuild costs about as much as a few iterations, so it is batched rather
+than done at every stop.
 The stack changes no bits: every elementwise operation and every
 per-row reduction sees the operands of the snapshot's own solve, in the
 same order, and each slice of the batched matmul is that snapshot's
@@ -77,6 +78,14 @@ OUTAGE_MARGIN_DB = 0.5
 
 DEFAULT_TOL_DB = 0.01
 DEFAULT_MAX_ITER = 1000
+
+#: Slot budget of a solver stack, in links (snapshots x mobiles x receive
+#: points, summed over the runs): 0.5 MB per float64 stack, 7 slots of the
+#: bundled pair and 48 of the 11-green map with 2 mobiles per sector. Each
+#: process of a campaign holds one stack. Against half this budget,
+#: perfbench read 16% less time per pair on hole-compare, the same on
+#: multi-green-egc, and about 1 MB more peak memory (2-core shared x86-64).
+STACK_LINKS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -294,12 +303,6 @@ class _Slot(NamedTuple):
     targets_lin: np.ndarray         # (n,)
 
 
-def _stopped(iterations: np.ndarray, met: np.ndarray, limit: int, on_met: bool) -> np.ndarray:
-    """Slots at their iteration limit or, if on_met, met in every run."""
-    stopped = iterations >= limit
-    return stopped | met.all(axis=0) if on_met else stopped
-
-
 def _advance(powers_mw: np.ndarray, sinr: np.ndarray, problem: _Problem, size: int
              ) -> tuple[np.ndarray, np.ndarray]:
     """One update of a stack of `size` slots from the SINR at powers_mw,
@@ -312,32 +315,32 @@ def _advance(powers_mw: np.ndarray, sinr: np.ndarray, problem: _Problem, size: i
 def solve_snapshots(scenarios: tuple[Scenario, ...],
                     snapshots: Iterable[tuple[Drop, np.ndarray, tuple[LinkGainMatrix, ...]]],
                     tol_db: float = DEFAULT_TOL_DB, max_iter: int = DEFAULT_MAX_ITER,
-                    n_iters: int | None = None, slots: int | None = None,
                     count: int | None = None) -> Campaign:
-    """Solve snapshots of R runs in a stack of up to `slots` snapshots, from all-p_min.
+    """Solve snapshots of R runs in a stack of snapshots, from all-p_min.
 
     Each snapshot is (mobiles, serving, tables), where tables[r] is
     scenarios[r]'s table of that drop and serving is `associate` of it;
-    all snapshots hold the same number of mobiles. Snapshots are read
-    from the iterable only as slots free, so a generator can draw each
-    one when it is needed; it must then say how many it yields, as
-    `count`. Without `count` the iterable is listed first, and without
-    `slots`, all snapshots form one stack.
+    all snapshots hold the same number of mobiles. The stack holds as
+    many snapshots as fit in STACK_LINKS links of the first one's tables.
+    Snapshots are read from the iterable only as slots free, so a
+    generator can draw each one when it is needed; it must then say how
+    many it yields, as `count`. Without `count` the iterable is listed
+    first.
     Run r of every slot is one stacked problem under
     scenarios[r].radio.combining, so an iteration costs R kernel calls
     whatever the slot count. A snapshot stops once every run's largest
     per-MS step has dropped below tol_db at least once, or after its own
-    max_iter iterations (exactly n_iters if given), so its runs share an
-    iteration count. A stopped snapshot's rows stay frozen in the stack
-    while the others iterate. Once half the slots have stopped, their
-    results are written and the next snapshots take their slots, and
-    the stack is rebuilt; when the iterable is drained, the stack
-    shrinks each time a quarter of its slots have stopped. Kept slots
-    carry their powers, last steps, met flags and iteration counts
-    across a rebuild. Snapshots do not interact, so each ends with the
-    bits of its solve alone, whichever snapshots share its stack. Every
-    table must hold its own scenario's receive points only: the width of
-    the gain array changes the last bits of `powers @ gains`.
+    max_iter iterations, so its runs share an iteration count. A stopped
+    snapshot's rows stay frozen in the stack while the others iterate.
+    Once half the slots have stopped, their results are written and the
+    next snapshots take their slots, and the stack is rebuilt; when the
+    iterable is drained, the stack shrinks each time a quarter of its
+    slots have stopped. Kept slots carry their powers, last steps, met
+    flags and iteration counts across a rebuild. Snapshots do not
+    interact, so each ends with the bits of its solve alone, whichever
+    snapshots share its stack. Every table must hold its own scenario's
+    receive points only: the width of the gain array changes the last
+    bits of `powers @ gains`.
 
     Returns the snapshots' `Campaign`, row s for input snapshot s: its
     drop and association as given, and its runs' results. Each row is
@@ -352,10 +355,7 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
         count = len(snapshots)
     if count < 1:
         raise ValueError("need at least one snapshot")
-    if slots is None:
-        slots = count
     stream = iter(snapshots)
-    limit = max_iter if n_iters is None else n_iters
     branches = [s.branches for s in scenarios]
     n_runs = len(scenarios)
     rows: dict[str, np.ndarray] = {}    # the record's drop fields and association
@@ -366,10 +366,10 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
     met = np.zeros((n_runs, 0), dtype=bool)       # per run and slot, step below tol once
     iterations = np.zeros(0, dtype=int)           # per slot
     index = n = 0
-    drained = False
+    slots, drained = 1, False           # the stack is sized at the first snapshot
     while True:
         loaded = 0
-        while not drained and len(held) < max(slots, 1):
+        while not drained and len(held) < slots:
             if index == count:
                 drained = True
                 break
@@ -381,6 +381,8 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
             given["association"] = serving
             if index == 0:
                 n = len(mobiles)
+                links = n * sum(t.ul_gain_db.shape[1] for t in tables)
+                slots = max(1, STACK_LINKS // max(links, 1))
                 rows = {k: np.empty((count, *a.shape), a.dtype) for k, a in given.items()}
                 tx_dbm, sinr_db = np.empty((count, n_runs, n)), np.empty((count, n_runs, n))
                 outage = np.empty((count, n_runs, n), dtype=bool)
@@ -408,12 +410,11 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
                                      s.radio.p_min_dbm, s.radio.p_max_dbm)
                     for r, s in enumerate(scenarios)]
         batch = max(1, size // (4 if drained else 2))
-        stopped = _stopped(iterations, met, limit, n_iters is None)
         while True:
             # at a stopped slot's final powers, this is its final SINR
             sinrs = [_combined_sinr(p, problem, rule)
                      for p, problem, rule in zip(powers, problems, rules)]
-            done = stopped
+            done = (iterations >= max_iter) | met.all(axis=0)
             if not done.all():
                 live = ~done
                 frozen = np.repeat(done, n) if done.any() else None
@@ -426,7 +427,6 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
                     steps[r] = step
                 met |= steps < tol_db
                 iterations += live
-                stopped = _stopped(iterations, met, limit, n_iters is None)
             if done.sum() >= batch:
                 break
         emitted = np.flatnonzero(done)
@@ -441,9 +441,8 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
             outage[at, r] = pinned & (final_sinr_db < targets_db - OUTAGE_MARGIN_DB)
             converged[at, r] = step[emitted] < tol_db
         iterations_at[at] = iterations[emitted]
-        if n_iters is None:
-            for _ in np.flatnonzero(~met[:, emitted].all(axis=0)):
-                log.warning("power control did not converge in %d iterations", max_iter)
+        for _ in np.flatnonzero(~met[:, emitted].all(axis=0)):
+            log.warning("power control did not converge in %d iterations", max_iter)
         # freed before the next drops are drawn, the loop's last run too
         del problems, sinrs, problem, sinr
         kept = ~done

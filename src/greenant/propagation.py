@@ -24,11 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .scenario import AntennaPattern, ChannelArrays, Drop, PathLossModel, ReceivePoint, Scenario
+from .scenario import (D_MIN_M, AntennaPattern, ChannelArrays, Drop, PathLossModel,
+                       ReceivePoint, Scenario)
 from .seeds import label_normal
-
-#: Near-field clamp: distances below this evaluate the model at 10 m.
-D_MIN_M = 10.0
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .seeds import substream
+from .seeds import NORMAL_DRAW_MAX, substream
 
 CLUTTER_CLASSES = ("open", "suburban", "urban")
 COMBINING_MODES = ("mrc", "selection", "egc")
@@ -166,6 +166,10 @@ class ClutterMap:
         return _read_only(np.cumsum(areas)), sum(areas)
 
     __getstate__ = _fields_only
+
+
+#: Near-field clamp: distances below this evaluate the model at 10 m.
+D_MIN_M = 10.0
 
 
 @dataclass(frozen=True)
@@ -733,6 +737,8 @@ def validate_scenario(s: Scenario) -> list[str]:
     if not _db_in_range(radio.thermal_noise_dbm):
         out.append(f"radio.thermal_noise_dbm: {radio.thermal_noise_dbm} dBm "
                    "is outside the float range")
+    # a link is as long as the near-field clamp at least, the map's diagonal at most
+    link_range_m = (D_MIN_M, max(math.hypot(x1 - x0, y1 - y0), D_MIN_M))
     for cls in CLUTTER_CLASSES:
         model = radio.pathloss.get(cls)
         if model is None:
@@ -744,9 +750,18 @@ def validate_scenario(s: Scenario) -> list[str]:
             out.append(f"radio.pathloss.{cls}: d0_m must be > 0")
         if not _db_in_range(model.pl0_db):
             out.append(f"radio.pathloss.{cls}.pl0_db: {model.pl0_db} dB is outside the float range")
+        elif model.exponent > 0 and 0 < model.d0_m < math.inf:
+            for d in link_range_m:
+                pl = model.pl0_db + 10.0 * model.exponent * math.log10(d / model.d0_m)
+                if not _db_in_range(pl):
+                    out.append(f"radio.pathloss.{cls}: path loss {pl} dB at {d:g} m "
+                               "is outside the float range")
         sigma = radio.shadowing_sigma_db.get(cls)
         if sigma is None or sigma < 0:
             out.append(f"radio.shadowing_sigma_db.{cls}: must be >= 0")
+        elif not _db_in_range(sigma * NORMAL_DRAW_MAX):
+            out.append(f"radio.shadowing_sigma_db.{cls}: {sigma} x {NORMAL_DRAW_MAX:.4f} dB "
+                       "is outside the float range")
     if radio.dl_shadowing_mode not in DL_SHADOWING_MODES:
         out.append(f"radio.dl_shadowing_mode: unknown mode '{radio.dl_shadowing_mode}'")
     if radio.combining not in COMBINING_MODES:

@@ -12,6 +12,7 @@ of `derive_seed`.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -19,6 +20,10 @@ _U64 = (1 << 64) - 1
 
 #: SplitMix64's Weyl increment, the 64-bit golden ratio.
 _PHI = np.uint64(0x9E3779B97F4A7C15)
+
+#: The largest |draw| `label_normal` returns, sqrt(-2 ln u1) at its
+#: smallest u1 of 2**-53: about 8.5717.
+NORMAL_DRAW_MAX = math.sqrt(-2.0 * math.log(2.0**-53))
 
 
 def derive_seed(seed: int, label: str) -> int:

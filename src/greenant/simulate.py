@@ -29,14 +29,13 @@ snapshot axis, in order; at jobs=1 the task's record is the campaign's.
 Where the fork start method does not exist, the campaign is one range
 in the parent.
 
-A task hands powerctl's solve_snapshots a generator of its snapshots
-and a slot count (up to STACK_LINKS stacked links); a snapshot is
-drawn, tabulated and associated only when a solver slot frees for it,
-so a task holds the tables of at most one stack. The solver writes
-each snapshot's drop, association and results into the task's record
-by index. Each snapshot's results are the bits of its solve alone, so
-neither the slot count, the order in which snapshots stop, nor the
-number of workers changes any output.
+A task hands powerctl's solve_snapshots a generator of its snapshots;
+a snapshot is drawn, tabulated and associated only when a solver slot
+frees for it, so a task holds the tables of at most one stack. The
+solver writes each snapshot's drop, association and results into the
+task's record by index. Each snapshot's results are the bits of its
+solve alone, so neither the stack size, the order in which snapshots
+stop, nor the number of workers changes any output.
 """
 
 from __future__ import annotations
@@ -51,17 +50,6 @@ from .powerctl import Campaign, associate, solve_snapshots
 from .propagation import LinkGainMatrix, build_gain_matrix
 from .scenario import Drop, Scenario, drop_mobiles, strip_greens
 from .seeds import derive_seed
-
-#: Slot budget of a task's solver stack, in links (snapshots x mobiles x
-#: receive points, summed over the runs): 0.5 MB per float64 stack. That
-#: is 7 slots of the bundled pair and 48 of the 11-green map with 2
-#: mobiles per sector. Each process of a campaign, the parent and every
-#: forked child, holds one stack. Against half this budget (3 and 24
-#: slots), perfbench read 16% less time per pair on hole-compare and 9%
-#: less on hole-compare-j2 (then run by a process pool), the same time on
-#: multi-green-egc, and about 1 MB more peak memory (2-core shared x86-64
-#: machine).
-STACK_LINKS = 1 << 16
 
 #: Whether ranges after the first can run in forked children.
 _CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -93,14 +81,6 @@ def draw_snapshot(scenarios: tuple[Scenario, ...], snap_seed: int
     return mobiles, tuple(gm if s is table_scenario else gm.restricted_to(s) for s in scenarios)
 
 
-def _slot_count(scenarios: tuple[Scenario, ...]) -> int:
-    """Snapshots in a task's solver stack, under STACK_LINKS."""
-    s = scenarios[-1]
-    n_ms = s.traffic.mobiles_per_sector * s.n_sectors()
-    links = n_ms * sum(v.n_sectors() + len(v.greens) for v in scenarios)
-    return max(1, STACK_LINKS // max(links, 1))
-
-
 def _task(args) -> Campaign:
     """The record of snapshots start..stop-1, each drawn when a solver slot frees."""
     scenarios, seed, start, stop = args
@@ -110,8 +90,7 @@ def _task(args) -> Campaign:
             mobiles, tables = draw_snapshot(scenarios, snapshot_seed(seed, index))
             yield mobiles, associate(tables[-1]), tables
 
-    return solve_snapshots(scenarios, stream(), slots=_slot_count(scenarios),
-                           count=stop - start)
+    return solve_snapshots(scenarios, stream(), count=stop - start)
 
 
 def _joined(parts: list[Campaign]) -> Campaign:

@@ -11,7 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from greenant import simulate
+from greenant import powerctl, simulate
+from greenant.powerctl import DEFAULT_TOL_DB, OUTAGE_MARGIN_DB, power_update
 from greenant.propagation import LinkGainMatrix
 from greenant.scenario import (
     AntennaPattern,
@@ -156,6 +157,42 @@ def act_from(monkeypatch, first, action):
         return real(seed, index)
 
     monkeypatch.setattr(simulate, "snapshot_seed", seed_or_act)
+
+
+def jacobi(s, drop, gm, serving, k):
+    """Run s of one drop after k plain Jacobi steps of the clamped
+    interference-function map `power_update` from all-p_min (Yates, IEEE
+    JSAC 13(7), 1995), read as the solver reads a stopped run: Tx powers,
+    the kernel's SINR at those powers, outage, `iterations` (k) and
+    `converged` (whether the last step was below the default tol_db)."""
+    radio = s.radio
+    p = np.full(len(drop), 10.0 ** (radio.p_min_dbm / 10.0))
+    step = 0.0
+    for _ in range(k):
+        nxt = power_update(p, drop.target_db, gm, serving, s.branches, radio.combining,
+                           limits_dbm=(radio.p_min_dbm, radio.p_max_dbm))
+        step = float(np.abs(10.0 * np.log10(nxt / p)).max(initial=0.0))
+        p = nxt
+    problem = powerctl._stacked_problem([gm], [serving], s.branches, np.ones(len(p)),
+                                        -np.inf, np.inf)
+    sinr_db = 10.0 * np.log10(powerctl._combined_sinr(p, problem, radio.combining))
+    pinned = p >= 10.0 ** (radio.p_max_dbm / 10.0) * (1.0 - 1e-12)
+    return SimpleNamespace(tx_power_dbm=10.0 * np.log10(p), sinr_db=sinr_db,
+                           outage=pinned & (sinr_db < drop.target_db - OUTAGE_MARGIN_DB),
+                           iterations=k, converged=step < DEFAULT_TOL_DB)
+
+
+def counting_builds(monkeypatch):
+    """Record the snapshot count of every stacked problem the solver builds."""
+    sizes = []
+    build = powerctl._stacked_problem
+
+    def counted(tables, *args):
+        sizes.append(len(tables))
+        return build(tables, *args)
+
+    monkeypatch.setattr(powerctl, "_stacked_problem", counted)
+    return sizes
 
 
 def make_tables(ul_gain_db, n_sectors, serving, noise_dbm=-104.0, attach=None):

@@ -19,7 +19,7 @@ from greenant.scenario import drop_mobiles, load_scenario_file, strip_greens
 from greenant.simulate import run_campaign
 
 import conftest
-from conftest import load_doc, make_tables, place, random_instance, snapshots, two_cell_doc
+from conftest import jacobi, load_doc, make_tables, place, random_instance, snapshots, two_cell_doc
 
 NOISE_MW = 10.0 ** (-104.0 / 10.0)
 
@@ -193,11 +193,11 @@ def test_egc_can_raise_power_where_mrc_cannot():
         for tag, s in (("base", base_s), ("green", green_s)):
             s = replace(s, radio=replace(s.radio, combining=combining))
             gm = build_gain_matrix(s, mobiles, seed=5)
-            runs[tag] = (s, [(mobiles, associate(gm), (gm,))])
-        results = {tag: solved((s,), drop)[0][0] for tag, (s, drop) in runs.items()}
-        k = max(r.iterations for r in results.values())
-        results = {tag: solved((s,), drop, n_iters=k)[0][0]
-                   for tag, (s, drop) in runs.items()}
+            runs[tag] = (s, gm, associate(gm))
+        k = max(solved((s,), [(mobiles, serving, (gm,))])[0][0].iterations
+                for s, gm, serving in runs.values())
+        results = {tag: jacobi(s, mobiles, gm, serving, k)
+                   for tag, (s, gm, serving) in runs.items()}
         return results["green"].tx_power_dbm - results["base"].tx_power_dbm
 
     mrc_raise = float(np.max(solve_pair("mrc")))

@@ -150,6 +150,11 @@ def test_non_finite_scenario_number_is_exit_2(tmp_path, capsys, section, table, 
     ("sites", 0, {"id": "A", "position": [0, 0],
                   "sectors": [{"id": "A1", "antenna": {"kind": "omni", "gain_dbi": 4000.0}}]},
      "sites[0].sectors[0] ('A1'): antenna.gain_dbi"),
+    # in range alone, but not at the near-field clamp, the map's diagonal or
+    # the largest shadowing draw
+    ("radio", "pathloss", {"urban": {"d0_m": 1e300}}, "radio.pathloss.urban: path loss"),
+    ("radio", "pathloss", {"urban": {"exponent": 1e6}}, "radio.pathloss.urban: path loss"),
+    ("radio", "shadowing_sigma_db", {"urban": 1e6}, "radio.shadowing_sigma_db.urban"),
 ])
 def test_db_value_outside_the_float_range_is_exit_2(tmp_path, capsys, section, key, value, path):
     """10 ** (dB / 10) overflows above ~3083 dB and is 0.0 below ~-3240 dB:
@@ -240,7 +245,26 @@ def test_empty_filter_is_exit_2(base_json, tmp_path, capsys):
     code = main(run_args(base_json, tmp_path,
                          "--filter-center", "99000,99000", "--filter-radius", "10"))
     assert code == 2
-    assert "excluded every mobile" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith("\nerror: population filter excluded every mobile\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["run"],
+    ["compare", "--green-scenario"],
+    ["sweep", "--axis", "seed"],
+    ["sweep", "--axis", "green_count"],
+])
+def test_scenario_without_mobiles_is_exit_2_not_blamed_on_the_filter(command, tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(two_cell_doc(with_green=True, mobiles_per_sector=0)))
+    argv = [*command, str(path)] if command[0] == "compare" else command
+    code = main([*argv, "--scenario", str(path), "--snapshots", "2",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\nerror: the scenario drops no mobiles: "
+                        "traffic.mobiles_per_sector is 0\n")
+    assert list(tmp_path.glob("o_*")) == []
 
 
 def test_compare_outputs_are_byte_identical_across_runs(base_json, green_json, tmp_path):

@@ -580,14 +580,6 @@ def test_nonconvergence_is_reported_not_raised():
     assert res.iterations == 3
 
 
-def test_forced_iteration_count_is_exact():
-    s = solver_scenario(1)
-    gm, serving, _ = make_tables([[-100.0]], 1, serving=[0])
-    res = solve_alone(s, mobiles(0.0), gm, serving, n_iters=7)
-    assert res.iterations == 7
-    assert res.converged
-
-
 def test_results_respect_power_limits():
     rng = np.random.default_rng(83)
     s = solver_scenario(3)
@@ -620,3 +612,21 @@ def test_solver_rejects_snapshots_of_different_sizes():
     with pytest.raises(ValueError, match="same number of mobiles"):
         solve_snapshots((s,), [(mobiles(0.0), serving1, (gm1,)),
                                (mobiles(0.0, 0.0), serving2, (gm2,))])
+
+
+def test_solver_rejects_a_stream_shorter_than_its_count():
+    s = solver_scenario(1)
+    gm, serving, _ = make_tables([[-100.0]], 1, serving=[0])
+    drops = iter([(mobiles(0.0), serving, (gm,))] * 2)
+    with pytest.raises(ValueError, match="expected 3 snapshots, got 2"):
+        solve_snapshots((s,), drops, count=3)
+
+
+def test_solver_rejects_a_count_below_one():
+    s = solver_scenario(1)
+    gm, serving, _ = make_tables([[-100.0]], 1, serving=[0])
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="at least one snapshot"):
+            solve_snapshots((s,), iter([(mobiles(0.0), serving, (gm,))]), count=count)
+    with pytest.raises(ValueError, match="at least one snapshot"):
+        solve_snapshots((s,), [])       # an empty list is a count of 0

@@ -27,8 +27,8 @@ from greenant.simulate import (
     snapshot_seed,
 )
 
-from conftest import (SCENARIO_DIR, act_from, bundled_doc, drop_bits, load_doc, snapshots,
-                      two_cell_doc)
+from conftest import (SCENARIO_DIR, act_from, bundled_doc, counting_builds, drop_bits, jacobi,
+                      load_doc, snapshots, two_cell_doc)
 
 
 def solved_alone(scenarios, seed, index):
@@ -118,8 +118,9 @@ def test_paired_snapshot_shares_drops_and_association():
 
 
 def _reference_paired_snapshot(baseline, green, snap_seed, index=0):
-    """Two drops, two tables, two associations, and a re-solve from p_min
-    of the run that stopped first; also says whether it re-solved."""
+    """Two drops, two tables, two associations, and plain Jacobi iterates
+    from p_min of the run that stopped first, to the other's count; also
+    says whether it re-solved."""
     mobiles_b = drop_mobiles(baseline, snap_seed)
     mobiles_g = drop_mobiles(green, snap_seed)
     if drop_bits(mobiles_b) != drop_bits(mobiles_g):
@@ -138,17 +139,15 @@ def _reference_paired_snapshot(baseline, green, snap_seed, index=0):
     if serving_b.tobytes() != serving_g.tobytes():
         raise PairingError(f"snapshot {index}: serving sectors differ between runs")
 
-    drop_b = [(mobiles_b, serving_b, (gm_b,))]
-    drop_g = [(mobiles_g, serving_g, (gm_g,))]
-    ctl_b = solved((baseline,), drop_b)[0][0]
-    ctl_g = solved((green,), drop_g)[0][0]
+    ctl_b = solved((baseline,), [(mobiles_b, serving_b, (gm_b,))])[0][0]
+    ctl_g = solved((green,), [(mobiles_g, serving_g, (gm_g,))])[0][0]
     resolved = ctl_b.iterations != ctl_g.iterations
     if resolved:
         k = max(ctl_b.iterations, ctl_g.iterations)
         if ctl_b.iterations < k:
-            ctl_b = solved((baseline,), drop_b, n_iters=k)[0][0]
+            ctl_b = jacobi(baseline, mobiles_b, gm_b, serving_b, k)
         else:
-            ctl_g = solved((green,), drop_g, n_iters=k)[0][0]
+            ctl_g = jacobi(green, mobiles_g, gm_g, serving_g, k)
     pair = SimpleNamespace(index=index, seed=snap_seed, mobiles=mobiles_b,
                            association=serving_b, runs=(ctl_b, ctl_g))
     return pair, resolved
@@ -188,8 +187,9 @@ def test_paired_snapshot_matches_two_drop_resolve_reference(combining, dl_mode):
 def test_baseline_greens_read_from_a_wider_table_match_own_table_solve(combining):
     """A baseline with its own green, paired with a scenario that declares
     22 more greens before it: the baseline run reads its three columns of a
-    25-column table by id and gets the bits of a solve on its own table. At
-    this width a solve on the full table differs in the last bits."""
+    25-column table by id and gets the bits of Jacobi iterates on its own
+    table to the pair's count. At this width a solve on the full table
+    differs in the last bits."""
     docs = [two_cell_doc(with_green=True, sigma=8.0, targets=(-15.0, -6.0),
                          mobiles_per_sector=6) for _ in range(2)]
     for doc in docs:
@@ -205,8 +205,7 @@ def test_baseline_greens_read_from_a_wider_table_match_own_table_solve(combining
         mobiles = drop_mobiles(base, seed)
         gm = build_gain_matrix(base, mobiles, seed)
         assert drop_bits(snap.mobiles) == drop_bits(mobiles)
-        own = solved((base,), [(mobiles, associate(gm), (gm,))],
-                     n_iters=snap.runs[0].iterations)[0][0]
+        own = jacobi(base, mobiles, gm, associate(gm), snap.runs[0].iterations)
         for f in ("tx_power_dbm", "sinr_db", "outage"):
             assert np.array_equal(getattr(snap.runs[0], f), getattr(own, f)), (k, f)
 
@@ -215,7 +214,7 @@ def test_baseline_greens_read_from_a_wider_table_match_own_table_solve(combining
 def test_nested_green_campaign_matches_own_table_solves(combining):
     """A campaign of 0..4 nested greens, fullest last, as a green-count
     sweep runs it: every run stops at the common iteration count and is
-    the bits of a solve on its own scenario's table at that count."""
+    the bits of Jacobi iterates on its own scenario's table to that count."""
     doc = two_cell_doc(with_green=True, sigma=8.0, targets=(-15.0, -6.0),
                        mobiles_per_sector=6)
     doc["greens"] += [{"id": f"X{k}", "position": [400.0 + 400.0 * k, 0.0],
@@ -232,11 +231,11 @@ def test_nested_green_campaign_matches_own_table_solves(combining):
             mobiles = drop_mobiles(s, snap.seed)
             gm = build_gain_matrix(s, mobiles, snap.seed)
             assert drop_bits(snap.mobiles) == drop_bits(mobiles)
-            drop = [(mobiles, associate(gm), (gm,))]
-            own = solved((s,), drop, n_iters=got.iterations)[0][0]
+            serving = associate(gm)
+            own = jacobi(s, mobiles, gm, serving, got.iterations)
             for f in ("tx_power_dbm", "sinr_db", "outage"):
                 assert np.array_equal(getattr(got, f), getattr(own, f)), (snap.index, f)
-            alone = solved((s,), drop)[0][0]
+            alone = solved((s,), [(mobiles, serving, (gm,))])[0][0]
             stopped_alone_elsewhere += alone.iterations != got.iterations
     assert stopped_alone_elsewhere > 0     # the lockstep moved some run's stop
 
@@ -384,6 +383,10 @@ def test_gather_tx_powers_reads_precomputed_kept_indices(two_cell, two_cell_gree
 # ---------------------------------------------------------------------------
 # refilled stacks: every snapshot is the bits of its solve alone
 
+#: Links of one snapshot of the bundled pair: 210 mobiles, each linked to
+#: 21 sectors and to 21 sectors + 1 green.
+HOLE_PAIR_LINKS = 210 * (21 + 22)
+
 def _hole_pair(combining):
     docs = [bundled_doc("baseline.json"), bundled_doc("green.json")]
     for doc in docs:
@@ -412,22 +415,20 @@ def _assert_same_snapshot(got, want):
 def test_campaign_snapshots_are_bitwise_their_solves_alone(combining, jobs, monkeypatch):
     """Two solver slots of the bundled pair over 9 snapshots, so slots are
     refilled and the drained stack shrinks: every snapshot equals a task of
-    it alone, and each run equals a solve on its own scenario's table at
-    the pair's iteration count."""
+    it alone, and each run equals Jacobi iterates on its own scenario's
+    table to the pair's iteration count."""
     scenarios = _hole_pair(combining)
-    # 210 mobiles, each linked to 21 sectors and to 21 sectors + 1 green
-    monkeypatch.setattr(simulate, "STACK_LINKS", 2 * 210 * (21 + 22))
-    assert simulate._slot_count(scenarios) == 2
+    monkeypatch.setattr(powerctl, "STACK_LINKS", 2 * HOLE_PAIR_LINKS)
+    sizes = counting_builds(monkeypatch)
     snaps = snapshots(run_campaign(scenarios, seed=53, n_snapshots=9, jobs=jobs), 53)
+    assert max(sizes) == 2     # the parent's range: 9 or 4 snapshots
     assert [sn.index for sn in snaps] == list(range(9))
     for snap in snaps:
         _assert_same_snapshot(snap, solved_alone(scenarios, 53, snap.index))
         for s, got in zip(scenarios, snap.runs):
             mobiles = drop_mobiles(s, snap.seed)
             gm = build_gain_matrix(s, mobiles, snap.seed)
-            own = solved((s,), [(mobiles, associate(gm), (gm,))],
-                         n_iters=got.iterations)[0][0]
-            _assert_same_result(got, own)
+            _assert_same_result(got, jacobi(s, mobiles, gm, associate(gm), got.iterations))
 
 
 def _hole_drops(scenarios, seed, count):
@@ -440,19 +441,6 @@ def _hole_drops(scenarios, seed, count):
     return drops
 
 
-def _counting_builds(monkeypatch):
-    """Record the snapshot count of every stacked problem the solver builds."""
-    sizes = []
-    build = powerctl._stacked_problem
-
-    def counted(tables, *args):
-        sizes.append(len(tables))
-        return build(tables, *args)
-
-    monkeypatch.setattr(powerctl, "_stacked_problem", counted)
-    return sizes
-
-
 def test_refilled_stack_returns_input_order(monkeypatch):
     """Snapshots stop out of input order in a stack of 3 slots fed from a
     generator; the results come back in input order, each the bits of its
@@ -462,8 +450,9 @@ def test_refilled_stack_returns_input_order(monkeypatch):
     alone = [solved(scenarios, [d])[0] for d in drops]
     iters = [runs[0].iterations for runs in alone]
     assert iters != sorted(iters)
-    sizes = _counting_builds(monkeypatch)
-    got = solved(scenarios, iter(drops), slots=3, count=len(drops))
+    monkeypatch.setattr(powerctl, "STACK_LINKS", 3 * HOLE_PAIR_LINKS)
+    sizes = counting_builds(monkeypatch)
+    got = solved(scenarios, iter(drops), count=len(drops))
     assert max(sizes) == 3 and len(sizes) > 2 * len(scenarios)
     for g, w in zip(got, alone, strict=True):
         for r_got, r_want in zip(g, w, strict=True):
@@ -485,13 +474,15 @@ def test_refilled_snapshot_stops_at_its_own_max_iter(monkeypatch, caplog):
     assert natural[fast] < max_iter < natural[slow]
     order = [drops[fast], drops[other], drops[slow]]
     alone = [solved(scenarios, [d], max_iter=max_iter)[0] for d in order]
-    sizes = _counting_builds(monkeypatch)
+    monkeypatch.setattr(powerctl, "STACK_LINKS", 2 * HOLE_PAIR_LINKS)
+    sizes = counting_builds(monkeypatch)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="greenant.powerctl"):
-        got = solved(scenarios, iter(order), max_iter=max_iter, slots=2, count=len(order))
+        got = solved(scenarios, iter(order), max_iter=max_iter, count=len(order))
     warnings = [r for r in caplog.records if "did not converge" in r.getMessage()]
     failed = sum(not all(r.converged for r in runs) for runs in alone)
     assert len(warnings) == failed >= 1
+    assert max(sizes) == 2
     assert len(sizes) > len(scenarios)      # the slow snapshot joined a rebuilt stack
     assert [r.iterations for r in got[2]] == [max_iter] * len(scenarios)
     assert not all(r.converged for r in got[2])
@@ -500,7 +491,7 @@ def test_refilled_snapshot_stops_at_its_own_max_iter(monkeypatch, caplog):
             _assert_same_result(r_got, r_want)
 
 
-def test_nonconverged_snapshot_in_a_stack_keeps_its_own_state(caplog):
+def test_nonconverged_snapshot_in_a_stack_keeps_its_own_state(monkeypatch, caplog):
     """Under a max_iter that half the snapshots of a stack need more than,
     those end unconverged, with one warning each, and every snapshot,
     converged or not, is the bits of its solve alone."""
@@ -516,9 +507,12 @@ def test_nonconverged_snapshot_in_a_stack_keeps_its_own_state(caplog):
     alone = [solved(scenarios, [d], max_iter=max_iter)[0] for d in drops]
     failed = sum(not all(r.converged for r in runs) for runs in alone)
     assert 0 < failed < len(drops)
+    monkeypatch.setattr(powerctl, "STACK_LINKS", len(drops) * HOLE_PAIR_LINKS)
+    sizes = counting_builds(monkeypatch)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="greenant.powerctl"):
         stacked = solved(scenarios, drops, max_iter=max_iter)
+    assert max(sizes) == len(drops)     # one stack of every snapshot
     warnings = [r for r in caplog.records if "did not converge" in r.getMessage()]
     assert len(warnings) == failed
     for got, want in zip(stacked, alone, strict=True):
