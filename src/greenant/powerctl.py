@@ -20,27 +20,26 @@ axioms (positivity, monotonicity, scalability) for all three rules, so
 the iteration increases monotonically toward the fixed point.
 
 One kernel serves every rule and every caller (the solver, the single
-update `power_update` and `effective_sinr`). It evaluates mobiles in
-groups that share a branch-set width, so its Python loop runs once per
-distinct width, not once per serving sector. Each group's gains and
-noise are gathered once per solve. EGC's numerator is the closed form
-(sum_r sqrt(S_r))^2 over the group's branch axis, except that a single
-branch uses S itself, so width-1 EGC equals MRC and selection exactly.
+update `power_update` and `effective_sinr`). It lists every (mobile,
+branch) link flat, with the links' gains and noise gathered once per
+solve, so each rule is one pass over all links and one reduction per
+mobile, whatever the branch-set widths. EGC's numerator is the closed
+form (sum_r sqrt(S_r))^2, except that a single branch uses S itself, so
+width-1 EGC equals MRC and selection exactly.
 
 One solve loop, `solve_snapshots`, solves snapshots of R runs (one
 (scenario, table) pair each) in a stack of S slots, one snapshot per
 slot, as R stacked problems: the per-receive-point totals are one
-batched matmul over an (S, n, n_rp) gain stack, and the width groups
-span all S slots. The runs of a snapshot step together until every one
-has met tol_db, so they stop at a common iteration count; from then on
-the snapshot's rows are frozen while the rest of the stack iterates.
-Once half the slots have stopped, their rows of the returned `Campaign`
-record are written, the next snapshots are loaded into the freed slots,
-and the stack is rebuilt, so few iterations are spent on frozen rows; a
-rebuild costs about as much as a few iterations, so it is batched rather
-than done at every stop.
+batched matmul over an (S, n, n_rp) gain stack, and the links of all S
+slots are one flat list. The runs of a snapshot step together until
+every one has met tol_db, so they stop at a common iteration count;
+from then on the snapshot's rows are frozen while the rest of the stack
+iterates. Once half the slots have stopped, their rows of the returned
+`Campaign` record are written, the next snapshots are loaded into the
+freed slots, and the stack is rebuilt; a rebuild costs about one
+iteration, so it is batched rather than done at every stop.
 The stack changes no bits: every elementwise operation and every
-per-row reduction sees the operands of the snapshot's own solve, in the
+per-mobile reduction sees the operands of the snapshot's own solve, in the
 same order, and each slice of the batched matmul is that snapshot's
 `powers @ gains`. A single drop is a stack of S = 1. Each run combines
 by its scenario's radio.combining; only the kernel takes the rule as an
@@ -136,39 +135,32 @@ def associate(gm: LinkGainMatrix) -> np.ndarray:
     return serving
 
 
-class _Group(NamedTuple):
-    """Mobiles whose serving branch sets share one width, with their gathers.
-
-    Row k of cols lists the entries of the stacked per-receive-point
-    totals that mobile rows[k] is combined over; gains_mw and noise_mw
-    are those receive points' linear gains (of mobile rows[k]) and noise
-    floors, gathered once per solve.
-    """
-
-    rows: np.ndarray                # (m,) into the stacked mobiles
-    cols: np.ndarray                # (m, width) into the stacked receive points
-    gains_mw: np.ndarray            # (m, width)
-    noise_mw: np.ndarray            # (m, width)
-
-
 class _Problem(NamedTuple):
-    """Solver view of S snapshots of one run: linear gains and branch columns.
+    """Solver view of S snapshots of one run: linear gains and branch links.
 
     The snapshots share a scenario, so they have the same mobile count n
-    and receive points; mobile i of snapshot s is stacked row s*n + i and
-    receive point c is stacked column s*n_rp + c. Mobiles are grouped by
-    the width of their serving sector's branch set, across snapshots, so
-    the kernel loops over the few distinct widths. Groups are not padded
-    to one common width: numpy sums 8 or more terms pairwise, so padding
-    a wide set next to narrower ones would regroup its sums and change
-    the last bits of the MRC and EGC results.
+    and receive points; mobile i of snapshot s is stacked mobile s*n + i
+    and receive point c is stacked column s*n_rp + c. A link is a mobile
+    and one branch of its serving set, listed flat: mobile after mobile in
+    stacked order, each one's branches in set order, so mobile m's links
+    are one segment, from starts[m].
     """
 
     gains_mw: np.ndarray            # (S, n, n_rp)
     targets_lin: np.ndarray         # (S * n,)
-    groups: tuple[_Group, ...]
+    rows: np.ndarray                # (L,) the stacked mobile of each link
+    cols: np.ndarray                # (L,) its stacked receive point
+    link_gains_mw: np.ndarray       # (L,) the mobile's gain to that point
+    noise_mw: np.ndarray            # (L,) that point's noise floor
+    starts: np.ndarray              # (S * n,) each mobile's first link
+    single: np.ndarray              # (S * n,) bool: a branch set of one
+    wide: tuple[tuple[np.ndarray, np.ndarray], ...]    # see _segment_sum
     p_min_mw: float
     p_max_mw: float
+
+
+#: The fewest terms that numpy's add.reduce sums pairwise rather than in order.
+_PAIRWISE_FROM = 8
 
 
 def _linear_targets(targets_db: np.ndarray) -> np.ndarray:
@@ -198,37 +190,49 @@ def _stacked_problem(tables: list[LinkGainMatrix], servings: list[np.ndarray],
                      p_min_dbm: float, p_max_dbm: float) -> _Problem:
     """One run's problem over snapshots whose tables share receive points.
 
-    servings[s] is the association of tables[s]. The branch columns come
-    from the scenario's branch table, indexed by each mobile's serving
-    sector, and a stable sort by width lists each width group's mobiles
-    in stacked order, so nothing here is per mobile.
+    servings[s] is the association of tables[s]. Each mobile's links are
+    its serving sector's row of the scenario's branch table, up to that
+    sector's width, listed by one repeat over the widths and one gather,
+    so nothing here is per mobile.
     """
     gm = tables[0]
     n, n_rp = gm.ul_gain_db.shape
-    col_table = branches.cols
     flat_gains = np.concatenate([t.ul_gain_mw for t in tables])
-    serving = np.concatenate(servings)
-    ms_width = branches.widths[serving]
-    order = np.argsort(ms_width, kind="stable")
-    order_serving = serving[order]
-    groups = []
-    lo = 0
-    for width, count in enumerate(np.bincount(ms_width).tolist()):
-        if count:
-            rows = order[lo:lo + count]
-            cols = col_table[order_serving[lo:lo + count], :width]
-            # receive point c of snapshot s is stacked column s * n_rp + c
-            stacked = cols if len(tables) == 1 else cols + (rows // n * n_rp)[:, None]
-            groups.append(_Group(rows, stacked, flat_gains[rows[:, None], cols],
-                                 gm.channel.noise_mw[cols]))
-            lo += count
+    serving = np.concatenate(servings, dtype=np.intp)
+    widths = branches.widths[serving]
+    starts = np.cumsum(widths) - widths
+    rows = np.repeat(np.arange(len(serving)), widths)
+    # link k is entry k - starts[m] of its mobile m's serving sector's row
+    at = (serving * branches.cols.shape[1] - starts)[rows] + np.arange(len(rows))
+    cols = branches.cols.ravel()[at]
     return _Problem(
         gains_mw=flat_gains.reshape(len(tables), n, n_rp),
         targets_lin=targets_lin,
-        groups=tuple(groups),
+        rows=rows,
+        # receive point c of snapshot s is stacked column s * n_rp + c
+        cols=cols if len(tables) == 1 else cols + rows // n * n_rp,
+        link_gains_mw=flat_gains.ravel()[rows * n_rp + cols],
+        noise_mw=gm.channel.noise_mw[cols],
+        starts=starts,
+        single=widths == 1,
+        wide=tuple((mobiles, starts[mobiles, None] + np.arange(width))
+                   for width in np.unique(widths[widths >= _PAIRWISE_FROM]).tolist()
+                   for mobiles in [np.flatnonzero(widths == width)]),
         p_min_mw=10.0 ** (p_min_dbm / 10.0),
         p_max_mw=10.0 ** (p_max_dbm / 10.0),
     )
+
+
+def _segment_sum(values: np.ndarray, problem: _Problem) -> np.ndarray:
+    """Each mobile's sum over its links, with the bits of numpy's add.reduce
+    over a row of them. bincount adds in order from 0.0, as the reduce does
+    below _PAIRWISE_FROM terms. A wider segment is summed as a row of its
+    width's (m, width) block of links (`wide`, its mobiles and the block),
+    since the reduce sums those pairwise."""
+    out = np.bincount(problem.rows, values, len(problem.starts))
+    for mobiles, links in problem.wide:
+        out[mobiles] = np.add.reduce(values[links], axis=1)
+    return out
 
 
 def _combined_sinr(powers_mw: np.ndarray, problem: _Problem, combining: str) -> np.ndarray:
@@ -236,27 +240,22 @@ def _combined_sinr(powers_mw: np.ndarray, problem: _Problem, combining: str) -> 
 
     The per-receive-point totals are one batched matmul; each snapshot's
     slice of it is bitwise the `powers @ gains` of that snapshot alone.
+    Each rule then reduces every mobile's links in one pass.
     """
     s, n, n_rp = problem.gains_mw.shape
     total_rx = np.matmul(powers_mw.reshape(s, 1, n), problem.gains_mw).reshape(s * n_rp)
-    out = np.empty(len(powers_mw))
-    for g in problem.groups:
-        signal = powers_mw[g.rows, None] * g.gains_mw
-        interference = total_rx[g.cols] - signal
-        den = interference + g.noise_mw
-        if combining == "mrc":
-            lin = np.add.reduce(signal / den, axis=1)
-        elif combining == "selection":
-            lin = np.maximum.reduce(signal / den, axis=1)
-        elif combining == "egc":
-            # a single branch is S itself, exactly as under MRC and selection
-            num = (signal[:, 0] if signal.shape[1] == 1
-                   else np.add.reduce(np.sqrt(signal), axis=1) ** 2)
-            lin = num / np.add.reduce(den, axis=1)
-        else:
-            raise ValueError(f"unknown combining mode '{combining}'")
-        out[g.rows] = lin
-    return out
+    signal = powers_mw[problem.rows] * problem.link_gains_mw
+    den = (total_rx[problem.cols] - signal) + problem.noise_mw     # I + N
+    if combining == "mrc":
+        return _segment_sum(signal / den, problem)
+    if combining == "selection":
+        return np.maximum.reduceat(signal / den, problem.starts)
+    if combining == "egc":
+        # a single branch is S itself, exactly as under MRC and selection
+        num = np.where(problem.single, signal[problem.starts],
+                       _segment_sum(np.sqrt(signal), problem) ** 2)
+        return num / _segment_sum(den, problem)
+    raise ValueError(f"unknown combining mode '{combining}'")
 
 
 def _update(powers_mw: np.ndarray, sinr: np.ndarray, problem: _Problem) -> np.ndarray:

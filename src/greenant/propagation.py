@@ -69,10 +69,15 @@ class LinkGainMatrix:
         whose points are all in this table the result equals s's own table
         of the same drop. The copy is C-ordered, as a built table is: the
         layout of the gain array changes the last bits of `powers @ gains`.
+        Its `ul_gain_mw` is the same columns of this table's: the pow is
+        elementwise, so a gather has the bits of a pow of the gathered dB.
         """
-        ul = np.ascontiguousarray(self.ul_gain_db[:, s.channel.columns_in(self.channel)])
+        cols = s.channel.columns_in(self.channel)
+        ul = np.ascontiguousarray(self.ul_gain_db[:, cols])
         ul.flags.writeable = False
-        return replace(self, channel=s.channel, ul_gain_db=ul)
+        table = replace(self, channel=s.channel, ul_gain_db=ul)
+        table.__dict__["ul_gain_mw"] = np.ascontiguousarray(self.ul_gain_mw[:, cols])
+        return table
 
 
 def path_loss(model: PathLossModel, distance_m):

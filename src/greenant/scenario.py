@@ -780,8 +780,69 @@ def validate_scenario(s: Scenario) -> list[str]:
         elif not _linear_in_range(traffic.sinr_target_db[svc]):
             out.append(f"traffic.sinr_target_db.{svc}: {traffic.sinr_target_db[svc]} dB "
                        "is outside the float range")
+    if not out:     # every term is in range alone; their sums may not be
+        out.extend(_link_violations(s, link_range_m))
 
     return out
+
+
+def _link_violations(s: Scenario, link_range_m: tuple[float, float]) -> list[str]:
+    """The weakest and the strongest UL link a drop can reach, per clutter
+    class, as received power: p_min_dbm times the weakest gain and
+    p_max_dbm times the strongest must be positive finite floats, as the
+    solver computes them. The weakest link has the path loss at the map's
+    diagonal, the largest penetration loss of an indoor mobile, the most
+    negative shadowing draw and the lowest antenna gain; the strongest has
+    the path loss at the near-field clamp, the most positive draw and the
+    highest antenna gain."""
+    radio = s.radio
+    antennas = [(f"sites[{i}].sectors[{j}] ('{sec.id}').antenna", sec.antenna)
+                for i, site in enumerate(s.sites) for j, sec in enumerate(site.sectors)]
+    antennas += [(f"greens[{i}] ('{g.id}').antenna", g.antenna) for i, g in enumerate(s.greens)]
+    if not antennas:
+        return []
+    highest = max((p.gain_dbi, path) for path, p in antennas)
+    lowest = min((_lowest_gain(p), path) for path, p in antennas)
+    penetration = []    # as a gain in dB, with its path
+    if s.traffic.indoor_fraction > 0 and s.clutter.buildings:
+        pen, i = max((b.penetration_loss_db, i) for i, b in enumerate(s.clutter.buildings))
+        penetration = [(-pen, f"clutter.buildings[{i}] ('{s.clutter.buildings[i].id}')"
+                              ".penetration_loss_db")]
+    out = []
+    for cls in CLUTTER_CLASSES:
+        model, sigma = radio.pathloss[cls], radio.shadowing_sigma_db[cls]
+        near, far = (model.pl0_db + 10.0 * model.exponent * math.log10(d / model.d0_m)
+                     for d in link_range_m)
+        loss = f"radio.pathloss.{cls}"
+        shadowing = [(sigma * NORMAL_DRAW_MAX, f"radio.shadowing_sigma_db.{cls}")] if sigma else []
+        weakest = [(-far, loss), *penetration, *((-db, path) for db, path in shadowing), lowest]
+        strongest = [(-near, loss), *shadowing, highest]
+        for name, p_name, terms in (("weakest", "p_min_dbm", weakest),
+                                    ("strongest", "p_max_dbm", strongest)):
+            gain_db = sum(db for db, _ in terms)
+            p_dbm = getattr(radio, p_name)
+            if not _received_in_range(p_dbm, gain_db):
+                out.append(f"{', '.join(path for _, path in terms)}: the {name} {cls} link, "
+                           f"{gain_db:g} dB, at radio.{p_name} {p_dbm:g} dBm "
+                           "is outside the float range")
+    return out
+
+
+def _lowest_gain(p: AntennaPattern) -> float:
+    """A pattern's gain at its weakest bearing: a sector's attenuation grows
+    up to 180 degrees off boresight, capped at front_to_back_db."""
+    if p.kind != "sector":
+        return p.gain_dbi
+    return p.gain_dbi - min(12.0 * (180.0 / p.theta_3db_deg) ** 2, p.front_to_back_db)
+
+
+def _received_in_range(p_dbm: float, gain_db: float) -> bool:
+    """Whether p * g, with each taken to 10 ** (x / 10) as the solver takes
+    it, is a positive finite float."""
+    try:
+        return 0.0 < 10.0 ** (p_dbm / 10.0) * 10.0 ** (gain_db / 10.0) < math.inf
+    except OverflowError:
+        return False
 
 
 def _linear_in_range(db: float) -> bool:

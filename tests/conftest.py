@@ -87,6 +87,19 @@ def multi_green_doc(mobiles_per_sector=2, combining="egc", attached=6):
     return doc
 
 
+def wide_green_doc(greens=9):
+    """green.json with its green and greens - 1 more, each at the centre of
+    one of its buildings, attached to sector s0a alone: s0a's branch set is
+    then greens + 1 wide, and from 8 on numpy sums its terms pairwise."""
+    doc = bundled_doc("green.json")
+    for b in doc["clutter"]["buildings"][1:greens]:
+        x0, y0, x1, y1 = b["rect"]
+        doc["greens"].append({"id": f"green-{b['id']}", "position": [(x0 + x1) / 2.0,
+                                                                      (y0 + y1) / 2.0],
+                              "attached_sectors": ["s0a"]})
+    return doc
+
+
 def place(*xy, building=None, target_db=-12.0):
     """A hand-placed drop for constructed (non-random) snapshots: one (x, y)
     row per mobile, outdoor data users unless `building` gives each row's

@@ -141,6 +141,15 @@ def test_non_finite_scenario_number_is_exit_2(tmp_path, capsys, section, table, 
     assert not (tmp_path / "out_cdf.csv").exists()
 
 
+def _dark_building_doc():
+    """The two-cell world with every mobile indoors, in a building of 2000 dB
+    penetration loss, under 2000 dB of urban path loss at 1 km."""
+    doc = two_cell_doc(indoor_fraction=1.0, buildings=[
+        {"id": "dark", "rect": [900, -100, 1100, 100], "penetration_loss_db": 2000.0}])
+    doc["radio"]["pathloss"] = {"urban": {"pl0_db": 2000.0}}
+    return doc
+
+
 @pytest.mark.parametrize("section, key, value, path", [
     ("radio", "p_max_dbm", 4000.0, "radio.p_max_dbm"),
     ("radio", "p_min_dbm", -4000.0, "radio.p_min_dbm"),
@@ -155,13 +164,20 @@ def test_non_finite_scenario_number_is_exit_2(tmp_path, capsys, section, table, 
     ("radio", "pathloss", {"urban": {"d0_m": 1e300}}, "radio.pathloss.urban: path loss"),
     ("radio", "pathloss", {"urban": {"exponent": 1e6}}, "radio.pathloss.urban: path loss"),
     ("radio", "shadowing_sigma_db", {"urban": 1e6}, "radio.shadowing_sigma_db.urban"),
+    # each term in range alone, but the weakest indoor link is 0.0 mW: a
+    # whole document, in place of one key
+    (None, None, _dark_building_doc(),
+     "radio.pathloss.urban, clutter.buildings[0] ('dark').penetration_loss_db"),
 ])
 def test_db_value_outside_the_float_range_is_exit_2(tmp_path, capsys, section, key, value, path):
     """10 ** (dB / 10) overflows above ~3083 dB and is 0.0 below ~-3240 dB:
-    such a power, target, gain, loss or noise floor is bad input, not a
-    runtime failure or a nan row."""
+    such a power, target, gain, loss or noise floor, or a link that sums
+    them, is bad input, not a runtime failure or a nan row."""
     doc = two_cell_doc()
-    doc[section][key] = value
+    if section is None:
+        doc = value
+    else:
+        doc[section][key] = value
     bad = tmp_path / "range.json"
     bad.write_text(json.dumps(doc))
     assert main(run_args(str(bad), tmp_path)) == 2

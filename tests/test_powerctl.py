@@ -222,24 +222,51 @@ def test_kernel_is_bitwise_equal_to_per_sector_evaluation():
             assert np.array_equal(_combined_sinr(p, problem, mode), expected)
 
 
-def reference_groups(gm, serving, branches, targets_db):
-    """The per-mobile problem builder: {width: (rows, cols, gains, noise)}
-    and the per-element scalar pow of the targets."""
-    names = serving.tolist()
-    cols = {k: branches.cols[k, :branches.widths[k]].tolist() for k in set(names)}
-    by_width = {}
-    for i, k in enumerate(names):
-        by_width.setdefault(len(cols[k]), []).append(i)
+def test_bincount_adds_a_short_segment_as_the_reduce_does():
+    """The kernel sums a segment of 1-7 links with a weighted np.bincount,
+    which adds in input order from 0.0: that is numpy's add.reduce over a
+    row of fewer than 8 terms, bit for bit. A numpy that sums fewer terms
+    pairwise fails here rather than shifting the solver's last bits."""
+    rng = np.random.default_rng(103)
+    for width in range(1, powerctl._PAIRWISE_FROM):
+        for m in (1, 2, 5, 40):
+            for _ in range(50):
+                block = 10.0 ** rng.uniform(-15.0, 3.0, size=(m, width))
+                got = np.bincount(np.repeat(np.arange(m), width), block.reshape(-1), m)
+                assert got.tobytes() == np.add.reduce(block, axis=1).tobytes()
+
+
+def reference_links(gm, serving, branches, targets_db):
+    """The per-mobile problem builder and the per-element scalar pow of the
+    targets. The links are {name: array} of `_Problem`'s link fields:
+    each mobile's (row, branch column, gain, noise floor) in mobile order,
+    its first link and whether it has one branch, and `wide`, each width of
+    8 or more as (its mobiles, their link indices)."""
     gains_mw = 10.0 ** (gm.ul_gain_db / 10.0)
     noise_mw = 10.0 ** (gm.noise_dbm / 10.0)
-    groups = {}
-    for width, ms_rows in by_width.items():
-        rows = np.array(ms_rows, dtype=int)
-        branch_cols = np.array([cols[names[i]] for i in ms_rows], dtype=int)
-        groups[width] = (rows, branch_cols, gains_mw[rows[:, None], branch_cols],
-                         noise_mw[branch_cols])
+    links = {name: [] for name in ("rows", "cols", "link_gains_mw", "noise_mw", "starts",
+                                   "single")}
+    wide = {}
+    for i, k in enumerate(serving.tolist()):
+        cols = branches.cols[k, :branches.widths[k]].tolist()
+        start = len(links["rows"])
+        links["starts"].append(start)
+        links["single"].append(len(cols) == 1)
+        if len(cols) >= 8:
+            mobiles, blocks = wide.setdefault(len(cols), ([], []))
+            mobiles.append(i)
+            blocks.append(list(range(start, start + len(cols))))
+        for c in cols:
+            links["rows"].append(i)
+            links["cols"].append(c)
+            links["link_gains_mw"].append(gains_mw[i, c])
+            links["noise_mw"].append(noise_mw[c])
+    links = {name: np.array(v, dtype=float if name.endswith("_mw") else None)
+             for name, v in links.items()}
+    links["wide"] = {w: (np.array(mobiles), np.array(blocks))
+                     for w, (mobiles, blocks) in sorted(wide.items())}
     targets_lin = np.array([10.0 ** (float(t) / 10.0) for t in targets_db])
-    return groups, targets_lin
+    return links, targets_lin
 
 
 def multi_green_problems(n_snapshots=6):
@@ -254,15 +281,14 @@ def multi_green_problems(n_snapshots=6):
     return out
 
 
-def assert_same_groups(problem, want):
-    got = {g.cols.shape[1]: g for g in problem.groups}
-    assert sorted(got) == sorted(want)
-    for width, (rows, cols, gains, noise) in want.items():
-        g = got[width]
-        assert np.array_equal(g.rows, rows)
-        assert np.array_equal(g.cols, cols)
-        assert np.array_equal(g.gains_mw, gains)
-        assert np.array_equal(g.noise_mw, noise)
+def assert_same_links(problem, want):
+    for name, value in want.items():
+        if name != "wide":
+            got = getattr(problem, name)
+            assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
+    assert [links.shape[1] for _, links in problem.wide] == list(want["wide"])
+    for (mobiles, links), (want_mobiles, want_links) in zip(problem.wide, want["wide"].values()):
+        assert np.array_equal(mobiles, want_mobiles) and np.array_equal(links, want_links)
 
 
 def test_class_targets_are_bitwise_the_linear_targets(monkeypatch):
@@ -312,37 +338,36 @@ def test_vectorised_problem_equals_per_mobile_builder():
              for gm, serving, branches, targets in cases]
     cases += multi_green_problems()
     for gm, serving, branches, targets in cases:
-        want, want_targets = reference_groups(gm, serving, branches, targets)
+        want, want_targets = reference_links(gm, serving, branches, targets)
         problem = _stacked_problem([gm], [serving], branches, _linear_targets(targets),
                                    -50.0, 24.0)
-        assert_same_groups(problem, want)
+        assert_same_links(problem, want)
         assert problem.targets_lin.tobytes() == want_targets.tobytes()
 
 
 def test_stacked_problem_offsets_each_snapshots_groups():
-    """Snapshot s of a stack holds its own groups, with rows shifted by s*n
-    and columns by s*n_rp."""
+    """Snapshot s of a stack holds its own links, after those of the
+    snapshots before it, with rows shifted by s*n and columns by s*n_rp."""
     cases = multi_green_problems()
     tables, servings, branches = [c[0] for c in cases], [c[1] for c in cases], cases[0][2]
     targets = np.stack([c[3] for c in cases])
     stacked = _stacked_problem(tables, servings, branches, _linear_targets(targets), -50.0, 24.0)
     n, n_rp = tables[0].ul_gain_db.shape
     assert stacked.gains_mw.shape == (len(cases), n, n_rp)
+    first = 0       # the first link of snapshot s
     for s, (gm, serving, _, t) in enumerate(cases):
-        want, want_targets = reference_groups(gm, serving, branches, t)
-        widths = set()
-        for g in stacked.groups:
-            mine = g.rows // n == s
-            if mine.any():
-                width = g.cols.shape[1]
-                widths.add(width)
-                rows, cols, gains, noise = want[width]
-                assert np.array_equal(g.rows[mine], rows + s * n)
-                assert np.array_equal(g.cols[mine], cols + s * n_rp)
-                assert np.array_equal(g.gains_mw[mine], gains)
-                assert np.array_equal(g.noise_mw[mine], noise)
-        assert widths == set(want)
-        assert stacked.targets_lin[s * n:(s + 1) * n].tobytes() == want_targets.tobytes()
+        want, want_targets = reference_links(gm, serving, branches, t)
+        mine = slice(first, first + len(want["rows"]))
+        mobiles = slice(s * n, (s + 1) * n)
+        assert np.array_equal(stacked.rows[mine], want["rows"] + s * n)
+        assert np.array_equal(stacked.cols[mine], want["cols"] + s * n_rp)
+        assert stacked.link_gains_mw[mine].tobytes() == want["link_gains_mw"].tobytes()
+        assert stacked.noise_mw[mine].tobytes() == want["noise_mw"].tobytes()
+        assert np.array_equal(stacked.starts[mobiles], want["starts"] + first)
+        assert np.array_equal(stacked.single[mobiles], want["single"])
+        assert stacked.targets_lin[mobiles].tobytes() == want_targets.tobytes()
+        first = mine.stop
+    assert first == len(stacked.rows) and stacked.wide == ()
 
 
 def stack_of(rng, n_snapshots, wide):
@@ -358,7 +383,7 @@ def stack_of(rng, n_snapshots, wide):
 
 
 def test_stacked_kernel_is_bitwise_per_snapshot():
-    """The batched matmul and the cross-snapshot width groups give each
+    """The batched matmul and the cross-snapshot flat links give each
     snapshot the bits of its own kernel call, up to 11 branches wide."""
     rng = np.random.default_rng(101)
     for trial in range(30):
@@ -376,7 +401,7 @@ def test_stacked_kernel_is_bitwise_per_snapshot():
 
 def test_egc_closed_form_matches_pairwise_expansion():
     """(sum_r sqrt(S_r))^2 equals sum_r S_r + 2 sum_{a<b} sqrt(S_a S_b) to
-    rounding, on groups up to 11 branches wide."""
+    rounding, on branch sets up to 11 branches wide."""
     rng = np.random.default_rng(61)
     for _ in range(40):
         gm, serving, branches = wide_instance(rng)

@@ -10,6 +10,7 @@ import pytest
 import greenant.propagation
 from greenant.powerctl import associate, solve_snapshots
 from greenant.propagation import (
+    LinkGainMatrix,
     antenna_gain,
     build_gain_matrix,
     path_loss,
@@ -18,7 +19,8 @@ from greenant.propagation import (
 from greenant.scenario import AntennaPattern, PathLossModel, drop_mobiles, strip_greens
 from greenant.seeds import label_normal
 
-from conftest import GREEN_JSON, clutter_class_at, load_doc, place, snapshots, two_cell_doc
+from conftest import (GREEN_JSON, clutter_class_at, load_doc, multi_green_doc, place, snapshots,
+                      two_cell_doc)
 
 URBAN = PathLossModel(pl0_db=128.1, d0_m=1000.0, exponent=3.76)
 
@@ -359,6 +361,29 @@ def test_channel_arrays_belong_to_one_scenario_and_stay_out_of_pickles(two_cell_
                                                 (again.restricted_to(bare), again))])
     for got, want in zip(snapshots(resolved)[0].runs, snapshots(solved)[0].runs, strict=True):
         assert pickle.dumps(got) == pickle.dumps(want)
+
+
+def test_restricted_linear_gains_are_a_gather_of_the_full_table():
+    """`restricted_to` gathers its columns of the full table's `ul_gain_mw`
+    and takes no pow: the copy holds them as it is made, and a marked full
+    array shows through. On random tables and column subsets the gather has
+    the bits of a fresh pow of the copy's own dB columns."""
+    rng = np.random.default_rng(73)
+    world = load_doc(multi_green_doc())
+    for _ in range(300):
+        full = replace(world, greens=tuple(g for g in world.greens if rng.random() < 0.7))
+        part = replace(full, greens=tuple(g for g in full.greens if rng.random() < 0.5))
+        n = int(rng.integers(1, 300))
+        gm = LinkGainMatrix(channel=full.channel,
+                            ul_gain_db=rng.uniform(-320.0, 30.0, size=(n, len(full.receive_points))),
+                            dl_rx_dbm=np.zeros((n, full.n_sectors())))
+        table = gm.restricted_to(part)
+        assert "ul_gain_mw" in vars(table)
+        assert table.ul_gain_mw.flags.c_contiguous
+        assert table.ul_gain_mw.tobytes() == (10.0 ** (table.ul_gain_db / 10.0)).tobytes()
+    marked = gm.__dict__["ul_gain_mw"] = rng.random(gm.ul_gain_db.shape)
+    cols = part.channel.columns_in(full.channel)
+    assert np.array_equal(gm.restricted_to(part).ul_gain_mw, marked[:, cols])
 
 
 def test_receive_point_order_is_sectors_then_greens(two_cell_green):

@@ -139,6 +139,11 @@ def test_unknown_keys_are_rejected_with_path(mutate, fragment):
      "radio.pathloss.open.pl0_db: 4000.0 dB is outside the float range"),
     (lambda d: d.update(radio={"thermal_noise_dbm": -4000}),
      "radio.thermal_noise_dbm: -4000.0 dBm is outside the float range"),
+    # in range alone, but a link at the near-field clamp received at p_max
+    # overflows
+    (lambda d: d.update(radio={"pathloss": {"open": {"pl0_db": -3000}}}),
+     "radio.pathloss.open, radio.shadowing_sigma_db.open, sites[0].sectors[0] ('A1').antenna: "
+     "the strongest open link"),
 ])
 def test_invalid_documents_are_rejected(mutate, fragment):
     doc = json.loads(json.dumps(MINIMAL))

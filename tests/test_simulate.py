@@ -28,7 +28,7 @@ from greenant.simulate import (
 )
 
 from conftest import (SCENARIO_DIR, act_from, bundled_doc, counting_builds, drop_bits, jacobi,
-                      load_doc, snapshots, two_cell_doc)
+                      load_doc, snapshots, two_cell_doc, wide_green_doc)
 
 
 def solved_alone(scenarios, seed, index):
@@ -387,8 +387,9 @@ def test_gather_tx_powers_reads_precomputed_kept_indices(two_cell, two_cell_gree
 #: 21 sectors and to 21 sectors + 1 green.
 HOLE_PAIR_LINKS = 210 * (21 + 22)
 
-def _hole_pair(combining):
-    docs = [bundled_doc("baseline.json"), bundled_doc("green.json")]
+def _hole_pair(combining, docs=None):
+    """The bundled pair, or the pair of `docs`, under one combining rule."""
+    docs = docs or [bundled_doc("baseline.json"), bundled_doc("green.json")]
     for doc in docs:
         doc["radio"]["combining"] = combining
     return tuple(load_doc(doc) for doc in docs)
@@ -413,22 +414,27 @@ def _assert_same_snapshot(got, want):
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("combining", ["mrc", "selection", "egc"])
 def test_campaign_snapshots_are_bitwise_their_solves_alone(combining, jobs, monkeypatch):
-    """Two solver slots of the bundled pair over 9 snapshots, so slots are
-    refilled and the drained stack shrinks: every snapshot equals a task of
-    it alone, and each run equals Jacobi iterates on its own scenario's
-    table to the pair's iteration count."""
-    scenarios = _hole_pair(combining)
-    monkeypatch.setattr(powerctl, "STACK_LINKS", 2 * HOLE_PAIR_LINKS)
-    sizes = counting_builds(monkeypatch)
-    snaps = snapshots(run_campaign(scenarios, seed=53, n_snapshots=9, jobs=jobs), 53)
-    assert max(sizes) == 2     # the parent's range: 9 or 4 snapshots
-    assert [sn.index for sn in snaps] == list(range(9))
-    for snap in snaps:
-        _assert_same_snapshot(snap, solved_alone(scenarios, 53, snap.index))
-        for s, got in zip(scenarios, snap.runs):
-            mobiles = drop_mobiles(s, snap.seed)
-            gm = build_gain_matrix(s, mobiles, snap.seed)
-            _assert_same_result(got, jacobi(s, mobiles, gm, associate(gm), got.iterations))
+    """Two solver slots over 9 snapshots, so slots are refilled and the
+    drained stack shrinks: every snapshot equals a task of it alone, and
+    each run equals Jacobi iterates on its own scenario's table to the
+    pair's iteration count. The worlds are the bundled pair, and
+    green.json with 9 greens on one sector (a branch set of 10, summed
+    pairwise) paired with its first 8 (a set of 9)."""
+    for docs in (None, [wide_green_doc(8), wide_green_doc(9)]):
+        scenarios = _hole_pair(combining, docs)
+        links = 210 * sum(len(s.receive_points) for s in scenarios)
+        assert max(s.branches.widths.max() for s in scenarios) == (2 if docs is None else 10)
+        monkeypatch.setattr(powerctl, "STACK_LINKS", 2 * links)
+        sizes = counting_builds(monkeypatch)
+        snaps = snapshots(run_campaign(scenarios, seed=53, n_snapshots=9, jobs=jobs), 53)
+        assert max(sizes) == 2     # the parent's range: 9 or 4 snapshots
+        assert [sn.index for sn in snaps] == list(range(9))
+        for snap in snaps:
+            _assert_same_snapshot(snap, solved_alone(scenarios, 53, snap.index))
+            for s, got in zip(scenarios, snap.runs):
+                mobiles = drop_mobiles(s, snap.seed)
+                gm = build_gain_matrix(s, mobiles, snap.seed)
+                _assert_same_result(got, jacobi(s, mobiles, gm, associate(gm), got.iterations))
 
 
 def _hole_drops(scenarios, seed, count):
