@@ -25,7 +25,9 @@ branch) link flat, with the links' gains and noise gathered once per
 solve, so each rule is one pass over all links and one reduction per
 mobile, whatever the branch-set widths. EGC's numerator is the closed
 form (sum_r sqrt(S_r))^2, except that a single branch uses S itself, so
-width-1 EGC equals MRC and selection exactly.
+width-1 EGC equals MRC and selection exactly. A problem whose every
+branch set has one branch (a run without greens) skips the reductions,
+whose every value would be S / (I + N) of its one link.
 
 One solve loop, `solve_snapshots`, solves snapshots of R runs (one
 (scenario, table) pair each) in a stack of S slots, one snapshot per
@@ -86,6 +88,14 @@ DEFAULT_MAX_ITER = 1000
 #: multi-green-egc, and about 1 MB more peak memory (2-core shared x86-64).
 STACK_LINKS = 1 << 16
 
+#: Block budget of a task's draws, in UL table entries (mobiles x receive
+#: points of the campaign's last scenario): each task draws its snapshots
+#: in blocks of as many as fit, at least one, and one pass computes a
+#: block's drops, channel tables and associations. 128 KB per float64
+#: table: 3 snapshots of the bundled pair, 12 of the 11-green map with 2
+#: mobiles per sector.
+DRAW_LINKS = 1 << 14
+
 
 @dataclass(frozen=True)
 class Campaign:
@@ -121,15 +131,17 @@ def associate(gm: LinkGainMatrix) -> np.ndarray:
     Only the DL pilot table enters, so green antennas can never influence
     the serving sector. The dtype is the smallest index type (uint8 up to
     256 sectors), since a forked child sends its range's associations back.
-    It is read-only, as it is shared by every run of the snapshot.
+    It is read-only, as it is shared by every run of the snapshot. A
+    block's tables give the block's associations, (k, n): each mobile
+    reads its own row of pilots, the trailing axis.
     """
     dl = gm.dl_rx_dbm
     # the lexicographic rank of each id, the scenario's: declaration order
     # can differ ("s10" after "s2"), so the first tied column is not
     # always the lowest id
     rank = gm.channel.sector_rank
-    tied = dl == dl.max(axis=1, keepdims=True)
-    serving = np.argmin(np.where(tied, rank, len(rank)), axis=1)
+    tied = dl == dl.max(axis=-1, keepdims=True)
+    serving = np.argmin(np.where(tied, rank, len(rank)), axis=-1)
     serving = serving.astype(np.min_scalar_type(len(rank) - 1))
     serving.flags.writeable = False
     return serving
@@ -154,6 +166,7 @@ class _Problem(NamedTuple):
     noise_mw: np.ndarray            # (L,) that point's noise floor
     starts: np.ndarray              # (S * n,) each mobile's first link
     single: np.ndarray              # (S * n,) bool: a branch set of one
+    narrow: bool                    # every branch set has one branch
     wide: tuple[tuple[np.ndarray, np.ndarray], ...]    # see _segment_sum
     p_min_mw: float
     p_max_mw: float
@@ -215,6 +228,7 @@ def _stacked_problem(tables: list[LinkGainMatrix], servings: list[np.ndarray],
         noise_mw=gm.channel.noise_mw[cols],
         starts=starts,
         single=widths == 1,
+        narrow=len(rows) == len(serving),
         wide=tuple((mobiles, starts[mobiles, None] + np.arange(width))
                    for width in np.unique(widths[widths >= _PAIRWISE_FROM]).tolist()
                    for mobiles in [np.flatnonzero(widths == width)]),
@@ -246,6 +260,10 @@ def _combined_sinr(powers_mw: np.ndarray, problem: _Problem, combining: str) -> 
     total_rx = np.matmul(powers_mw.reshape(s, 1, n), problem.gains_mw).reshape(s * n_rp)
     signal = powers_mw[problem.rows] * problem.link_gains_mw
     den = (total_rx[problem.cols] - signal) + problem.noise_mw     # I + N
+    if problem.narrow and combining in COMBINING_MODES:
+        # one link per mobile, in mobile order: a sum of one term from 0.0,
+        # a maximum of one, and EGC's S / (0.0 + den) are each signal / den
+        return signal / den
     if combining == "mrc":
         return _segment_sum(signal / den, problem)
     if combining == "selection":
@@ -321,10 +339,10 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
     scenarios[r]'s table of that drop and serving is `associate` of it;
     all snapshots hold the same number of mobiles. The stack holds as
     many snapshots as fit in STACK_LINKS links of the first one's tables.
-    Snapshots are read from the iterable only as slots free, so a
-    generator can draw each one when it is needed; it must then say how
-    many it yields, as `count`. Without `count` the iterable is listed
-    first.
+    Snapshots are read from the iterable lazily, one each time a slot
+    frees and never ahead, so a generator can draw each one (or each
+    block of them) when it is needed; it must then say how many it
+    yields, as `count`. Without `count` the iterable is listed first.
     Run r of every slot is one stacked problem under
     scenarios[r].radio.combining, so an iteration costs R kernel calls
     whatever the slot count. A snapshot stops once every run's largest

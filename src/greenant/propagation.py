@@ -9,8 +9,9 @@ with a 0 dBi omni mobile antenna. Shadowing is an i.i.d. zero-mean
 Gaussian per (mobile, receive point, direction). Each column is one
 counter stream keyed by a hash of the snapshot seed and "<direction>:<receive
 point>", and each mobile's row in the drop is a counter in it, so adding or
-removing a green antenna leaves every other link's draw bit-identical. A table
-is built in one array pass over the drop's arrays, one draw call per direction.
+removing a green antenna leaves every other link's draw bit-identical. A table,
+or a block of tables of several drops, is built in one array pass over the
+drops' arrays, with one draw call per direction and drop.
 What depends only on the scenario is its `ChannelArrays` (`Scenario.channel`),
 which every table of it keeps: distances and angles are taken once per
 distinct receive point position (a site's sectors share one) and gathered to
@@ -31,13 +32,15 @@ from .seeds import label_normal
 
 @dataclass(frozen=True)
 class LinkGainMatrix:
-    """Per-snapshot channel tables.
+    """Per-snapshot channel tables, or a block of them.
 
     Row i of each table is mobile i of the drop (the gain dump's ms_id).
     ul_gain_db is |MS| x |receive points| (sectors then greens);
     dl_rx_dbm is |MS| x |sectors| and never contains green antennas.
-    channel is the scenario's shared record: its receive points (the UL
-    columns), sector ids (the DL columns) and per-branch noise floor.
+    A block's tables lead both with the block axis (`build_gain_matrix`
+    of a block of drops), and `snapshot(i)` is table i. channel is the
+    scenario's shared record: its receive points (the UL columns), sector
+    ids (the DL columns) and per-branch noise floor.
     """
 
     channel: ChannelArrays
@@ -59,8 +62,23 @@ class LinkGainMatrix:
 
     @cached_property
     def ul_gain_mw(self) -> np.ndarray:
-        """ul_gain_db in linear units, computed once per table."""
+        """ul_gain_db in linear units, computed once per table or block."""
         return 10.0 ** (self.ul_gain_db / 10.0)
+
+    def snapshot(self, i: int) -> LinkGainMatrix:
+        """Table i of a block. A block of several has its rows copied out,
+        so a table kept past its block (by a solver slot) does not keep the
+        whole block; a block of one is that table, and lends its arrays.
+        Its `ul_gain_mw` is row i of the block's: the pow is elementwise,
+        so a block takes one pow with each table's bits."""
+        whole = len(self.ul_gain_db) == 1
+        ul, dl, mw = (a[i] if whole else a[i].copy()
+                      for a in (self.ul_gain_db, self.dl_rx_dbm, self.ul_gain_mw))
+        for arr in (ul, dl):
+            arr.flags.writeable = False
+        table = LinkGainMatrix(channel=self.channel, ul_gain_db=ul, dl_rx_dbm=dl)
+        table.__dict__["ul_gain_mw"] = mw
+        return table
 
     def restricted_to(self, s: Scenario) -> LinkGainMatrix:
         """The columns of s's receive points, by id and in s's order.
@@ -71,12 +89,13 @@ class LinkGainMatrix:
         layout of the gain array changes the last bits of `powers @ gains`.
         Its `ul_gain_mw` is the same columns of this table's: the pow is
         elementwise, so a gather has the bits of a pow of the gathered dB.
+        A block's tables are restricted along their trailing axis.
         """
         cols = s.channel.columns_in(self.channel)
-        ul = np.ascontiguousarray(self.ul_gain_db[:, cols])
+        ul = np.ascontiguousarray(self.ul_gain_db[..., cols])
         ul.flags.writeable = False
         table = replace(self, channel=s.channel, ul_gain_db=ul)
-        table.__dict__["ul_gain_mw"] = np.ascontiguousarray(self.ul_gain_mw[:, cols])
+        table.__dict__["ul_gain_mw"] = np.ascontiguousarray(self.ul_gain_mw[..., cols])
         return table
 
 
@@ -109,7 +128,7 @@ def antenna_gain(pattern: AntennaPattern, bearing_deg):
     return pattern.gain_dbi - attenuation
 
 
-def build_gain_matrix(s: Scenario, mobiles: Drop, seed: int) -> LinkGainMatrix:
+def build_gain_matrix(s: Scenario, mobiles: Drop, seed) -> LinkGainMatrix:
     """Channel tables for one drop; deterministic in (scenario, mobiles, seed).
 
     Each UL entry is -path_loss + rx_antenna_gain - penetration + shadowing,
@@ -126,14 +145,27 @@ def build_gain_matrix(s: Scenario, mobiles: Drop, seed: int) -> LinkGainMatrix:
     labels and the noise floor are the scenario's (`Scenario.channel`),
     built at its first table; only what depends on the drop or the seed
     is computed per call.
+
+    A block of drops (`drop_mobiles` of k seeds) with its k seeds gives
+    the block's tables, whose arrays lead with the block axis: table i is
+    the table of drop i and seed i, bit for bit. Everything but the draws
+    runs once over the block's k * n mobile rows; each seed's draws are its
+    own label_normal calls, written into its drop's rows. The UL table is
+    composed in place, so the block's temporaries are a few tables' worth.
     """
     ch = s.channel
     n_sec = len(ch.sector_ids)
+    one = isinstance(seed, (int, np.integer))
+    seeds = [seed] if one else list(seed)
+    n = len(mobiles)
+    if mobiles.building.shape != ((n,) if one else (len(seeds), n)):
+        raise ValueError("a block of drops needs one seed per drop, and one drop one seed")
 
-    xs, ys = mobiles.xy[:, 0], mobiles.xy[:, 1]
-    ids = np.arange(len(mobiles), dtype=np.uint64)
+    xy = mobiles.xy.reshape(-1, 2)
+    xs, ys = xy[:, 0], xy[:, 1]
+    ids = np.arange(n, dtype=np.uint64)
     # outdoor mobiles (building -1) read the trailing 0 dB entry
-    pen = ch.penetration_db[mobiles.building, None]
+    pen = ch.penetration_db[mobiles.building.reshape(-1), None]
 
     # per-mobile clutter parameters, looked up by class code, as columns
     codes = s.clutter.class_codes(xs, ys)
@@ -146,26 +178,42 @@ def build_gain_matrix(s: Scenario, mobiles: Drop, seed: int) -> LinkGainMatrix:
     # their site's), gathered to that position's columns
     dx = xs[:, None] - ch.pos_x
     dy = ys[:, None] - ch.pos_y
-    loss = path_loss(model, np.hypot(dx, dy))[:, ch.rp_pos]
-    bearing = np.degrees(np.arctan2(dy, dx))[:, ch.rp_pos] - ch.rp_azimuth_deg
-    rx_gain = np.empty_like(bearing)
+    rx_gain = np.degrees(np.arctan2(dy, dx))[:, ch.rp_pos]
+    rx_gain -= ch.rp_azimuth_deg            # the bearing, until each pattern's gain
     for pattern, cols in ch.pattern_cols:
-        rx_gain[:, cols] = antenna_gain(pattern, bearing[:, cols])
-    base = -loss + rx_gain - pen
+        rx_gain[:, cols] = antenna_gain(pattern, rx_gain[:, cols])
+    # the base -loss + rx_gain - pen, composed in place in the gathered
+    # loss; the tables are then C-ordered arrays (a column gather is not)
+    base = path_loss(model, np.hypot(dx, dy))[:, ch.rp_pos]
+    np.negative(base, out=base)
+    base += rx_gain
+    base -= pen
+    del rx_gain
 
     def chi(labels):
+        """sigma times each seed's draws in its drop's rows, 0.0 where sigma is 0."""
         if not shadowed.any():
             return 0.0
-        return np.where(shadowed, sigma * label_normal(seed, labels, ids), 0.0)
+        out = np.zeros((len(xs), len(labels)))
+        for i, sd in enumerate(seeds):
+            rows = slice(i * n, (i + 1) * n)
+            if shadowed[rows].any():
+                np.multiply(sigma[rows], label_normal(sd, labels, ids), out=out[rows],
+                            where=shadowed[rows])
+        return out
 
     # a sector's DL column shares its UL column's geometry; in reciprocal
     # mode it also shares the UL draw, so each sector column is drawn once
-    ul = base + chi(ch.ul_labels)
     if s.radio.dl_shadowing_mode == "reciprocal":
-        dl = ch.tx_power_dbm + ul[:, :n_sec]
+        ul = np.add(base, chi(ch.ul_labels), out=np.empty(base.shape))
+        dl = ul[:, :n_sec] + ch.tx_power_dbm
     else:
-        dl = ch.tx_power_dbm + (base[:, :n_sec] + chi(ch.dl_labels))
+        dl = np.add(base[:, :n_sec], chi(ch.dl_labels), out=np.empty((len(xs), n_sec)))
+        dl += ch.tx_power_dbm
+        ul = np.add(base, chi(ch.ul_labels), out=np.empty(base.shape))
 
+    lead = (n,) if one else (len(seeds), n)
+    ul, dl = ul.reshape(*lead, len(ch.rp_pos)), dl.reshape(*lead, n_sec)
     for arr in (ul, dl):
         arr.flags.writeable = False
     return LinkGainMatrix(channel=ch, ul_gain_db=ul, dl_rx_dbm=dl)

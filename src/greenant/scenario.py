@@ -9,6 +9,7 @@ pilot and take no part in any downlink computation.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from collections.abc import Callable
@@ -219,9 +220,9 @@ class TrafficParams:
 @dataclass(frozen=True)
 class Drop:
     """One placement of mobiles, as read-only arrays: mobile i is row i,
-    and i is its id. A campaign's record stacks its drops in one Drop
-    whose arrays lead with a snapshot axis; its len is still the mobile
-    count."""
+    and i is its id. A campaign's record, and a block of drops, stack
+    their drops in one Drop whose arrays lead with a snapshot axis; its
+    len is still the mobile count, and `snapshot(i)` is drop i."""
 
     xy: np.ndarray                  # (n, 2) float64, meters
     building: np.ndarray            # (n,) intp into clutter.buildings, -1 outdoor
@@ -239,6 +240,10 @@ class Drop:
 
     def __len__(self) -> int:
         return self.building.shape[-1]
+
+    def snapshot(self, i: int) -> Drop:
+        """Drop i of a stacked drop, as views of its arrays."""
+        return Drop(self.xy[i], self.building[i], self.voice[i], self.target_db[i])
 
     @property
     def indoor(self) -> np.ndarray:
@@ -879,13 +884,17 @@ def _receiver_violations(p: AntennaPattern, noise_figure_db: float, path: str) -
 # ---------------------------------------------------------------------------
 # mobile drops
 
-def drop_mobiles(s: Scenario, seed: int) -> Drop:
-    """One seeded drop: mobiles_per_sector * sector-count mobiles.
+def drop_mobiles(s: Scenario, seed) -> Drop:
+    """One seeded drop: mobiles_per_sector * sector-count mobiles; or a
+    block of drops, one per seed of a sequence.
 
     Indoor mobiles are placed uniformly over the union of building
     footprints (area-weighted); outdoor mobiles uniformly over the
-    non-building map area. The result is a pure function of
-    (scenario-without-greens, seed) with stable row order.
+    non-building map area. A drop is a pure function of
+    (scenario-without-greens, seed) with stable row order. A block of k
+    seeds gives one Drop whose arrays lead with a block axis, as a
+    campaign's record stacks its drops: row i is the drop of seed i, bit
+    for bit, and a block of one is that drop with a leading axis of 1.
 
     The stream contract: each mobile consumes uniforms of the "drops"
     substream in a fixed order: an indoor flag; then a building pick and
@@ -893,12 +902,15 @@ def drop_mobiles(s: Scenario, seed: int) -> Drop:
     one lies outside every building (at most _MAX_PLACE_TRIES); then a
     service flag. A coordinate is low + (high - low) * u, as
     `Generator.uniform` computes it, so the drop is the one that a scalar
-    draw per value gives, bit for bit. The walk reads a block of uniforms
-    as a table of next offsets: a mobile starting at offset j ends at
-    j + 5 if indoor, else three past the first free candidate at or after
-    j + 1 of that parity. n hops from offset 0 give every mobile's start;
-    positions and services are gathers there. A hop that leaves the block
-    grows it and walks on.
+    draw per value gives, bit for bit. Each drop of a block reads its own
+    substream into one row of a table of uniforms, and every array pass
+    reads the table flat. The walk reads it as next offsets: a mobile
+    starting at offset j ends at j + 5 if indoor, else three past the
+    first free candidate at or after j + 1 of that parity. n hops from a
+    row's first offset give its mobile starts; positions and services are
+    gathers there. Only the walk is a loop, over each row's hops. A hop
+    that leaves its row's uniforms grows every row and walks on; the extra
+    uniforms of a finished row are never read.
     """
     traffic = s.traffic
     clutter = s.clutter
@@ -907,54 +919,83 @@ def drop_mobiles(s: Scenario, seed: int) -> Drop:
     if traffic.indoor_fraction > 0 and not buildings:
         raise InfeasibleDropError("indoor_fraction > 0 but the scenario has no buildings")
 
-    rng = substream(seed, "drops")
+    one = isinstance(seed, (int, np.integer))
+    rngs = [substream(sd, "drops") for sd in ([seed] if one else seed)]
+    k = len(rngs)
     cum, total_area = clutter.building_areas
     x0, y0, x1, y1 = clutter.bounds
     rects = clutter.building_rects
-    draws = np.empty(0)
-    starts: list[int] = []          # offset of each mobile's indoor flag
-    j = 0
+    size = 0                        # uniforms per row
+    starts: list[list[int]] = [[] for _ in rngs]    # each mobile's indoor flag, flat
+    walked = [0] * k                                # each row's next start in it
     while True:
-        draws = np.concatenate([draws, rng.random(max(len(draws), 6 * n + 64))])
-        size = len(draws)
+        # a row holds its uniforms and two spare entries, so the width is
+        # even and flat offsets (r * width + c) keep their parity in the row
+        grow = max(size, 6 * n + 64)
+        width = size + grow + 2
+        grown = np.zeros((k, width))
+        if size:        # each row keeps its uniforms, and its starts move with it
+            grown[:, :size] = draws[:, :size]
+            shift = width - draws.shape[1]
+            starts = [[j + r * shift for j in got] for r, got in enumerate(starts)]
+        for rng, row in zip(rngs, grown):
+            row[size:size + grow] = rng.random(grow)
+        draws, size = grown, size + grow
+        u = draws.reshape(-1)
         # candidate c is (u[c], u[c + 1]) over the map, tested against
         # every building at once: one row per building
-        cand_x = x0 + (x1 - x0) * draws[:-1]
-        cand_y = y0 + (y1 - y0) * draws[1:]
+        cand_x = x0 + (x1 - x0) * u[:-1]
+        cand_y = y0 + (y1 - y0) * u[1:]
         inside = ((rects[:, 0, None] <= cand_x) & (cand_x <= rects[:, 2, None])
                   & (rects[:, 1, None] <= cand_y) & (cand_y <= rects[:, 3, None])).any(axis=0)
         # stop[c]: the first free candidate at or after c of c's parity, or
-        # the first offset of that parity whose candidate is past the block
-        stop = np.where(np.append(~inside, (True, True)), np.arange(size + 1), size + 1)
+        # the first offset of that parity whose candidate is past its row's
+        # uniforms. Those offsets and the spares count as free, so no
+        # minimum reaches into the next row, and a start at the row's end
+        # hops past it (indoor at u = 0.0, or to a free spare): the row grows.
+        free = np.ones(len(u) + 1, dtype=bool)
+        np.logical_not(inside, out=free[:-2])
+        free[:-1].reshape(k, width)[:, size - 1:] = True
+        offsets = np.arange(len(u) + 1)
+        stop = np.where(free, offsets, len(u))
         for parity in (0, 1):
             stop[parity::2] = np.minimum.accumulate(stop[parity::2][::-1])[::-1]
-        indoor_at = draws < traffic.indoor_fraction
-        hop = np.where(indoor_at, np.arange(5, size + 5), stop[1:] + 3)
+        indoor_at = u < traffic.indoor_fraction
+        hop = np.where(indoor_at, offsets[:-1] + 5, stop[1:] + 3)
         # an outdoor start whose first _MAX_PLACE_TRIES candidates are all
         # taken cannot be placed, however far the block grows
-        hop[~indoor_at & (stop[1:] - np.arange(1, size + 1) >= 2 * _MAX_PLACE_TRIES)] = -1
-        hops = [*hop.tolist(), size + 1]     # a start at the block's end grows it
-        while len(starts) < n and 0 < hops[j] <= size:
-            starts.append(j)
-            j = hops[j]
-        if len(starts) == n:
+        hop[~indoor_at & (stop[1:] - offsets[1:] >= 2 * _MAX_PLACE_TRIES)] = -1
+        hops = hop.tolist()
+        for r, got in enumerate(starts):
+            first = r * width
+            end = first + size + 1          # past the row's uniforms
+            j = first + walked[r]
+            while len(got) < n and 0 < hops[j] < end:
+                got.append(j)
+                j = hops[j]
+            walked[r] = j - first
+            if len(got) < n and hops[j] < 0:
+                raise InfeasibleDropError("could not place an outdoor mobile; "
+                                          "map covered by buildings")
+        if all(len(got) == n for got in starts):
             break
-        if hops[j] < 0:
-            raise InfeasibleDropError("could not place an outdoor mobile; map covered by buildings")
 
-    at = np.array(starts, dtype=np.intp)
+    at = np.fromiter(itertools.chain.from_iterable(starts), dtype=np.intp, count=k * n)
+    ends = hop[at]                              # each mobile's next start
     indoor = indoor_at[at]
-    inner, outer = at[indoor], at[~indoor]
-    picked = np.minimum(np.searchsorted(cum, draws[inner + 1] * total_area), len(cum) - 1)
+    inner, outdoor = at[indoor], ~indoor
+    picked = np.minimum(np.searchsorted(cum, u[inner + 1] * total_area), len(cum) - 1)
     corner = rects[picked, :2]
-    xy = np.empty((n, 2))
-    xy[indoor] = corner + (rects[picked, 2:] - corner) * draws[inner[:, None] + (2, 3)]
-    free = stop[outer + 1]
-    xy[~indoor, 0] = cand_x[free]
-    xy[~indoor, 1] = cand_y[free]
-    building = np.full(n, -1, dtype=np.intp)
+    xy = np.empty((k * n, 2))
+    xy[indoor] = corner + (rects[picked, 2:] - corner) * u[inner[:, None] + (2, 3)]
+    placed = ends[outdoor] - 3                  # an outdoor mobile's free candidate
+    xy[outdoor, 0] = cand_x[placed]
+    xy[outdoor, 1] = cand_y[placed]
+    building = np.full(k * n, -1, dtype=np.intp)
     building[indoor] = picked
-    voice = draws[hop[at] - 1] < traffic.voice_fraction
+    voice = u[ends - 1] < traffic.voice_fraction
     targets = traffic.sinr_target_db
-    return Drop(xy=xy, building=building, voice=voice,
-                target_db=np.where(voice, targets["voice"], targets["data"]))
+    shape = (n,) if one else (k, n)
+    return Drop(xy=xy.reshape(*shape, 2), building=building.reshape(shape),
+                voice=voice.reshape(shape),
+                target_db=np.where(voice, targets["voice"], targets["data"]).reshape(shape))

@@ -44,12 +44,14 @@ def greens_json(tmp_path):
 
 
 def count_tables(monkeypatch):
-    """Count gain tables built by the campaign and by the CLI's gain dump."""
+    """Count gain tables built by the campaign and by the CLI's gain dump:
+    one entry (the table's scenario) per table, so a block of k drops'
+    tables counts k."""
     calls = []
 
-    def counted(*args, _real=greenant.simulate.build_gain_matrix, **kwargs):
-        calls.append(args[0])
-        return _real(*args, **kwargs)
+    def counted(s, mobiles, seed, _real=greenant.simulate.build_gain_matrix):
+        calls.extend([s] * (1 if np.ndim(seed) == 0 else len(seed)))
+        return _real(s, mobiles, seed)
 
     monkeypatch.setattr(greenant.simulate, "build_gain_matrix", counted)
     return calls

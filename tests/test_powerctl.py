@@ -32,6 +32,7 @@ from greenant.simulate import snapshot_seed
 
 from conftest import (
     branch_ids,
+    bundled_doc,
     load_doc,
     make_tables,
     multi_green_doc,
@@ -220,6 +221,32 @@ def test_kernel_is_bitwise_equal_to_per_sector_evaluation():
         for mode in ("mrc", "selection", "egc"):
             expected = per_sector_sinr(p, gm, serving, branches, mode)
             assert np.array_equal(_combined_sinr(p, problem, mode), expected)
+
+
+def test_width_one_stack_skips_the_reductions_with_their_bits():
+    """A stack whose every branch set has one branch (7 slots of
+    baseline.json) is narrow: each rule there is signal / den of the
+    mobile's one link, bit for bit the segment reductions that the same
+    problem takes when not marked narrow. A stack of green.json, whose
+    green gives one sector two branches, is not narrow and still reduces:
+    every rule equals the per-sector reference of each snapshot."""
+    rng = np.random.default_rng(107)
+    for name in ("baseline.json", "green.json"):
+        s = load_doc(bundled_doc(name))
+        seeds = [snapshot_seed(47, k) for k in range(7)]
+        tables = [build_gain_matrix(s, drop_mobiles(s, seed), seed) for seed in seeds]
+        servings = [associate(gm) for gm in tables]
+        n = len(servings[0])
+        problem = _stacked_problem(tables, servings, s.branches, np.ones(7 * n), -50.0, 24.0)
+        assert problem.narrow == (name == "baseline.json")
+        powers = 10.0 ** rng.uniform(-5.0, 2.4, size=(7, n))
+        for mode in ("mrc", "selection", "egc"):
+            got = _combined_sinr(powers.reshape(-1), problem, mode)
+            general = _combined_sinr(powers.reshape(-1), problem._replace(narrow=False), mode)
+            assert got.tobytes() == general.tobytes()
+            for k, (gm, serving) in enumerate(zip(tables, servings)):
+                want = per_sector_sinr(powers[k], gm, serving, s.branches, mode)
+                assert got[k * n:(k + 1) * n].tobytes() == want.tobytes()
 
 
 def test_bincount_adds_a_short_segment_as_the_reduce_does():

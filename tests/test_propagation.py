@@ -2,7 +2,7 @@
 
 import json
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,8 +16,9 @@ from greenant.propagation import (
     path_loss,
     write_gain_dump,
 )
-from greenant.scenario import AntennaPattern, PathLossModel, drop_mobiles, strip_greens
+from greenant.scenario import AntennaPattern, Drop, PathLossModel, drop_mobiles, strip_greens
 from greenant.seeds import label_normal
+from greenant.simulate import snapshot_seed
 
 from conftest import (GREEN_JSON, clutter_class_at, load_doc, multi_green_doc, place, snapshots,
                       two_cell_doc)
@@ -316,6 +317,116 @@ def test_gain_matrix_is_bitwise_the_column_loop(doc):
         unshadowed += int(np.count_nonzero(sigma[codes] == 0.0))
     # the multi-green map's open region has sigma 0, and mobiles land in it
     assert (unshadowed > 0) == (0.0 in sigma)
+
+
+@pytest.mark.parametrize("doc", [json.loads(GREEN_JSON.read_text()), _multi_green_doc(),
+                                 _shared_positions_doc()],
+                         ids=["green", "multi-green", "shared-positions"])
+def test_block_tables_are_bitwise_the_tables_alone(doc):
+    """Blocks of 1, 2, 5 and 12 drops, in both DL shadowing modes: table i
+    of a block, its linear gains, its columns restricted to the greenless
+    world and its association are bitwise those of drop i's table alone,
+    and the tables equal the column-loop reference, also where a class has
+    sigma 0. The block's arrays lead with the block axis and are C-ordered;
+    table i of a block of several is a read-only copy of its rows."""
+    seeds = [snapshot_seed(41, k) for k in range(12)]
+    for mode in ("reciprocal", "independent"):
+        doc["radio"]["dl_shadowing_mode"] = mode
+        s = load_doc(doc)
+        bare = strip_greens(s)
+        drops = [drop_mobiles(s, seed) for seed in seeds]
+        alone = [build_gain_matrix(s, d, seed) for d, seed in zip(drops, seeds)]
+        refs = [(_column_loop_tables(s, d, seed), _column_loop_tables(bare, d, seed))
+                for d, seed in zip(drops, seeds)]
+        # the multi-green map's open region has sigma 0, and mobiles land in it
+        sigma = np.array([s.radio.shadowing_sigma_db[c] for c in s.clutter.classes])
+        unshadowed = [sigma[s.clutter.class_codes(d.xy[:, 0], d.xy[:, 1])] == 0.0 for d in drops]
+        assert any(u.any() for u in unshadowed) == (0.0 in sigma)
+        for k in (1, 2, 5, 12):
+            for lo in range(0, len(seeds) - k + 1, k):
+                block_seeds = seeds[lo:lo + k]
+                block = build_gain_matrix(s, drop_mobiles(s, block_seeds), block_seeds)
+                restricted = block.restricted_to(bare)
+                serving = associate(block)
+                n = len(drops[0])
+                for table in (block, restricted):
+                    for arr in (table.ul_gain_db, table.dl_rx_dbm, table.ul_gain_mw):
+                        assert arr.shape[:2] == (k, n) and arr.flags.c_contiguous
+                    assert not table.ul_gain_db.flags.writeable
+                assert serving.shape == (k, n) and not serving.flags.writeable
+                for i, own in enumerate(alone[lo:lo + k]):
+                    (ul, dl, _), (bare_ul, _, _) = refs[lo + i]
+                    row, bare_row = block.snapshot(i), restricted.snapshot(i)
+                    own_bare = own.restricted_to(bare)
+                    for got, want, ref in ((row.ul_gain_db, own.ul_gain_db, ul),
+                                           (row.dl_rx_dbm, own.dl_rx_dbm, dl),
+                                           (bare_row.ul_gain_db, own_bare.ul_gain_db, bare_ul),
+                                           (bare_row.dl_rx_dbm, own_bare.dl_rx_dbm, dl)):
+                        assert got.tobytes() == want.tobytes() == ref.tobytes()
+                    assert row.ul_gain_mw.tobytes() == own.ul_gain_mw.tobytes()
+                    assert bare_row.ul_gain_mw.tobytes() == own_bare.ul_gain_mw.tobytes()
+                    assert row.channel is own.channel and bare_row.channel is bare.channel
+                    # a kept table holds its own rows, not a block of several
+                    for name in ("ul_gain_db", "dl_rx_dbm", "ul_gain_mw"):
+                        shared = np.shares_memory(getattr(row, name), getattr(block, name))
+                        assert shared == (k == 1)
+                    assert not (row.ul_gain_db.flags.writeable or row.dl_rx_dbm.flags.writeable)
+                    want = associate(own)
+                    assert serving[i].dtype == want.dtype
+                    assert serving[i].tobytes() == want.tobytes()
+
+
+def _stacked(*drops):
+    """One block Drop of hand-placed drops of one size."""
+    return Drop(*(np.stack([getattr(d, f.name) for d in drops]) for f in fields(Drop)))
+
+
+@pytest.mark.parametrize("mode", ["reciprocal", "independent"])
+def test_block_draws_each_shadowed_drop_once(mode, monkeypatch):
+    """A block makes the label_normal calls of its tables alone: one per
+    direction and shadowed drop, with that drop's seed, and none for a
+    drop whose mobiles all stand in a sigma-0 class. A block of an
+    all-open drop (sigma 0) and an urban one, and a block of two all-open
+    drops, are bitwise their tables alone."""
+    doc = two_cell_doc(sigma=8.0)
+    doc["radio"]["shadowing_sigma_db"]["open"] = 0.0
+    doc["radio"]["dl_shadowing_mode"] = mode
+    doc["clutter"] = {"class_regions": [{"rect": [-2000, -2000, 0, 2000],
+                                         "clutter_class": "open"}]}
+    s = load_doc(doc)
+    open_a = place((-431.0, 77.0), (-1210.0, -340.0))
+    open_b = place((-80.0, 5.0), (-1500.0, 900.0))
+    urban = place((431.0, 77.0), (1210.0, -340.0))
+    calls = []
+
+    def counted(seed, labels, counters):
+        calls.append(seed)
+        return label_normal(seed, labels, counters)
+
+    monkeypatch.setattr(greenant.propagation, "label_normal", counted)
+    for pair, seeds in (((open_a, urban), [21, 22]), ((urban, open_a), [22, 21]),
+                        ((open_a, open_b), [21, 23])):
+        calls.clear()
+        alone = [build_gain_matrix(s, d, seed) for d, seed in zip(pair, seeds)]
+        want_calls = list(calls)
+        calls.clear()
+        block = build_gain_matrix(s, _stacked(*pair), seeds)
+        assert calls == want_calls == [22] * (1 if mode == "reciprocal" else 2) * (22 in seeds)
+        for i, own in enumerate(alone):
+            row = block.snapshot(i)
+            assert row.ul_gain_db.tobytes() == own.ul_gain_db.tobytes()
+            assert row.dl_rx_dbm.tobytes() == own.dl_rx_dbm.tobytes()
+
+
+def test_block_needs_one_seed_per_drop():
+    s = load_doc(two_cell_doc())
+    block = _stacked(place((1.0, 2.0)), place((3.0, 4.0)))
+    with pytest.raises(ValueError):
+        build_gain_matrix(s, block, [1, 2, 3])
+    with pytest.raises(ValueError):
+        build_gain_matrix(s, block, 1)
+    with pytest.raises(ValueError):
+        build_gain_matrix(s, place((1.0, 2.0)), [1])
 
 
 def test_channel_arrays_belong_to_one_scenario_and_stay_out_of_pickles(two_cell_green):

@@ -398,18 +398,23 @@ def _reference_drop(s, seed):
                 voice=np.array(voice, dtype=bool), target_db=np.array(target_db, dtype=float))
 
 
-def _covered_doc(mobiles_per_sector=2):
+def _covered_doc(mobiles_per_sector=2, edges=False):
     """green.json's sites on a map 92% covered by four buildings, so an
-    outdoor mobile needs about 13 tries and the drop outgrows its block."""
+    outdoor mobile needs about 13 tries and the drop outgrows its block.
+    With `edges` the buildings reach the map's edges, so every point of an
+    edge outside the middle cross is inside one."""
     doc = bundled_doc("green.json")
     x0, y0, x1, y1 = doc["clutter"]["bounds"]
     mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
     gx, gy = 0.01 * (x1 - x0), 0.01 * (y1 - y0)
+    ex, ey = (0.0, 0.0) if edges else (gx, gy)
+    if edges:       # a wider cross keeps about 8% of the map free
+        gx, gy = 2 * gx, 2 * gy
     doc["clutter"]["buildings"] = [
         {"id": f"q{k}", "rect": [bx0, by0, bx1, by1], "penetration_loss_db": 15.0}
         for k, (bx0, by0, bx1, by1) in enumerate([
-            (x0 + gx, y0 + gy, mx - gx, my - gy), (mx + gx, y0 + gy, x1 - gx, my - gy),
-            (x0 + gx, my + gy, mx - gx, y1 - gy), (mx + gx, my + gy, x1 - gx, y1 - gy)])]
+            (x0 + ex, y0 + ey, mx - gx, my - gy), (mx + gx, y0 + ey, x1 - ex, my - gy),
+            (x0 + ex, my + gy, mx - gx, y1 - ey), (mx + gx, my + gy, x1 - ex, y1 - ey)])]
     doc["greens"] = []
     doc["traffic"]["mobiles_per_sector"] = mobiles_per_sector
     return doc
@@ -447,9 +452,33 @@ def test_drop_is_bitwise_the_scalar_draw_reference(name):
         _assert_same_drop(drop_mobiles(s, seed), _reference_drop(s, seed))
 
 
+def _assert_block_rows(s, seeds, block):
+    """Each row of a block drop is bitwise its seed's drop alone and the
+    scalar reference; the block's arrays lead with the block axis."""
+    assert block.xy.shape[:2] == block.building.shape == (len(seeds), len(block))
+    for i, seed in enumerate(seeds):
+        row = block.snapshot(i)
+        _assert_same_drop(row, drop_mobiles(s, seed))
+        _assert_same_drop(row, _reference_drop(s, seed))
+        assert not row.xy.flags.writeable
+
+
+@pytest.mark.parametrize("name", DROP_MAPS)
+def test_block_rows_are_bitwise_the_drops_alone(name):
+    """Blocks of 1, 2, 5 and 12 seeds: row i is the drop of seed i, also
+    on the covered map (which regrows) and without mobiles."""
+    s = load_doc(DROP_MAPS[name]())
+    seeds = [snapshot_seed(37, k) for k in range(24)]
+    for k in (1, 2, 5, 12):
+        for lo in range(0, len(seeds) - k + 1, k):
+            _assert_block_rows(s, seeds[lo:lo + k], drop_mobiles(s, seeds[lo:lo + k]))
+
+
 def test_covered_map_draws_more_than_one_block(monkeypatch):
     """The covered map exercises the block regrowth that the reference test
-    compares bit for bit."""
+    compares bit for bit. In a block where one drop outgrows its first
+    uniforms and the others do not, every row grows with it, and each row
+    is still its seed's drop alone."""
     blocks = []
     real = scenario.substream
 
@@ -464,26 +493,54 @@ def test_covered_map_draws_more_than_one_block(monkeypatch):
     monkeypatch.setattr(scenario, "substream", lambda seed, label: Counting(real(seed, label)))
     drop_mobiles(load_doc(_covered_doc()), snapshot_seed(29, 0))
     assert len(blocks) >= 2
+    # mostly indoor: about half the drops fit in their first uniforms
+    s = load_doc(_with_traffic(_covered_doc(), indoor_fraction=0.9))
+    rounds = {}
+    for k in range(40):
+        blocks.clear()
+        drop_mobiles(s, snapshot_seed(29, k))
+        rounds[snapshot_seed(29, k)] = len(blocks)
+    grows = next(seed for seed, n in rounds.items() if n == 2)
+    fits = [seed for seed, n in rounds.items() if n == 1][:4]
+    assert len(fits) == 4
+    seeds = [fits[0], fits[1], grows, fits[2], fits[3]]
+    blocks.clear()
+    block = drop_mobiles(s, seeds)
+    assert len(blocks) == 2 * len(seeds)
+    monkeypatch.undo()
+    _assert_block_rows(s, seeds, block)
 
 
 def test_place_try_budget_is_unchanged(monkeypatch):
     """With the budget cut to 50 tries on a 92% covered map, about half the
     drops run out: the block-drawn drop raises exactly where the reference
-    does."""
+    does, and a block raises if one of its drops does. On the map whose
+    buildings reach its edges, the candidates past a row's uniforms would
+    be inside buildings, so a row's last starts must not read the next
+    row's candidates."""
     monkeypatch.setattr(scenario, "_MAX_PLACE_TRIES", 50)
-    s = load_doc(_with_traffic(_covered_doc(), indoor_fraction=0.0))
-    raised = 0
-    for k in range(60):
-        seed = snapshot_seed(31, k)
-        try:
-            want = _reference_drop(s, seed)
-        except InfeasibleDropError:
-            raised += 1
-            with pytest.raises(InfeasibleDropError):
-                drop_mobiles(s, seed)
-        else:
-            _assert_same_drop(drop_mobiles(s, seed), want)
-    assert 0 < raised < 60
+    for edges in (False, True):
+        s = load_doc(_with_traffic(_covered_doc(edges=edges), indoor_fraction=0.0))
+        raised, placed = [], []
+        for k in range(60):
+            seed = snapshot_seed(31, k)
+            try:
+                want = _reference_drop(s, seed)
+            except InfeasibleDropError:
+                raised.append(seed)
+                with pytest.raises(InfeasibleDropError):
+                    drop_mobiles(s, seed)
+            else:
+                placed.append(seed)
+                _assert_same_drop(drop_mobiles(s, seed), want)
+        assert 0 < len(raised) < 60
+        for k in (2, 5, 12):
+            for at in (0, k - 1):
+                seeds = placed[:k - 1]
+                seeds.insert(at, raised[0])
+                with pytest.raises(InfeasibleDropError, match="covered by buildings"):
+                    drop_mobiles(s, seeds)
+            _assert_block_rows(s, placed[:k], drop_mobiles(s, placed[:k]))
 
 
 def test_fully_covered_map_is_infeasible():

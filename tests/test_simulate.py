@@ -411,7 +411,7 @@ def _assert_same_snapshot(got, want):
         _assert_same_result(g, w)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("jobs", [1, 2, 3])
 @pytest.mark.parametrize("combining", ["mrc", "selection", "egc"])
 def test_campaign_snapshots_are_bitwise_their_solves_alone(combining, jobs, monkeypatch):
     """Two solver slots over 9 snapshots, so slots are refilled and the
@@ -419,22 +419,62 @@ def test_campaign_snapshots_are_bitwise_their_solves_alone(combining, jobs, monk
     each run equals Jacobi iterates on its own scenario's table to the
     pair's iteration count. The worlds are the bundled pair, and
     green.json with 9 greens on one sector (a branch set of 10, summed
-    pairwise) paired with its first 8 (a set of 9)."""
+    pairwise) paired with its first 8 (a set of 9). The snapshots are
+    drawn in the default blocks (3 and 2 snapshots of these worlds), one
+    at a time, and in blocks of 4, which do not divide a range of 9 or 5."""
+    default = powerctl.DRAW_LINKS
     for docs in (None, [wide_green_doc(8), wide_green_doc(9)]):
         scenarios = _hole_pair(combining, docs)
         links = 210 * sum(len(s.receive_points) for s in scenarios)
+        table_links = 210 * len(scenarios[-1].receive_points)
         assert max(s.branches.widths.max() for s in scenarios) == (2 if docs is None else 10)
-        monkeypatch.setattr(powerctl, "STACK_LINKS", 2 * links)
-        sizes = counting_builds(monkeypatch)
-        snaps = snapshots(run_campaign(scenarios, seed=53, n_snapshots=9, jobs=jobs), 53)
-        assert max(sizes) == 2     # the parent's range: 9 or 4 snapshots
-        assert [sn.index for sn in snaps] == list(range(9))
-        for snap in snaps:
-            _assert_same_snapshot(snap, solved_alone(scenarios, 53, snap.index))
+        assert default // table_links == (3 if docs is None else 2)
+        alone = [solved_alone(scenarios, 53, index) for index in range(9)]
+        for snap in alone:
             for s, got in zip(scenarios, snap.runs):
                 mobiles = drop_mobiles(s, snap.seed)
                 gm = build_gain_matrix(s, mobiles, snap.seed)
                 _assert_same_result(got, jacobi(s, mobiles, gm, associate(gm), got.iterations))
+        monkeypatch.setattr(powerctl, "STACK_LINKS", 2 * links)
+        for draw_links in (default, 1, 4 * table_links):
+            monkeypatch.setattr(powerctl, "DRAW_LINKS", draw_links)
+            sizes = counting_builds(monkeypatch)
+            snaps = snapshots(run_campaign(scenarios, seed=53, n_snapshots=9, jobs=jobs), 53)
+            assert max(sizes) == 2     # the parent's range: 9, 4 or 3 snapshots
+            assert [sn.index for sn in snaps] == list(range(9))
+            for snap, want in zip(snaps, alone, strict=True):
+                _assert_same_snapshot(snap, want)
+
+
+def test_stream_draws_at_most_one_block_ahead(monkeypatch):
+    """A task draws a block (here 3 snapshots of the bundled pair, the
+    last block the range's remainder) only when the solver loads the
+    block's first snapshot, so the draws are never more than one block
+    ahead of the loads, and every block is one drop and one table call."""
+    scenarios = _hole_pair("mrc")
+    blocks, builds, loads = [], [], []
+    drop, build = simulate.drop_mobiles, simulate.build_gain_matrix
+    targets = powerctl._drop_targets
+
+    def counted_drop(s, seeds):
+        blocks.append(len(seeds))
+        return drop(s, seeds)
+
+    def counted_build(s, mobiles, seeds):
+        builds.append(len(seeds))
+        return build(s, mobiles, seeds)
+
+    def counted_load(mobiles, s):
+        loads.append(sum(blocks))      # snapshots drawn when this one is loaded
+        return targets(mobiles, s)
+
+    monkeypatch.setattr(simulate, "drop_mobiles", counted_drop)
+    monkeypatch.setattr(simulate, "build_gain_matrix", counted_build)
+    monkeypatch.setattr(powerctl, "_drop_targets", counted_load)
+    monkeypatch.setattr(powerctl, "STACK_LINKS", 2 * HOLE_PAIR_LINKS)
+    run_campaign(scenarios, seed=61, n_snapshots=10)
+    assert blocks == builds == [3, 3, 3, 1]
+    assert loads == [min(10, 3 * (i // 3 + 1)) for i in range(10)]
 
 
 def _hole_drops(scenarios, seed, count):
