@@ -37,9 +37,12 @@ slots are one flat list. The runs of a snapshot step together until
 every one has met tol_db, so they stop at a common iteration count;
 from then on the snapshot's rows are frozen while the rest of the stack
 iterates. Once half the slots have stopped, their rows of the returned
-`Campaign` record are written, the next snapshots are loaded into the
-freed slots, and the stack is rebuilt; a rebuild costs about one
-iteration, so it is batched rather than done at every stop.
+`Campaign` record are written, and the stack is rebuilt from its kept
+slots and one drawn block of as many new snapshots as slots were freed;
+a rebuild costs about one iteration, so it is batched rather than done
+at every stop. The stack holds only what the solver reads: per run the
+slots' linear gains, and per slot its serving sectors and targets; a
+drawn block is dropped once its rows are copied in.
 The stack changes no bits: every elementwise operation and every
 per-mobile reduction sees the operands of the snapshot's own solve, in the
 same order, and each slice of the batched matmul is that snapshot's
@@ -62,7 +65,7 @@ hand-placed drop, `power_update`'s callers) take a scalar pow each.
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -87,14 +90,6 @@ DEFAULT_MAX_ITER = 1000
 #: perfbench read 16% less time per pair on hole-compare, the same on
 #: multi-green-egc, and about 1 MB more peak memory (2-core shared x86-64).
 STACK_LINKS = 1 << 16
-
-#: Block budget of a task's draws, in UL table entries (mobiles x receive
-#: points of the campaign's last scenario): each task draws its snapshots
-#: in blocks of as many as fit, at least one, and one pass computes a
-#: block's drops, channel tables and associations. 128 KB per float64
-#: table: 3 snapshots of the bundled pair, 12 of the 11-green map with 2
-#: mobiles per sector.
-DRAW_LINKS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -198,20 +193,19 @@ def _drop_targets(mobiles: Drop, s: Scenario) -> np.ndarray:
     return _linear_targets(mobiles.target_db)
 
 
-def _stacked_problem(tables: list[LinkGainMatrix], servings: list[np.ndarray],
-                     branches: BranchTable, targets_lin: np.ndarray,
+def _stacked_problem(gains_mw: np.ndarray, serving: np.ndarray, branches: BranchTable,
+                     noise_mw: np.ndarray, targets_lin: np.ndarray,
                      p_min_dbm: float, p_max_dbm: float) -> _Problem:
-    """One run's problem over snapshots whose tables share receive points.
+    """One run's problem over an (S, n, n_rp) stack of linear gains.
 
-    servings[s] is the association of tables[s]. Each mobile's links are
-    its serving sector's row of the scenario's branch table, up to that
-    sector's width, listed by one repeat over the widths and one gather,
-    so nothing here is per mobile.
+    serving is the (S, n) association of the stacked tables, and noise_mw
+    the noise floor per receive point of their scenario. Each mobile's
+    links are its serving sector's row of the scenario's branch table, up
+    to that sector's width, listed by one repeat over the widths and one
+    gather, so nothing here is per mobile.
     """
-    gm = tables[0]
-    n, n_rp = gm.ul_gain_db.shape
-    flat_gains = np.concatenate([t.ul_gain_mw for t in tables])
-    serving = np.concatenate(servings, dtype=np.intp)
+    size, n, n_rp = gains_mw.shape
+    serving = np.asarray(serving, dtype=np.intp).reshape(-1)
     widths = branches.widths[serving]
     starts = np.cumsum(widths) - widths
     rows = np.repeat(np.arange(len(serving)), widths)
@@ -219,13 +213,13 @@ def _stacked_problem(tables: list[LinkGainMatrix], servings: list[np.ndarray],
     at = (serving * branches.cols.shape[1] - starts)[rows] + np.arange(len(rows))
     cols = branches.cols.ravel()[at]
     return _Problem(
-        gains_mw=flat_gains.reshape(len(tables), n, n_rp),
+        gains_mw=gains_mw,
         targets_lin=targets_lin,
         rows=rows,
         # receive point c of snapshot s is stacked column s * n_rp + c
-        cols=cols if len(tables) == 1 else cols + rows // n * n_rp,
-        link_gains_mw=flat_gains.ravel()[rows * n_rp + cols],
-        noise_mw=gm.channel.noise_mw[cols],
+        cols=cols if size == 1 else cols + rows // n * n_rp,
+        link_gains_mw=gains_mw.ravel()[rows * n_rp + cols],
+        noise_mw=noise_mw[cols],
         starts=starts,
         single=widths == 1,
         narrow=len(rows) == len(serving),
@@ -291,8 +285,8 @@ def effective_sinr(ms: int, powers_mw: np.ndarray, gm: LinkGainMatrix,
                    serving: np.ndarray, branches: BranchTable, combining: str) -> float:
     """Post-combining SINR (dB) of one MS for the given transmit powers."""
     powers_mw = np.asarray(powers_mw, dtype=float)
-    problem = _stacked_problem([gm], [serving], branches, np.ones(len(powers_mw)),
-                               -np.inf, np.inf)
+    problem = _stacked_problem(gm.ul_gain_mw[None], serving, branches, gm.channel.noise_mw,
+                               np.ones(len(powers_mw)), -np.inf, np.inf)
     return float(10.0 * np.log10(_combined_sinr(powers_mw, problem, combining)[ms]))
 
 
@@ -306,43 +300,47 @@ def power_update(powers_mw: np.ndarray, targets_db: np.ndarray, gm: LinkGainMatr
     (the clamp into [0, inf] leaves positive powers unchanged).
     """
     lo, hi = limits_dbm if limits_dbm is not None else (-np.inf, np.inf)
-    problem = _stacked_problem([gm], [serving], branches, _linear_targets(targets_db), lo, hi)
+    problem = _stacked_problem(gm.ul_gain_mw[None], serving, branches, gm.channel.noise_mw,
+                               _linear_targets(targets_db), lo, hi)
     powers_mw = np.asarray(powers_mw, dtype=float)
     return _update(powers_mw, _combined_sinr(powers_mw, problem, combining), problem)
 
 
-class _Slot(NamedTuple):
-    """A snapshot in the solver stack."""
-
-    index: int                      # its position in the input
-    serving: np.ndarray
-    tables: tuple[LinkGainMatrix, ...]
-    targets_lin: np.ndarray         # (n,)
-
-
-def _advance(powers_mw: np.ndarray, sinr: np.ndarray, problem: _Problem, size: int
+def _advance(powers_mw: np.ndarray, sinr: np.ndarray, problem: _Problem
              ) -> tuple[np.ndarray, np.ndarray]:
-    """One update of a stack of `size` slots from the SINR at powers_mw,
-    and each slot's largest per-MS step in dB."""
-    updated = _update(powers_mw, sinr, problem)
-    step = np.abs(10.0 * np.log10(updated / powers_mw)).reshape(size, -1).max(axis=1, initial=0.0)
+    """One update of a stack's (S, n) powers from the SINR at them, and
+    each slot's largest per-MS step in dB."""
+    updated = _update(powers_mw.reshape(-1), sinr, problem).reshape(powers_mw.shape)
+    step = np.abs(10.0 * np.log10(updated / powers_mw)).max(axis=1, initial=0.0)
     return updated, step
 
 
-def solve_snapshots(scenarios: tuple[Scenario, ...],
-                    snapshots: Iterable[tuple[Drop, np.ndarray, tuple[LinkGainMatrix, ...]]],
-                    tol_db: float = DEFAULT_TOL_DB, max_iter: int = DEFAULT_MAX_ITER,
-                    count: int | None = None) -> Campaign:
-    """Solve snapshots of R runs in a stack of snapshots, from all-p_min.
+def _refilled(stack: np.ndarray | None, kept: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The stack's rows at `kept`, in order, then the new rows, as one
+    array of fresh memory: each row is copied once."""
+    out = np.empty((len(kept) + len(new), *new.shape[1:]), new.dtype)
+    if len(kept):
+        np.take(stack, kept, axis=0, out=out[:len(kept)], mode="clip")
+    out[len(kept):] = new
+    return out
 
-    Each snapshot is (mobiles, serving, tables), where tables[r] is
-    scenarios[r]'s table of that drop and serving is `associate` of it;
-    all snapshots hold the same number of mobiles. The stack holds as
-    many snapshots as fit in STACK_LINKS links of the first one's tables.
-    Snapshots are read from the iterable lazily, one each time a slot
-    frees and never ahead, so a generator can draw each one (or each
-    block of them) when it is needed; it must then say how many it
-    yields, as `count`. Without `count` the iterable is listed first.
+
+def solve_snapshots(scenarios: tuple[Scenario, ...],
+                    draw: Callable[[int, int], tuple[Drop, np.ndarray,
+                                                     tuple[LinkGainMatrix, ...]]],
+                    count: int, tol_db: float = DEFAULT_TOL_DB,
+                    max_iter: int = DEFAULT_MAX_ITER) -> Campaign:
+    """Solve snapshots 0..count-1 of R runs in a stack of snapshots, from all-p_min.
+
+    `draw(lo, hi)` gives snapshots lo..hi-1 as one block (mobiles,
+    serving, tables): a Drop of k = hi - lo drops of n mobiles each (n
+    the same in every block), their (k, n) association (see `associate`)
+    and per run r scenarios[r]'s (k, n, n_rp) tables of them, of which
+    only `ul_gain_mw` is read. The stack has as many slots as fit in
+    STACK_LINKS links of the scenarios (the last one's mobiles per
+    sector times its sectors, times every run's receive points), and
+    each call draws exactly the slots that are free: the whole stack at
+    the first load, the stopped slots at each later one, up to count.
     Run r of every slot is one stacked problem under
     scenarios[r].radio.combining, so an iteration costs R kernel calls
     whatever the slot count. A snapshot stops once every run's largest
@@ -350,121 +348,130 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
     max_iter iterations, so its runs share an iteration count. A stopped
     snapshot's rows stay frozen in the stack while the others iterate.
     Once half the slots have stopped, their results are written and the
-    next snapshots take their slots, and the stack is rebuilt; when the
-    iterable is drained, the stack shrinks each time a quarter of its
-    slots have stopped. Kept slots carry their powers, last steps, met
-    flags and iteration counts across a rebuild. Snapshots do not
-    interact, so each ends with the bits of its solve alone, whichever
-    snapshots share its stack. Every table must hold its own scenario's
-    receive points only: the width of the gain array changes the last
-    bits of `powers @ gains`.
+    stack is rebuilt from its kept slots and a block of new snapshots;
+    once every snapshot is drawn, the stack shrinks each time a quarter
+    of its slots have stopped. Kept slots carry their gains, powers, last
+    steps, met flags and iteration counts across a rebuild, and a block
+    is dropped once its rows are copied in. Snapshots do not interact, so
+    each ends with the bits of its solve alone, whichever snapshots share
+    its stack. Every table must hold its own scenario's receive points
+    only: the width of the gain array changes the last bits of
+    `powers @ gains`.
 
-    Returns the snapshots' `Campaign`, row s for input snapshot s: its
-    drop and association as given, and its runs' results. Each row is
-    written in place, into arrays allocated once, at the first snapshot.
+    Returns the snapshots' `Campaign`, row s for snapshot s: its drop and
+    association as drawn, and its runs' results. Each row is written in
+    place, into arrays allocated once, at the first block.
     """
     rules = [s.radio.combining for s in scenarios]
     for rule in rules:
         if rule not in COMBINING_MODES:
             raise ValueError(f"unknown combining mode '{rule}'")
-    if count is None:
-        snapshots = list(snapshots)
-        count = len(snapshots)
     if count < 1:
         raise ValueError("need at least one snapshot")
-    stream = iter(snapshots)
+    last = scenarios[-1]
+    links = last.traffic.mobiles_per_sector * last.n_sectors() * sum(
+        len(s.receive_points) for s in scenarios)
+    slots = max(1, STACK_LINKS // max(links, 1))
     branches = [s.branches for s in scenarios]
     n_runs = len(scenarios)
-    rows: dict[str, np.ndarray] = {}    # the record's drop fields and association
-    # the stack, in slot order: each slot's snapshot, and its solver state
-    held: list[_Slot] = []
-    powers = [np.empty(0) for _ in scenarios]     # per run, stacked
-    steps = np.zeros((n_runs, 0))                 # per run and slot, last step
-    met = np.zeros((n_runs, 0), dtype=bool)       # per run and slot, step below tol once
-    iterations = np.zeros(0, dtype=int)           # per slot
-    index = n = 0
-    slots, drained = 1, False           # the stack is sized at the first snapshot
+    record: dict[str, np.ndarray] = {}      # the drops' fields and association
+
+    def load(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Draw snapshots lo..hi-1, write their record rows, and return
+        their serving sectors, linear targets and per-run linear gains."""
+        mobiles, serving, tables = draw(lo, hi)
+        k, n = len(mobiles.building), len(mobiles)
+        if k != hi - lo:
+            raise ValueError(f"draw({lo}, {hi}) gave {k} snapshots, expected {hi - lo}")
+        given = {f.name: getattr(mobiles, f.name) for f in fields(Drop)}
+        given["association"] = serving
+        if not record:
+            record.update((name, np.empty((count, *a.shape[1:]), a.dtype))
+                          for name, a in given.items())
+        elif n != record["target_db"].shape[1]:
+            raise ValueError(f"draw({lo}, {hi}) gave snapshots of {n} mobiles, expected "
+                             f"{record['target_db'].shape[1]}: stacked snapshots must hold "
+                             f"the same number of mobiles")
+        for name, a in given.items():
+            record[name][lo:hi] = a
+        # a campaign's drop is its last scenario's (simulate.draw_snapshot)
+        return serving, _drop_targets(mobiles, last).reshape(k, n), [t.ul_gain_mw for t in tables]
+
+    # the stack, slot by slot: each slot's input index, serving sectors,
+    # linear targets and iteration count, per run its last step and
+    # whether a step was below tol_db, and per run its gains and powers
+    index = serving = targets = iterations = steps = met = None
+    gains, powers = [None] * n_runs, [None] * n_runs
+    kept = np.zeros(0, dtype=np.intp)
+    lo, drained = 0, False
     while True:
-        loaded = 0
-        while not drained and len(held) < slots:
-            if index == count:
-                drained = True
-                break
-            snapshot = next(stream, None)
-            if snapshot is None:
-                raise ValueError(f"expected {count} snapshots, got {index}")
-            mobiles, serving, tables = snapshot
-            given = {f.name: getattr(mobiles, f.name) for f in fields(Drop)}
-            given["association"] = serving
-            if index == 0:
-                n = len(mobiles)
-                links = n * sum(t.ul_gain_db.shape[1] for t in tables)
-                slots = max(1, STACK_LINKS // max(links, 1))
-                rows = {k: np.empty((count, *a.shape), a.dtype) for k, a in given.items()}
-                tx_dbm, sinr_db = np.empty((count, n_runs, n)), np.empty((count, n_runs, n))
-                outage = np.empty((count, n_runs, n), dtype=bool)
-                converged = np.empty((count, n_runs), dtype=bool)
-                iterations_at = np.empty(count, dtype=int)
-            elif len(mobiles) != n:
-                raise ValueError("stacked snapshots must hold the same number of mobiles")
-            for k, a in given.items():
-                rows[k][index] = a
-            # a campaign's drop is its last scenario's (simulate.draw_snapshot)
-            held.append(_Slot(index, serving, tables, _drop_targets(mobiles, scenarios[-1])))
-            index += 1
-            loaded += 1
-        if not held:
-            break
-        size = len(held)
-        powers = [np.concatenate([p, np.full(loaded * n, 10.0 ** (s.radio.p_min_dbm / 10.0))])
+        free = slots - len(kept)
+        hi = min(lo + free, count)
+        drained |= hi < lo + free
+        if hi > lo:
+            new_serving, new_targets, new_gains = load(lo, hi)
+        else:       # every snapshot is drawn: the stack shrinks to its kept slots
+            new_serving, new_targets, new_gains = serving[:0], targets[:0], [g[:0] for g in gains]
+        if lo == 0:
+            n = new_targets.shape[1]
+            tx_dbm, sinr_db = np.empty((count, n_runs, n)), np.empty((count, n_runs, n))
+            outage = np.empty((count, n_runs, n), dtype=bool)
+            converged = np.empty((count, n_runs), dtype=bool)
+            iterations_at = np.empty(count, dtype=int)
+        k = hi - lo
+        index = _refilled(index, kept, np.arange(lo, hi))
+        serving = _refilled(serving, kept, new_serving)
+        targets = _refilled(targets, kept, new_targets)
+        iterations = _refilled(iterations, kept, np.zeros(k, dtype=int))
+        steps = _refilled(steps, kept, np.zeros((k, n_runs)))
+        met = _refilled(met, kept, np.zeros((k, n_runs), dtype=bool))
+        gains = [_refilled(g, kept, new) for g, new in zip(gains, new_gains)]
+        powers = [_refilled(p, kept, np.full((k, n), 10.0 ** (s.radio.p_min_dbm / 10.0)))
                   for p, s in zip(powers, scenarios)]
-        steps = np.concatenate([steps, np.zeros((n_runs, loaded))], axis=1)
-        met = np.concatenate([met, np.zeros((n_runs, loaded), dtype=bool)], axis=1)
-        iterations = np.concatenate([iterations, np.zeros(loaded, dtype=int)])
-        targets_lin = np.concatenate([h.targets_lin for h in held])
-        problems = [_stacked_problem([h.tables[r] for h in held], [h.serving for h in held],
-                                     branches[r], targets_lin,
-                                     s.radio.p_min_dbm, s.radio.p_max_dbm)
-                    for r, s in enumerate(scenarios)]
+        del new_serving, new_targets, new_gains
+        size = len(index)
+        if not size:
+            break
+        problems = [_stacked_problem(g, serving, branches[r], s.channel.noise_mw,
+                                     targets.reshape(-1), s.radio.p_min_dbm, s.radio.p_max_dbm)
+                    for r, (g, s) in enumerate(zip(gains, scenarios))]
         batch = max(1, size // (4 if drained else 2))
         while True:
             # at a stopped slot's final powers, this is its final SINR
-            sinrs = [_combined_sinr(p, problem, rule)
+            sinrs = [_combined_sinr(p.reshape(-1), problem, rule)
                      for p, problem, rule in zip(powers, problems, rules)]
-            done = (iterations >= max_iter) | met.all(axis=0)
+            done = (iterations >= max_iter) | met.all(axis=1)
             if not done.all():
                 live = ~done
-                frozen = np.repeat(done, n) if done.any() else None
+                frozen = done[:, None] if done.any() else None
                 for r in range(n_runs):
-                    updated, step = _advance(powers[r], sinrs[r], problems[r], size)
+                    updated, step = _advance(powers[r], sinrs[r], problems[r])
                     if frozen is not None:
                         updated = np.where(frozen, powers[r], updated)
-                        step = np.where(live, step, steps[r])
+                        step = np.where(live, step, steps[:, r])
                     powers[r] = updated
-                    steps[r] = step
+                    steps[:, r] = step
                 met |= steps < tol_db
                 iterations += live
             if done.sum() >= batch:
                 break
         emitted = np.flatnonzero(done)
-        at = np.array([held[j].index for j in emitted])
-        targets_db = rows["target_db"][at]
-        for r, (problem, p, sinr, step) in enumerate(zip(problems, powers, sinrs, steps)):
-            final_mw = p.reshape(size, n)[emitted]
+        at = index[emitted]
+        targets_db = record["target_db"][at]
+        for r, (problem, p, sinr) in enumerate(zip(problems, powers, sinrs)):
+            final_mw = p[emitted]
             final_sinr_db = 10.0 * np.log10(sinr.reshape(size, n)[emitted])
             tx_dbm[at, r] = 10.0 * np.log10(final_mw)
             sinr_db[at, r] = final_sinr_db
             pinned = final_mw >= problem.p_max_mw * (1.0 - 1e-12)
             outage[at, r] = pinned & (final_sinr_db < targets_db - OUTAGE_MARGIN_DB)
-            converged[at, r] = step[emitted] < tol_db
+            converged[at, r] = steps[emitted, r] < tol_db
         iterations_at[at] = iterations[emitted]
-        for _ in np.flatnonzero(~met[:, emitted].all(axis=0)):
+        for _ in np.flatnonzero(~met[emitted].all(axis=1)):
             log.warning("power control did not converge in %d iterations", max_iter)
-        # freed before the next drops are drawn, the loop's last run too
+        # freed before the next block is drawn, the loop's last run too
         del problems, sinrs, problem, sinr
-        kept = ~done
-        held = [h for h, keep in zip(held, kept) if keep]
-        powers = [p.reshape(size, n)[kept].reshape(-1) for p in powers]
-        steps, met, iterations = steps[:, kept], met[:, kept], iterations[kept]
-    association = rows.pop("association")
-    return Campaign(Drop(**rows), association, tx_dbm, sinr_db, outage, iterations_at, converged)
+        kept = np.flatnonzero(~done)
+        lo = hi
+    association = record.pop("association")
+    return Campaign(Drop(**record), association, tx_dbm, sinr_db, outage, iterations_at, converged)

@@ -38,9 +38,11 @@ class LinkGainMatrix:
     ul_gain_db is |MS| x |receive points| (sectors then greens);
     dl_rx_dbm is |MS| x |sectors| and never contains green antennas.
     A block's tables lead both with the block axis (`build_gain_matrix`
-    of a block of drops), and `snapshot(i)` is table i. channel is the
-    scenario's shared record: its receive points (the UL columns), sector
-    ids (the DL columns) and per-branch noise floor.
+    of a block of drops): row i of each array is drop i's table. The
+    solver reads a block's `ul_gain_mw` once, copying its rows into its
+    stack, and keeps no table. channel is the scenario's shared record:
+    its receive points (the UL columns), sector ids (the DL columns) and
+    per-branch noise floor.
     """
 
     channel: ChannelArrays
@@ -64,21 +66,6 @@ class LinkGainMatrix:
     def ul_gain_mw(self) -> np.ndarray:
         """ul_gain_db in linear units, computed once per table or block."""
         return 10.0 ** (self.ul_gain_db / 10.0)
-
-    def snapshot(self, i: int) -> LinkGainMatrix:
-        """Table i of a block. A block of several has its rows copied out,
-        so a table kept past its block (by a solver slot) does not keep the
-        whole block; a block of one is that table, and lends its arrays.
-        Its `ul_gain_mw` is row i of the block's: the pow is elementwise,
-        so a block takes one pow with each table's bits."""
-        whole = len(self.ul_gain_db) == 1
-        ul, dl, mw = (a[i] if whole else a[i].copy()
-                      for a in (self.ul_gain_db, self.dl_rx_dbm, self.ul_gain_mw))
-        for arr in (ul, dl):
-            arr.flags.writeable = False
-        table = LinkGainMatrix(channel=self.channel, ul_gain_db=ul, dl_rx_dbm=dl)
-        table.__dict__["ul_gain_mw"] = mw
-        return table
 
     def restricted_to(self, s: Scenario) -> LinkGainMatrix:
         """The columns of s's receive points, by id and in s's order.
@@ -120,11 +107,19 @@ def antenna_gain(pattern: AntennaPattern, bearing_deg):
     # fmod moved into [0, 360), except that it turns -0.0 into 0.0, which
     # gives the same theta. fmod is exact, so below 360 in magnitude, where
     # every bearing of a table lies, it is the identity and is skipped.
-    w = np.asarray(bearing_deg, dtype=float) + 180.0
+    # After the copy every step is in place, with the bits of its operator
+    # form, since a block's bearings are a large array.
+    w = np.array(bearing_deg, dtype=float)
+    w += 180.0
     if np.abs(w).max(initial=0.0) >= 360.0:
-        w = np.fmod(w, 360.0)
-    theta = np.abs(np.where(w < 0.0, w + 360.0, w) - 180.0)
-    attenuation = np.minimum(12.0 * (theta / pattern.theta_3db_deg) ** 2, pattern.front_to_back_db)
+        np.fmod(w, 360.0, out=w)
+    np.add(w, 360.0, out=w, where=w < 0.0)
+    w -= 180.0
+    attenuation = np.abs(w, out=w)      # theta
+    attenuation /= pattern.theta_3db_deg
+    np.square(attenuation, out=attenuation)
+    attenuation *= 12.0
+    np.minimum(attenuation, pattern.front_to_back_db, out=attenuation)
     return pattern.gain_dbi - attenuation
 
 
@@ -150,8 +145,10 @@ def build_gain_matrix(s: Scenario, mobiles: Drop, seed) -> LinkGainMatrix:
     the block's tables, whose arrays lead with the block axis: table i is
     the table of drop i and seed i, bit for bit. Everything but the draws
     runs once over the block's k * n mobile rows; each seed's draws are its
-    own label_normal calls, written into its drop's rows. The UL table is
-    composed in place, so the block's temporaries are a few tables' worth.
+    own label_normal calls, written into its drop's rows. The antenna
+    gains, the composition and the draws work in place, and each
+    intermediate is freed once used, so a block's temporaries are about
+    two UL tables' worth.
     """
     ch = s.channel
     n_sec = len(ch.sector_ids)
@@ -178,39 +175,42 @@ def build_gain_matrix(s: Scenario, mobiles: Drop, seed) -> LinkGainMatrix:
     # their site's), gathered to that position's columns
     dx = xs[:, None] - ch.pos_x
     dy = ys[:, None] - ch.pos_y
-    rx_gain = np.degrees(np.arctan2(dy, dx))[:, ch.rp_pos]
+    distance, angle = np.hypot(dx, dy), np.arctan2(dy, dx)
+    del dx, dy
+    rx_gain = np.degrees(angle, out=angle)[:, ch.rp_pos]
+    del angle
     rx_gain -= ch.rp_azimuth_deg            # the bearing, until each pattern's gain
     for pattern, cols in ch.pattern_cols:
         rx_gain[:, cols] = antenna_gain(pattern, rx_gain[:, cols])
     # the base -loss + rx_gain - pen, composed in place in the gathered
     # loss; the tables are then C-ordered arrays (a column gather is not)
-    base = path_loss(model, np.hypot(dx, dy))[:, ch.rp_pos]
+    base = path_loss(model, distance)[:, ch.rp_pos]
+    del distance
     np.negative(base, out=base)
     base += rx_gain
     base -= pen
     del rx_gain
 
-    def chi(labels):
-        """sigma times each seed's draws in its drop's rows, 0.0 where sigma is 0."""
-        if not shadowed.any():
-            return 0.0
+    def shadowed_by(labels, base):
+        """base plus sigma times each seed's draws in its drop's rows (none
+        where sigma is 0), in the C-ordered array that holds the draws."""
         out = np.zeros((len(xs), len(labels)))
         for i, sd in enumerate(seeds):
             rows = slice(i * n, (i + 1) * n)
             if shadowed[rows].any():
                 np.multiply(sigma[rows], label_normal(sd, labels, ids), out=out[rows],
                             where=shadowed[rows])
-        return out
+        return np.add(base, out, out=out)
 
     # a sector's DL column shares its UL column's geometry; in reciprocal
     # mode it also shares the UL draw, so each sector column is drawn once
     if s.radio.dl_shadowing_mode == "reciprocal":
-        ul = np.add(base, chi(ch.ul_labels), out=np.empty(base.shape))
+        ul = shadowed_by(ch.ul_labels, base)
         dl = ul[:, :n_sec] + ch.tx_power_dbm
     else:
-        dl = np.add(base[:, :n_sec], chi(ch.dl_labels), out=np.empty((len(xs), n_sec)))
+        dl = shadowed_by(ch.dl_labels, base[:, :n_sec])
         dl += ch.tx_power_dbm
-        ul = np.add(base, chi(ch.ul_labels), out=np.empty(base.shape))
+        ul = shadowed_by(ch.ul_labels, base)
 
     lead = (n,) if one else (len(seeds), n)
     ul, dl = ul.reshape(*lead, len(ch.rp_pos)), dl.reshape(*lead, n_sec)

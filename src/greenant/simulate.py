@@ -29,20 +29,18 @@ snapshot axis, in order; at jobs=1 the task's record is the campaign's.
 Where the fork start method does not exist, the campaign is one range
 in the parent.
 
-A task hands powerctl's solve_snapshots a generator of its snapshots.
-It draws them in blocks of consecutive indices, as many as fit in
-powerctl.DRAW_LINKS UL table entries of the last scenario (at least
-one; a block never crosses the task's range, and its last block may be
-shorter): one pass computes a block's drops, tables and associations,
-each array with a leading block axis, and the generator yields each
-snapshot's rows of them. A block is drawn only when a solver slot frees
-for its first snapshot, and a table kept by a slot holds its own rows,
-so a task holds the tables of at most one stack plus one block. The
-solver writes each snapshot's drop, association and results into the
-task's record by index. Each snapshot's drop and tables are the bits of
-its own draw, and its results the bits of its solve alone, so neither
-the block size, the stack size, the order in which snapshots stop, nor
-the number of workers changes any output.
+A task hands powerctl's solve_snapshots a `draw` callback, which the
+solver calls each time it loads its stack, for exactly as many
+consecutive snapshots as the stack has free slots: the whole stack
+first, then the stopped slots at each refill. One pass computes a
+draw's drops, tables and associations, each array with a leading block
+axis, and the solver copies the block's rows into its stack and drops
+the block, so a task holds one stack and, while it loads, one block.
+The solver writes each snapshot's drop, association and results into
+the task's record by index. Each snapshot's drop and tables are the
+bits of its own draw, and its results the bits of its solve alone, so
+neither the block size, the stack size, the order in which snapshots
+stop, nor the number of workers changes any output.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import powerctl
 from .powerctl import Campaign, associate, solve_snapshots
 from .propagation import LinkGainMatrix, build_gain_matrix
 from .scenario import Drop, Scenario, drop_mobiles, strip_greens
@@ -92,22 +89,16 @@ def draw_snapshot(scenarios: tuple[Scenario, ...], snap_seed
 
 
 def _task(args) -> Campaign:
-    """The record of snapshots start..stop-1, drawn a block at a time when
-    a solver slot frees for the block's first snapshot."""
+    """The record of snapshots start..stop-1; each draw is one block of
+    as many snapshots as the solver has free slots."""
     scenarios, seed, start, stop = args
-    last = scenarios[-1]
-    links = last.traffic.mobiles_per_sector * last.n_sectors() * len(last.receive_points)
-    size = max(1, powerctl.DRAW_LINKS // max(links, 1))
 
-    def stream():
-        for lo in range(start, stop, size):
-            seeds = [snapshot_seed(seed, index) for index in range(lo, min(lo + size, stop))]
-            mobiles, tables = draw_snapshot(scenarios, seeds)
-            serving = associate(tables[-1])
-            for i in range(len(seeds)):
-                yield mobiles.snapshot(i), serving[i], tuple(t.snapshot(i) for t in tables)
+    def draw(lo, hi):
+        mobiles, tables = draw_snapshot(scenarios, [snapshot_seed(seed, start + index)
+                                                    for index in range(lo, hi)])
+        return mobiles, associate(tables[-1]), tables
 
-    return solve_snapshots(scenarios, stream(), count=stop - start)
+    return solve_snapshots(scenarios, draw, stop - start)
 
 
 def _joined(parts: list[Campaign]) -> Campaign:

@@ -172,6 +172,27 @@ def act_from(monkeypatch, first, action):
     monkeypatch.setattr(simulate, "snapshot_seed", seed_or_act)
 
 
+def drawn(snapshots):
+    """A `solve_snapshots` draw over a list of (drop, serving, tables):
+    draw(lo, hi) stacks snapshots lo..hi-1 into one block, whose drop
+    fields, association and tables lead with the block axis. Each block
+    table's `ul_gain_mw` is the stack of each table's own, so no pow is
+    taken again."""
+    def draw(lo, hi):
+        part = snapshots[lo:hi]
+        drop = Drop(*(np.stack([getattr(d, f.name) for d, _, _ in part]) for f in fields(Drop)))
+        blocks = []
+        for tables in zip(*(t for _, _, t in part)):
+            block = LinkGainMatrix(channel=tables[0].channel,
+                                   ul_gain_db=np.stack([t.ul_gain_db for t in tables]),
+                                   dl_rx_dbm=np.stack([t.dl_rx_dbm for t in tables]))
+            block.__dict__["ul_gain_mw"] = np.stack([t.ul_gain_mw for t in tables])
+            blocks.append(block)
+        return drop, np.stack([serving for _, serving, _ in part]), tuple(blocks)
+
+    return draw
+
+
 def jacobi(s, drop, gm, serving, k):
     """Run s of one drop after k plain Jacobi steps of the clamped
     interference-function map `power_update` from all-p_min (Yates, IEEE
@@ -186,8 +207,8 @@ def jacobi(s, drop, gm, serving, k):
                            limits_dbm=(radio.p_min_dbm, radio.p_max_dbm))
         step = float(np.abs(10.0 * np.log10(nxt / p)).max(initial=0.0))
         p = nxt
-    problem = powerctl._stacked_problem([gm], [serving], s.branches, np.ones(len(p)),
-                                        -np.inf, np.inf)
+    problem = powerctl._stacked_problem(gm.ul_gain_mw[None], serving, s.branches,
+                                        gm.channel.noise_mw, np.ones(len(p)), -np.inf, np.inf)
     sinr_db = 10.0 * np.log10(powerctl._combined_sinr(p, problem, radio.combining))
     pinned = p >= 10.0 ** (radio.p_max_dbm / 10.0) * (1.0 - 1e-12)
     return SimpleNamespace(tx_power_dbm=10.0 * np.log10(p), sinr_db=sinr_db,
@@ -200,9 +221,9 @@ def counting_builds(monkeypatch):
     sizes = []
     build = powerctl._stacked_problem
 
-    def counted(tables, *args):
-        sizes.append(len(tables))
-        return build(tables, *args)
+    def counted(gains_mw, *args):
+        sizes.append(len(gains_mw))
+        return build(gains_mw, *args)
 
     monkeypatch.setattr(powerctl, "_stacked_problem", counted)
     return sizes

@@ -19,14 +19,16 @@ from greenant.scenario import drop_mobiles, load_scenario_file, strip_greens
 from greenant.simulate import run_campaign
 
 import conftest
-from conftest import jacobi, load_doc, make_tables, place, random_instance, snapshots, two_cell_doc
+from conftest import (drawn, jacobi, load_doc, make_tables, place, random_instance, snapshots,
+                      two_cell_doc)
 
 NOISE_MW = 10.0 ** (-104.0 / 10.0)
 
 
 def solved(scenarios, drops, **kwargs):
-    """Per snapshot of `solve_snapshots(scenarios, drops, **kwargs)`, its runs."""
-    return [snap.runs for snap in snapshots(solve_snapshots(scenarios, drops, **kwargs))]
+    """Per snapshot of `solve_snapshots` over the list `drops`, its runs."""
+    return [snap.runs for snap in snapshots(solve_snapshots(scenarios, drawn(drops), len(drops),
+                                                            **kwargs))]
 
 
 def report(label, ok, detail):

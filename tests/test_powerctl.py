@@ -33,6 +33,7 @@ from greenant.simulate import snapshot_seed
 from conftest import (
     branch_ids,
     bundled_doc,
+    drawn,
     load_doc,
     make_tables,
     multi_green_doc,
@@ -69,7 +70,15 @@ def mobiles(*targets_db):
 
 def solve_alone(s, drop, gm, serving, **kwargs):
     """One run of one drop: a stack of one snapshot."""
-    return snapshots(solve_snapshots((s,), [(drop, serving, (gm,))], **kwargs))[0].runs[0]
+    solved = solve_snapshots((s,), drawn([(drop, serving, (gm,))]), 1, **kwargs)
+    return snapshots(solved)[0].runs[0]
+
+
+def stacked_problem(tables, servings, branches, targets_lin, p_min_dbm, p_max_dbm):
+    """`_stacked_problem` of tables and their associations, stacked in order."""
+    return _stacked_problem(np.stack([t.ul_gain_mw for t in tables]), np.stack(servings),
+                            branches, tables[0].channel.noise_mw, targets_lin,
+                            p_min_dbm, p_max_dbm)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +226,7 @@ def test_kernel_is_bitwise_equal_to_per_sector_evaluation():
     for gm, serving, branches in instances:
         n = len(gm.ul_gain_db)
         p = 10.0 ** rng.uniform(-5.0, 2.4, size=n)
-        problem = _stacked_problem([gm], [serving], branches, np.ones(n), -np.inf, np.inf)
+        problem = stacked_problem([gm], [serving], branches, np.ones(n), -np.inf, np.inf)
         for mode in ("mrc", "selection", "egc"):
             expected = per_sector_sinr(p, gm, serving, branches, mode)
             assert np.array_equal(_combined_sinr(p, problem, mode), expected)
@@ -237,7 +246,7 @@ def test_width_one_stack_skips_the_reductions_with_their_bits():
         tables = [build_gain_matrix(s, drop_mobiles(s, seed), seed) for seed in seeds]
         servings = [associate(gm) for gm in tables]
         n = len(servings[0])
-        problem = _stacked_problem(tables, servings, s.branches, np.ones(7 * n), -50.0, 24.0)
+        problem = stacked_problem(tables, servings, s.branches, np.ones(7 * n), -50.0, 24.0)
         assert problem.narrow == (name == "baseline.json")
         powers = 10.0 ** rng.uniform(-5.0, 2.4, size=(7, n))
         for mode in ("mrc", "selection", "egc"):
@@ -326,7 +335,7 @@ def test_class_targets_are_bitwise_the_linear_targets(monkeypatch):
     calls = []
 
     def counted(targets_db):
-        calls.append(len(targets_db))
+        calls.append(np.size(targets_db))       # a block of k drops is (k, n)
         return _linear_targets(targets_db)
 
     monkeypatch.setattr(powerctl, "_linear_targets", counted)
@@ -366,8 +375,8 @@ def test_vectorised_problem_equals_per_mobile_builder():
     cases += multi_green_problems()
     for gm, serving, branches, targets in cases:
         want, want_targets = reference_links(gm, serving, branches, targets)
-        problem = _stacked_problem([gm], [serving], branches, _linear_targets(targets),
-                                   -50.0, 24.0)
+        problem = stacked_problem([gm], [serving], branches, _linear_targets(targets),
+                                  -50.0, 24.0)
         assert_same_links(problem, want)
         assert problem.targets_lin.tobytes() == want_targets.tobytes()
 
@@ -378,7 +387,7 @@ def test_stacked_problem_offsets_each_snapshots_groups():
     cases = multi_green_problems()
     tables, servings, branches = [c[0] for c in cases], [c[1] for c in cases], cases[0][2]
     targets = np.stack([c[3] for c in cases])
-    stacked = _stacked_problem(tables, servings, branches, _linear_targets(targets), -50.0, 24.0)
+    stacked = stacked_problem(tables, servings, branches, _linear_targets(targets), -50.0, 24.0)
     n, n_rp = tables[0].ul_gain_db.shape
     assert stacked.gains_mw.shape == (len(cases), n, n_rp)
     first = 0       # the first link of snapshot s
@@ -417,12 +426,12 @@ def test_stacked_kernel_is_bitwise_per_snapshot():
         tables, powers = stack_of(rng, int(rng.integers(2, 9)), wide=trial % 2 == 1)
         branches = tables[0][2]
         n = powers.shape[1]
-        stacked = _stacked_problem([t[0] for t in tables], [t[1] for t in tables], branches,
-                                   np.ones(powers.size), -50.0, 24.0)
+        stacked = stacked_problem([t[0] for t in tables], [t[1] for t in tables], branches,
+                                  np.ones(powers.size), -50.0, 24.0)
         for mode in ("mrc", "selection", "egc"):
             got = _combined_sinr(powers.reshape(-1), stacked, mode).reshape(powers.shape)
             for s, (gm, serving, _) in enumerate(tables):
-                alone = _stacked_problem([gm], [serving], branches, np.ones(n), -50.0, 24.0)
+                alone = stacked_problem([gm], [serving], branches, np.ones(n), -50.0, 24.0)
                 assert np.array_equal(got[s], _combined_sinr(powers[s], alone, mode))
 
 
@@ -445,7 +454,7 @@ def test_egc_closed_form_matches_pairwise_expansion():
             pairs = sum(np.sqrt(signal[a] * signal[b])
                         for a in range(len(cols)) for b in range(a + 1, len(cols)))
             expected[i] = (signal.sum() + 2.0 * pairs) / den
-        problem = _stacked_problem([gm], [serving], branches, np.ones(n), -np.inf, np.inf)
+        problem = stacked_problem([gm], [serving], branches, np.ones(n), -np.inf, np.inf)
         assert _combined_sinr(p, problem, "egc") == pytest.approx(expected, rel=1e-12)
 
 
@@ -457,7 +466,7 @@ def test_single_branch_egc_is_bitwise_mrc():
         n = len(gm.ul_gain_db)
         p = 10.0 ** rng.uniform(-5.0, 2.4, size=n)
         bare = own_antennas(branches)
-        problem = _stacked_problem([gm], [serving], bare, np.ones(n), -np.inf, np.inf)
+        problem = stacked_problem([gm], [serving], bare, np.ones(n), -np.inf, np.inf)
         egc = _combined_sinr(p, problem, "egc")
         assert np.array_equal(egc, _combined_sinr(p, problem, "mrc"))
         gains = 10.0 ** (gm.ul_gain_db / 10.0)
@@ -657,21 +666,30 @@ def test_solver_rejects_an_unknown_combining_rule():
         solve_alone(s, mobiles(0.0), gm, serving)
 
 
-def test_solver_rejects_snapshots_of_different_sizes():
+def test_solver_rejects_snapshots_of_different_sizes(monkeypatch):
+    """In a stack of one slot, a second snapshot of another mobile count
+    than the first is refused, naming both counts."""
     s = solver_scenario(2)
     gm1, serving1, _ = make_tables([[-100.0, -110.0]], 2, serving=[0])
     gm2, serving2, _ = make_tables([[-100.0, -110.0], [-110.0, -100.0]], 2, serving=[0, 1])
-    with pytest.raises(ValueError, match="same number of mobiles"):
-        solve_snapshots((s,), [(mobiles(0.0), serving1, (gm1,)),
-                               (mobiles(0.0, 0.0), serving2, (gm2,))])
+    draw = drawn([(mobiles(0.0), serving1, (gm1,)), (mobiles(0.0, 0.0), serving2, (gm2,))])
+    monkeypatch.setattr(powerctl, "STACK_LINKS", 1)
+    with pytest.raises(ValueError, match=r"draw\(1, 2\) gave snapshots of 2 mobiles, expected 1: "
+                                         r"stacked snapshots must hold the same number of mobiles"):
+        solve_snapshots((s,), draw, 2)
 
 
-def test_solver_rejects_a_stream_shorter_than_its_count():
+def test_solver_rejects_a_block_of_the_wrong_shape(monkeypatch):
+    """A draw that gives more or fewer snapshots than it was asked for is
+    refused, naming both counts."""
     s = solver_scenario(1)
     gm, serving, _ = make_tables([[-100.0]], 1, serving=[0])
-    drops = iter([(mobiles(0.0), serving, (gm,))] * 2)
-    with pytest.raises(ValueError, match="expected 3 snapshots, got 2"):
-        solve_snapshots((s,), drops, count=3)
+    short = drawn([(mobiles(0.0), serving, (gm,))] * 2)
+    with pytest.raises(ValueError, match=r"draw\(0, 3\) gave 2 snapshots, expected 3"):
+        solve_snapshots((s,), short, 3)
+    monkeypatch.setattr(powerctl, "STACK_LINKS", 1)
+    with pytest.raises(ValueError, match=r"draw\(0, 1\) gave 2 snapshots, expected 1"):
+        solve_snapshots((s,), lambda lo, hi: short(0, 2), 3)
 
 
 def test_solver_rejects_a_count_below_one():
@@ -679,6 +697,6 @@ def test_solver_rejects_a_count_below_one():
     gm, serving, _ = make_tables([[-100.0]], 1, serving=[0])
     for count in (0, -1):
         with pytest.raises(ValueError, match="at least one snapshot"):
-            solve_snapshots((s,), iter([(mobiles(0.0), serving, (gm,))]), count=count)
+            solve_snapshots((s,), drawn([(mobiles(0.0), serving, (gm,))]), count)
     with pytest.raises(ValueError, match="at least one snapshot"):
-        solve_snapshots((s,), [])       # an empty list is a count of 0
+        solve_snapshots((s,), drawn([]), 0)     # nothing is drawn

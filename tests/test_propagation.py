@@ -20,8 +20,8 @@ from greenant.scenario import AntennaPattern, Drop, PathLossModel, drop_mobiles,
 from greenant.seeds import label_normal
 from greenant.simulate import snapshot_seed
 
-from conftest import (GREEN_JSON, clutter_class_at, load_doc, multi_green_doc, place, snapshots,
-                      two_cell_doc)
+from conftest import (GREEN_JSON, clutter_class_at, drawn, load_doc, multi_green_doc, place,
+                      snapshots, two_cell_doc)
 
 URBAN = PathLossModel(pl0_db=128.1, d0_m=1000.0, exponent=3.76)
 
@@ -327,8 +327,8 @@ def test_block_tables_are_bitwise_the_tables_alone(doc):
     of a block, its linear gains, its columns restricted to the greenless
     world and its association are bitwise those of drop i's table alone,
     and the tables equal the column-loop reference, also where a class has
-    sigma 0. The block's arrays lead with the block axis and are C-ordered;
-    table i of a block of several is a read-only copy of its rows."""
+    sigma 0. The block's arrays lead with the block axis, are C-ordered
+    and read-only, and row i of each is table i's."""
     seeds = [snapshot_seed(41, k) for k in range(12)]
     for mode in ("reciprocal", "independent"):
         doc["radio"]["dl_shadowing_mode"] = mode
@@ -354,23 +354,19 @@ def test_block_tables_are_bitwise_the_tables_alone(doc):
                         assert arr.shape[:2] == (k, n) and arr.flags.c_contiguous
                     assert not table.ul_gain_db.flags.writeable
                 assert serving.shape == (k, n) and not serving.flags.writeable
+                assert block.channel is s.channel and restricted.channel is bare.channel
+                assert not (block.dl_rx_dbm.flags.writeable or restricted.dl_rx_dbm.flags.writeable)
                 for i, own in enumerate(alone[lo:lo + k]):
                     (ul, dl, _), (bare_ul, _, _) = refs[lo + i]
-                    row, bare_row = block.snapshot(i), restricted.snapshot(i)
                     own_bare = own.restricted_to(bare)
-                    for got, want, ref in ((row.ul_gain_db, own.ul_gain_db, ul),
-                                           (row.dl_rx_dbm, own.dl_rx_dbm, dl),
-                                           (bare_row.ul_gain_db, own_bare.ul_gain_db, bare_ul),
-                                           (bare_row.dl_rx_dbm, own_bare.dl_rx_dbm, dl)):
+                    for got, want, ref in ((block.ul_gain_db[i], own.ul_gain_db, ul),
+                                           (block.dl_rx_dbm[i], own.dl_rx_dbm, dl),
+                                           (restricted.ul_gain_db[i], own_bare.ul_gain_db, bare_ul),
+                                           (restricted.dl_rx_dbm[i], own_bare.dl_rx_dbm, dl)):
                         assert got.tobytes() == want.tobytes() == ref.tobytes()
-                    assert row.ul_gain_mw.tobytes() == own.ul_gain_mw.tobytes()
-                    assert bare_row.ul_gain_mw.tobytes() == own_bare.ul_gain_mw.tobytes()
-                    assert row.channel is own.channel and bare_row.channel is bare.channel
-                    # a kept table holds its own rows, not a block of several
-                    for name in ("ul_gain_db", "dl_rx_dbm", "ul_gain_mw"):
-                        shared = np.shares_memory(getattr(row, name), getattr(block, name))
-                        assert shared == (k == 1)
-                    assert not (row.ul_gain_db.flags.writeable or row.dl_rx_dbm.flags.writeable)
+                    assert block.ul_gain_mw[i].tobytes() == own.ul_gain_mw.tobytes()
+                    assert restricted.ul_gain_mw[i].tobytes() == own_bare.ul_gain_mw.tobytes()
+                    assert own.channel is s.channel and own_bare.channel is bare.channel
                     want = associate(own)
                     assert serving[i].dtype == want.dtype
                     assert serving[i].tobytes() == want.tobytes()
@@ -413,9 +409,8 @@ def test_block_draws_each_shadowed_drop_once(mode, monkeypatch):
         block = build_gain_matrix(s, _stacked(*pair), seeds)
         assert calls == want_calls == [22] * (1 if mode == "reciprocal" else 2) * (22 in seeds)
         for i, own in enumerate(alone):
-            row = block.snapshot(i)
-            assert row.ul_gain_db.tobytes() == own.ul_gain_db.tobytes()
-            assert row.dl_rx_dbm.tobytes() == own.dl_rx_dbm.tobytes()
+            assert block.ul_gain_db[i].tobytes() == own.ul_gain_db.tobytes()
+            assert block.dl_rx_dbm[i].tobytes() == own.dl_rx_dbm.tobytes()
 
 
 def test_block_needs_one_seed_per_drop():
@@ -455,7 +450,7 @@ def test_channel_arrays_belong_to_one_scenario_and_stay_out_of_pickles(two_cell_
     assert cols.tolist() == [0, 1] and not cols.flags.writeable
     assert gm.restricted_to(variant).ul_gain_db.tobytes() == sectors.ul_gain_db.tobytes()
     assert variant.channel.columns_in(s.channel) is cols
-    solved = solve_snapshots((variant, s), [(mobiles, associate(gm), (sectors, gm))])
+    solved = solve_snapshots((variant, s), drawn([(mobiles, associate(gm), (sectors, gm))]), 1)
     # the targets are read from the class targets of the drop's scenario
     assert memos <= set(vars(s)) and memos - {"class_targets"} <= set(vars(variant))
     assert s.branches is s.branches and s.class_targets is s.class_targets
@@ -468,8 +463,8 @@ def test_channel_arrays_belong_to_one_scenario_and_stay_out_of_pickles(two_cell_
                       (again.noise_dbm, gm.noise_dbm)):
         assert got.tobytes() == want.tobytes()
     bare = pickle.loads(pickle.dumps(variant))
-    resolved = solve_snapshots((bare, clone), [(mobiles, associate(again),
-                                                (again.restricted_to(bare), again))])
+    resolved = solve_snapshots((bare, clone), drawn([(mobiles, associate(again),
+                                                      (again.restricted_to(bare), again))]), 1)
     for got, want in zip(snapshots(resolved)[0].runs, snapshots(solved)[0].runs, strict=True):
         assert pickle.dumps(got) == pickle.dumps(want)
 

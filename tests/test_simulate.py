@@ -9,6 +9,7 @@ import pickle
 import re
 import signal
 import time
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,8 +28,8 @@ from greenant.simulate import (
     snapshot_seed,
 )
 
-from conftest import (SCENARIO_DIR, act_from, bundled_doc, counting_builds, drop_bits, jacobi,
-                      load_doc, snapshots, two_cell_doc, wide_green_doc)
+from conftest import (SCENARIO_DIR, act_from, bundled_doc, counting_builds, drawn, drop_bits,
+                      jacobi, load_doc, snapshots, two_cell_doc, wide_green_doc)
 
 
 def solved_alone(scenarios, seed, index):
@@ -37,8 +38,9 @@ def solved_alone(scenarios, seed, index):
 
 
 def solved(scenarios, drops, **kwargs):
-    """Per snapshot of `solve_snapshots(scenarios, drops, **kwargs)`, its runs."""
-    return [snap.runs for snap in snapshots(solve_snapshots(scenarios, drops, **kwargs))]
+    """Per snapshot of `solve_snapshots` over the list `drops`, its runs."""
+    return [snap.runs for snap in snapshots(solve_snapshots(scenarios, drawn(drops), len(drops),
+                                                            **kwargs))]
 
 
 def gather_tx_powers(c, run, mask):
@@ -414,67 +416,112 @@ def _assert_same_snapshot(got, want):
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 @pytest.mark.parametrize("combining", ["mrc", "selection", "egc"])
 def test_campaign_snapshots_are_bitwise_their_solves_alone(combining, jobs, monkeypatch):
-    """Two solver slots over 9 snapshots, so slots are refilled and the
-    drained stack shrinks: every snapshot equals a task of it alone, and
-    each run equals Jacobi iterates on its own scenario's table to the
-    pair's iteration count. The worlds are the bundled pair, and
+    """Stacks of 1, 2 and 4 slots over 9 snapshots, so slots are refilled
+    and the drained stack shrinks: every snapshot equals a task of it
+    alone, and each run equals Jacobi iterates on its own scenario's table
+    to the pair's iteration count. The worlds are the bundled pair, and
     green.json with 9 greens on one sector (a branch set of 10, summed
-    pairwise) paired with its first 8 (a set of 9). The snapshots are
-    drawn in the default blocks (3 and 2 snapshots of these worlds), one
-    at a time, and in blocks of 4, which do not divide a range of 9 or 5."""
-    default = powerctl.DRAW_LINKS
+    pairwise) paired with its first 8 (a set of 9). Each load draws one
+    block of its free slots, so the blocks are of 1 to 4 snapshots, and
+    need not divide a range of 9, 4 or 3."""
     for docs in (None, [wide_green_doc(8), wide_green_doc(9)]):
         scenarios = _hole_pair(combining, docs)
         links = 210 * sum(len(s.receive_points) for s in scenarios)
-        table_links = 210 * len(scenarios[-1].receive_points)
         assert max(s.branches.widths.max() for s in scenarios) == (2 if docs is None else 10)
-        assert default // table_links == (3 if docs is None else 2)
         alone = [solved_alone(scenarios, 53, index) for index in range(9)]
         for snap in alone:
             for s, got in zip(scenarios, snap.runs):
                 mobiles = drop_mobiles(s, snap.seed)
                 gm = build_gain_matrix(s, mobiles, snap.seed)
                 _assert_same_result(got, jacobi(s, mobiles, gm, associate(gm), got.iterations))
-        monkeypatch.setattr(powerctl, "STACK_LINKS", 2 * links)
-        for draw_links in (default, 1, 4 * table_links):
-            monkeypatch.setattr(powerctl, "DRAW_LINKS", draw_links)
+        for slots in (1, 2, 4):
+            monkeypatch.setattr(powerctl, "STACK_LINKS", slots * links)
             sizes = counting_builds(monkeypatch)
             snaps = snapshots(run_campaign(scenarios, seed=53, n_snapshots=9, jobs=jobs), 53)
-            assert max(sizes) == 2     # the parent's range: 9, 4 or 3 snapshots
+            assert max(sizes) == min(slots, 9 // jobs)     # the parent's range: 9, 4 or 3
             assert [sn.index for sn in snaps] == list(range(9))
             for snap, want in zip(snaps, alone, strict=True):
                 _assert_same_snapshot(snap, want)
 
 
-def test_stream_draws_at_most_one_block_ahead(monkeypatch):
-    """A task draws a block (here 3 snapshots of the bundled pair, the
-    last block the range's remainder) only when the solver loads the
-    block's first snapshot, so the draws are never more than one block
-    ahead of the loads, and every block is one drop and one table call."""
+def test_solver_draws_exactly_its_free_slots(monkeypatch):
+    """Each load draws one block of exactly the slots that are free: the
+    draws tile 0..count-1 in order, the first is the whole stack of 3
+    slots, and each later one is the number of snapshots emitted just
+    before it (or what is left). A snapshot loaded after P passes of the
+    loop (R kernel calls each) stops at pass P + its iterations, and is
+    emitted at the first load after that pass. A campaign's task draws
+    the same blocks, each with one drop, one table and one association
+    call."""
     scenarios = _hole_pair("mrc")
-    blocks, builds, loads = [], [], []
-    drop, build = simulate.drop_mobiles, simulate.build_gain_matrix
-    targets = powerctl._drop_targets
+    drops = _hole_drops(scenarios, 61, 10)
+    draw, kernel = drawn(drops), powerctl._combined_sinr
+    kernel_calls, loads = [], []
 
-    def counted_drop(s, seeds):
-        blocks.append(len(seeds))
-        return drop(s, seeds)
+    def counted_kernel(*args):
+        kernel_calls.append(1)
+        return kernel(*args)
 
-    def counted_build(s, mobiles, seeds):
-        builds.append(len(seeds))
-        return build(s, mobiles, seeds)
+    def logged_draw(lo, hi):
+        loads.append((lo, hi, len(kernel_calls) // len(scenarios)))
+        return draw(lo, hi)
 
-    def counted_load(mobiles, s):
-        loads.append(sum(blocks))      # snapshots drawn when this one is loaded
-        return targets(mobiles, s)
+    monkeypatch.setattr(powerctl, "_combined_sinr", counted_kernel)
+    monkeypatch.setattr(powerctl, "STACK_LINKS", 3 * HOLE_PAIR_LINKS)
+    c = solve_snapshots(scenarios, logged_draw, len(drops))
+    assert [(lo, hi) for lo, hi, _ in loads][:1] == [(0, 3)] and len(loads) > 3
+    assert [lo for lo, _, _ in loads] == [0] + [hi for _, hi, _ in loads[:-1]]
+    assert loads[-1][1] == len(drops)
+    loaded_after = {i: passes for lo, hi, passes in loads for i in range(lo, hi)}
+    stops = [loaded_after[i] + k for i, k in enumerate(c.iterations.tolist())]
+    for (_, _, before), (lo, hi, passes) in zip(loads, loads[1:]):
+        emitted = sum(before <= stop < passes for stop in stops)
+        assert 0 < hi - lo == min(emitted, len(drops) - lo)
 
-    monkeypatch.setattr(simulate, "drop_mobiles", counted_drop)
-    monkeypatch.setattr(simulate, "build_gain_matrix", counted_build)
-    monkeypatch.setattr(powerctl, "_drop_targets", counted_load)
-    monkeypatch.setattr(powerctl, "STACK_LINKS", 2 * HOLE_PAIR_LINKS)
+    calls = {"drop": [], "build": [], "associate": []}
+    drop, build, assoc = simulate.drop_mobiles, simulate.build_gain_matrix, simulate.associate
+    monkeypatch.setattr(simulate, "drop_mobiles",
+                        lambda s, seeds: calls["drop"].append(len(seeds)) or drop(s, seeds))
+    monkeypatch.setattr(simulate, "build_gain_matrix", lambda s, mobiles, seeds:
+                        calls["build"].append(len(seeds)) or build(s, mobiles, seeds))
+    monkeypatch.setattr(simulate, "associate",
+                        lambda gm: calls["associate"].append(len(gm.ul_gain_db)) or assoc(gm))
+    run_campaign(scenarios, seed=61, n_snapshots=len(drops))
+    for sizes in calls.values():
+        assert sizes == [hi - lo for lo, hi, _ in loads]
+
+
+def test_no_drawn_block_outlives_its_rebuild(monkeypatch):
+    """The stack keeps copies of a block's rows, not the block: from the
+    first kernel call after the rebuild that loaded it, no drawn drop or
+    field of it, association, table or linear gain array is alive."""
+    scenarios = _hole_pair("mrc")
+    refs, alive = [], []
+    draw, assoc, kernel = simulate.draw_snapshot, simulate.associate, powerctl._combined_sinr
+
+    def traced_draw(scenarios, seeds):
+        mobiles, tables = draw(scenarios, seeds)
+        refs.extend(weakref.ref(a) for a in (mobiles, *vars(mobiles).values(), *tables,
+                                             *(t.ul_gain_mw for t in tables)))
+        return mobiles, tables
+
+    def traced_associate(gm):
+        serving = assoc(gm)
+        refs.append(weakref.ref(serving))
+        return serving
+
+    def checked_kernel(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return kernel(*args)
+
+    monkeypatch.setattr(simulate, "draw_snapshot", traced_draw)
+    monkeypatch.setattr(simulate, "associate", traced_associate)
+    monkeypatch.setattr(powerctl, "_combined_sinr", checked_kernel)
+    monkeypatch.setattr(powerctl, "STACK_LINKS", 3 * HOLE_PAIR_LINKS)
+    sizes = counting_builds(monkeypatch)
     run_campaign(scenarios, seed=61, n_snapshots=10)
-    assert blocks == builds == [3, 3, 3, 1]
-    assert loads == [min(10, 3 * (i // 3 + 1)) for i in range(10)]
+    assert len(sizes) > 3 * len(scenarios) and len(refs) > 3 * 9
+    assert alive and set(alive) == {0}
 
 
 def _hole_drops(scenarios, seed, count):
@@ -488,8 +535,8 @@ def _hole_drops(scenarios, seed, count):
 
 
 def test_refilled_stack_returns_input_order(monkeypatch):
-    """Snapshots stop out of input order in a stack of 3 slots fed from a
-    generator; the results come back in input order, each the bits of its
+    """Snapshots stop out of input order in a stack of 3 slots fed by a
+    draw; the results come back in input order, each the bits of its
     solve alone, and the stack was refilled."""
     scenarios = _hole_pair("mrc")
     drops = _hole_drops(scenarios, 61, 10)
@@ -498,7 +545,7 @@ def test_refilled_stack_returns_input_order(monkeypatch):
     assert iters != sorted(iters)
     monkeypatch.setattr(powerctl, "STACK_LINKS", 3 * HOLE_PAIR_LINKS)
     sizes = counting_builds(monkeypatch)
-    got = solved(scenarios, iter(drops), count=len(drops))
+    got = solved(scenarios, drops)
     assert max(sizes) == 3 and len(sizes) > 2 * len(scenarios)
     for g, w in zip(got, alone, strict=True):
         for r_got, r_want in zip(g, w, strict=True):
@@ -524,7 +571,7 @@ def test_refilled_snapshot_stops_at_its_own_max_iter(monkeypatch, caplog):
     sizes = counting_builds(monkeypatch)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="greenant.powerctl"):
-        got = solved(scenarios, iter(order), max_iter=max_iter, count=len(order))
+        got = solved(scenarios, order, max_iter=max_iter)
     warnings = [r for r in caplog.records if "did not converge" in r.getMessage()]
     failed = sum(not all(r.converged for r in runs) for runs in alone)
     assert len(warnings) == failed >= 1
