@@ -30,25 +30,24 @@ branch set has one branch (a run without greens) skips the reductions,
 whose every value would be S / (I + N) of its one link.
 
 One solve loop, `solve_snapshots`, solves snapshots of R runs (one
-(scenario, table) pair each) in a stack of S slots, one snapshot per
-slot, as R stacked problems: the per-receive-point totals are one
-batched matmul over an (S, n, n_rp) gain stack, and the links of all S
-slots are one flat list. The runs of a snapshot step together until
-every one has met tol_db, so they stop at a common iteration count;
-from then on the snapshot's rows are frozen while the rest of the stack
-iterates. Once half the slots have stopped, their rows of the returned
-`Campaign` record are written, and the stack is rebuilt from its kept
-slots and one drawn block of as many new snapshots as slots were freed;
-a rebuild costs about one iteration, so it is batched rather than done
-at every stop. The stack holds only what the solver reads: per run the
-slots' linear gains, and per slot its serving sectors and targets; a
-drawn block is dropped once its rows are copied in.
-The stack changes no bits: every elementwise operation and every
-per-mobile reduction sees the operands of the snapshot's own solve, in the
-same order, and each slice of the batched matmul is that snapshot's
-`powers @ gains`. A single drop is a stack of S = 1. Each run combines
-by its scenario's radio.combining; only the kernel takes the rule as an
-argument.
+scenario each, the last one the fullest) in a stack of S slots, one
+snapshot per slot, as R stacked problems: the per-receive-point totals
+are one batched matmul over an (S, n, n_rp) gain stack, and the links of
+all S slots are one flat list. The runs of a snapshot step together
+until every one has met tol_db, so they stop at a common iteration
+count; from then on the snapshot's rows are frozen while the rest of the
+stack iterates. Once half the slots have stopped, their rows of the
+returned `Campaign` record are written, and the stack is rebuilt from
+its kept slots and one drawn block of as many new snapshots as slots
+were freed; a rebuild costs about one iteration, so it is batched
+rather than done at every stop. Each run's new rows are its columns of
+the block's linear gains, the last scenario's, gathered straight into
+its fresh stack; the block is dropped once copied in. The stack changes
+no bits: every elementwise operation and every per-mobile reduction
+sees the operands of the snapshot's own solve, in the same order, and
+each slice of the batched matmul is that snapshot's `powers @ gains`. A
+single drop is a stack of S = 1. Each run combines by its scenario's
+radio.combining; only the kernel takes the rule as an argument.
 
 The association is an index array: entry i is the column of mobile i's
 serving sector in the table's sector_ids.
@@ -84,11 +83,12 @@ DEFAULT_TOL_DB = 0.01
 DEFAULT_MAX_ITER = 1000
 
 #: Slot budget of a solver stack, in links (snapshots x mobiles x receive
-#: points, summed over the runs): 0.5 MB per float64 stack, 7 slots of the
-#: bundled pair and 48 of the 11-green map with 2 mobiles per sector. Each
-#: process of a campaign holds one stack. Against half this budget,
-#: perfbench read 16% less time per pair on hole-compare, the same on
-#: multi-green-egc, and about 1 MB more peak memory (2-core shared x86-64).
+#: points of the last, fullest scenario): 14 slots of the bundled pair and
+#: 48 of the 11-green map with 2 mobiles per sector. Each process of a
+#: campaign holds one stack, one gain array per run. Against counting the
+#: receive points of every run (7 slots of the pair), perfbench read 10%
+#: less time per pair on hole-compare, 5% less at --jobs 2 and about 2 MB
+#: more peak memory (2-core shared x86-64).
 STACK_LINKS = 1 << 16
 
 
@@ -315,32 +315,36 @@ def _advance(powers_mw: np.ndarray, sinr: np.ndarray, problem: _Problem
     return updated, step
 
 
-def _refilled(stack: np.ndarray | None, kept: np.ndarray, new: np.ndarray) -> np.ndarray:
+def _refilled(stack: np.ndarray | None, kept: np.ndarray, new: np.ndarray,
+              cols: np.ndarray | None = None) -> np.ndarray:
     """The stack's rows at `kept`, in order, then the new rows, as one
-    array of fresh memory: each row is copied once."""
-    out = np.empty((len(kept) + len(new), *new.shape[1:]), new.dtype)
+    C-ordered array of fresh memory: each row is copied once. With cols, a
+    new row is its entries at cols on the trailing axis, gathered in place."""
+    shape = new.shape[1:] if cols is None else (*new.shape[1:-1], len(cols))
+    out = np.empty((len(kept) + len(new), *shape), new.dtype)
     if len(kept):
         np.take(stack, kept, axis=0, out=out[:len(kept)], mode="clip")
-    out[len(kept):] = new
+    if cols is None:
+        out[len(kept):] = new
+    else:
+        np.take(new, cols, axis=-1, out=out[len(kept):], mode="clip")
     return out
 
 
 def solve_snapshots(scenarios: tuple[Scenario, ...],
-                    draw: Callable[[int, int], tuple[Drop, np.ndarray,
-                                                     tuple[LinkGainMatrix, ...]]],
+                    draw: Callable[[int, int], tuple[Drop, np.ndarray, np.ndarray]],
                     count: int, tol_db: float = DEFAULT_TOL_DB,
                     max_iter: int = DEFAULT_MAX_ITER) -> Campaign:
     """Solve snapshots 0..count-1 of R runs in a stack of snapshots, from all-p_min.
 
     `draw(lo, hi)` gives snapshots lo..hi-1 as one block (mobiles,
-    serving, tables): a Drop of k = hi - lo drops of n mobiles each (n
+    serving, gains): a Drop of k = hi - lo drops of n mobiles each (n
     the same in every block), their (k, n) association (see `associate`)
-    and per run r scenarios[r]'s (k, n, n_rp) tables of them, of which
-    only `ul_gain_mw` is read. The stack has as many slots as fit in
-    STACK_LINKS links of the scenarios (the last one's mobiles per
-    sector times its sectors, times every run's receive points), and
-    each call draws exactly the slots that are free: the whole stack at
-    the first load, the stopped slots at each later one, up to count.
+    and the (k, n, n_rp) `ul_gain_mw` of the last scenario's tables. The
+    stack has as many slots as fit in STACK_LINKS links of the last
+    scenario (its mobiles per sector times its sectors times its receive
+    points), and each call draws exactly the slots that are free: the
+    whole stack at the first load, the stopped slots at each later one.
     Run r of every slot is one stacked problem under
     scenarios[r].radio.combining, so an iteration costs R kernel calls
     whatever the slot count. A snapshot stops once every run's largest
@@ -351,12 +355,15 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
     stack is rebuilt from its kept slots and a block of new snapshots;
     once every snapshot is drawn, the stack shrinks each time a quarter
     of its slots have stopped. Kept slots carry their gains, powers, last
-    steps, met flags and iteration counts across a rebuild, and a block
-    is dropped once its rows are copied in. Snapshots do not interact, so
-    each ends with the bits of its solve alone, whichever snapshots share
-    its stack. Every table must hold its own scenario's receive points
-    only: the width of the gain array changes the last bits of
-    `powers @ gains`.
+    steps, met flags and iteration counts across a rebuild. Each run's
+    stack is a fresh C-ordered array, its new rows gathered from the
+    block at that run's columns (`ChannelArrays.columns_in`, once per
+    campaign), and the block is then dropped. The pow is elementwise, so
+    the gather has the bits of the run's own table's `ul_gain_mw`.
+    Snapshots do not interact, so each ends with the bits of its solve
+    alone, whichever snapshots share its stack: the width and layout of
+    the gain array change the last bits of `powers @ gains`, so a run's
+    stack holds its own receive points only.
 
     Returns the snapshots' `Campaign`, row s for snapshot s: its drop and
     association as drawn, and its runs' results. Each row is written in
@@ -369,17 +376,19 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
     if count < 1:
         raise ValueError("need at least one snapshot")
     last = scenarios[-1]
-    links = last.traffic.mobiles_per_sector * last.n_sectors() * sum(
-        len(s.receive_points) for s in scenarios)
+    links = last.traffic.mobiles_per_sector * last.n_sectors() * len(last.receive_points)
     slots = max(1, STACK_LINKS // max(links, 1))
+    # each earlier run's receive points, as columns of the last one's table
+    full = last.channel
+    columns = [s.channel.columns_in(full) for s in scenarios[:-1]] + [None]
     branches = [s.branches for s in scenarios]
     n_runs = len(scenarios)
     record: dict[str, np.ndarray] = {}      # the drops' fields and association
 
-    def load(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    def load(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Draw snapshots lo..hi-1, write their record rows, and return
-        their serving sectors, linear targets and per-run linear gains."""
-        mobiles, serving, tables = draw(lo, hi)
+        their serving sectors, linear targets and the last run's linear gains."""
+        mobiles, serving, gains_mw = draw(lo, hi)
         k, n = len(mobiles.building), len(mobiles)
         if k != hi - lo:
             raise ValueError(f"draw({lo}, {hi}) gave {k} snapshots, expected {hi - lo}")
@@ -394,8 +403,8 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
                              f"the same number of mobiles")
         for name, a in given.items():
             record[name][lo:hi] = a
-        # a campaign's drop is its last scenario's (simulate.draw_snapshot)
-        return serving, _drop_targets(mobiles, last).reshape(k, n), [t.ul_gain_mw for t in tables]
+        # a campaign's drop is its last scenario's
+        return serving, _drop_targets(mobiles, last).reshape(k, n), gains_mw
 
     # the stack, slot by slot: each slot's input index, serving sectors,
     # linear targets and iteration count, per run its last step and
@@ -411,7 +420,7 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
         if hi > lo:
             new_serving, new_targets, new_gains = load(lo, hi)
         else:       # every snapshot is drawn: the stack shrinks to its kept slots
-            new_serving, new_targets, new_gains = serving[:0], targets[:0], [g[:0] for g in gains]
+            new_serving, new_targets, new_gains = serving[:0], targets[:0], gains[-1][:0]
         if lo == 0:
             n = new_targets.shape[1]
             tx_dbm, sinr_db = np.empty((count, n_runs, n)), np.empty((count, n_runs, n))
@@ -425,7 +434,7 @@ def solve_snapshots(scenarios: tuple[Scenario, ...],
         iterations = _refilled(iterations, kept, np.zeros(k, dtype=int))
         steps = _refilled(steps, kept, np.zeros((k, n_runs)))
         met = _refilled(met, kept, np.zeros((k, n_runs), dtype=bool))
-        gains = [_refilled(g, kept, new) for g, new in zip(gains, new_gains)]
+        gains = [_refilled(g, kept, new_gains, cols) for g, cols in zip(gains, columns)]
         powers = [_refilled(p, kept, np.full((k, n), 10.0 ** (s.radio.p_min_dbm / 10.0)))
                   for p, s in zip(powers, scenarios)]
         del new_serving, new_targets, new_gains

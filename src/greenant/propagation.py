@@ -39,8 +39,8 @@ class LinkGainMatrix:
     dl_rx_dbm is |MS| x |sectors| and never contains green antennas.
     A block's tables lead both with the block axis (`build_gain_matrix`
     of a block of drops): row i of each array is drop i's table. The
-    solver reads a block's `ul_gain_mw` once, copying its rows into its
-    stack, and keeps no table. channel is the scenario's shared record:
+    solver reads a block's `ul_gain_mw` once, gathering each run's columns
+    into its stack, and keeps no table. channel is the scenario's shared record:
     its receive points (the UL columns), sector ids (the DL columns) and
     per-branch noise floor.
     """
@@ -72,18 +72,11 @@ class LinkGainMatrix:
 
         Each column depends only on its receive point, so for a scenario
         whose points are all in this table the result equals s's own table
-        of the same drop. The copy is C-ordered, as a built table is: the
-        layout of the gain array changes the last bits of `powers @ gains`.
-        Its `ul_gain_mw` is the same columns of this table's: the pow is
-        elementwise, so a gather has the bits of a pow of the gathered dB.
-        A block's tables are restricted along their trailing axis.
+        of the same drop. The copy is C-ordered, as a built table is.
         """
-        cols = s.channel.columns_in(self.channel)
-        ul = np.ascontiguousarray(self.ul_gain_db[..., cols])
+        ul = np.ascontiguousarray(self.ul_gain_db[..., s.channel.columns_in(self.channel)])
         ul.flags.writeable = False
-        table = replace(self, channel=s.channel, ul_gain_db=ul)
-        table.__dict__["ul_gain_mw"] = np.ascontiguousarray(self.ul_gain_mw[..., cols])
-        return table
+        return replace(self, channel=s.channel, ul_gain_db=ul)
 
 
 def path_loss(model: PathLossModel, distance_m):

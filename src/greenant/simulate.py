@@ -7,11 +7,9 @@ lists, fullest last. The scenarios of a campaign differ only in their
 greens, and every earlier scenario's greens are also in the last one
 (check_pairable, once per campaign), so what they share is computed
 once, from the last scenario: one drop, one channel table and one
-association (`draw_snapshot`, which the CLI's gain dump calls too).
-The drop is one `Drop` of read-only arrays that every layer reads whole.
-Each earlier scenario reads its own receive-point columns of that
-table. Each run is solved under its own radio.combining, in
-lockstep to the same number of power control iterations. That last
+association. The drop is one `Drop` of read-only arrays that every
+layer reads whole. Each run reads its own columns of that table and is
+solved under its own radio.combining, in lockstep to the same number of power control iterations. That last
 point matters because every run iterates monotonically upward from
 p_min; comparing at a common iteration count is what makes the per-MS
 power ordering exact instead of blurred by the stopping rule.
@@ -34,10 +32,10 @@ solver calls each time it loads its stack, for exactly as many
 consecutive snapshots as the stack has free slots: the whole stack
 first, then the stopped slots at each refill. One pass computes a
 draw's drops, tables and associations, each array with a leading block
-axis, and the solver copies the block's rows into its stack and drops
-the block, so a task holds one stack and, while it loads, one block.
-The solver writes each snapshot's drop, association and results into
-the task's record by index. Each snapshot's drop and tables are the
+axis; the solver gathers each run's columns of the block's linear gains
+into its stack and drops the block, so a task holds one stack and,
+while it loads, one block. The solver writes each snapshot's drop, association and results
+into the task's record by index. Each snapshot's drop and gains are the
 bits of its own draw, and its results the bits of its solve alone, so
 neither the block size, the stack size, the order in which snapshots
 stop, nor the number of workers changes any output.
@@ -73,30 +71,25 @@ def snapshot_seed(seed: int, index: int) -> int:
     return derive_seed(seed, f"snapshot:{index}")
 
 
-def draw_snapshot(scenarios: tuple[Scenario, ...], snap_seed
+def draw_snapshot(scenarios: tuple[Scenario, ...], snap_seed: int
                   ) -> tuple[Drop, tuple[LinkGainMatrix, ...]]:
-    """The drop of one snapshot and each scenario's table of it; or, for
-    a sequence of snapshot seeds, the block of their drops and tables
-    (see `drop_mobiles` and `build_gain_matrix`).
-
-    The drop and the table are the last scenario's; a scenario that is
-    not the last reads its own columns of that table.
-    """
-    table_scenario = scenarios[-1]
-    mobiles = drop_mobiles(table_scenario, snap_seed)
-    gm = build_gain_matrix(table_scenario, mobiles, snap_seed)
-    return mobiles, tuple(gm if s is table_scenario else gm.restricted_to(s) for s in scenarios)
+    """One snapshot's drop and each scenario's table of it, for the CLI's
+    gain dump: the last scenario's, and each earlier one's columns of it."""
+    mobiles = drop_mobiles(scenarios[-1], snap_seed)
+    gm = build_gain_matrix(scenarios[-1], mobiles, snap_seed)
+    return mobiles, tuple(gm if s is scenarios[-1] else gm.restricted_to(s) for s in scenarios)
 
 
 def _task(args) -> Campaign:
-    """The record of snapshots start..stop-1; each draw is one block of
-    as many snapshots as the solver has free slots."""
+    """The record of snapshots start..stop-1; each draw is the last
+    scenario's drops, association and linear UL gains of the free slots."""
     scenarios, seed, start, stop = args
 
     def draw(lo, hi):
-        mobiles, tables = draw_snapshot(scenarios, [snapshot_seed(seed, start + index)
-                                                    for index in range(lo, hi)])
-        return mobiles, associate(tables[-1]), tables
+        seeds = [snapshot_seed(seed, start + index) for index in range(lo, hi)]
+        mobiles = drop_mobiles(scenarios[-1], seeds)
+        gm = build_gain_matrix(scenarios[-1], mobiles, seeds)
+        return mobiles, associate(gm), gm.ul_gain_mw
 
     return solve_snapshots(scenarios, draw, stop - start)
 

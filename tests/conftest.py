@@ -173,22 +173,16 @@ def act_from(monkeypatch, first, action):
 
 
 def drawn(snapshots):
-    """A `solve_snapshots` draw over a list of (drop, serving, tables):
-    draw(lo, hi) stacks snapshots lo..hi-1 into one block, whose drop
-    fields, association and tables lead with the block axis. Each block
-    table's `ul_gain_mw` is the stack of each table's own, so no pow is
-    taken again."""
+    """A `solve_snapshots` draw over a list of (drop, serving, table), each
+    table the last scenario's: draw(lo, hi) stacks snapshots lo..hi-1 into
+    one block, whose drop fields, association and linear UL gains lead
+    with the block axis. The gains are the stack of each table's own
+    `ul_gain_mw`, so no pow is taken again."""
     def draw(lo, hi):
         part = snapshots[lo:hi]
         drop = Drop(*(np.stack([getattr(d, f.name) for d, _, _ in part]) for f in fields(Drop)))
-        blocks = []
-        for tables in zip(*(t for _, _, t in part)):
-            block = LinkGainMatrix(channel=tables[0].channel,
-                                   ul_gain_db=np.stack([t.ul_gain_db for t in tables]),
-                                   dl_rx_dbm=np.stack([t.dl_rx_dbm for t in tables]))
-            block.__dict__["ul_gain_mw"] = np.stack([t.ul_gain_mw for t in tables])
-            blocks.append(block)
-        return drop, np.stack([serving for _, serving, _ in part]), tuple(blocks)
+        return (drop, np.stack([serving for _, serving, _ in part]),
+                np.stack([gm.ul_gain_mw for _, _, gm in part]))
 
     return draw
 

@@ -117,18 +117,18 @@ def test_closed_form_solutions():
 
     s1 = solver_scenario(1)
     gm, serving, _ = make_tables([[-100.0]], 1, serving=[0])
-    r1 = solved((s1,), [(mobiles(0.0), serving, (gm,))])[0][0]
+    r1 = solved((s1,), [(mobiles(0.0), serving, gm)])[0][0]
     errs.append(abs(r1.tx_power_dbm[0] - (-4.0)))
 
     s2 = solver_scenario(2)
     pair = mobiles(0.0, 0.0)
     gm, serving, _ = make_tables([[-100.0, -110.0], [-110.0, -100.0]], 2, serving=[0, 1])
-    r2 = solved((s2,), [(pair, serving, (gm,))], tol_db=1e-6)[0][0]
+    r2 = solved((s2,), [(pair, serving, gm)], tol_db=1e-6)[0][0]
     expected = 10.0 * np.log10(NOISE_MW / (1e-10 - 1e-11))
     errs.append(float(np.max(np.abs(r2.tx_power_dbm - expected))))
 
     gm, serving, _ = make_tables([[-120.0, -120.0], [-120.0, -120.0]], 2, serving=[0, 1])
-    r3 = solved((s2,), [(pair, serving, (gm,))])[0][0]
+    r3 = solved((s2,), [(pair, serving, gm)])[0][0]
     errs.append(float(np.max(np.abs(r3.tx_power_dbm - 24.0))))
     pinned_ok = bool(r3.outage.all())
 
@@ -196,7 +196,7 @@ def test_egc_can_raise_power_where_mrc_cannot():
             s = replace(s, radio=replace(s.radio, combining=combining))
             gm = build_gain_matrix(s, mobiles, seed=5)
             runs[tag] = (s, gm, associate(gm))
-        k = max(solved((s,), [(mobiles, serving, (gm,))])[0][0].iterations
+        k = max(solved((s,), [(mobiles, serving, gm)])[0][0].iterations
                 for s, gm, serving in runs.values())
         results = {tag: jacobi(s, mobiles, gm, serving, k)
                    for tag, (s, gm, serving) in runs.items()}

@@ -70,7 +70,7 @@ def mobiles(*targets_db):
 
 def solve_alone(s, drop, gm, serving, **kwargs):
     """One run of one drop: a stack of one snapshot."""
-    solved = solve_snapshots((s,), drawn([(drop, serving, (gm,))]), 1, **kwargs)
+    solved = solve_snapshots((s,), drawn([(drop, serving, gm)]), 1, **kwargs)
     return snapshots(solved)[0].runs[0]
 
 
@@ -672,7 +672,7 @@ def test_solver_rejects_snapshots_of_different_sizes(monkeypatch):
     s = solver_scenario(2)
     gm1, serving1, _ = make_tables([[-100.0, -110.0]], 2, serving=[0])
     gm2, serving2, _ = make_tables([[-100.0, -110.0], [-110.0, -100.0]], 2, serving=[0, 1])
-    draw = drawn([(mobiles(0.0), serving1, (gm1,)), (mobiles(0.0, 0.0), serving2, (gm2,))])
+    draw = drawn([(mobiles(0.0), serving1, gm1), (mobiles(0.0, 0.0), serving2, gm2)])
     monkeypatch.setattr(powerctl, "STACK_LINKS", 1)
     with pytest.raises(ValueError, match=r"draw\(1, 2\) gave snapshots of 2 mobiles, expected 1: "
                                          r"stacked snapshots must hold the same number of mobiles"):
@@ -684,7 +684,7 @@ def test_solver_rejects_a_block_of_the_wrong_shape(monkeypatch):
     refused, naming both counts."""
     s = solver_scenario(1)
     gm, serving, _ = make_tables([[-100.0]], 1, serving=[0])
-    short = drawn([(mobiles(0.0), serving, (gm,))] * 2)
+    short = drawn([(mobiles(0.0), serving, gm)] * 2)
     with pytest.raises(ValueError, match=r"draw\(0, 3\) gave 2 snapshots, expected 3"):
         solve_snapshots((s,), short, 3)
     monkeypatch.setattr(powerctl, "STACK_LINKS", 1)
@@ -697,6 +697,6 @@ def test_solver_rejects_a_count_below_one():
     gm, serving, _ = make_tables([[-100.0]], 1, serving=[0])
     for count in (0, -1):
         with pytest.raises(ValueError, match="at least one snapshot"):
-            solve_snapshots((s,), drawn([(mobiles(0.0), serving, (gm,))]), count)
+            solve_snapshots((s,), drawn([(mobiles(0.0), serving, gm)]), count)
     with pytest.raises(ValueError, match="at least one snapshot"):
         solve_snapshots((s,), drawn([]), 0)     # nothing is drawn

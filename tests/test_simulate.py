@@ -29,7 +29,8 @@ from greenant.simulate import (
 )
 
 from conftest import (SCENARIO_DIR, act_from, bundled_doc, counting_builds, drawn, drop_bits,
-                      jacobi, load_doc, snapshots, two_cell_doc, wide_green_doc)
+                      jacobi, load_doc, multi_green_doc, snapshots, two_cell_doc,
+                      wide_green_doc)
 
 
 def solved_alone(scenarios, seed, index):
@@ -141,8 +142,8 @@ def _reference_paired_snapshot(baseline, green, snap_seed, index=0):
     if serving_b.tobytes() != serving_g.tobytes():
         raise PairingError(f"snapshot {index}: serving sectors differ between runs")
 
-    ctl_b = solved((baseline,), [(mobiles_b, serving_b, (gm_b,))])[0][0]
-    ctl_g = solved((green,), [(mobiles_g, serving_g, (gm_g,))])[0][0]
+    ctl_b = solved((baseline,), [(mobiles_b, serving_b, gm_b)])[0][0]
+    ctl_g = solved((green,), [(mobiles_g, serving_g, gm_g)])[0][0]
     resolved = ctl_b.iterations != ctl_g.iterations
     if resolved:
         k = max(ctl_b.iterations, ctl_g.iterations)
@@ -237,7 +238,7 @@ def test_nested_green_campaign_matches_own_table_solves(combining):
             own = jacobi(s, mobiles, gm, serving, got.iterations)
             for f in ("tx_power_dbm", "sinr_db", "outage"):
                 assert np.array_equal(getattr(got, f), getattr(own, f)), (snap.index, f)
-            alone = solved((s,), [(mobiles, serving, (gm,))])[0][0]
+            alone = solved((s,), [(mobiles, serving, gm)])[0][0]
             stopped_alone_elsewhere += alone.iterations != got.iterations
     assert stopped_alone_elsewhere > 0     # the lockstep moved some run's stop
 
@@ -385,9 +386,9 @@ def test_gather_tx_powers_reads_precomputed_kept_indices(two_cell, two_cell_gree
 # ---------------------------------------------------------------------------
 # refilled stacks: every snapshot is the bits of its solve alone
 
-#: Links of one snapshot of the bundled pair: 210 mobiles, each linked to
-#: 21 sectors and to 21 sectors + 1 green.
-HOLE_PAIR_LINKS = 210 * (21 + 22)
+#: Links of one snapshot of the bundled pair, as the stack counts them: 210
+#: mobiles, each linked to the green scenario's 21 sectors + 1 green.
+HOLE_PAIR_LINKS = 210 * 22
 
 def _hole_pair(combining, docs=None):
     """The bundled pair, or the pair of `docs`, under one combining rule."""
@@ -426,7 +427,7 @@ def test_campaign_snapshots_are_bitwise_their_solves_alone(combining, jobs, monk
     need not divide a range of 9, 4 or 3."""
     for docs in (None, [wide_green_doc(8), wide_green_doc(9)]):
         scenarios = _hole_pair(combining, docs)
-        links = 210 * sum(len(s.receive_points) for s in scenarios)
+        links = 210 * len(scenarios[-1].receive_points)
         assert max(s.branches.widths.max() for s in scenarios) == (2 if docs is None else 10)
         alone = [solved_alone(scenarios, 53, index) for index in range(9)]
         for snap in alone:
@@ -497,13 +498,13 @@ def test_no_drawn_block_outlives_its_rebuild(monkeypatch):
     field of it, association, table or linear gain array is alive."""
     scenarios = _hole_pair("mrc")
     refs, alive = [], []
-    draw, assoc, kernel = simulate.draw_snapshot, simulate.associate, powerctl._combined_sinr
+    build, assoc, kernel = simulate.build_gain_matrix, simulate.associate, powerctl._combined_sinr
 
-    def traced_draw(scenarios, seeds):
-        mobiles, tables = draw(scenarios, seeds)
-        refs.extend(weakref.ref(a) for a in (mobiles, *vars(mobiles).values(), *tables,
-                                             *(t.ul_gain_mw for t in tables)))
-        return mobiles, tables
+    def traced_build(s, mobiles, seeds):
+        gm = build(s, mobiles, seeds)
+        refs.extend(weakref.ref(a) for a in (mobiles, *vars(mobiles).values(), gm,
+                                             gm.ul_gain_db, gm.dl_rx_dbm, gm.ul_gain_mw))
+        return gm
 
     def traced_associate(gm):
         serving = assoc(gm)
@@ -514,7 +515,7 @@ def test_no_drawn_block_outlives_its_rebuild(monkeypatch):
         alive.append(sum(ref() is not None for ref in refs))
         return kernel(*args)
 
-    monkeypatch.setattr(simulate, "draw_snapshot", traced_draw)
+    monkeypatch.setattr(simulate, "build_gain_matrix", traced_build)
     monkeypatch.setattr(simulate, "associate", traced_associate)
     monkeypatch.setattr(powerctl, "_combined_sinr", checked_kernel)
     monkeypatch.setattr(powerctl, "STACK_LINKS", 3 * HOLE_PAIR_LINKS)
@@ -524,13 +525,65 @@ def test_no_drawn_block_outlives_its_rebuild(monkeypatch):
     assert alive and set(alive) == {0}
 
 
+def test_stack_is_sized_by_the_fullest_table(monkeypatch):
+    """The budget counts the last scenario's table only: 14 slots of the
+    bundled pair, 48 of the 11-green map, and a 3-run green-count sweep
+    of that map gets the 48 slots of its fullest run alone."""
+    world = load_doc(multi_green_doc())
+    sweep = tuple(dataclasses.replace(world, greens=world.greens[:k]) for k in (0, 5, 11))
+    # 65536 // (210 * 22) and 65536 // (42 * 32)
+    for scenarios, slots in ((_hole_pair("mrc"), 14), ((world,), 48), (sweep, 48)):
+        sizes = counting_builds(monkeypatch)
+        run_campaign(scenarios, seed=7, n_snapshots=slots + 3)
+        assert sizes[:len(scenarios)] == [slots] * len(scenarios)
+        assert max(sizes) == slots
+
+
+def test_each_run_stack_is_a_fresh_gather_of_its_columns(monkeypatch):
+    """Every stack the solver builds, at the first load and at each
+    refill, is one fresh C-ordered array per run, sharing memory with no
+    other, and its rows are bitwise `restricted_to(s).ul_gain_mw` of the
+    same drop's table: the layout sets the last bits of `powers @ gains`.
+    Checked on a 3-run green-count sweep in a stack of 3 slots."""
+    world = load_doc(multi_green_doc())
+    scenarios = tuple(dataclasses.replace(world, greens=world.greens[:k]) for k in (0, 5, 11))
+    last = scenarios[-1]
+    own = []
+    for k in range(10):
+        seed = snapshot_seed(67, k)
+        gm = build_gain_matrix(last, drop_mobiles(last, seed), seed)
+        own.append([gm.restricted_to(s).ul_gain_mw.tobytes() for s in scenarios])
+    stacks, build = [], powerctl._stacked_problem
+
+    def recorded(gains_mw, *args):
+        stacks.append(gains_mw)
+        return build(gains_mw, *args)
+
+    monkeypatch.setattr(powerctl, "_stacked_problem", recorded)
+    links = last.traffic.mobiles_per_sector * last.n_sectors() * len(last.receive_points)
+    monkeypatch.setattr(powerctl, "STACK_LINKS", 3 * links)
+    run_campaign(scenarios, seed=67, n_snapshots=len(own))
+    assert len(stacks) > 3 * len(scenarios) and max(map(len, stacks)) == 3
+    seen = set()
+    for at in range(0, len(stacks), len(scenarios)):
+        runs = stacks[at:at + len(scenarios)]
+        for r, gains in enumerate(runs):
+            assert gains.flags.c_contiguous and gains.flags.owndata
+            assert not any(np.shares_memory(gains, other) for other in runs[r + 1:])
+        for slot in range(len(runs[-1])):
+            index = next(i for i, rows in enumerate(own) if rows[-1] == runs[-1][slot].tobytes())
+            assert [g[slot].tobytes() for g in runs] == own[index]
+            seen.add(index)
+    assert seen == set(range(len(own)))
+
+
 def _hole_drops(scenarios, seed, count):
     drops = []
     for k in range(count):
         snap_seed = snapshot_seed(seed, k)
         mobiles = drop_mobiles(scenarios[1], snap_seed)
         gm = build_gain_matrix(scenarios[1], mobiles, snap_seed)
-        drops.append((mobiles, associate(gm), (gm.restricted_to(scenarios[0]), gm)))
+        drops.append((mobiles, associate(gm), gm))
     return drops
 
 
@@ -594,7 +647,7 @@ def test_nonconverged_snapshot_in_a_stack_keeps_its_own_state(monkeypatch, caplo
         seed = snapshot_seed(59, k)
         mobiles = drop_mobiles(scenarios[1], seed)
         gm = build_gain_matrix(scenarios[1], mobiles, seed)
-        drops.append((mobiles, associate(gm), (gm.restricted_to(scenarios[0]), gm)))
+        drops.append((mobiles, associate(gm), gm))
     natural = sorted(solved(scenarios, [d])[0][0].iterations for d in drops)
     max_iter = natural[len(natural) // 2]
     alone = [solved(scenarios, [d], max_iter=max_iter)[0] for d in drops]
